@@ -53,7 +53,9 @@ fn report_series() {
     let text_layer = t0.elapsed() / iterations;
     println!("[sec2_gateway] handle_text (parse+route+serialize): {text_layer:?}/req");
 
-    // Real TCP round trip.
+    // Real TCP round trip against the blocking accept loop, one connection
+    // per request. The gated number for this path is `invoke_hot` in
+    // `e2e/` (BENCHMARK.json); this prints the same quantity for the series.
     let shutdown = Arc::new(AtomicBool::new(false));
     let (addr, handle) = gw.clone().serve("127.0.0.1:0", shutdown.clone()).unwrap();
     let rtts = 200;

@@ -123,6 +123,20 @@ fn main() {
         println!("  {line}");
     }
 
+    // 8. A request the server must refuse before reading it: the declared
+    // body is over the 16 MiB cap, so it answers 413 without allocating.
+    let resp = http(
+        addr,
+        "POST /invoke/translator HTTP/1.1\r\nContent-Length: 9223372036854775808\r\n\r\n",
+    );
+    println!(
+        "\nPOST /invoke/translator, Content-Length: 2^63\n  -> {}\n  -> {}",
+        resp.lines().next().unwrap_or(""),
+        resp.lines().last().unwrap_or("")
+    );
+
+    // The serving thread blocks in accept(); `join` sets the flag, wakes it
+    // with one empty loopback connection and waits for it to finish.
     shutdown.store(true, Ordering::SeqCst);
     handle.join().unwrap();
     println!("\ngateway shut down cleanly");
