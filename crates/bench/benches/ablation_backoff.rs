@@ -7,7 +7,7 @@
 //! latency on the failing path.
 
 use cogsdk_bench::BENCH_SEED;
-use cogsdk_core::invoke::{invoke_with_backoff, Backoff};
+use cogsdk_core::invoke::{Backoff, Call};
 use cogsdk_core::ServiceMonitor;
 use cogsdk_json::json;
 use cogsdk_sim::clock::SimTime;
@@ -35,7 +35,7 @@ fn trial(outage_ms: u64, retries: usize, backoff: Backoff) -> (bool, Duration) {
         )))
         .build(&env);
     let t0 = env.clock().now();
-    let (outcome, _) = invoke_with_backoff(&svc, &req(), retries, backoff, &monitor);
+    let (outcome, _) = Call::plain(&monitor).retry(&svc, &req(), retries, backoff);
     (outcome.result.is_ok(), env.clock().now().since(t0))
 }
 
@@ -74,12 +74,11 @@ fn bench(c: &mut Criterion) {
         .build(&env);
     c.bench_function("backoff_machinery_overhead", |b| {
         b.iter(|| {
-            invoke_with_backoff(
+            Call::plain(&monitor).retry(
                 &healthy,
                 std::hint::black_box(&req()),
                 4,
                 Backoff::standard_exponential(),
-                &monitor,
             )
         })
     });

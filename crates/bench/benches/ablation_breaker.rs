@@ -8,8 +8,8 @@
 //! backup, holding outage p99 at the healthy baseline (~10ms).
 
 use cogsdk_bench::BENCH_SEED;
-use cogsdk_core::invoke::{invoke_failover_governed, InvocationPolicy};
-use cogsdk_core::resilience::{BreakerConfig, BreakerRegistry, Deadline, Governance};
+use cogsdk_core::invoke::{Call, InvocationPolicy};
+use cogsdk_core::resilience::{BreakerConfig, BreakerRegistry, Deadline};
 use cogsdk_core::ServiceMonitor;
 use cogsdk_json::json;
 use cogsdk_obs::Telemetry;
@@ -88,19 +88,12 @@ fn outage_latencies(with_resilience: bool) -> Vec<Duration> {
         } else {
             Deadline::NONE
         };
-        let gov = Governance::new(breakers.clone(), deadline);
-        let ctx = telemetry.tracer().new_trace();
+        let call = Call::new(&monitor, &telemetry, telemetry.tracer().new_trace())
+            .breakers(breakers.as_deref())
+            .deadline(deadline);
         let started = env.clock().now();
-        invoke_failover_governed(
-            &candidates,
-            &req(),
-            &policy,
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        )
-        .expect("the backup keeps requests alive");
+        call.failover(&candidates, &req(), &policy)
+            .expect("the backup keeps requests alive");
         latencies.push(env.clock().now().since(started));
     }
     latencies
@@ -149,18 +142,8 @@ fn bench(c: &mut Criterion) {
     let healthy = fleet(&env);
     let policy = InvocationPolicy::default();
     c.bench_function("governed_failover_overhead", |b| {
-        let gov = Governance::new(Some(breakers.clone()), Deadline::NONE);
-        b.iter(|| {
-            invoke_failover_governed(
-                &healthy[1..],
-                std::hint::black_box(&req()),
-                &policy,
-                &monitor,
-                &telemetry,
-                &ctx,
-                &gov,
-            )
-        })
+        let call = Call::new(&monitor, &telemetry, ctx).breakers(Some(&breakers));
+        b.iter(|| call.failover(&healthy[1..], std::hint::black_box(&req()), &policy))
     });
 }
 

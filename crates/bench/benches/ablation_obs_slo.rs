@@ -2,7 +2,7 @@
 //!
 //! PR 1 showed passive telemetry costs a few hundred ns per cache hit.
 //! This bench measures what the *active* SLO subsystem adds on the same
-//! worst-case path — `RichSdk::invoke_cached_outcome_in` hitting a warm
+//! worst-case path — `RichSdk::invoke_cached_with` hitting a warm
 //! cache — under three configurations: telemetry disabled, enabled, and
 //! enabled with the tail sampler buffering every event (the upper bound;
 //! real deployments downsample healthy traffic so buffered traces are
@@ -69,7 +69,7 @@ fn observed_hit(rig: &Rig) {
     let started = tracer.now_ms();
     let (_, source) = rig
         .sdk
-        .invoke_cached_outcome_in("nlu", &rig.req, &ctx)
+        .invoke_cached_with("nlu", &rig.req, &rig.sdk.call().span(&ctx))
         .unwrap();
     assert!(source.served_locally());
     let latency = (tracer.now_ms() - started).max(0.0);

@@ -7,7 +7,7 @@
 //! adds roughly one failure-detection latency.
 
 use cogsdk_bench::BENCH_SEED;
-use cogsdk_core::invoke::{invoke_failover, invoke_with_retry, InvocationPolicy};
+use cogsdk_core::invoke::{Backoff, Call, InvocationPolicy};
 use cogsdk_core::ServiceMonitor;
 use cogsdk_json::json;
 use cogsdk_sim::failure::FailurePlan;
@@ -41,7 +41,9 @@ fn report_series() {
             let n = 3_000;
             let ok = (0..n)
                 .filter(|_| {
-                    invoke_with_retry(&svc, &req(), retries, &monitor)
+                    Call::plain(&monitor)
+                        .retry(&svc, &req(), retries, Backoff::None)
+                        .0
                         .result
                         .is_ok()
                 })
@@ -68,7 +70,11 @@ fn report_series() {
         };
         let n = 2_000;
         let ok = (0..n)
-            .filter(|_| invoke_failover(&candidates, &req(), &policy, &monitor).is_ok())
+            .filter(|_| {
+                Call::plain(&monitor)
+                    .failover(&candidates, &req(), &policy)
+                    .is_ok()
+            })
             .count();
         println!(
             "[fig2_failover]   m={m}: success={:.3} (predicted {:.3})",
@@ -93,7 +99,7 @@ fn report_series() {
     let n = 500;
     let mut attempts_total = 0;
     for _ in 0..n {
-        if let Ok(ok) = invoke_failover(&candidates, &req(), &policy, &monitor) {
+        if let Ok(ok) = Call::plain(&monitor).failover(&candidates, &req(), &policy) {
             attempts_total += ok.attempts;
         }
     }
@@ -111,7 +117,9 @@ fn bench(c: &mut Criterion) {
     let monitor = ServiceMonitor::new();
     let healthy = flaky(&env, "healthy", 0.0);
     c.bench_function("invoke_no_failure_overhead", |b| {
-        b.iter(|| invoke_with_retry(&healthy, std::hint::black_box(&req()), 2, &monitor))
+        b.iter(|| {
+            Call::plain(&monitor).retry(&healthy, std::hint::black_box(&req()), 2, Backoff::None)
+        })
     });
     let dead_then_alive = vec![flaky(&env, "dead", 1.0), flaky(&env, "alive", 0.0)];
     let policy = InvocationPolicy {
@@ -120,12 +128,7 @@ fn bench(c: &mut Criterion) {
     };
     c.bench_function("failover_two_services", |b| {
         b.iter(|| {
-            invoke_failover(
-                &dead_then_alive,
-                std::hint::black_box(&req()),
-                &policy,
-                &monitor,
-            )
+            Call::plain(&monitor).failover(&dead_then_alive, std::hint::black_box(&req()), &policy)
         })
     });
 }

@@ -63,7 +63,7 @@ fn report_series() {
         })
         .collect();
     let t2 = w.env.clock().now();
-    let agg = w.sdk.nlu().analyze_documents(&w.nlu, &docs);
+    let (agg, _) = w.sdk.nlu().analyze_documents(&w.nlu, &docs, &w.sdk.call());
     let t3 = w.env.clock().now();
     println!(
         "[fig3_nlu_pipeline] stage latencies: search={:?} fetch({} docs)={:?} analyze={:?}",
@@ -83,7 +83,7 @@ fn report_series() {
     let t4 = w.env.clock().now();
     let stored = w.sdk.nlu().document_store().by_query("market growth");
     let docs2: Vec<String> = stored.iter().map(|d| extract_text(&d.html)).collect();
-    let _ = w.sdk.nlu().analyze_documents(&w.nlu, &docs2);
+    let _ = w.sdk.nlu().analyze_documents(&w.nlu, &docs2, &w.sdk.call());
     let t5 = w.env.clock().now();
     println!(
         "[fig3_nlu_pipeline] re-analysis of stored docs: {:?} (fetch stage eliminated)",
@@ -101,10 +101,10 @@ fn report_series() {
     let t0 = w.env.clock().now();
     let mut total_docs = 0;
     for q in queries {
-        let agg = w
+        let (agg, _) = w
             .sdk
             .nlu()
-            .search_and_analyze(&w.search, &w.web, &w.nlu, q, 6)
+            .search_and_analyze(&w.search, &w.web, &w.nlu, q, 6, &w.sdk.call())
             .unwrap();
         total_docs += agg.documents;
     }
@@ -138,7 +138,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             w.sdk
                 .nlu()
-                .analyze_documents(&w.nlu, std::hint::black_box(&texts))
+                .analyze_documents(&w.nlu, std::hint::black_box(&texts), &w.sdk.call())
         })
     });
     let analyses: Vec<cogsdk_text::DocumentAnalysis> = texts

@@ -64,14 +64,9 @@ fn report_series() {
         let n = 500;
         let ok = (0..n)
             .filter(|_| {
-                cogsdk_core::invoke::invoke_redundant(
-                    &candidates,
-                    &req(),
-                    mode,
-                    &policy,
-                    sdk.monitor(),
-                )
-                .is_ok()
+                cogsdk_core::Call::plain(sdk.monitor())
+                    .redundant(&candidates, &req(), mode, &policy)
+                    .is_ok()
             })
             .count();
         println!(

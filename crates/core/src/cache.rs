@@ -566,13 +566,7 @@ impl ResponseCache {
     /// [`lookup`](ResponseCache::lookup) for stale serving).
     pub fn get(&self, key: &str) -> Option<Json> {
         let ctx = self.inner.telemetry.tracer().new_trace();
-        self.get_traced(key, &ctx)
-    }
-
-    /// As [`ResponseCache::get`], emitting the hit/miss event under the
-    /// caller's span so cache probes appear inside invocation traces.
-    pub fn get_traced(&self, key: &str, ctx: &SpanCtx) -> Option<Json> {
-        match self.probe(key, ctx, false) {
+        match self.probe(key, &ctx, false) {
             Lookup::Fresh(v) => Some(v),
             _ => None,
         }
@@ -582,14 +576,9 @@ impl ResponseCache {
     /// entries hit; expired entries inside the configured stale window are
     /// returned as [`Lookup::Stale`] *without* being removed (so a single
     /// refresh can replace them in place); anything older is removed and
-    /// misses.
-    pub fn lookup(&self, key: &str) -> Lookup {
-        let ctx = self.inner.telemetry.tracer().new_trace();
-        self.lookup_traced(key, &ctx)
-    }
-
-    /// As [`ResponseCache::lookup`], under the caller's span.
-    pub fn lookup_traced(&self, key: &str, ctx: &SpanCtx) -> Lookup {
+    /// misses. The hit/miss event is emitted under the caller's span, so
+    /// cache probes appear inside invocation traces.
+    pub fn lookup(&self, key: &str, ctx: &SpanCtx) -> Lookup {
         self.probe(key, ctx, true)
     }
 
@@ -720,8 +709,8 @@ impl ResponseCache {
     /// [`FlightJoin::Leader`] and must complete the returned guard with
     /// the upstream result; every concurrent caller becomes a
     /// [`FlightJoin::Follower`] holding a future that resolves when the
-    /// leader publishes.
-    pub fn join_flight(&self, key: &str) -> FlightJoin {
+    /// leader publishes; its wait is recorded under the caller's span.
+    pub fn join_flight(&self, key: &str, ctx: &SpanCtx) -> FlightJoin {
         let inner = &self.inner;
         let idx = inner.shard_for(key);
         let join = {
@@ -750,11 +739,10 @@ impl ResponseCache {
                     .telemetry
                     .metrics()
                     .inc_counter("sdk_coalesced_waiters_total", &[CACHE_LABEL]);
-                let ctx = inner.telemetry.tracer().new_trace();
                 inner
                     .telemetry
                     .tracer()
-                    .emit(&ctx, || EventKind::CacheCoalesced {
+                    .emit(ctx, || EventKind::CacheCoalesced {
                         key: key.to_string(),
                     });
             }
@@ -779,20 +767,10 @@ impl ResponseCache {
         key: &str,
         fetch: impl FnOnce() -> FlightResult,
     ) -> Result<(Json, FetchSource), SdkError> {
-        let ctx = self.inner.telemetry.tracer().new_trace();
-        self.get_or_fetch_traced(key, &ctx, fetch)
-    }
-
-    /// As [`ResponseCache::get_or_fetch`], under the caller's span.
-    pub fn get_or_fetch_traced(
-        &self,
-        key: &str,
-        ctx: &SpanCtx,
-        fetch: impl FnOnce() -> FlightResult,
-    ) -> Result<(Json, FetchSource), SdkError> {
-        match self.lookup_traced(key, ctx) {
+        let ctx = &self.inner.telemetry.tracer().new_trace();
+        match self.lookup(key, ctx) {
             Lookup::Fresh(value) => Ok((value, FetchSource::Hit)),
-            Lookup::Stale(stale) => match self.join_flight(key) {
+            Lookup::Stale(stale) => match self.join_flight(key, ctx) {
                 FlightJoin::Leader(guard) => match fetch() {
                     Ok(value) => {
                         guard.complete(Ok(value.clone()));
@@ -809,7 +787,7 @@ impl ResponseCache {
                 // A refresh is already in flight: serve stale immediately.
                 FlightJoin::Follower(_) => Ok((stale, FetchSource::Stale)),
             },
-            Lookup::Absent => match self.join_flight(key) {
+            Lookup::Absent => match self.join_flight(key, ctx) {
                 FlightJoin::Leader(guard) => {
                     // Double-check: a prior flight may have published the
                     // value between this caller's miss and its flight
@@ -846,6 +824,11 @@ mod tests {
     use cogsdk_sim::SimEnv;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
+
+    /// A span for probes whose trace no test reads.
+    fn ctx() -> SpanCtx {
+        Telemetry::disabled().tracer().new_trace()
+    }
 
     fn cache(capacity: usize, ttl_secs: u64) -> (SimEnv, ResponseCache) {
         let env = SimEnv::with_seed(1);
@@ -1132,10 +1115,10 @@ mod tests {
     fn abandoned_flight_fails_followers_instead_of_deadlocking() {
         let (_env, c) = cache(10, 60);
         let follower = {
-            let FlightJoin::Leader(guard) = c.join_flight("k") else {
+            let FlightJoin::Leader(guard) = c.join_flight("k", &ctx()) else {
                 panic!("first join must lead");
             };
-            let FlightJoin::Follower(f) = c.join_flight("k") else {
+            let FlightJoin::Follower(f) = c.join_flight("k", &ctx()) else {
                 panic!("second join must follow");
             };
             drop(guard); // leader bails without completing
@@ -1144,7 +1127,7 @@ mod tests {
         let result = (*follower.wait()).clone();
         assert!(matches!(result, Err(SdkError::AllFailed(_))), "{result:?}");
         // The flight slot was cleaned up: a new join leads again.
-        assert!(matches!(c.join_flight("k"), FlightJoin::Leader(_)));
+        assert!(matches!(c.join_flight("k", &ctx()), FlightJoin::Leader(_)));
     }
 
     #[test]
@@ -1162,9 +1145,9 @@ mod tests {
         );
         c.put("k", json!("v1"));
         env.clock().advance(Duration::from_secs(15)); // expired, within SWR
-        assert_eq!(c.lookup("k"), Lookup::Stale(json!("v1")));
+        assert_eq!(c.lookup("k", &ctx()), Lookup::Stale(json!("v1")));
         // A refresh in flight: followers are served stale without waiting.
-        let FlightJoin::Leader(guard) = c.join_flight("k") else {
+        let FlightJoin::Leader(guard) = c.join_flight("k", &ctx()) else {
             panic!("must lead");
         };
         let (v, src) = c
@@ -1176,7 +1159,7 @@ mod tests {
         assert!(c.stats().stale_served >= 2);
         // Past the stale window the entry is gone entirely.
         env.clock().advance(Duration::from_secs(41));
-        assert_eq!(c.lookup("k"), Lookup::Absent);
+        assert_eq!(c.lookup("k", &ctx()), Lookup::Absent);
         assert_eq!(c.len(), 0);
     }
 
@@ -1200,7 +1183,7 @@ mod tests {
             .unwrap();
         assert_eq!((v, src), (json!("v1"), FetchSource::Stale));
         // The stale entry survives for the next reader too.
-        assert_eq!(c.lookup("k"), Lookup::Stale(json!("v1")));
+        assert_eq!(c.lookup("k", &ctx()), Lookup::Stale(json!("v1")));
     }
 
     #[test]
@@ -1217,15 +1200,17 @@ mod tests {
             },
             t.clone(),
         );
-        let FlightJoin::Leader(guard) = c.join_flight("k") else {
+        let leader = t.tracer().new_trace();
+        let follower = t.tracer().new_trace();
+        let FlightJoin::Leader(guard) = c.join_flight("k", &leader) else {
             panic!("must lead");
         };
-        let FlightJoin::Follower(_) = c.join_flight("k") else {
+        let FlightJoin::Follower(_) = c.join_flight("k", &follower) else {
             panic!("must follow");
         };
         guard.complete(Ok(json!(1)));
         env.clock().advance(Duration::from_secs(15));
-        assert!(matches!(c.lookup("k"), Lookup::Stale(_)));
+        assert!(matches!(c.lookup("k", &follower), Lookup::Stale(_)));
         assert_eq!(
             t.metrics()
                 .counter_value("sdk_coalesced_waiters_total", &[("cache", "response")]),
@@ -1238,7 +1223,9 @@ mod tests {
         );
         assert_eq!(c.stats().coalesced_waits, 1);
         assert_eq!(c.stats().stale_served, 1);
-        let names: Vec<&str> = t.tracer().events().iter().map(|e| e.kind.name()).collect();
+        // The wait and the stale serve are both in the waiter's own trace.
+        let events = t.tracer().events_for(follower.trace);
+        let names: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
         assert!(names.contains(&"cache_coalesced"), "{names:?}");
         assert!(names.contains(&"cache_stale_served"), "{names:?}");
     }

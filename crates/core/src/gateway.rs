@@ -36,13 +36,14 @@
 //! sockets; [`HttpGateway::serve`] binds a real `std::net::TcpListener`
 //! for cross-language clients.
 
+use crate::invoke::Call;
 use crate::rank::RankOptions;
 use crate::sdk::RichSdk;
 use crate::SdkError;
 use cogsdk_json::{json, Json};
 use cogsdk_obs::{
-    profile_traces, prometheus_text, trace_jsonl_with_summary, EventKind, SloEngine, SloStatus,
-    SpanCtx, TenantId, TraceId, TraceVerdict,
+    profile_traces, prometheus_text, tenant_labels, trace_jsonl_with_summary, EventKind, SloEngine,
+    SloStatus, TenantId, TraceId, TraceVerdict,
 };
 use cogsdk_sim::service::Request;
 use parking_lot::{Condvar, Mutex};
@@ -485,16 +486,11 @@ impl HttpGateway {
                 .as_deref()
                 .map(|t| telemetry.tracer().intern_tenant(t))
                 .and_then(|id| telemetry.tracer().tenant_name(id));
-            match tenant.as_deref() {
-                Some(t) => metrics.inc_counter(
-                    "gateway_requests_total",
-                    &[("route", route), ("status", &status), ("tenant", t)],
-                ),
-                None => metrics.inc_counter(
-                    "gateway_requests_total",
-                    &[("route", route), ("status", &status)],
-                ),
-            }
+            let tenant = tenant.as_deref().unwrap_or("");
+            metrics.inc_counter(
+                "gateway_requests_total",
+                tenant_labels(&[("route", route), ("status", &status), ("tenant", tenant)]),
+            );
         }
         response
     }
@@ -508,13 +504,12 @@ impl HttpGateway {
         &self,
         route: &str,
         request: &HttpRequest,
-        f: impl FnOnce(&SpanCtx) -> HttpResponse,
+        f: impl FnOnce(&Call<'_>) -> HttpResponse,
     ) -> HttpResponse {
         let telemetry = self.sdk.telemetry();
         let tracer = telemetry.tracer();
         if !telemetry.is_enabled() {
-            let ctx = tracer.new_trace();
-            return f(&ctx);
+            return f(&self.sdk.call());
         }
         let tenant_id = match request.tenant.as_deref() {
             Some(t) => tracer.intern_tenant(t),
@@ -526,48 +521,29 @@ impl HttpGateway {
             sampler.hold(ctx.trace);
         }
         let started = tracer.now_ms();
-        let response = f(&ctx);
+        let response = f(&self.sdk.call_at(&ctx));
         let latency_ms = (tracer.now_ms() - started).max(0.0);
         // 4xx responses are the client's fault; only 5xx burns the budget.
         let ok = response.status < 500;
         let metrics = telemetry.metrics();
         let status = response.status.to_string();
         let tenant = tracer.tenant_name(tenant_id);
-        match tenant.as_deref() {
-            Some(t) => {
-                metrics.inc_counter(
-                    "gateway_route_requests_total",
-                    &[("route", route), ("status", &status), ("tenant", t)],
-                );
-                if !ok {
-                    metrics.inc_counter(
-                        "gateway_route_errors_total",
-                        &[("route", route), ("tenant", t)],
-                    );
-                }
-                metrics.observe_with_exemplar(
-                    "gateway_route_latency_ms",
-                    &[("route", route), ("tenant", t)],
-                    latency_ms,
-                    ctx.trace.0,
-                );
-            }
-            None => {
-                metrics.inc_counter(
-                    "gateway_route_requests_total",
-                    &[("route", route), ("status", &status)],
-                );
-                if !ok {
-                    metrics.inc_counter("gateway_route_errors_total", &[("route", route)]);
-                }
-                metrics.observe_with_exemplar(
-                    "gateway_route_latency_ms",
-                    &[("route", route)],
-                    latency_ms,
-                    ctx.trace.0,
-                );
-            }
+        let t = tenant.as_deref().unwrap_or("");
+        metrics.inc_counter(
+            "gateway_route_requests_total",
+            tenant_labels(&[("route", route), ("status", &status), ("tenant", t)]),
+        );
+        let by_route = [("route", route), ("tenant", t)];
+        let by_route = tenant_labels(&by_route);
+        if !ok {
+            metrics.inc_counter("gateway_route_errors_total", by_route);
         }
+        metrics.observe_with_exemplar(
+            "gateway_route_latency_ms",
+            by_route,
+            latency_ms,
+            ctx.trace.0,
+        );
         let mut violated = false;
         if let Some(engine) = &self.slo {
             let record = engine.record(route, tenant.as_deref(), ok, latency_ms, &ctx);
@@ -675,8 +651,8 @@ impl HttpGateway {
                 None => HttpResponse::error(404, format!("no history for {service}")),
             },
             ("POST", ["invoke", service]) => match parse_body(&request.body) {
-                Ok(req) => self.observe_invoke("invoke", request, |ctx| {
-                    match self.sdk.invoke_in(service, &req, ctx) {
+                Ok(req) => self.observe_invoke("invoke", request, |call| {
+                    match self.sdk.invoke_with(service, &req, call) {
                         Ok(resp) => HttpResponse::ok(json!({"payload": (resp.payload)})),
                         Err(e) => self.sdk_error_response(&e),
                     }
@@ -684,8 +660,8 @@ impl HttpGateway {
                 Err(e) => HttpResponse::error(400, e),
             },
             ("POST", ["invoke-cached", service]) => match parse_body(&request.body) {
-                Ok(req) => self.observe_invoke("invoke-cached", request, |ctx| {
-                    match self.sdk.invoke_cached_outcome_in(service, &req, ctx) {
+                Ok(req) => self.observe_invoke("invoke-cached", request, |call| {
+                    match self.sdk.invoke_cached_with(service, &req, call) {
                         Ok((resp, source)) => HttpResponse::ok(json!({
                             "payload": (resp.payload),
                             "cache_hit": (source.served_locally()),
@@ -696,10 +672,10 @@ impl HttpGateway {
                 Err(e) => HttpResponse::error(400, e),
             },
             ("POST", ["invoke-class", class]) => match parse_body(&request.body) {
-                Ok(req) => self.observe_invoke("invoke-class", request, |ctx| {
+                Ok(req) => self.observe_invoke("invoke-class", request, |call| {
                     match self
                         .sdk
-                        .invoke_class_in(class, &req, &RankOptions::default(), ctx)
+                        .invoke_class_with(class, &req, &RankOptions::default(), call)
                     {
                         Ok(ok) => HttpResponse::ok(json!({
                             "payload": (ok.response.payload),

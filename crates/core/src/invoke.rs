@@ -10,14 +10,14 @@
 //! single one" — for redundancy or to combine/compare outputs.
 
 use crate::monitor::{duration_ms, ServiceMonitor};
-use crate::resilience::{Admission, Deadline, Governance};
+use crate::resilience::{Admission, BreakerRegistry, Deadline};
 use crate::SdkError;
-use cogsdk_obs::{EventKind, SpanCtx, Telemetry};
+use cogsdk_obs::{tenant_labels, EventKind, SpanCtx, Telemetry};
 use cogsdk_sim::rng::Rng;
 use cogsdk_sim::service::{Outcome, Request, Response, ServiceError, SimService};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// The metric/event outcome label for a service result.
@@ -183,239 +183,6 @@ pub enum RedundantMode {
     Quorum(usize),
 }
 
-/// Invokes one service with up to `retries` retries, recording every
-/// attempt in the monitor. Non-retryable failures (bad request, quota)
-/// abort immediately.
-pub fn invoke_with_retry(
-    service: &Arc<SimService>,
-    request: &Request,
-    retries: usize,
-    monitor: &ServiceMonitor,
-) -> Outcome {
-    invoke_with_retry_counted(service, request, retries, monitor).0
-}
-
-/// As [`invoke_with_retry`], also returning how many attempts were made.
-pub fn invoke_with_retry_counted(
-    service: &Arc<SimService>,
-    request: &Request,
-    retries: usize,
-    monitor: &ServiceMonitor,
-) -> (Outcome, usize) {
-    invoke_with_backoff(service, request, retries, Backoff::None, monitor)
-}
-
-/// Deadline-aware [`invoke_with_retry`]: refuses to start once `deadline`
-/// has expired and stops retrying when the budget runs out mid-sequence.
-/// The convenience entry point for callers (KB federation, NLU batches)
-/// that thread a budget but not full telemetry.
-///
-/// # Errors
-///
-/// [`SdkError::DeadlineExceeded`] if the deadline has already passed when
-/// called.
-pub fn invoke_with_retry_within(
-    service: &Arc<SimService>,
-    request: &Request,
-    retries: usize,
-    monitor: &ServiceMonitor,
-    deadline: Deadline,
-) -> Result<Outcome, SdkError> {
-    if deadline.is_expired(service.clock().now()) {
-        return Err(SdkError::DeadlineExceeded(format!(
-            "no budget left to invoke {}",
-            service.name()
-        )));
-    }
-    let telemetry = Telemetry::disabled();
-    let ctx = telemetry.tracer().new_trace();
-    let gov = Governance::with_deadline(deadline);
-    let (outcome, _) = invoke_with_backoff_governed(
-        service,
-        request,
-        retries,
-        Backoff::None,
-        monitor,
-        &telemetry,
-        &ctx,
-        &gov,
-    );
-    Ok(outcome)
-}
-
-/// Full-control retry: up to `retries` retries with `backoff` delays
-/// between attempts (realized on the simulation timeline). Non-retryable
-/// failures abort immediately. Returns the final outcome and the number
-/// of attempts made.
-pub fn invoke_with_backoff(
-    service: &Arc<SimService>,
-    request: &Request,
-    retries: usize,
-    backoff: Backoff,
-    monitor: &ServiceMonitor,
-) -> (Outcome, usize) {
-    let telemetry = Telemetry::disabled();
-    let ctx = telemetry.tracer().new_trace();
-    invoke_with_backoff_traced(
-        service, request, retries, backoff, monitor, &telemetry, &ctx,
-    )
-}
-
-/// As [`invoke_with_backoff`], emitting one [`EventKind::Attempt`] per
-/// attempt and an [`EventKind::RetryBackoff`] per backoff sleep under
-/// `ctx`, plus attempt/error counters and the attempt-latency histogram.
-pub fn invoke_with_backoff_traced(
-    service: &Arc<SimService>,
-    request: &Request,
-    retries: usize,
-    backoff: Backoff,
-    monitor: &ServiceMonitor,
-    telemetry: &Telemetry,
-    ctx: &SpanCtx,
-) -> (Outcome, usize) {
-    invoke_with_backoff_governed(
-        service,
-        request,
-        retries,
-        backoff,
-        monitor,
-        telemetry,
-        ctx,
-        &Governance::none(),
-    )
-}
-
-/// As [`invoke_with_backoff_traced`], additionally governed by `gov`:
-/// the deadline stops retrying once the remaining budget cannot cover the
-/// next backoff sleep (the first attempt always runs — an expired budget
-/// is the *caller's* signal not to start), and every attempt result feeds
-/// the service's circuit breaker, if one is registered.
-#[allow(clippy::too_many_arguments)]
-pub fn invoke_with_backoff_governed(
-    service: &Arc<SimService>,
-    request: &Request,
-    retries: usize,
-    backoff: Backoff,
-    monitor: &ServiceMonitor,
-    telemetry: &Telemetry,
-    ctx: &SpanCtx,
-    gov: &Governance,
-) -> (Outcome, usize) {
-    let mut jitter = jitter_rng();
-    let mut last = None;
-    for attempt in 1..=retries + 1 {
-        if attempt > 1 {
-            let delay = backoff.delay_sampled(attempt - 2, &mut jitter);
-            let now = service.clock().now();
-            let out_of_budget = match gov.deadline.remaining(now) {
-                Some(rem) => rem.is_zero() || delay >= rem,
-                None => false,
-            };
-            if out_of_budget {
-                emit_deadline_exhausted(telemetry, ctx, "backoff");
-                return (last.expect("a first attempt was made"), attempt - 1);
-            }
-            if !delay.is_zero() {
-                telemetry.tracer().emit(ctx, || EventKind::RetryBackoff {
-                    service: service.name().to_string(),
-                    retry: attempt - 1,
-                    delay_ms: duration_ms(delay),
-                });
-                service.realize_delay(delay);
-            }
-        }
-        let outcome = service.invoke(request);
-        monitor.record(service.name(), &outcome, request.params.clone());
-        record_attempt(telemetry, ctx, service.name(), attempt, &outcome);
-        if let Some(breakers) = &gov.breakers {
-            // Bad requests and quota rejections say nothing about the
-            // service's health; only real outcomes feed the breaker.
-            match &outcome.result {
-                Ok(_) => breakers.record(service.name(), true, ctx),
-                Err(e) if e.is_retryable() => breakers.record(service.name(), false, ctx),
-                Err(_) => {}
-            }
-        }
-        match &outcome.result {
-            Ok(_) => return (outcome, attempt),
-            Err(e) if !e.is_retryable() => return (outcome, attempt),
-            Err(_) => last = Some(outcome),
-        }
-    }
-    (last.expect("at least one attempt was made"), retries + 1)
-}
-
-fn emit_deadline_exhausted(telemetry: &Telemetry, ctx: &SpanCtx, stage: &'static str) {
-    telemetry
-        .tracer()
-        .emit(ctx, || EventKind::DeadlineExhausted { stage });
-    telemetry
-        .metrics()
-        .inc_counter("sdk_deadline_exhausted_total", &[("stage", stage)]);
-}
-
-fn record_attempt(
-    telemetry: &Telemetry,
-    ctx: &SpanCtx,
-    service: &str,
-    attempt: usize,
-    outcome: &Outcome,
-) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    let kind = outcome_kind(&outcome.result);
-    let latency_ms = duration_ms(outcome.latency);
-    telemetry.tracer().emit(ctx, || EventKind::Attempt {
-        service: service.to_string(),
-        attempt,
-        outcome: kind,
-        latency_ms,
-    });
-    let metrics = telemetry.metrics();
-    // RED metrics pick up a tenant label only when the request carries
-    // one, so untenanted deployments keep their original series.
-    let tenant = telemetry.tracer().tenant_name(ctx.tenant);
-    match tenant.as_deref() {
-        Some(t) => {
-            metrics.inc_counter(
-                "sdk_attempts_total",
-                &[("service", service), ("outcome", kind), ("tenant", t)],
-            );
-            metrics.observe_with_exemplar(
-                "sdk_attempt_latency_ms",
-                &[("service", service), ("tenant", t)],
-                latency_ms,
-                ctx.trace.0,
-            );
-        }
-        None => {
-            metrics.inc_counter(
-                "sdk_attempts_total",
-                &[("service", service), ("outcome", kind)],
-            );
-            metrics.observe_with_exemplar(
-                "sdk_attempt_latency_ms",
-                &[("service", service)],
-                latency_ms,
-                ctx.trace.0,
-            );
-        }
-    }
-    if let Err(e) = &outcome.result {
-        match tenant.as_deref() {
-            Some(t) => metrics.inc_counter(
-                "sdk_errors_total",
-                &[("service", service), ("kind", e.kind()), ("tenant", t)],
-            ),
-            None => metrics.inc_counter(
-                "sdk_errors_total",
-                &[("service", service), ("kind", e.kind())],
-            ),
-        }
-    }
-}
-
 /// The result of a successful failover: which service answered and how.
 #[derive(Debug, Clone)]
 pub struct FailoverSuccess {
@@ -433,137 +200,6 @@ pub struct FailoverSuccess {
     pub latency_ms: f64,
 }
 
-/// Tries `candidates` in order (callers pass them ranked best-first),
-/// retrying each per `policy`, until one responds.
-///
-/// # Errors
-///
-/// [`SdkError::Rejected`] as soon as any service rejects the request as
-/// malformed (other services would too); [`SdkError::AllFailed`] if every
-/// candidate fails; [`SdkError::EmptyClass`] if `candidates` is empty.
-pub fn invoke_failover(
-    candidates: &[Arc<SimService>],
-    request: &Request,
-    policy: &InvocationPolicy,
-    monitor: &ServiceMonitor,
-) -> Result<FailoverSuccess, SdkError> {
-    let telemetry = Telemetry::disabled();
-    let ctx = telemetry.tracer().new_trace();
-    invoke_failover_traced(candidates, request, policy, monitor, &telemetry, &ctx)
-}
-
-/// As [`invoke_failover`], emitting an [`EventKind::FailoverLeg`] child
-/// span per candidate (with the attempts nested under it).
-pub fn invoke_failover_traced(
-    candidates: &[Arc<SimService>],
-    request: &Request,
-    policy: &InvocationPolicy,
-    monitor: &ServiceMonitor,
-    telemetry: &Telemetry,
-    ctx: &SpanCtx,
-) -> Result<FailoverSuccess, SdkError> {
-    invoke_failover_governed(
-        candidates,
-        request,
-        policy,
-        monitor,
-        telemetry,
-        ctx,
-        &Governance::none(),
-    )
-}
-
-/// As [`invoke_failover_traced`], additionally governed by `gov`: legs
-/// whose circuit breaker is open are skipped without being attempted, and
-/// no new leg starts after the deadline expires.
-///
-/// # Errors
-///
-/// In addition to [`invoke_failover`]'s errors:
-/// [`SdkError::DeadlineExceeded`] when the budget runs out with no
-/// success yet, and [`SdkError::CircuitOpen`] when *every* candidate was
-/// skipped because its breaker is open.
-pub fn invoke_failover_governed(
-    candidates: &[Arc<SimService>],
-    request: &Request,
-    policy: &InvocationPolicy,
-    monitor: &ServiceMonitor,
-    telemetry: &Telemetry,
-    ctx: &SpanCtx,
-    gov: &Governance,
-) -> Result<FailoverSuccess, SdkError> {
-    if candidates.is_empty() {
-        return Err(SdkError::EmptyClass("<no candidates>".into()));
-    }
-    let mut attempts = 0usize;
-    let mut legs_run = 0usize;
-    let mut last_error = String::new();
-    let mut min_retry_after: Option<Duration> = None;
-    for (i, service) in candidates.iter().take(policy.max_services).enumerate() {
-        if gov.deadline.is_expired(service.clock().now()) {
-            emit_deadline_exhausted(telemetry, ctx, "failover");
-            return Err(SdkError::DeadlineExceeded(format!(
-                "budget exhausted after {attempts} attempts across {legs_run} services"
-            )));
-        }
-        if let Some(breakers) = &gov.breakers {
-            if let Admission::Rejected { retry_after } = breakers.admit(service.name(), ctx) {
-                min_retry_after = Some(match min_retry_after {
-                    Some(cur) => cur.min(retry_after),
-                    None => retry_after,
-                });
-                last_error = format!("{}: circuit open", service.name());
-                continue;
-            }
-        }
-        legs_run += 1;
-        let leg = telemetry.tracer().child(ctx);
-        telemetry.tracer().emit(&leg, || EventKind::FailoverLeg {
-            service: service.name().to_string(),
-            rank: i,
-        });
-        telemetry
-            .metrics()
-            .inc_counter("sdk_failover_legs_total", &[("service", service.name())]);
-        let retries = policy.retries_for(service.name());
-        let (outcome, made) = invoke_with_backoff_governed(
-            service,
-            request,
-            retries,
-            policy.backoff,
-            monitor,
-            telemetry,
-            &leg,
-            gov,
-        );
-        attempts += made;
-        match outcome.result {
-            Ok(response) => {
-                return Ok(FailoverSuccess {
-                    service: service.name().to_string(),
-                    response,
-                    // Count services actually attempted: legs skipped by an
-                    // open breaker cost nothing and are not "tried".
-                    services_tried: legs_run,
-                    attempts,
-                    latency_ms: duration_ms(outcome.latency),
-                });
-            }
-            Err(ServiceError::BadRequest(msg)) => return Err(SdkError::Rejected(msg)),
-            Err(e) => last_error = format!("{}: {e}", service.name()),
-        }
-    }
-    if legs_run == 0 {
-        if let Some(retry_after) = min_retry_after {
-            return Err(SdkError::CircuitOpen(format!(
-                "all candidates tripped; retry in {:.0}ms",
-                retry_after.as_secs_f64() * 1_000.0
-            )));
-        }
-    }
-    Err(SdkError::AllFailed(last_error))
-}
-
 /// Outcome of one leg of a redundant invocation.
 #[derive(Debug, Clone)]
 pub struct RedundantLeg {
@@ -573,166 +209,465 @@ pub struct RedundantLeg {
     pub result: Result<Response, ServiceError>,
 }
 
-/// Invokes multiple candidates per `mode`. Legs run sequentially in rank
-/// order here; the [`sdk`](crate::sdk) facade offers a thread-pooled
-/// parallel variant (§2.1 discusses both).
-///
-/// # Errors
-///
-/// [`SdkError::AllFailed`] if `mode` is `FirstSuccess` and all fail, or a
-/// quorum is not met.
-pub fn invoke_redundant(
-    candidates: &[Arc<SimService>],
-    request: &Request,
-    mode: RedundantMode,
-    policy: &InvocationPolicy,
-    monitor: &ServiceMonitor,
-) -> Result<Vec<RedundantLeg>, SdkError> {
-    let telemetry = Telemetry::disabled();
-    let ctx = telemetry.tracer().new_trace();
-    invoke_redundant_traced(candidates, request, mode, policy, monitor, &telemetry, &ctx)
-}
-
-/// As [`invoke_redundant`], emitting [`EventKind::RedundantLegWon`] for
-/// the leg whose response wins (the first success) and
-/// [`EventKind::RedundantLegLost`] for every other leg.
-pub fn invoke_redundant_traced(
-    candidates: &[Arc<SimService>],
-    request: &Request,
-    mode: RedundantMode,
-    policy: &InvocationPolicy,
-    monitor: &ServiceMonitor,
-    telemetry: &Telemetry,
-    ctx: &SpanCtx,
-) -> Result<Vec<RedundantLeg>, SdkError> {
-    invoke_redundant_governed(
-        candidates,
-        request,
-        mode,
-        policy,
-        monitor,
-        telemetry,
-        ctx,
-        &Governance::none(),
-    )
-}
-
-/// As [`invoke_redundant_traced`], additionally governed by `gov`: legs
-/// behind an open breaker are skipped, and no new leg starts after the
-/// deadline expires (legs already collected still count toward the mode's
-/// success requirement).
-///
-/// # Errors
-///
-/// In addition to [`invoke_redundant`]'s errors:
-/// [`SdkError::CircuitOpen`] when every candidate was skipped by its
-/// breaker, and [`SdkError::DeadlineExceeded`] when the budget expired
-/// before any leg could run.
-#[allow(clippy::too_many_arguments)]
-pub fn invoke_redundant_governed(
-    candidates: &[Arc<SimService>],
-    request: &Request,
-    mode: RedundantMode,
-    policy: &InvocationPolicy,
-    monitor: &ServiceMonitor,
-    telemetry: &Telemetry,
-    ctx: &SpanCtx,
-    gov: &Governance,
-) -> Result<Vec<RedundantLeg>, SdkError> {
-    if candidates.is_empty() {
-        return Err(SdkError::EmptyClass("<no candidates>".into()));
+/// One service's final result in the SDK's error vocabulary: a malformed
+/// request is [`SdkError::Rejected`], anything else is
+/// [`SdkError::AllFailed`] naming the service.
+pub(crate) fn response_or_error(
+    service: &str,
+    result: Result<Response, ServiceError>,
+) -> Result<Response, SdkError> {
+    match result {
+        Ok(response) => Ok(response),
+        Err(ServiceError::BadRequest(msg)) => Err(SdkError::Rejected(msg)),
+        Err(e) => Err(SdkError::AllFailed(format!("{service}: {e}"))),
     }
-    let mut legs = Vec::new();
-    let mut skipped = 0usize;
-    let mut expired = false;
-    for service in candidates.iter().take(policy.max_services) {
-        if gov.deadline.is_expired(service.clock().now()) {
-            emit_deadline_exhausted(telemetry, ctx, "redundant");
-            expired = true;
-            break;
-        }
-        if let Some(breakers) = &gov.breakers {
-            if !breakers.admit(service.name(), ctx).is_allowed() {
-                skipped += 1;
-                continue;
-            }
-        }
-        let leg_ctx = telemetry.tracer().child(ctx);
-        let retries = policy.retries_for(service.name());
-        let (outcome, _) = invoke_with_backoff_governed(
-            service,
-            request,
-            retries,
-            policy.backoff,
+}
+
+/// The context one invocation runs in: where attempts are recorded (the
+/// monitor), where events and metrics go (telemetry, under `span`), and
+/// what governs it (the circuit breakers, if any, and the end-to-end
+/// deadline). Each §2.1 strategy is one method that takes everything
+/// else as arguments. Borrowed and `Copy`: build one per call, adjust it
+/// with [`span`](Call::span) / [`deadline`](Call::deadline) /
+/// [`breakers`](Call::breakers), and pass it down by reference. Work that
+/// moves to another thread clones the owners it borrows from and
+/// rebuilds the context there.
+///
+/// # Examples
+///
+/// ```
+/// use cogsdk_core::invoke::{Backoff, Call};
+/// use cogsdk_core::ServiceMonitor;
+/// use cogsdk_sim::{Request, SimEnv, SimService};
+/// use cogsdk_json::json;
+///
+/// let env = SimEnv::with_seed(1);
+/// let monitor = ServiceMonitor::new();
+/// let echo = SimService::builder("echo", "demo").build(&env);
+/// let (outcome, attempts) = Call::plain(&monitor).retry(
+///     &echo,
+///     &Request::new("op", json!({"x": 1})),
+///     2,
+///     Backoff::None,
+/// );
+/// assert!(outcome.result.is_ok());
+/// assert_eq!(attempts, 1);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Call<'a> {
+    pub(crate) monitor: &'a ServiceMonitor,
+    pub(crate) telemetry: &'a Telemetry,
+    pub(crate) span: SpanCtx,
+    pub(crate) breakers: Option<&'a BreakerRegistry>,
+    pub(crate) deadline: Deadline,
+}
+
+impl<'a> Call<'a> {
+    /// A context recording into `monitor` and emitting into `telemetry`
+    /// under `span`, with no breakers and no deadline.
+    pub fn new(monitor: &'a ServiceMonitor, telemetry: &'a Telemetry, span: SpanCtx) -> Call<'a> {
+        Call {
             monitor,
             telemetry,
-            &leg_ctx,
-            gov,
-        );
-        let success = outcome.result.is_ok();
-        legs.push(RedundantLeg {
-            service: service.name().to_string(),
-            result: outcome.result,
-        });
-        if mode == RedundantMode::FirstSuccess && success {
-            break;
+            span,
+            breakers: None,
+            deadline: Deadline::NONE,
         }
     }
-    if legs.is_empty() {
-        if skipped > 0 && !expired {
-            return Err(SdkError::CircuitOpen(format!(
-                "all {skipped} candidates tripped"
+
+    /// The ungoverned, untraced context: attempts are recorded in
+    /// `monitor` and nothing else happens around them.
+    pub fn plain(monitor: &'a ServiceMonitor) -> Call<'a> {
+        static DISABLED: OnceLock<Telemetry> = OnceLock::new();
+        let telemetry = DISABLED.get_or_init(Telemetry::disabled);
+        Call::new(monitor, telemetry, telemetry.tracer().new_trace())
+    }
+
+    /// This context, emitting under `span` instead.
+    pub fn span(mut self, span: &SpanCtx) -> Call<'a> {
+        self.span = *span;
+        self
+    }
+
+    /// This context, bounded by `deadline`.
+    pub fn deadline(mut self, deadline: Deadline) -> Call<'a> {
+        self.deadline = deadline;
+        self
+    }
+
+    /// This context, consulting and feeding `breakers`.
+    pub fn breakers(mut self, breakers: Option<&'a BreakerRegistry>) -> Call<'a> {
+        self.breakers = breakers;
+        self
+    }
+
+    /// Invokes one service with up to `retries` retries and `backoff`
+    /// delays between attempts (realized on the simulation timeline),
+    /// recording every attempt in the monitor. Non-retryable failures
+    /// (bad request, quota) abort immediately. Returns the final outcome
+    /// and the number of attempts made.
+    ///
+    /// Emits one [`EventKind::Attempt`] per attempt and an
+    /// [`EventKind::RetryBackoff`] per backoff sleep, plus attempt/error
+    /// counters and the attempt-latency histogram. The deadline stops
+    /// retrying once the remaining budget cannot cover the next backoff
+    /// sleep; the first attempt always runs — an expired budget is the
+    /// *caller's* signal not to start, which [`invoke`](Call::invoke),
+    /// [`failover`](Call::failover) and [`redundant`](Call::redundant)
+    /// each check before they get here. Every attempt result feeds the
+    /// service's circuit breaker, if breakers are attached.
+    pub fn retry(
+        &self,
+        service: &Arc<SimService>,
+        request: &Request,
+        retries: usize,
+        backoff: Backoff,
+    ) -> (Outcome, usize) {
+        let tracer = self.telemetry.tracer();
+        let mut jitter = jitter_rng();
+        let mut last = None;
+        for attempt in 1..=retries + 1 {
+            if attempt > 1 {
+                let delay = backoff.delay_sampled(attempt - 2, &mut jitter);
+                let out_of_budget = match self.deadline.remaining(service.clock().now()) {
+                    Some(rem) => rem.is_zero() || delay >= rem,
+                    None => false,
+                };
+                if out_of_budget {
+                    self.emit_deadline_exhausted("backoff");
+                    return (last.expect("a first attempt was made"), attempt - 1);
+                }
+                if !delay.is_zero() {
+                    tracer.emit(&self.span, || EventKind::RetryBackoff {
+                        service: service.name().to_string(),
+                        retry: attempt - 1,
+                        delay_ms: duration_ms(delay),
+                    });
+                    service.realize_delay(delay);
+                }
+            }
+            let outcome = service.invoke(request);
+            self.monitor
+                .record(service.name(), &outcome, request.params.clone());
+            self.record_attempt(service.name(), attempt, &outcome);
+            if let Some(breakers) = self.breakers {
+                // Bad requests and quota rejections say nothing about the
+                // service's health; only real outcomes feed the breaker.
+                match &outcome.result {
+                    Ok(_) => breakers.record(service.name(), true, &self.span),
+                    Err(e) if e.is_retryable() => {
+                        breakers.record(service.name(), false, &self.span)
+                    }
+                    Err(_) => {}
+                }
+            }
+            match &outcome.result {
+                Ok(_) => return (outcome, attempt),
+                Err(e) if !e.is_retryable() => return (outcome, attempt),
+                Err(_) => last = Some(outcome),
+            }
+        }
+        (last.expect("at least one attempt was made"), retries + 1)
+    }
+
+    /// Whether an invocation of `service` may start at all.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::DeadlineExceeded`] if the deadline has already passed;
+    /// [`SdkError::CircuitOpen`] while the service's breaker is open.
+    pub(crate) fn admit(&self, service: &SimService) -> Result<(), SdkError> {
+        let name = service.name();
+        // The clock is read only when there is a deadline to hold it to.
+        if self.deadline != Deadline::NONE && self.deadline.is_expired(service.clock().now()) {
+            return Err(SdkError::DeadlineExceeded(format!(
+                "no budget left to invoke {name}"
             )));
         }
-        if expired {
-            return Err(SdkError::DeadlineExceeded(
-                "budget expired before any redundant leg ran".into(),
-            ));
+        if let Some(breakers) = self.breakers {
+            if let Admission::Rejected { retry_after } = breakers.admit(name, &self.span) {
+                return Err(SdkError::CircuitOpen(format!(
+                    "{name}: retry in {:.0}ms",
+                    retry_after.as_secs_f64() * 1000.0
+                )));
+            }
         }
+        Ok(())
     }
-    if telemetry.is_enabled() {
-        let winner = legs.iter().position(|l| l.result.is_ok());
-        for (i, leg) in legs.iter().enumerate() {
-            let won = winner == Some(i);
-            telemetry.tracer().emit(ctx, || {
-                if won {
-                    EventKind::RedundantLegWon {
-                        service: leg.service.clone(),
-                    }
-                } else {
-                    EventKind::RedundantLegLost {
-                        service: leg.service.clone(),
-                        outcome: outcome_kind(&leg.result),
-                    }
-                }
-            });
-            telemetry.metrics().inc_counter(
-                "sdk_redundant_legs_total",
-                &[
-                    ("service", &leg.service),
-                    ("result", if won { "won" } else { "lost" }),
-                ],
+
+    /// [`retry`](Call::retry) for callers that want the response or an
+    /// [`SdkError`] (NLU batches, KB federation): immediate retries, and
+    /// no attempt at all past the deadline or behind an open breaker.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::DeadlineExceeded`] if the deadline has already passed
+    /// when called; [`SdkError::CircuitOpen`] while the service's breaker
+    /// is open; [`SdkError::Rejected`] for a malformed request (another
+    /// service would reject it too); [`SdkError::AllFailed`], naming the
+    /// service, when the retries are exhausted.
+    pub fn invoke(
+        &self,
+        service: &Arc<SimService>,
+        request: &Request,
+        retries: usize,
+    ) -> Result<Response, SdkError> {
+        self.admit(service)?;
+        let (outcome, _) = self.retry(service, request, retries, Backoff::None);
+        response_or_error(service.name(), outcome.result)
+    }
+
+    fn emit_deadline_exhausted(&self, stage: &'static str) {
+        self.telemetry
+            .tracer()
+            .emit(&self.span, || EventKind::DeadlineExhausted { stage });
+        self.telemetry
+            .metrics()
+            .inc_counter("sdk_deadline_exhausted_total", &[("stage", stage)]);
+    }
+
+    fn record_attempt(&self, service: &str, attempt: usize, outcome: &Outcome) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let tracer = self.telemetry.tracer();
+        let kind = outcome_kind(&outcome.result);
+        let latency_ms = duration_ms(outcome.latency);
+        tracer.emit(&self.span, || EventKind::Attempt {
+            service: service.to_string(),
+            attempt,
+            outcome: kind,
+            latency_ms,
+        });
+        let metrics = self.telemetry.metrics();
+        let tenant = tracer.tenant_name(self.span.tenant);
+        let tenant = tenant.as_deref().unwrap_or("");
+        metrics.inc_counter(
+            "sdk_attempts_total",
+            tenant_labels(&[("service", service), ("outcome", kind), ("tenant", tenant)]),
+        );
+        metrics.observe_with_exemplar(
+            "sdk_attempt_latency_ms",
+            tenant_labels(&[("service", service), ("tenant", tenant)]),
+            latency_ms,
+            self.span.trace.0,
+        );
+        if let Err(e) = &outcome.result {
+            metrics.inc_counter(
+                "sdk_errors_total",
+                tenant_labels(&[("service", service), ("kind", e.kind()), ("tenant", tenant)]),
             );
         }
     }
-    let successes = legs.iter().filter(|l| l.result.is_ok()).count();
-    match mode {
-        RedundantMode::All => Ok(legs),
-        RedundantMode::FirstSuccess => {
-            if successes > 0 {
-                Ok(legs)
-            } else {
-                Err(SdkError::AllFailed("no service responded".into()))
+
+    /// Tries `candidates` in order (callers pass them ranked best-first),
+    /// retrying each per `policy`, until one responds. Emits an
+    /// [`EventKind::FailoverLeg`] child span per candidate (with the
+    /// attempts nested under it). Legs whose circuit breaker is open are
+    /// skipped without being attempted, and no new leg starts after the
+    /// deadline expires.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::Rejected`] as soon as any service rejects the request
+    /// as malformed (other services would too); [`SdkError::AllFailed`]
+    /// if every candidate fails; [`SdkError::EmptyClass`] if `candidates`
+    /// is empty; [`SdkError::DeadlineExceeded`] when the budget runs out
+    /// with no success yet; and [`SdkError::CircuitOpen`] when *every*
+    /// candidate was skipped because its breaker is open.
+    pub fn failover(
+        &self,
+        candidates: &[Arc<SimService>],
+        request: &Request,
+        policy: &InvocationPolicy,
+    ) -> Result<FailoverSuccess, SdkError> {
+        if candidates.is_empty() {
+            return Err(SdkError::EmptyClass("<no candidates>".into()));
+        }
+        let tracer = self.telemetry.tracer();
+        let mut attempts = 0usize;
+        let mut legs_run = 0usize;
+        let mut last_error = String::new();
+        let mut min_retry_after: Option<Duration> = None;
+        for (i, service) in candidates.iter().take(policy.max_services).enumerate() {
+            if self.deadline.is_expired(service.clock().now()) {
+                self.emit_deadline_exhausted("failover");
+                return Err(SdkError::DeadlineExceeded(format!(
+                    "budget exhausted after {attempts} attempts across {legs_run} services"
+                )));
+            }
+            if let Some(breakers) = self.breakers {
+                if let Admission::Rejected { retry_after } =
+                    breakers.admit(service.name(), &self.span)
+                {
+                    min_retry_after = Some(match min_retry_after {
+                        Some(cur) => cur.min(retry_after),
+                        None => retry_after,
+                    });
+                    last_error = format!("{}: circuit open", service.name());
+                    continue;
+                }
+            }
+            legs_run += 1;
+            let leg = tracer.child(&self.span);
+            tracer.emit(&leg, || EventKind::FailoverLeg {
+                service: service.name().to_string(),
+                rank: i,
+            });
+            self.telemetry
+                .metrics()
+                .inc_counter("sdk_failover_legs_total", &[("service", service.name())]);
+            let retries = policy.retries_for(service.name());
+            let (outcome, made) = self
+                .span(&leg)
+                .retry(service, request, retries, policy.backoff);
+            attempts += made;
+            match response_or_error(service.name(), outcome.result) {
+                Ok(response) => {
+                    return Ok(FailoverSuccess {
+                        service: service.name().to_string(),
+                        response,
+                        // Count services actually attempted: legs skipped by an
+                        // open breaker cost nothing and are not "tried".
+                        services_tried: legs_run,
+                        attempts,
+                        latency_ms: duration_ms(outcome.latency),
+                    });
+                }
+                Err(SdkError::AllFailed(e)) => last_error = e,
+                Err(rejected) => return Err(rejected),
             }
         }
-        RedundantMode::Quorum(need) => {
-            if successes >= need {
-                Ok(legs)
-            } else {
-                Err(SdkError::AllFailed(format!(
-                    "quorum not met: {successes}/{need} successes"
-                )))
+        if legs_run == 0 {
+            if let Some(retry_after) = min_retry_after {
+                return Err(SdkError::CircuitOpen(format!(
+                    "all candidates tripped; retry in {:.0}ms",
+                    retry_after.as_secs_f64() * 1_000.0
+                )));
             }
+        }
+        Err(SdkError::AllFailed(last_error))
+    }
+
+    /// Invokes multiple candidates per `mode`. Legs run sequentially in
+    /// rank order here; the [`sdk`](crate::sdk) facade offers a
+    /// thread-pooled parallel variant (§2.1 discusses both). Legs behind
+    /// an open breaker are skipped, and no new leg starts after the
+    /// deadline expires (legs already collected still count toward the
+    /// mode's success requirement). The collected legs are then
+    /// [`settle`](Call::settle)d.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::AllFailed`] if `mode` is `FirstSuccess` and all fail,
+    /// or a quorum is not met; [`SdkError::CircuitOpen`] when every
+    /// candidate was skipped by its breaker; and
+    /// [`SdkError::DeadlineExceeded`] when the budget expired before any
+    /// leg could run.
+    pub fn redundant(
+        &self,
+        candidates: &[Arc<SimService>],
+        request: &Request,
+        mode: RedundantMode,
+        policy: &InvocationPolicy,
+    ) -> Result<Vec<RedundantLeg>, SdkError> {
+        if candidates.is_empty() {
+            return Err(SdkError::EmptyClass("<no candidates>".into()));
+        }
+        let mut legs = Vec::new();
+        let mut skipped = 0usize;
+        let mut expired = false;
+        for service in candidates.iter().take(policy.max_services) {
+            if self.deadline.is_expired(service.clock().now()) {
+                self.emit_deadline_exhausted("redundant");
+                expired = true;
+                break;
+            }
+            if let Some(breakers) = self.breakers {
+                if !breakers.admit(service.name(), &self.span).is_allowed() {
+                    skipped += 1;
+                    continue;
+                }
+            }
+            let leg = self.telemetry.tracer().child(&self.span);
+            let retries = policy.retries_for(service.name());
+            let (outcome, _) = self
+                .span(&leg)
+                .retry(service, request, retries, policy.backoff);
+            let success = outcome.result.is_ok();
+            legs.push(RedundantLeg {
+                service: service.name().to_string(),
+                result: outcome.result,
+            });
+            if mode == RedundantMode::FirstSuccess && success {
+                break;
+            }
+        }
+        if legs.is_empty() {
+            if skipped > 0 && !expired {
+                return Err(SdkError::CircuitOpen(format!(
+                    "all {skipped} candidates tripped"
+                )));
+            }
+            if expired {
+                return Err(SdkError::DeadlineExceeded(
+                    "budget expired before any redundant leg ran".into(),
+                ));
+            }
+        }
+        self.settle(legs, mode)
+    }
+
+    /// Closes a redundant invocation over its collected `legs`, however
+    /// they were run: emits [`EventKind::RedundantLegWon`] for the leg
+    /// whose response wins (the first success) and
+    /// [`EventKind::RedundantLegLost`] for every other leg, counts both
+    /// in `sdk_redundant_legs_total`, and applies `mode`'s success
+    /// requirement.
+    ///
+    /// # Errors
+    ///
+    /// [`SdkError::AllFailed`] if `mode` is `FirstSuccess` and no leg
+    /// succeeded, or a quorum is not met.
+    pub(crate) fn settle(
+        &self,
+        legs: Vec<RedundantLeg>,
+        mode: RedundantMode,
+    ) -> Result<Vec<RedundantLeg>, SdkError> {
+        if self.telemetry.is_enabled() {
+            let winner = legs.iter().position(|l| l.result.is_ok());
+            for (i, leg) in legs.iter().enumerate() {
+                let won = winner == Some(i);
+                self.telemetry.tracer().emit(&self.span, || {
+                    if won {
+                        EventKind::RedundantLegWon {
+                            service: leg.service.clone(),
+                        }
+                    } else {
+                        EventKind::RedundantLegLost {
+                            service: leg.service.clone(),
+                            outcome: outcome_kind(&leg.result),
+                        }
+                    }
+                });
+                self.telemetry.metrics().inc_counter(
+                    "sdk_redundant_legs_total",
+                    &[
+                        ("service", &leg.service),
+                        ("result", if won { "won" } else { "lost" }),
+                    ],
+                );
+            }
+        }
+        let successes = legs.iter().filter(|l| l.result.is_ok()).count();
+        match mode {
+            RedundantMode::All => Ok(legs),
+            RedundantMode::FirstSuccess if successes > 0 => Ok(legs),
+            RedundantMode::Quorum(need) if successes >= need => Ok(legs),
+            RedundantMode::FirstSuccess => Err(SdkError::AllFailed("no service responded".into())),
+            RedundantMode::Quorum(need) => Err(SdkError::AllFailed(format!(
+                "quorum not met: {successes}/{need} successes"
+            ))),
         }
     }
 }
@@ -758,6 +693,21 @@ mod tests {
         Request::new("op", json!({"q": 1}))
     }
 
+    /// Breakers that trip after two failures and stay open for a minute.
+    fn tight_breakers(env: &SimEnv, telemetry: &Telemetry) -> BreakerRegistry {
+        BreakerRegistry::new(
+            env.clock().clone(),
+            telemetry.clone(),
+            crate::resilience::BreakerConfig {
+                window: 4,
+                min_calls: 2,
+                trip_error_rate: 0.5,
+                open_for: Duration::from_secs(60),
+                half_open_probes: 1,
+            },
+        )
+    }
+
     #[test]
     fn retry_succeeds_after_transient_failures() {
         let env = SimEnv::with_seed(3);
@@ -765,10 +715,8 @@ mod tests {
         let flaky = svc(&env, "flaky", 0.5);
         let mut successes = 0;
         for _ in 0..100 {
-            if invoke_with_retry(&flaky, &req(), 5, &monitor)
-                .result
-                .is_ok()
-            {
+            let (outcome, _) = Call::plain(&monitor).retry(&flaky, &req(), 5, Backoff::None);
+            if outcome.result.is_ok() {
                 successes += 1;
             }
         }
@@ -785,7 +733,7 @@ mod tests {
         let rejecting = SimService::builder("rejects", "demo")
             .handler(|_| Err("nope".into()))
             .build(&env);
-        let out = invoke_with_retry(&rejecting, &req(), 10, &monitor);
+        let (out, _) = Call::plain(&monitor).retry(&rejecting, &req(), 10, Backoff::None);
         assert!(matches!(out.result, Err(ServiceError::BadRequest(_))));
         assert_eq!(monitor.history("rejects").unwrap().observations().len(), 1);
     }
@@ -797,10 +745,13 @@ mod tests {
         let limited = SimService::builder("limited", "demo")
             .quota(Quota::new(1, Duration::from_secs(3600)))
             .build(&env);
-        assert!(invoke_with_retry(&limited, &req(), 0, &monitor)
+        let call = Call::plain(&monitor);
+        assert!(call
+            .retry(&limited, &req(), 0, Backoff::None)
+            .0
             .result
             .is_ok());
-        let out = invoke_with_retry(&limited, &req(), 10, &monitor);
+        let (out, _) = call.retry(&limited, &req(), 10, Backoff::None);
         assert!(matches!(out.result, Err(ServiceError::QuotaExceeded)));
         // 1 success + 1 quota rejection = 2 observations, not 12.
         assert_eq!(monitor.history("limited").unwrap().observations().len(), 2);
@@ -816,7 +767,9 @@ mod tests {
             default_retries: 1,
             ..InvocationPolicy::default()
         };
-        let ok = invoke_failover(&[dead, alive], &req(), &policy, &monitor).unwrap();
+        let ok = Call::plain(&monitor)
+            .failover(&[dead, alive], &req(), &policy)
+            .unwrap();
         assert_eq!(ok.service, "alive");
         assert_eq!(ok.services_tried, 2);
         assert_eq!(ok.attempts, 3); // dead: 2 attempts, alive: 1
@@ -827,7 +780,8 @@ mod tests {
         let env = SimEnv::with_seed(7);
         let monitor = ServiceMonitor::new();
         let candidates = vec![svc(&env, "d1", 1.0), svc(&env, "d2", 1.0)];
-        let err = invoke_failover(&candidates, &req(), &InvocationPolicy::default(), &monitor)
+        let err = Call::plain(&monitor)
+            .failover(&candidates, &req(), &InvocationPolicy::default())
             .unwrap_err();
         assert!(matches!(err, SdkError::AllFailed(_)));
     }
@@ -841,7 +795,9 @@ mod tests {
             max_services: 1,
             ..InvocationPolicy::default()
         };
-        assert!(invoke_failover(&candidates, &req(), &policy, &monitor).is_err());
+        assert!(Call::plain(&monitor)
+            .failover(&candidates, &req(), &policy)
+            .is_err());
     }
 
     #[test]
@@ -852,13 +808,9 @@ mod tests {
             .handler(|_| Err("malformed".into()))
             .build(&env);
         let alive = svc(&env, "alive", 0.0);
-        let err = invoke_failover(
-            &[rejecting, alive],
-            &req(),
-            &InvocationPolicy::default(),
-            &monitor,
-        )
-        .unwrap_err();
+        let err = Call::plain(&monitor)
+            .failover(&[rejecting, alive], &req(), &InvocationPolicy::default())
+            .unwrap_err();
         assert!(matches!(err, SdkError::Rejected(_)), "{err:?}");
     }
 
@@ -874,7 +826,9 @@ mod tests {
             max_services: usize::MAX,
             backoff: Backoff::None,
         };
-        let ok = invoke_failover(&[dead, alive], &req(), &policy, &monitor).unwrap();
+        let ok = Call::plain(&monitor)
+            .failover(&[dead, alive], &req(), &policy)
+            .unwrap();
         assert_eq!(ok.attempts, 6); // dead 5, alive 1
     }
 
@@ -887,17 +841,17 @@ mod tests {
             svc(&env, "b", 0.0),
             svc(&env, "c", 1.0),
         ];
-        let legs = invoke_redundant(
-            &candidates,
-            &req(),
-            RedundantMode::All,
-            &InvocationPolicy {
-                default_retries: 0,
-                ..InvocationPolicy::default()
-            },
-            &monitor,
-        )
-        .unwrap();
+        let legs = Call::plain(&monitor)
+            .redundant(
+                &candidates,
+                &req(),
+                RedundantMode::All,
+                &InvocationPolicy {
+                    default_retries: 0,
+                    ..InvocationPolicy::default()
+                },
+            )
+            .unwrap();
         assert_eq!(legs.len(), 3);
         assert_eq!(legs.iter().filter(|l| l.result.is_ok()).count(), 2);
     }
@@ -907,14 +861,14 @@ mod tests {
         let env = SimEnv::with_seed(12);
         let monitor = ServiceMonitor::new();
         let candidates = vec![svc(&env, "a", 0.0), svc(&env, "b", 0.0)];
-        let legs = invoke_redundant(
-            &candidates,
-            &req(),
-            RedundantMode::FirstSuccess,
-            &InvocationPolicy::default(),
-            &monitor,
-        )
-        .unwrap();
+        let legs = Call::plain(&monitor)
+            .redundant(
+                &candidates,
+                &req(),
+                RedundantMode::FirstSuccess,
+                &InvocationPolicy::default(),
+            )
+            .unwrap();
         assert_eq!(legs.len(), 1);
         assert_eq!(legs[0].service, "a");
         assert!(monitor.history("b").is_none(), "b never invoked");
@@ -933,22 +887,13 @@ mod tests {
             default_retries: 0,
             ..InvocationPolicy::default()
         };
-        assert!(invoke_redundant(
-            &candidates,
-            &req(),
-            RedundantMode::Quorum(1),
-            &policy,
-            &monitor
-        )
-        .is_ok());
-        let err = invoke_redundant(
-            &candidates,
-            &req(),
-            RedundantMode::Quorum(2),
-            &policy,
-            &monitor,
-        )
-        .unwrap_err();
+        let call = Call::plain(&monitor);
+        assert!(call
+            .redundant(&candidates, &req(), RedundantMode::Quorum(1), &policy)
+            .is_ok());
+        let err = call
+            .redundant(&candidates, &req(), RedundantMode::Quorum(2), &policy)
+            .unwrap_err();
         assert!(matches!(err, SdkError::AllFailed(_)));
     }
 
@@ -992,12 +937,11 @@ mod tests {
         let monitor = ServiceMonitor::new();
         let dead = svc(&env, "dead", 1.0);
         let t0 = env.clock().now();
-        let (outcome, attempts) = invoke_with_backoff(
+        let (outcome, attempts) = Call::plain(&monitor).retry(
             &dead,
             &req(),
             2,
             Backoff::Fixed(Duration::from_millis(100)),
-            &monitor,
         );
         assert!(outcome.result.is_err());
         assert_eq!(attempts, 3);
@@ -1015,7 +959,7 @@ mod tests {
         let monitor = ServiceMonitor::new();
         let alive = svc(&env, "alive", 0.0);
         let t0 = env.clock().now();
-        invoke_with_backoff(&alive, &req(), 5, Backoff::standard_exponential(), &monitor);
+        Call::plain(&monitor).retry(&alive, &req(), 5, Backoff::standard_exponential());
         // Success on the first attempt: no backoff is realized.
         assert_eq!(env.clock().now().since(t0), Duration::from_millis(5));
     }
@@ -1038,7 +982,7 @@ mod tests {
     fn full_jitter_differs_across_callers() {
         let policy = Backoff::standard_full_jitter();
         // Two independent invocations (fresh jitter streams, as each
-        // invoke_with_backoff_governed call creates) must not produce the
+        // `Call::retry` creates) must not produce the
         // identical delay sequence — that is the retry storm full jitter
         // exists to break up.
         let seq = |rng: &mut Rng| -> Vec<Duration> {
@@ -1060,25 +1004,14 @@ mod tests {
         let env = SimEnv::with_seed(20);
         let monitor = ServiceMonitor::new();
         let dead = svc(&env, "dead", 1.0);
-        let telemetry = cogsdk_obs::Telemetry::new();
+        let telemetry = Telemetry::new();
         let ctx = telemetry.tracer().new_trace();
         // Each failed attempt burns 5s (the default timeout? no — flaky
         // failures are timeouts burning the 5s default timeout). Budget of
         // 12s admits attempt 1 (5s) and attempt 2 (10s), not attempt 3.
-        let gov = Governance::with_deadline(crate::resilience::Deadline::within(
-            env.clock(),
-            Duration::from_secs(12),
-        ));
-        let (outcome, attempts) = invoke_with_backoff_governed(
-            &dead,
-            &req(),
-            10,
-            Backoff::None,
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        );
+        let call = Call::new(&monitor, &telemetry, ctx)
+            .deadline(Deadline::within(env.clock(), Duration::from_secs(12)));
+        let (outcome, attempts) = call.retry(&dead, &req(), 10, Backoff::None);
         assert!(outcome.result.is_err());
         assert!(
             attempts < 11,
@@ -1101,25 +1034,14 @@ mod tests {
             .failures(FailurePlan::flaky(1.0))
             .timeout(Duration::from_millis(50))
             .build(&env);
-        let telemetry = cogsdk_obs::Telemetry::disabled();
+        let telemetry = Telemetry::disabled();
         let ctx = telemetry.tracer().new_trace();
         let t0 = env.clock().now();
-        let gov = Governance::with_deadline(crate::resilience::Deadline::within(
-            env.clock(),
-            Duration::from_millis(120),
-        ));
+        let call = Call::new(&monitor, &telemetry, ctx)
+            .deadline(Deadline::within(env.clock(), Duration::from_millis(120)));
         // Fixed 1s backoff dwarfs the 120ms budget: after the first 50ms
         // failure, the sleep must be skipped and the sequence must end.
-        let (_, attempts) = invoke_with_backoff_governed(
-            &dead,
-            &req(),
-            5,
-            Backoff::Fixed(Duration::from_secs(1)),
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        );
+        let (_, attempts) = call.retry(&dead, &req(), 5, Backoff::Fixed(Duration::from_secs(1)));
         assert_eq!(attempts, 1);
         assert!(
             env.clock().now().since(t0) < Duration::from_millis(200),
@@ -1131,22 +1053,12 @@ mod tests {
     fn failover_skips_tripped_service_without_attempting_it() {
         let env = SimEnv::with_seed(22);
         let monitor = ServiceMonitor::new();
-        let telemetry = cogsdk_obs::Telemetry::new();
+        let telemetry = Telemetry::new();
         let dead = svc(&env, "dead", 1.0);
         let alive = svc(&env, "alive", 0.0);
-        let breakers = Arc::new(crate::resilience::BreakerRegistry::new(
-            env.clock().clone(),
-            telemetry.clone(),
-            crate::resilience::BreakerConfig {
-                window: 4,
-                min_calls: 2,
-                trip_error_rate: 0.5,
-                open_for: Duration::from_secs(60),
-                half_open_probes: 1,
-            },
-        ));
+        let breakers = tight_breakers(&env, &telemetry);
         let ctx = telemetry.tracer().new_trace();
-        let gov = Governance::new(Some(Arc::clone(&breakers)), Deadline::NONE);
+        let call = Call::new(&monitor, &telemetry, ctx).breakers(Some(&breakers));
         let policy = InvocationPolicy {
             default_retries: 1,
             ..InvocationPolicy::default()
@@ -1154,16 +1066,7 @@ mod tests {
         let candidates = vec![Arc::clone(&dead), Arc::clone(&alive)];
 
         // First call trips the breaker on "dead" (2 failed attempts).
-        let ok = invoke_failover_governed(
-            &candidates,
-            &req(),
-            &policy,
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        )
-        .unwrap();
+        let ok = call.failover(&candidates, &req(), &policy).unwrap();
         assert_eq!(ok.service, "alive");
         assert_eq!(ok.attempts, 3);
         assert_eq!(
@@ -1173,16 +1076,7 @@ mod tests {
 
         // Second call: dead is skipped entirely — one leg, one attempt.
         let (dead_calls_before, _) = dead.stats();
-        let ok = invoke_failover_governed(
-            &candidates,
-            &req(),
-            &policy,
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        )
-        .unwrap();
+        let ok = call.failover(&candidates, &req(), &policy).unwrap();
         assert_eq!(ok.service, "alive");
         assert_eq!(ok.services_tried, 1);
         assert_eq!(ok.attempts, 1);
@@ -1193,50 +1087,22 @@ mod tests {
     fn failover_all_tripped_reports_circuit_open() {
         let env = SimEnv::with_seed(23);
         let monitor = ServiceMonitor::new();
-        let telemetry = cogsdk_obs::Telemetry::new();
+        let telemetry = Telemetry::new();
         let d1 = svc(&env, "d1", 1.0);
         let d2 = svc(&env, "d2", 1.0);
-        let breakers = Arc::new(crate::resilience::BreakerRegistry::new(
-            env.clock().clone(),
-            telemetry.clone(),
-            crate::resilience::BreakerConfig {
-                window: 4,
-                min_calls: 2,
-                trip_error_rate: 0.5,
-                open_for: Duration::from_secs(60),
-                half_open_probes: 1,
-            },
-        ));
+        let breakers = tight_breakers(&env, &telemetry);
         let ctx = telemetry.tracer().new_trace();
-        let gov = Governance::new(Some(breakers), Deadline::NONE);
+        let call = Call::new(&monitor, &telemetry, ctx).breakers(Some(&breakers));
         let policy = InvocationPolicy {
             default_retries: 1,
             ..InvocationPolicy::default()
         };
         let candidates = vec![d1, d2];
         // Trip both.
-        let err = invoke_failover_governed(
-            &candidates,
-            &req(),
-            &policy,
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        )
-        .unwrap_err();
+        let err = call.failover(&candidates, &req(), &policy).unwrap_err();
         assert!(matches!(err, SdkError::AllFailed(_)));
         // Now both breakers are open: pure rejection, no attempts.
-        let err = invoke_failover_governed(
-            &candidates,
-            &req(),
-            &policy,
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        )
-        .unwrap_err();
+        let err = call.failover(&candidates, &req(), &policy).unwrap_err();
         assert!(matches!(err, SdkError::CircuitOpen(_)), "{err:?}");
     }
 
@@ -1244,22 +1110,15 @@ mod tests {
     fn failover_deadline_expiry_reports_deadline_exceeded() {
         let env = SimEnv::with_seed(24);
         let monitor = ServiceMonitor::new();
-        let telemetry = cogsdk_obs::Telemetry::disabled();
+        let telemetry = Telemetry::disabled();
         let ctx = telemetry.tracer().new_trace();
         let candidates = vec![svc(&env, "a", 0.0)];
-        let deadline = crate::resilience::Deadline::within(env.clock(), Duration::from_millis(10));
+        let deadline = Deadline::within(env.clock(), Duration::from_millis(10));
         env.clock().advance(Duration::from_millis(20));
-        let gov = Governance::with_deadline(deadline);
-        let err = invoke_failover_governed(
-            &candidates,
-            &req(),
-            &InvocationPolicy::default(),
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        )
-        .unwrap_err();
+        let err = Call::new(&monitor, &telemetry, ctx)
+            .deadline(deadline)
+            .failover(&candidates, &req(), &InvocationPolicy::default())
+            .unwrap_err();
         assert!(matches!(err, SdkError::DeadlineExceeded(_)), "{err:?}");
     }
 
@@ -1268,78 +1127,142 @@ mod tests {
         let env = SimEnv::with_seed(25);
         let monitor = ServiceMonitor::new();
         let alive = svc(&env, "alive", 0.0);
-        let deadline = crate::resilience::Deadline::within(env.clock(), Duration::from_millis(1));
+        let deadline = Deadline::within(env.clock(), Duration::from_millis(1));
         env.clock().advance(Duration::from_millis(5));
-        let err = invoke_with_retry_within(&alive, &req(), 2, &monitor, deadline).unwrap_err();
+        let call = Call::plain(&monitor);
+        let err = call
+            .deadline(deadline)
+            .invoke(&alive, &req(), 2)
+            .unwrap_err();
         assert!(matches!(err, SdkError::DeadlineExceeded(_)));
         assert!(monitor.history("alive").is_none(), "no attempt was made");
 
-        let ok = invoke_with_retry_within(&alive, &req(), 2, &monitor, Deadline::NONE).unwrap();
-        assert!(ok.result.is_ok());
+        assert!(call.invoke(&alive, &req(), 2).is_ok());
     }
 
     #[test]
     fn redundant_all_tripped_reports_circuit_open() {
         let env = SimEnv::with_seed(26);
         let monitor = ServiceMonitor::new();
-        let telemetry = cogsdk_obs::Telemetry::new();
+        let telemetry = Telemetry::new();
         let d1 = svc(&env, "d1", 1.0);
-        let breakers = Arc::new(crate::resilience::BreakerRegistry::new(
-            env.clock().clone(),
-            telemetry.clone(),
-            crate::resilience::BreakerConfig {
-                window: 4,
-                min_calls: 2,
-                trip_error_rate: 0.5,
-                open_for: Duration::from_secs(60),
-                half_open_probes: 1,
-            },
-        ));
+        let breakers = tight_breakers(&env, &telemetry);
         let ctx = telemetry.tracer().new_trace();
-        let gov = Governance::new(Some(breakers), Deadline::NONE);
+        let call = Call::new(&monitor, &telemetry, ctx).breakers(Some(&breakers));
         let policy = InvocationPolicy {
             default_retries: 1,
             ..InvocationPolicy::default()
         };
         let candidates = vec![d1];
-        let _ = invoke_redundant_governed(
-            &candidates,
-            &req(),
-            RedundantMode::All,
-            &policy,
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        );
-        let err = invoke_redundant_governed(
-            &candidates,
-            &req(),
-            RedundantMode::All,
-            &policy,
-            &monitor,
-            &telemetry,
-            &ctx,
-            &gov,
-        )
-        .unwrap_err();
+        let _ = call.redundant(&candidates, &req(), RedundantMode::All, &policy);
+        let err = call
+            .redundant(&candidates, &req(), RedundantMode::All, &policy)
+            .unwrap_err();
         assert!(matches!(err, SdkError::CircuitOpen(_)), "{err:?}");
+    }
+
+    /// Every strategy under every governance concern, in one table: a new
+    /// concern adds a row here, not a function per strategy.
+    #[test]
+    fn every_strategy_honours_every_concern() {
+        #[derive(Debug, Clone, Copy)]
+        enum Concern {
+            None,
+            ExpiredDeadline,
+            TrippedBreaker,
+        }
+        // The error each strategy answers with, and the attempts it makes
+        // on the way. `retry` is the raw loop: an expired budget still buys
+        // its first attempt, and admission is its three callers' business.
+        let table = [
+            (Concern::None, [None; 4], [1, 1, 1, 1]),
+            (
+                Concern::ExpiredDeadline,
+                [
+                    None,
+                    Some("deadline_exceeded"),
+                    Some("deadline_exceeded"),
+                    Some("deadline_exceeded"),
+                ],
+                [1, 0, 0, 0],
+            ),
+            (
+                Concern::TrippedBreaker,
+                [
+                    None,
+                    Some("circuit_open"),
+                    Some("circuit_open"),
+                    Some("circuit_open"),
+                ],
+                [1, 0, 0, 0],
+            ),
+        ];
+        for (concern, errors, attempts) in table {
+            let env = SimEnv::with_seed(27);
+            let monitor = ServiceMonitor::new();
+            let telemetry = Telemetry::new();
+            let breakers = tight_breakers(&env, &telemetry);
+            let alive = svc(&env, "alive", 0.0);
+            let candidates = vec![alive.clone()];
+            let policy = InvocationPolicy::default();
+            let call = Call::new(&monitor, &telemetry, telemetry.tracer().new_trace());
+            let call = match concern {
+                Concern::None => call,
+                Concern::ExpiredDeadline => {
+                    let deadline = Deadline::within(env.clock(), Duration::from_millis(1));
+                    env.clock().advance(Duration::from_millis(5));
+                    call.deadline(deadline)
+                }
+                Concern::TrippedBreaker => {
+                    breakers.record("alive", false, &call.span);
+                    breakers.record("alive", false, &call.span);
+                    call.breakers(Some(&breakers))
+                }
+            };
+            let strategies: [&dyn Fn() -> Option<&'static str>; 4] = [
+                &|| {
+                    let (outcome, _) = call.retry(&alive, &req(), 2, Backoff::None);
+                    outcome.result.err().map(|e| e.kind())
+                },
+                &|| call.invoke(&alive, &req(), 2).err().map(|e| e.kind()),
+                &|| {
+                    call.failover(&candidates, &req(), &policy)
+                        .err()
+                        .map(|e| e.kind())
+                },
+                &|| {
+                    call.redundant(&candidates, &req(), RedundantMode::All, &policy)
+                        .err()
+                        .map(|e| e.kind())
+                },
+            ];
+            for (i, strategy) in strategies.iter().enumerate() {
+                let before = alive.stats().0;
+                assert_eq!(strategy(), errors[i], "{concern:?}, strategy {i}");
+                assert_eq!(
+                    alive.stats().0 - before,
+                    attempts[i],
+                    "{concern:?}, strategy {i}"
+                );
+            }
+        }
     }
 
     #[test]
     fn empty_candidates_error() {
         let monitor = ServiceMonitor::new();
+        let call = Call::plain(&monitor);
         assert!(matches!(
-            invoke_failover(&[], &req(), &InvocationPolicy::default(), &monitor),
+            call.failover(&[], &req(), &InvocationPolicy::default()),
             Err(SdkError::EmptyClass(_))
         ));
-        assert!(invoke_redundant(
-            &[],
-            &req(),
-            RedundantMode::All,
-            &InvocationPolicy::default(),
-            &monitor
-        )
-        .is_err());
+        assert!(call
+            .redundant(
+                &[],
+                &req(),
+                RedundantMode::All,
+                &InvocationPolicy::default()
+            )
+            .is_err());
     }
 }

@@ -51,13 +51,13 @@ pub mod sdk;
 pub use cache::{CacheConfig, CacheStats, FetchSource, FlightJoin, Lookup, ResponseCache};
 pub use future::ListenableFuture;
 pub use gateway::{GatewayLimits, HttpGateway};
-pub use invoke::{InvocationPolicy, RedundantMode};
+pub use invoke::{Call, InvocationPolicy, RedundantMode};
 pub use monitor::ServiceMonitor;
 pub use pool::ThreadPool;
 pub use predict::Predictor;
 pub use rank::RankedService;
 pub use registry::ServiceRegistry;
-pub use resilience::{BreakerConfig, BreakerRegistry, BreakerState, Deadline, Governance};
+pub use resilience::{BreakerConfig, BreakerRegistry, BreakerState, Deadline};
 pub use score::ScoringFormula;
 pub use sdk::{ResilienceOptions, RichSdk};
 

@@ -12,16 +12,15 @@
 //! locally "along with the query itself and the time the query was made".
 
 use crate::cache::{FetchSource, ResponseCache};
-use crate::invoke::{invoke_with_retry, invoke_with_retry_within};
+use crate::invoke::Call;
 use crate::monitor::ServiceMonitor;
 use crate::pool::ThreadPool;
-use crate::resilience::Deadline;
 use crate::SdkError;
 use cogsdk_json::{json, Json};
-use cogsdk_obs::{SpanCtx, Telemetry};
+use cogsdk_obs::tenant_labels;
 use cogsdk_search::html::extract_text;
 use cogsdk_sim::clock::SimTime;
-use cogsdk_sim::service::{Request, ServiceError, SimService};
+use cogsdk_sim::service::{Request, SimService};
 use cogsdk_text::analysis::DocumentAnalysis;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -256,8 +255,13 @@ pub struct NluSupport {
     pool: Arc<ThreadPool>,
     store: Arc<DocumentStore>,
     cache: Option<Arc<ResponseCache>>,
-    telemetry: Telemetry,
     retries: usize,
+}
+
+/// The request an NLU service analyzes `text` with; the text length is
+/// its latency parameter.
+fn analyze_request(text: &str) -> Request {
+    Request::new("analyze", json!({"text": (text)})).with_param("text_len", text.len() as f64)
 }
 
 impl std::fmt::Debug for NluSupport {
@@ -277,7 +281,6 @@ impl NluSupport {
             pool,
             store: Arc::new(DocumentStore::new()),
             cache: None,
-            telemetry: Telemetry::disabled(),
             retries: 2,
         }
     }
@@ -295,16 +298,8 @@ impl NluSupport {
             pool,
             store: Arc::new(DocumentStore::new()),
             cache: Some(cache),
-            telemetry: Telemetry::disabled(),
             retries: 2,
         }
-    }
-
-    /// Attaches a telemetry sink so the `_in` analysis variants can
-    /// record per-service (and per-tenant) RED metrics.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> NluSupport {
-        self.telemetry = telemetry;
-        self
     }
 
     /// The local document store.
@@ -312,76 +307,49 @@ impl NluSupport {
         &self.store
     }
 
-    /// Analyzes one text with one NLU service.
+    /// Analyzes one text with one NLU service, in the caller's context:
+    /// retries stop once its deadline runs out, and with telemetry it
+    /// records `nlu_requests_total` / `nlu_latency_ms` RED metrics — with
+    /// a `tenant` series when the span is tenanted — and attaches the
+    /// trace id as a latency exemplar.
     ///
     /// # Errors
     ///
     /// [`SdkError::AllFailed`] if the service stays unresponsive through
-    /// the retry budget; [`SdkError::Rejected`] for malformed requests.
+    /// the retry budget; [`SdkError::Rejected`] for malformed requests;
+    /// [`SdkError::DeadlineExceeded`] when the budget was already spent.
     pub fn analyze_text(
         &self,
         nlu: &Arc<SimService>,
         text: &str,
+        call: &Call<'_>,
     ) -> Result<DocumentAnalysis, SdkError> {
-        let request = Request::new("analyze", json!({"text": (text)}))
-            .with_param("text_len", text.len() as f64);
-        let outcome = invoke_with_retry(nlu, &request, self.retries, &self.monitor);
-        match outcome.result {
-            Ok(resp) => Ok(DocumentAnalysis::from_json(&resp.payload)),
-            Err(ServiceError::BadRequest(m)) => Err(SdkError::Rejected(m)),
-            Err(e) => Err(SdkError::AllFailed(format!("{}: {e}", nlu.name()))),
-        }
-    }
-
-    /// As [`analyze_text`](NluSupport::analyze_text), inside a caller's
-    /// span: records `nlu_requests_total` / `nlu_latency_ms` RED metrics
-    /// — with a `tenant` series when the span is tenanted — and attaches
-    /// the trace id as a latency exemplar.
-    ///
-    /// # Errors
-    ///
-    /// As for [`analyze_text`](NluSupport::analyze_text).
-    pub fn analyze_text_in(
-        &self,
-        nlu: &Arc<SimService>,
-        text: &str,
-        ctx: &SpanCtx,
-    ) -> Result<DocumentAnalysis, SdkError> {
-        if !self.telemetry.is_enabled() {
-            return self.analyze_text(nlu, text);
-        }
-        let tracer = self.telemetry.tracer();
+        let tracer = call.telemetry.tracer();
         let started = tracer.now_ms();
-        let result = self.analyze_text(nlu, text);
-        let latency_ms = (tracer.now_ms() - started).max(0.0);
-        let metrics = self.telemetry.metrics();
-        let outcome = if result.is_ok() { "ok" } else { "error" };
-        let service = nlu.name();
-        match tracer.tenant_name(ctx.tenant).as_deref() {
-            Some(t) => {
-                metrics.inc_counter(
-                    "nlu_requests_total",
-                    &[("outcome", outcome), ("service", service), ("tenant", t)],
-                );
-                metrics.observe_with_exemplar(
-                    "nlu_latency_ms",
-                    &[("service", service), ("tenant", t)],
-                    latency_ms,
-                    ctx.trace.0,
-                );
-            }
-            None => {
-                metrics.inc_counter(
-                    "nlu_requests_total",
-                    &[("outcome", outcome), ("service", service)],
-                );
-                metrics.observe_with_exemplar(
-                    "nlu_latency_ms",
-                    &[("service", service)],
-                    latency_ms,
-                    ctx.trace.0,
-                );
-            }
+        let result = call
+            .invoke(nlu, &analyze_request(text), self.retries)
+            .map(|response| DocumentAnalysis::from_json(&response.payload));
+        if call.telemetry.is_enabled() {
+            let latency_ms = (tracer.now_ms() - started).max(0.0);
+            let metrics = call.telemetry.metrics();
+            let outcome = if result.is_ok() { "ok" } else { "error" };
+            let service = nlu.name();
+            let tenant = tracer.tenant_name(call.span.tenant);
+            let tenant = tenant.as_deref().unwrap_or("");
+            metrics.inc_counter(
+                "nlu_requests_total",
+                tenant_labels(&[
+                    ("outcome", outcome),
+                    ("service", service),
+                    ("tenant", tenant),
+                ]),
+            );
+            metrics.observe_with_exemplar(
+                "nlu_latency_ms",
+                tenant_labels(&[("service", service), ("tenant", tenant)]),
+                latency_ms,
+                call.span.trace.0,
+            );
         }
         result
     }
@@ -401,106 +369,45 @@ impl NluSupport {
         nlu: &Arc<SimService>,
         text: &str,
     ) -> Result<(DocumentAnalysis, FetchSource), SdkError> {
+        let call = Call::plain(&self.monitor);
         let Some(cache) = &self.cache else {
             return self
-                .analyze_text(nlu, text)
+                .analyze_text(nlu, text, &call)
                 .map(|a| (a, FetchSource::Fetched));
         };
-        let request = Request::new("analyze", json!({"text": (text)}))
-            .with_param("text_len", text.len() as f64);
+        let request = analyze_request(text);
         // The raw payload is cached (not the parsed analysis) so the NLU
         // layer shares the Json-valued sharded cache with invoke paths.
         let key = format!("{}::{}", nlu.name(), request.cache_key());
         let (payload, source) = cache.get_or_fetch(&key, || {
-            let outcome = invoke_with_retry(nlu, &request, self.retries, &self.monitor);
-            match outcome.result {
-                Ok(resp) => Ok(resp.payload),
-                Err(ServiceError::BadRequest(m)) => Err(SdkError::Rejected(m)),
-                Err(e) => Err(SdkError::AllFailed(format!("{}: {e}", nlu.name()))),
-            }
+            call.invoke(nlu, &request, self.retries)
+                .map(|response| response.payload)
         })?;
         Ok((DocumentAnalysis::from_json(&payload), source))
-    }
-
-    /// As [`analyze_documents`](NluSupport::analyze_documents), with each
-    /// per-document analysis read-through the response cache. Returns the
-    /// aggregate plus how many documents were served without their own
-    /// upstream call (cache hit, stale serve, or coalesced wait).
-    pub fn analyze_documents_cached(
-        &self,
-        nlu: &Arc<SimService>,
-        texts: &[String],
-    ) -> (AggregateAnalysis, usize) {
-        let mut served_locally = 0;
-        let analyses: Vec<DocumentAnalysis> = texts
-            .iter()
-            .filter_map(|t| {
-                self.analyze_text_cached(nlu, t).ok().map(|(a, source)| {
-                    if source.served_locally() {
-                        served_locally += 1;
-                    }
-                    a
-                })
-            })
-            .collect();
-        (aggregate(&analyses), served_locally)
     }
 
     /// Analyzes many documents with one service and aggregates — the
     /// §2.2 "passing multiple files to a service and aggregating the
     /// results" feature. Documents whose analysis fails are skipped (and
-    /// reported in the count difference).
-    pub fn analyze_documents(&self, nlu: &Arc<SimService>, texts: &[String]) -> AggregateAnalysis {
-        let analyses: Vec<DocumentAnalysis> = texts
-            .iter()
-            .filter_map(|t| self.analyze_text(nlu, t).ok())
-            .collect();
-        aggregate(&analyses)
-    }
-
-    /// As [`analyze_text`](NluSupport::analyze_text), bounded by an
-    /// end-to-end deadline: retries stop once the budget runs out.
-    ///
-    /// # Errors
-    ///
-    /// As for [`analyze_text`](NluSupport::analyze_text), plus
-    /// [`SdkError::DeadlineExceeded`] when the budget was already spent.
-    pub fn analyze_text_within(
-        &self,
-        nlu: &Arc<SimService>,
-        text: &str,
-        deadline: Deadline,
-    ) -> Result<DocumentAnalysis, SdkError> {
-        let request = Request::new("analyze", json!({"text": (text)}))
-            .with_param("text_len", text.len() as f64);
-        let outcome =
-            invoke_with_retry_within(nlu, &request, self.retries, &self.monitor, deadline)?;
-        match outcome.result {
-            Ok(resp) => Ok(DocumentAnalysis::from_json(&resp.payload)),
-            Err(ServiceError::BadRequest(m)) => Err(SdkError::Rejected(m)),
-            Err(e) => Err(SdkError::AllFailed(format!("{}: {e}", nlu.name()))),
-        }
-    }
-
-    /// As [`analyze_documents`](NluSupport::analyze_documents), bounded by
-    /// an end-to-end deadline: no document's analysis *starts* after the
-    /// budget has elapsed, so the aggregate is a partial-but-timely answer
-    /// instead of a late complete one. Returns the aggregate plus the
-    /// number of documents skipped for lack of budget.
-    pub fn analyze_documents_within(
+    /// reported in the count difference). Bounded by the context's
+    /// deadline: no document's analysis *starts* after the budget has
+    /// elapsed, so the aggregate is a partial-but-timely answer instead
+    /// of a late complete one. Returns the aggregate plus the number of
+    /// documents skipped for lack of budget.
+    pub fn analyze_documents(
         &self,
         nlu: &Arc<SimService>,
         texts: &[String],
-        deadline: Deadline,
+        call: &Call<'_>,
     ) -> (AggregateAnalysis, usize) {
         let mut analyses = Vec::new();
         let mut skipped = 0;
         for (i, text) in texts.iter().enumerate() {
-            if deadline.is_expired(nlu.clock().now()) {
+            if call.deadline.is_expired(nlu.clock().now()) {
                 skipped = texts.len() - i;
                 break;
             }
-            if let Ok(a) = self.analyze_text_within(nlu, text, deadline) {
+            if let Ok(a) = self.analyze_text(nlu, text, call) {
                 analyses.push(a);
             }
         }
@@ -517,11 +424,8 @@ impl NluSupport {
         let retries = self.retries;
         let nlu = nlu.clone();
         let results = self.pool.map_all(texts, move |text: String| {
-            let request = Request::new("analyze", json!({"text": (text.as_str())}))
-                .with_param("text_len", text.len() as f64);
-            let outcome = invoke_with_retry(&nlu, &request, retries, &monitor);
-            outcome
-                .result
+            Call::plain(&monitor)
+                .invoke(&nlu, &analyze_request(&text), retries)
                 .ok()
                 .map(|r| DocumentAnalysis::from_json(&r.payload))
         });
@@ -535,8 +439,9 @@ impl NluSupport {
         let mut responding = Vec::new();
         let mut entity_votes: BTreeMap<String, (Vec<String>, f64)> = BTreeMap::new();
         let mut relation_votes: BTreeMap<(String, String, String), usize> = BTreeMap::new();
+        let call = Call::plain(&self.monitor);
         for svc in services {
-            let Ok(analysis) = self.analyze_text(svc, text) else {
+            let Ok(analysis) = self.analyze_text(svc, text, &call) else {
                 continue;
             };
             responding.push(svc.name().to_string());
@@ -600,12 +505,13 @@ impl NluSupport {
         services: &[Arc<SimService>],
         texts: &[String],
     ) -> Vec<(String, f64)> {
+        let call = Call::plain(&self.monitor);
         let mut sums: BTreeMap<String, (f64, usize)> = BTreeMap::new();
         for text in texts {
             // Gather every service's entity set.
             let mut per_service: Vec<(String, Vec<String>)> = Vec::new();
             for svc in services {
-                if let Ok(analysis) = self.analyze_text(svc, text) {
+                if let Ok(analysis) = self.analyze_text(svc, text, &call) {
                     per_service.push((
                         svc.name().to_string(),
                         analysis
@@ -683,12 +589,9 @@ impl NluSupport {
             "search",
             json!({"query": (query), "limit": (limit), "news": (news_only)}),
         );
-        let outcome = invoke_with_retry(search, &request, self.retries, &self.monitor);
-        let payload = match outcome.result {
-            Ok(r) => r.payload,
-            Err(ServiceError::BadRequest(m)) => return Err(SdkError::Rejected(m)),
-            Err(e) => return Err(SdkError::AllFailed(format!("{}: {e}", search.name()))),
-        };
+        let payload = Call::plain(&self.monitor)
+            .invoke(search, &request, self.retries)?
+            .payload;
         Ok(payload
             .get("hits")
             .and_then(Json::as_array)
@@ -725,12 +628,9 @@ impl NluSupport {
             return Ok(stored);
         }
         let request = Request::new("fetch", json!({"url": (url)}));
-        let outcome = invoke_with_retry(web, &request, self.retries, &self.monitor);
-        let payload = match outcome.result {
-            Ok(r) => r.payload,
-            Err(ServiceError::BadRequest(m)) => return Err(SdkError::Rejected(m)),
-            Err(e) => return Err(SdkError::AllFailed(format!("{}: {e}", web.name()))),
-        };
+        let payload = Call::plain(&self.monitor)
+            .invoke(web, &request, self.retries)?
+            .payload;
         let html = payload
             .get("html")
             .and_then(Json::as_str)
@@ -740,14 +640,18 @@ impl NluSupport {
             url: url.to_string(),
             html,
             query: query.to_string(),
-            fetched_at: SimTime::ZERO,
+            fetched_at: web.clock().now(),
         };
         self.store.store(doc.clone());
         Ok(doc)
     }
 
     /// The full Figure-3 pipeline: search → fetch each hit → extract text
-    /// → analyze with the NLU service → aggregate.
+    /// → analyze with the NLU service → aggregate. Bounded by the
+    /// context's deadline across the whole pipeline: fetching and
+    /// analysis both stop starting new work once the budget has elapsed.
+    /// Returns the (possibly partial) aggregate plus the number of hits
+    /// or documents skipped for lack of budget.
     ///
     /// # Errors
     ///
@@ -760,48 +664,13 @@ impl NluSupport {
         nlu: &Arc<SimService>,
         query: &str,
         limit: usize,
-    ) -> Result<AggregateAnalysis, SdkError> {
-        let hits = self.web_search(search, query, limit, false)?;
-        let texts: Vec<String> = hits
-            .iter()
-            .filter_map(|hit| {
-                self.fetch_document(web, &hit.url, query)
-                    .ok()
-                    .map(|doc| extract_text(&doc.html))
-            })
-            .collect();
-        let analyses: Vec<DocumentAnalysis> = texts
-            .iter()
-            .filter_map(|t| self.analyze_text(nlu, t).ok())
-            .collect();
-        Ok(aggregate(&analyses))
-    }
-
-    /// As [`search_and_analyze`](NluSupport::search_and_analyze), bounded
-    /// by an end-to-end deadline across the whole pipeline: fetching and
-    /// analysis both stop starting new work once the budget has elapsed.
-    /// Returns the (possibly partial) aggregate plus the number of hits
-    /// or documents skipped for lack of budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates search-service failure, as for
-    /// [`search_and_analyze`](NluSupport::search_and_analyze).
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_and_analyze_within(
-        &self,
-        search: &Arc<SimService>,
-        web: &Arc<SimService>,
-        nlu: &Arc<SimService>,
-        query: &str,
-        limit: usize,
-        deadline: Deadline,
+        call: &Call<'_>,
     ) -> Result<(AggregateAnalysis, usize), SdkError> {
         let hits = self.web_search(search, query, limit, false)?;
         let mut texts = Vec::new();
         let mut skipped = 0;
         for (i, hit) in hits.iter().enumerate() {
-            if deadline.is_expired(web.clock().now()) {
+            if call.deadline.is_expired(web.clock().now()) {
                 skipped = hits.len() - i;
                 break;
             }
@@ -809,7 +678,7 @@ impl NluSupport {
                 texts.push(extract_text(&doc.html));
             }
         }
-        let (agg, analysis_skipped) = self.analyze_documents_within(nlu, &texts, deadline);
+        let (agg, analysis_skipped) = self.analyze_documents(nlu, &texts, call);
         Ok((agg, skipped + analysis_skipped))
     }
 }
@@ -817,6 +686,8 @@ impl NluSupport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::Deadline;
+    use cogsdk_obs::Telemetry;
     use cogsdk_search::services::standard_web;
     use cogsdk_sim::SimEnv;
     use cogsdk_text::analysis::{Analyzer, NluConfig};
@@ -865,21 +736,26 @@ mod tests {
         let nlu = perfect_nlu(&env);
         let s = support();
         let a = s
-            .analyze_text(&nlu, "Microsoft praised excellent results.")
+            .analyze_text(
+                &nlu,
+                "Microsoft praised excellent results.",
+                &Call::plain(&ServiceMonitor::new()),
+            )
             .unwrap();
         assert_eq!(a.entities[0].canonical, "microsoft");
         assert!(a.sentiment.score > 0.0);
     }
 
     #[test]
-    fn analyze_text_in_records_tenant_red_metrics() {
+    fn analyze_text_records_tenant_red_metrics() {
         let env = SimEnv::with_seed(9);
         let nlu = perfect_nlu(&env);
         let t = Telemetry::new();
-        let s = support().with_telemetry(t.clone());
+        let s = support();
+        let monitor = ServiceMonitor::new();
         let tenant = t.tracer().intern_tenant("acme");
-        let ctx = t.tracer().new_trace_for(tenant);
-        s.analyze_text_in(&nlu, "IBM posted excellent growth.", &ctx)
+        let call = Call::new(&monitor, &t, t.tracer().new_trace_for(tenant));
+        s.analyze_text(&nlu, "IBM posted excellent growth.", &call)
             .unwrap();
         assert_eq!(
             t.metrics().counter_value(
@@ -901,8 +777,8 @@ mod tests {
             .unwrap();
         assert_eq!(hist.count, 1);
         // Untenanted spans keep the original series shape.
-        let ctx = t.tracer().new_trace();
-        s.analyze_text_in(&nlu, "IBM posted excellent growth.", &ctx)
+        let call = call.span(&t.tracer().new_trace());
+        s.analyze_text(&nlu, "IBM posted excellent growth.", &call)
             .unwrap();
         assert_eq!(
             t.metrics().counter_value(
@@ -923,7 +799,7 @@ mod tests {
             "France struggled with a terrible crisis.".to_string(),
             "IBM and France partnered Google.".to_string(),
         ];
-        let seq = s.analyze_documents(&nlu, &texts);
+        let (seq, _) = s.analyze_documents(&nlu, &texts, &Call::plain(&ServiceMonitor::new()));
         let par = s.analyze_documents_parallel(&nlu, texts);
         assert_eq!(seq.documents, par.documents);
         assert_eq!(seq.entities, par.entities);
@@ -958,55 +834,66 @@ mod tests {
     }
 
     #[test]
-    fn analyze_documents_within_stops_once_budget_is_spent() {
+    fn analyze_documents_stops_once_budget_is_spent() {
         let env = SimEnv::with_seed(7);
         let nlu = perfect_nlu(&env);
         let s = support();
+        let monitor = ServiceMonitor::new();
+        let call = Call::plain(&monitor);
         let texts: Vec<String> = (0..4)
             .map(|i| format!("IBM posted excellent growth in quarter {i}."))
             .collect();
         // An already-expired budget analyzes nothing and calls no service.
         let expired = Deadline::within(env.clock(), std::time::Duration::ZERO);
         env.clock().advance(std::time::Duration::from_micros(1));
-        let (agg, skipped) = s.analyze_documents_within(&nlu, &texts, expired);
+        let (agg, skipped) = s.analyze_documents(&nlu, &texts, &call.deadline(expired));
         assert_eq!(agg, AggregateAnalysis::default());
         assert_eq!(skipped, texts.len());
         assert_eq!(nlu.stats().0, 0, "no budget, no calls");
         // An unbounded budget analyzes everything.
-        let (agg, skipped) = s.analyze_documents_within(&nlu, &texts, Deadline::NONE);
+        let (agg, skipped) = s.analyze_documents(&nlu, &texts, &call);
         assert_eq!(agg.documents, texts.len());
         assert_eq!(skipped, 0);
         // A budget covering roughly one document's analysis yields a
         // partial-but-timely aggregate.
         let t0 = env.clock().now();
-        s.analyze_text(&nlu, &texts[0]).unwrap();
+        s.analyze_text(&nlu, &texts[0], &call).unwrap();
         let one_doc = env.clock().now().since(t0);
         let deadline = Deadline::within(env.clock(), one_doc + one_doc / 2);
-        let (agg, skipped) = s.analyze_documents_within(&nlu, &texts, deadline);
+        let (agg, skipped) = s.analyze_documents(&nlu, &texts, &call.deadline(deadline));
         assert!(agg.documents < texts.len(), "{}", agg.documents);
         assert!(agg.documents >= 1);
         assert_eq!(skipped, texts.len() - agg.documents);
     }
 
     #[test]
-    fn search_and_analyze_within_skips_late_fetches() {
+    fn search_and_analyze_skips_late_fetches() {
         let env = SimEnv::with_seed(8);
         let (engines, web, _idx) = standard_web(&env, 7, 120);
         let nlu = perfect_nlu(&env);
         let s = support();
+        let monitor = ServiceMonitor::new();
+        let call = Call::plain(&monitor);
         // Expired before any fetch: the search result arrives, but every
         // downstream fetch/analysis is skipped.
         let expired = Deadline::within(env.clock(), std::time::Duration::ZERO);
         env.clock().advance(std::time::Duration::from_micros(1));
         let (agg, skipped) = s
-            .search_and_analyze_within(&engines[0], &web, &nlu, "market growth", 5, expired)
+            .search_and_analyze(
+                &engines[0],
+                &web,
+                &nlu,
+                "market growth",
+                5,
+                &call.deadline(expired),
+            )
             .unwrap();
         assert_eq!(agg.documents, 0);
         assert!(skipped > 0);
         assert!(s.document_store().is_empty(), "no fetch should have run");
         // Unbounded matches the plain pipeline.
         let (agg, skipped) = s
-            .search_and_analyze_within(&engines[0], &web, &nlu, "market growth", 5, Deadline::NONE)
+            .search_and_analyze(&engines[0], &web, &nlu, "market growth", 5, &call)
             .unwrap();
         assert!(agg.documents > 0);
         assert_eq!(skipped, 0);
@@ -1018,8 +905,15 @@ mod tests {
         let (engines, web, _idx) = standard_web(&env, 7, 120);
         let nlu = perfect_nlu(&env);
         let s = support();
-        let agg = s
-            .search_and_analyze(&engines[0], &web, &nlu, "market growth", 5)
+        let (agg, _) = s
+            .search_and_analyze(
+                &engines[0],
+                &web,
+                &nlu,
+                "market growth",
+                5,
+                &Call::plain(&ServiceMonitor::new()),
+            )
             .unwrap();
         assert!(agg.documents > 0);
         assert!(!agg.entities.is_empty() || !agg.keywords.is_empty());
@@ -1040,12 +934,22 @@ mod tests {
         assert!(!hits.is_empty());
         let url = &hits[0].url;
         let (calls_before, _) = web.stats();
-        s.fetch_document(&web, url, "energy").unwrap();
+        let fetched = s.fetch_document(&web, url, "energy").unwrap();
         let (calls_mid, _) = web.stats();
-        s.fetch_document(&web, url, "energy").unwrap();
+        // The fetch advanced the virtual clock; the stamp is the time the
+        // document arrived, and it is the query's time of record.
+        let fetched_at = env.clock().now();
+        assert!(fetched_at > SimTime::ZERO);
+        assert_eq!(fetched.fetched_at, fetched_at);
+        env.clock().advance(std::time::Duration::from_secs(60));
+        let stored = s.fetch_document(&web, url, "energy").unwrap();
         let (calls_after, _) = web.stats();
         assert!(calls_mid > calls_before);
         assert_eq!(calls_after, calls_mid, "second fetch served locally");
+        assert_eq!(
+            stored.fetched_at, fetched_at,
+            "the local copy keeps its stamp"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cases, we use thread pools of limited size."
 
 use crate::future::ListenableFuture;
-use cogsdk_obs::{EventKind, SpanCtx, Telemetry};
+use cogsdk_obs::{tenant_labels, EventKind, SpanCtx, Telemetry};
 use crossbeam::channel::{unbounded, Sender};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -132,10 +132,11 @@ impl ThreadPool {
                 .tracer()
                 .emit(&ctx, || EventKind::PoolEnqueue { queue_depth: depth });
             let metrics = self.telemetry.metrics();
-            match self.telemetry.tracer().tenant_name(ctx.tenant).as_deref() {
-                Some(t) => metrics.inc_counter("pool_jobs_total", &[("tenant", t)]),
-                None => metrics.inc_counter("pool_jobs_total", &[]),
-            }
+            let tenant = self.telemetry.tracer().tenant_name(ctx.tenant);
+            metrics.inc_counter(
+                "pool_jobs_total",
+                tenant_labels(&[("tenant", tenant.as_deref().unwrap_or(""))]),
+            );
             metrics.set_gauge("pool_queue_depth", &[], depth as f64);
             let telemetry = self.telemetry.clone();
             let queued = self.queued.clone();

@@ -16,10 +16,11 @@
 //!   aggregator, and KB federation, so each layer spends only the
 //!   *remaining* budget and never starts work it cannot finish in time.
 //!
-//! [`Governance`] bundles both so one optional parameter rides through
-//! every invocation path. All state changes emit `cogsdk-obs` events and
-//! metrics (`sdk_breaker_transitions_total`, `sdk_breaker_state`,
-//! `sdk_breaker_rejections_total`, `sdk_deadline_exhausted_total`).
+//! Both ride through every invocation path inside the call context,
+//! [`Call`](crate::invoke::Call). All state changes emit `cogsdk-obs`
+//! events and metrics (`sdk_breaker_transitions_total`,
+//! `sdk_breaker_state`, `sdk_breaker_rejections_total`,
+//! `sdk_deadline_exhausted_total`).
 
 use cogsdk_obs::{EventKind, SpanCtx, Telemetry};
 use cogsdk_sim::{SimClock, SimTime};
@@ -441,43 +442,6 @@ impl BreakerRegistry {
             &[("service", service), ("to", to.name())],
         );
         metrics.set_gauge("sdk_breaker_state", &[("service", service)], to.code());
-    }
-}
-
-/// The governance bundle threaded through the invocation layers: an
-/// optional breaker fleet plus a deadline. [`Governance::none`] is the
-/// zero-cost default that preserves pre-resilience behaviour exactly.
-#[derive(Debug, Clone, Default)]
-pub struct Governance {
-    /// Per-service circuit breakers, if enabled.
-    pub breakers: Option<Arc<BreakerRegistry>>,
-    /// The end-to-end budget for the current operation.
-    pub deadline: Deadline,
-}
-
-impl Governance {
-    /// No breakers, no deadline.
-    pub fn none() -> Governance {
-        Governance::default()
-    }
-
-    /// Deadline only.
-    pub fn with_deadline(deadline: Deadline) -> Governance {
-        Governance {
-            breakers: None,
-            deadline,
-        }
-    }
-
-    /// Breakers plus an optional deadline.
-    pub fn new(breakers: Option<Arc<BreakerRegistry>>, deadline: Deadline) -> Governance {
-        Governance { breakers, deadline }
-    }
-
-    /// This governance with the deadline replaced.
-    pub fn deadline(mut self, deadline: Deadline) -> Governance {
-        self.deadline = deadline;
-        self
     }
 }
 

@@ -3,15 +3,15 @@
 use crate::cache::{CacheConfig, FetchSource, FlightGuard, FlightJoin, Lookup, ResponseCache};
 use crate::future::ListenableFuture;
 use crate::invoke::{
-    invoke_failover_governed, invoke_with_backoff_governed, invoke_with_backoff_traced,
-    outcome_kind, FailoverSuccess, InvocationPolicy, RedundantLeg, RedundantMode,
+    outcome_kind, response_or_error, Call, FailoverSuccess, InvocationPolicy, RedundantLeg,
+    RedundantMode,
 };
 use crate::monitor::{duration_ms, ServiceMonitor};
 use crate::nlu::NluSupport;
 use crate::pool::ThreadPool;
 use crate::rank::{rank_class, RankOptions, RankedService};
 use crate::registry::ServiceRegistry;
-use crate::resilience::{Admission, BreakerConfig, BreakerRegistry, Deadline, Governance};
+use crate::resilience::{BreakerConfig, BreakerRegistry, Deadline};
 use crate::SdkError;
 use cogsdk_obs::{EventKind, SpanCtx, Telemetry};
 use cogsdk_sim::clock::SimClock;
@@ -71,22 +71,83 @@ impl Default for ResilienceOptions {
 /// assert_eq!(ok.service, "kv-a");
 /// ```
 pub struct RichSdk {
-    registry: Arc<ServiceRegistry>,
-    monitor: Arc<ServiceMonitor>,
+    core: Arc<Core>,
     cache: Arc<ResponseCache>,
     pool: Arc<ThreadPool>,
-    policy: RwLock<InvocationPolicy>,
     nlu: NluSupport,
+}
+
+/// What an invocation needs of the SDK, behind one handle so a pool job
+/// can take a clone to its worker thread and build its [`Call`] there.
+struct Core {
+    registry: Arc<ServiceRegistry>,
+    monitor: Arc<ServiceMonitor>,
+    policy: RwLock<InvocationPolicy>,
     telemetry: Telemetry,
     clock: SimClock,
     breakers: Option<Arc<BreakerRegistry>>,
     default_deadline: Option<Duration>,
 }
 
+impl Core {
+    /// This SDK's monitor, telemetry and breakers, emitting under `span`.
+    fn call(&self, span: SpanCtx) -> Call<'_> {
+        Call::new(&self.monitor, &self.telemetry, span).breakers(self.breakers.as_deref())
+    }
+
+    /// `call` under the default budget, counted from now, unless it brings
+    /// a deadline of its own: each invocation gets a fresh budget, not a
+    /// shared absolute instant.
+    fn budgeted<'a>(&self, call: &Call<'a>) -> Call<'a> {
+        match self.default_deadline {
+            Some(budget) if call.deadline == Deadline::NONE => {
+                call.deadline(Deadline::within(&self.clock, budget))
+            }
+            _ => *call,
+        }
+    }
+
+    /// The one path every invocation of a named service takes —
+    /// synchronous, asynchronous, or a background cache refresh: breaker
+    /// admission, then the retry loop under the configured policy, inside
+    /// an `invoke_start`/`invoke_end` span pair under `call`'s span.
+    fn invoke(&self, name: &str, request: &Request, call: &Call<'_>) -> Result<Response, SdkError> {
+        let service = self
+            .registry
+            .get(name)
+            .ok_or_else(|| SdkError::UnknownService(name.to_string()))?;
+        let call = self.budgeted(call);
+        let tracer = call.telemetry.tracer();
+        tracer.emit(&call.span, || EventKind::InvokeStart {
+            class: service.class().to_string(),
+            operation: request.operation.clone(),
+        });
+        if let Err(refused) = call.admit(&service) {
+            tracer.emit(&call.span, || EventKind::InvokeEnd {
+                service: name.to_string(),
+                outcome: refused.kind(),
+                latency_ms: 0.0,
+            });
+            return Err(refused);
+        }
+        let (retries, backoff) = {
+            let policy = self.policy.read();
+            (policy.retries_for(name), policy.backoff)
+        };
+        let (outcome, _) = call.retry(&service, request, retries, backoff);
+        tracer.emit(&call.span, || EventKind::InvokeEnd {
+            service: name.to_string(),
+            outcome: outcome_kind(&outcome.result),
+            latency_ms: duration_ms(outcome.latency),
+        });
+        response_or_error(name, outcome.result)
+    }
+}
+
 impl std::fmt::Debug for RichSdk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RichSdk")
-            .field("services", &self.registry.names())
+            .field("services", &self.core.registry.names())
             .finish_non_exhaustive()
     }
 }
@@ -98,17 +159,18 @@ const DEFAULT_CACHE_TTL: Duration = Duration::from_secs(300);
 /// Default worker-pool size (§2.1: "thread pools of limited size").
 const DEFAULT_POOL_SIZE: usize = 8;
 
+/// No breakers, no default deadline.
+const NO_RESILIENCE: ResilienceOptions = ResilienceOptions {
+    breakers: None,
+    default_deadline: None,
+};
+
 impl RichSdk {
     /// Creates an SDK bound to a simulation environment with default
     /// cache, pool and policy. Telemetry is disabled (the no-op tracer
     /// costs one branch per probe).
     pub fn new(env: &SimEnv) -> RichSdk {
-        RichSdk::with_config(
-            env,
-            DEFAULT_CACHE_CAPACITY,
-            DEFAULT_CACHE_TTL,
-            DEFAULT_POOL_SIZE,
-        )
+        RichSdk::with_telemetry(env, Telemetry::disabled())
     }
 
     /// As [`RichSdk::new`], with every layer (invocations, cache, pool,
@@ -121,26 +183,6 @@ impl RichSdk {
             DEFAULT_CACHE_TTL,
             DEFAULT_POOL_SIZE,
             telemetry,
-        )
-    }
-
-    /// Creates an SDK with explicit cache capacity/TTL and pool size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache_ttl` is zero or `pool_size` is zero.
-    pub fn with_config(
-        env: &SimEnv,
-        cache_capacity: usize,
-        cache_ttl: Duration,
-        pool_size: usize,
-    ) -> RichSdk {
-        RichSdk::with_telemetry_config(
-            env,
-            cache_capacity,
-            cache_ttl,
-            pool_size,
-            Telemetry::disabled(),
         )
     }
 
@@ -158,13 +200,13 @@ impl RichSdk {
         pool_size: usize,
         telemetry: Telemetry,
     ) -> RichSdk {
-        let cache = Arc::new(ResponseCache::with_telemetry(
+        let cache = ResponseCache::with_telemetry(
             env.clock().clone(),
             cache_capacity,
             cache_ttl,
             telemetry.clone(),
-        ));
-        RichSdk::assemble(env, cache, pool_size, telemetry)
+        );
+        RichSdk::assemble(env, cache, pool_size, telemetry, NO_RESILIENCE)
     }
 
     /// As [`RichSdk::with_telemetry_config`], with full cache control:
@@ -181,41 +223,8 @@ impl RichSdk {
         pool_size: usize,
         telemetry: Telemetry,
     ) -> RichSdk {
-        let cache = Arc::new(ResponseCache::with_config(
-            env.clock().clone(),
-            cache,
-            telemetry.clone(),
-        ));
-        RichSdk::assemble(env, cache, pool_size, telemetry)
-    }
-
-    fn assemble(
-        env: &SimEnv,
-        cache: Arc<ResponseCache>,
-        pool_size: usize,
-        telemetry: Telemetry,
-    ) -> RichSdk {
-        let monitor = Arc::new(ServiceMonitor::new());
-        let pool = Arc::new(ThreadPool::with_telemetry(pool_size, telemetry.clone()));
-        // Stamp trace events with virtual time: SLO windows and the
-        // profiler then reproduce bit-identically under a seeded clock.
-        let clock = env.clock().clone();
-        telemetry
-            .tracer()
-            .set_time_source(Arc::new(move || clock.now().as_micros() as f64 / 1e3));
-        RichSdk {
-            registry: Arc::new(ServiceRegistry::new()),
-            nlu: NluSupport::with_cache(monitor.clone(), pool.clone(), cache.clone())
-                .with_telemetry(telemetry.clone()),
-            cache,
-            monitor,
-            pool,
-            policy: RwLock::new(InvocationPolicy::default()),
-            telemetry,
-            clock: env.clock().clone(),
-            breakers: None,
-            default_deadline: None,
-        }
+        let cache = ResponseCache::with_config(env.clock().clone(), cache, telemetry.clone());
+        RichSdk::assemble(env, cache, pool_size, telemetry, NO_RESILIENCE)
     }
 
     /// As [`RichSdk::with_telemetry`], with the resilience layer enabled:
@@ -231,54 +240,94 @@ impl RichSdk {
         telemetry: Telemetry,
         options: ResilienceOptions,
     ) -> RichSdk {
-        let mut sdk = RichSdk::with_telemetry_config(
-            env,
+        let cache = ResponseCache::with_telemetry(
+            env.clock().clone(),
             DEFAULT_CACHE_CAPACITY,
             DEFAULT_CACHE_TTL,
-            DEFAULT_POOL_SIZE,
             telemetry.clone(),
         );
-        sdk.breakers = options
-            .breakers
-            .map(|cfg| Arc::new(BreakerRegistry::new(env.clock().clone(), telemetry, cfg)));
-        sdk.default_deadline = options.default_deadline;
-        sdk
+        RichSdk::assemble(env, cache, DEFAULT_POOL_SIZE, telemetry, options)
+    }
+
+    fn assemble(
+        env: &SimEnv,
+        cache: ResponseCache,
+        pool_size: usize,
+        telemetry: Telemetry,
+        resilience: ResilienceOptions,
+    ) -> RichSdk {
+        let cache = Arc::new(cache);
+        let monitor = Arc::new(ServiceMonitor::new());
+        let pool = Arc::new(ThreadPool::with_telemetry(pool_size, telemetry.clone()));
+        // Stamp trace events with virtual time: SLO windows and the
+        // profiler then reproduce bit-identically under a seeded clock.
+        let clock = env.clock().clone();
+        telemetry
+            .tracer()
+            .set_time_source(Arc::new(move || clock.now().as_micros() as f64 / 1e3));
+        RichSdk {
+            nlu: NluSupport::with_cache(monitor.clone(), pool.clone(), cache.clone()),
+            cache,
+            pool,
+            core: Arc::new(Core {
+                registry: Arc::new(ServiceRegistry::new()),
+                monitor,
+                policy: RwLock::new(InvocationPolicy::default()),
+                breakers: resilience.breakers.map(|cfg| {
+                    Arc::new(BreakerRegistry::new(
+                        env.clock().clone(),
+                        telemetry.clone(),
+                        cfg,
+                    ))
+                }),
+                default_deadline: resilience.default_deadline,
+                clock: env.clock().clone(),
+                telemetry,
+            }),
+        }
     }
 
     /// The circuit-breaker registry, when resilience is enabled.
     pub fn breakers(&self) -> Option<&Arc<BreakerRegistry>> {
-        self.breakers.as_ref()
+        self.core.breakers.as_ref()
     }
 
-    /// Governance for one invocation: the SDK's breakers plus a deadline
-    /// derived *now* from the default budget (each invocation gets a
-    /// fresh budget, not a shared absolute instant).
-    fn governance(&self) -> Governance {
-        let deadline = match self.default_deadline {
-            Some(budget) => Deadline::within(&self.clock, budget),
-            None => Deadline::NONE,
-        };
-        Governance::new(self.breakers.clone(), deadline)
+    /// The context for one invocation through this SDK, in a trace of
+    /// its own: the SDK's monitor, telemetry and breakers. Narrow it with
+    /// [`Call::span`] to stay inside a caller's trace, or with
+    /// [`Call::deadline`] to bound the invocation end to end; without a
+    /// deadline of its own, an invocation runs under
+    /// [`ResilienceOptions::default_deadline`], counted from when it
+    /// starts.
+    pub fn call(&self) -> Call<'_> {
+        self.core.call(self.core.telemetry.tracer().new_trace())
+    }
+
+    /// [`call`](RichSdk::call) under a span the caller already opened
+    /// (the gateway owns the trace so its tenant and its tail-sampling
+    /// verdict cover the whole request).
+    pub(crate) fn call_at(&self, span: &SpanCtx) -> Call<'_> {
+        self.core.call(*span)
     }
 
     /// Registers a service.
     pub fn register(&self, service: Arc<SimService>) {
-        self.registry.register(service);
+        self.core.registry.register(service);
     }
 
     /// Replaces the retry/failover policy.
     pub fn set_policy(&self, policy: InvocationPolicy) {
-        *self.policy.write() = policy;
+        *self.core.policy.write() = policy;
     }
 
     /// The service registry.
     pub fn registry(&self) -> &Arc<ServiceRegistry> {
-        &self.registry
+        &self.core.registry
     }
 
     /// The monitor collecting per-service data.
     pub fn monitor(&self) -> &Arc<ServiceMonitor> {
-        &self.monitor
+        &self.core.monitor
     }
 
     /// The response cache.
@@ -298,7 +347,7 @@ impl RichSdk {
 
     /// The telemetry sink this SDK emits into (disabled by default).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.core.telemetry
     }
 
     /// Records a user quality rating for a service.
@@ -308,13 +357,7 @@ impl RichSdk {
     /// [`SdkError::InvalidRating`] if `rating` is outside `[0, 1]`; the
     /// rating is not recorded.
     pub fn rate_quality(&self, service: &str, rating: f64) -> Result<(), SdkError> {
-        self.monitor.rate_quality(service, rating)
-    }
-
-    fn service(&self, name: &str) -> Result<Arc<SimService>, SdkError> {
-        self.registry
-            .get(name)
-            .ok_or_else(|| SdkError::UnknownService(name.to_string()))
+        self.core.monitor.rate_quality(service, rating)
     }
 
     /// Invokes a named service synchronously with the configured retry
@@ -323,82 +366,26 @@ impl RichSdk {
     /// # Errors
     ///
     /// [`SdkError::UnknownService`], [`SdkError::Rejected`], or
-    /// [`SdkError::AllFailed`] when retries are exhausted.
+    /// [`SdkError::AllFailed`] when retries are exhausted; on an SDK
+    /// [`with_resilience`](RichSdk::with_resilience),
+    /// [`SdkError::CircuitOpen`] while the service's breaker is open.
     pub fn invoke(&self, name: &str, request: &Request) -> Result<Response, SdkError> {
-        let ctx = self.telemetry.tracer().new_trace();
-        self.invoke_in(name, request, &ctx)
+        self.invoke_with(name, request, &self.call())
     }
 
-    /// As [`invoke`](RichSdk::invoke), inside a caller-provided span
-    /// (the gateway owns the trace so its tenant and its tail-sampling
-    /// verdict cover the whole request).
+    /// As [`invoke`](RichSdk::invoke), in the caller's context: its span
+    /// and, if it has one, its deadline.
     ///
     /// # Errors
     ///
     /// As for [`invoke`](RichSdk::invoke).
-    pub fn invoke_in(
+    pub fn invoke_with(
         &self,
         name: &str,
         request: &Request,
-        ctx: &SpanCtx,
+        call: &Call<'_>,
     ) -> Result<Response, SdkError> {
-        let service = self.service(name)?;
-        self.invoke_traced(&service, request, ctx)
-    }
-
-    /// Shared single-service invocation: wraps the retry loop in an
-    /// `invoke_start`/`invoke_end` span pair under `ctx`.
-    fn invoke_traced(
-        &self,
-        service: &Arc<SimService>,
-        request: &Request,
-        ctx: &SpanCtx,
-    ) -> Result<Response, SdkError> {
-        let name = service.name();
-        self.telemetry
-            .tracer()
-            .emit(ctx, || EventKind::InvokeStart {
-                class: service.class().to_string(),
-                operation: request.operation.clone(),
-            });
-        let gov = self.governance();
-        if let Some(breakers) = &gov.breakers {
-            if let Admission::Rejected { retry_after } = breakers.admit(name, ctx) {
-                self.telemetry.tracer().emit(ctx, || EventKind::InvokeEnd {
-                    service: name.to_string(),
-                    outcome: "circuit_open",
-                    latency_ms: 0.0,
-                });
-                return Err(SdkError::CircuitOpen(format!(
-                    "{name}: retry in {:.0}ms",
-                    retry_after.as_secs_f64() * 1000.0
-                )));
-            }
-        }
-        let (retries, backoff) = {
-            let policy = self.policy.read();
-            (policy.retries_for(name), policy.backoff)
-        };
-        let (outcome, _) = invoke_with_backoff_governed(
-            service,
-            request,
-            retries,
-            backoff,
-            &self.monitor,
-            &self.telemetry,
-            ctx,
-            &gov,
-        );
-        self.telemetry.tracer().emit(ctx, || EventKind::InvokeEnd {
-            service: name.to_string(),
-            outcome: outcome_kind(&outcome.result),
-            latency_ms: duration_ms(outcome.latency),
-        });
-        match outcome.result {
-            Ok(r) => Ok(r),
-            Err(ServiceError::BadRequest(m)) => Err(SdkError::Rejected(m)),
-            Err(e) => Err(SdkError::AllFailed(format!("{name}: {e}"))),
-        }
+        self.core.invoke(name, request, call)
     }
 
     /// Invokes with read-through caching: a fresh cached response for the
@@ -417,12 +404,12 @@ impl RichSdk {
         name: &str,
         request: &Request,
     ) -> Result<(Response, bool), SdkError> {
-        self.invoke_cached_outcome(name, request)
+        self.invoke_cached_with(name, request, &self.call())
             .map(|(response, source)| (response, source.served_locally()))
     }
 
-    /// As [`invoke_cached`](RichSdk::invoke_cached), reporting *how* the
-    /// response was obtained:
+    /// As [`invoke_cached`](RichSdk::invoke_cached), in the caller's
+    /// context and reporting *how* the response was obtained:
     ///
     /// * [`FetchSource::Hit`] — a live cache entry, no service call;
     /// * [`FetchSource::Coalesced`] — this caller joined another caller's
@@ -439,40 +426,24 @@ impl RichSdk {
     ///
     /// As for [`invoke`](RichSdk::invoke); a coalesced caller receives
     /// the leader's error verbatim.
-    pub fn invoke_cached_outcome(
+    pub fn invoke_cached_with(
         &self,
         name: &str,
         request: &Request,
-    ) -> Result<(Response, FetchSource), SdkError> {
-        let ctx = self.telemetry.tracer().new_trace();
-        self.invoke_cached_outcome_in(name, request, &ctx)
-    }
-
-    /// As [`invoke_cached_outcome`](RichSdk::invoke_cached_outcome),
-    /// inside a caller-provided span.
-    ///
-    /// # Errors
-    ///
-    /// As for [`invoke`](RichSdk::invoke); a coalesced caller receives
-    /// the leader's error verbatim.
-    pub fn invoke_cached_outcome_in(
-        &self,
-        name: &str,
-        request: &Request,
-        ctx: &SpanCtx,
+        call: &Call<'_>,
     ) -> Result<(Response, FetchSource), SdkError> {
         let key = format!("{name}::{}", request.cache_key());
-        match self.cache.lookup_traced(&key, ctx) {
+        match self.cache.lookup(&key, &call.span) {
             Lookup::Fresh(hit) => Ok((Response::new(hit), FetchSource::Hit)),
             Lookup::Stale(stale) => {
                 // Serve the stale value immediately; at most one refresh
                 // per key runs in the background (followers skip it).
-                if let FlightJoin::Leader(guard) = self.cache.join_flight(&key) {
-                    self.spawn_refresh(name, request.clone(), guard, ctx);
+                if let FlightJoin::Leader(guard) = self.cache.join_flight(&key, &call.span) {
+                    self.spawn_refresh(name, request.clone(), guard, call.span);
                 }
                 Ok((Response::new(stale), FetchSource::Stale))
             }
-            Lookup::Absent => match self.cache.join_flight(&key) {
+            Lookup::Absent => match self.cache.join_flight(&key, &call.span) {
                 FlightJoin::Leader(guard) => {
                     // Double-check after winning leadership: a previous
                     // flight may have published between our miss and now.
@@ -480,23 +451,9 @@ impl RichSdk {
                         guard.complete_cached(value.clone());
                         return Ok((Response::new(value), FetchSource::Hit));
                     }
-                    let service = match self.service(name) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            guard.complete(Err(e.clone()));
-                            return Err(e);
-                        }
-                    };
-                    match self.invoke_traced(&service, request, ctx) {
-                        Ok(response) => {
-                            guard.complete(Ok(response.payload.clone()));
-                            Ok((response, FetchSource::Fetched))
-                        }
-                        Err(e) => {
-                            guard.complete(Err(e.clone()));
-                            Err(e)
-                        }
-                    }
+                    let result = self.core.invoke(name, request, call);
+                    guard.complete(result.clone().map(|response| response.payload));
+                    result.map(|response| (response, FetchSource::Fetched))
                 }
                 FlightJoin::Follower(future) => match (*future.wait()).clone() {
                     Ok(value) => Ok((Response::new(value), FetchSource::Coalesced)),
@@ -510,48 +467,14 @@ impl RichSdk {
     /// outcome through `guard`. The refresh is governed exactly like a
     /// foreground invocation: breaker admission first, then the retry
     /// loop under a fresh deadline budget.
-    fn spawn_refresh(&self, name: &str, request: Request, guard: FlightGuard, parent: &SpanCtx) {
-        let registry = self.registry.clone();
-        let monitor = self.monitor.clone();
-        let telemetry = self.telemetry.clone();
-        let breakers = self.breakers.clone();
-        let clock = self.clock.clone();
-        let default_deadline = self.default_deadline;
-        let (retries, backoff) = {
-            let policy = self.policy.read();
-            (policy.retries_for(name), policy.backoff)
-        };
+    fn spawn_refresh(&self, name: &str, request: Request, guard: FlightGuard, parent: SpanCtx) {
+        let core = self.core.clone();
         let name = name.to_string();
-        let parent = *parent;
         self.pool.submit_in(Some(&parent), move || {
-            let Some(service) = registry.get(&name) else {
-                guard.complete(Err(SdkError::UnknownService(name)));
-                return;
-            };
             // The refresh stays in the requester's trace (and tenant).
-            let ctx = telemetry.tracer().child(&parent);
-            let deadline = match default_deadline {
-                Some(budget) => Deadline::within(&clock, budget),
-                None => Deadline::NONE,
-            };
-            let gov = Governance::new(breakers, deadline);
-            if let Some(b) = &gov.breakers {
-                if let Admission::Rejected { retry_after } = b.admit(&name, &ctx) {
-                    guard.complete(Err(SdkError::CircuitOpen(format!(
-                        "{name}: retry in {:.0}ms",
-                        retry_after.as_secs_f64() * 1000.0
-                    ))));
-                    return;
-                }
-            }
-            let (outcome, _) = invoke_with_backoff_governed(
-                &service, &request, retries, backoff, &monitor, &telemetry, &ctx, &gov,
-            );
-            guard.complete(match outcome.result {
-                Ok(r) => Ok(r.payload),
-                Err(ServiceError::BadRequest(m)) => Err(SdkError::Rejected(m)),
-                Err(e) => Err(SdkError::AllFailed(format!("{name}: {e}"))),
-            });
+            let call = core.call(core.telemetry.tracer().child(&parent));
+            let result = core.invoke(&name, &request, &call);
+            guard.complete(result.map(|response| response.payload));
         });
     }
 
@@ -581,48 +504,24 @@ impl RichSdk {
     }
 
     /// Invokes asynchronously on the worker pool, returning a
-    /// [`ListenableFuture`] (§2's asynchronous invocation).
+    /// [`ListenableFuture`] (§2's asynchronous invocation). The result
+    /// is what [`invoke`](RichSdk::invoke) would have returned.
     pub fn invoke_async(
         &self,
         name: &str,
         request: Request,
     ) -> ListenableFuture<Result<Response, SdkError>> {
-        let registry = self.registry.clone();
-        let monitor = self.monitor.clone();
-        let telemetry = self.telemetry.clone();
-        let (retries, backoff) = {
-            let policy = self.policy.read();
-            (policy.retries_for(name), policy.backoff)
-        };
+        let core = self.core.clone();
         let name = name.to_string();
         self.pool.submit(move || {
-            let Some(service) = registry.get(&name) else {
-                return Err(SdkError::UnknownService(name));
-            };
-            let ctx = telemetry.tracer().new_trace();
-            telemetry.tracer().emit(&ctx, || EventKind::InvokeStart {
-                class: service.class().to_string(),
-                operation: request.operation.clone(),
-            });
-            let (outcome, _) = invoke_with_backoff_traced(
-                &service, &request, retries, backoff, &monitor, &telemetry, &ctx,
-            );
-            telemetry.tracer().emit(&ctx, || EventKind::InvokeEnd {
-                service: name.clone(),
-                outcome: outcome_kind(&outcome.result),
-                latency_ms: duration_ms(outcome.latency),
-            });
-            match outcome.result {
-                Ok(r) => Ok(r),
-                Err(ServiceError::BadRequest(m)) => Err(SdkError::Rejected(m)),
-                Err(e) => Err(SdkError::AllFailed(format!("{name}: {e}"))),
-            }
+            let call = core.call(core.telemetry.tracer().new_trace());
+            core.invoke(&name, &request, &call)
         })
     }
 
     /// Ranks the services of a class (§2's Eq. 1 / Eq. 2 machinery).
     pub fn rank(&self, class: &str, options: &RankOptions) -> Vec<RankedService> {
-        rank_class(&self.registry, &self.monitor, class, options)
+        rank_class(&self.core.registry, &self.core.monitor, class, options)
     }
 
     /// Selects from a class by rank and invokes with failover down the
@@ -638,66 +537,35 @@ impl RichSdk {
         request: &Request,
         options: &RankOptions,
     ) -> Result<FailoverSuccess, SdkError> {
-        let ctx = self.telemetry.tracer().new_trace();
-        self.invoke_class_governed(class, request, options, self.governance(), &ctx)
+        self.invoke_class_with(class, request, options, &self.call())
     }
 
-    /// As [`invoke_class`](RichSdk::invoke_class), inside a
-    /// caller-provided span.
-    ///
-    /// # Errors
-    ///
-    /// As for [`invoke_class`](RichSdk::invoke_class).
-    pub fn invoke_class_in(
-        &self,
-        class: &str,
-        request: &Request,
-        options: &RankOptions,
-        ctx: &SpanCtx,
-    ) -> Result<FailoverSuccess, SdkError> {
-        self.invoke_class_governed(class, request, options, self.governance(), ctx)
-    }
-
-    /// As [`RichSdk::invoke_class`], bounded by an end-to-end budget:
-    /// no failover leg starts (and no backoff sleep is taken) once
-    /// `budget` has elapsed, regardless of how many candidates remain.
+    /// As [`invoke_class`](RichSdk::invoke_class), in the caller's
+    /// context. With a [`Call::deadline`] it is bounded end to end: no
+    /// failover leg starts (and no backoff sleep is taken) once the
+    /// budget has elapsed, regardless of how many candidates remain.
     ///
     /// # Errors
     ///
     /// As for [`invoke_class`](RichSdk::invoke_class), plus
     /// [`SdkError::DeadlineExceeded`] when the budget runs out.
-    pub fn invoke_class_within(
+    pub fn invoke_class_with(
         &self,
         class: &str,
         request: &Request,
         options: &RankOptions,
-        budget: Duration,
+        call: &Call<'_>,
     ) -> Result<FailoverSuccess, SdkError> {
-        let gov = self
-            .governance()
-            .deadline(Deadline::within(&self.clock, budget));
-        let ctx = self.telemetry.tracer().new_trace();
-        self.invoke_class_governed(class, request, options, gov, &ctx)
-    }
-
-    fn invoke_class_governed(
-        &self,
-        class: &str,
-        request: &Request,
-        options: &RankOptions,
-        gov: Governance,
-        ctx: &SpanCtx,
-    ) -> Result<FailoverSuccess, SdkError> {
+        let call = self.core.budgeted(call);
         let ranked = self.rank(class, options);
         if ranked.is_empty() {
             return Err(SdkError::EmptyClass(class.to_string()));
         }
-        self.telemetry
-            .tracer()
-            .emit(ctx, || EventKind::InvokeStart {
-                class: class.to_string(),
-                operation: request.operation.clone(),
-            });
+        let tracer = call.telemetry.tracer();
+        tracer.emit(&call.span, || EventKind::InvokeStart {
+            class: class.to_string(),
+            operation: request.operation.clone(),
+        });
         // Latency predictions the ranking was based on, so the winner's
         // observed latency can be compared against what was promised.
         let predictions: Vec<(String, f64)> = ranked
@@ -705,37 +573,27 @@ impl RichSdk {
             .map(|r| (r.service.name().to_string(), r.inputs.response_ms))
             .collect();
         let candidates: Vec<Arc<SimService>> = ranked.into_iter().map(|r| r.service).collect();
-        let policy = self.policy.read().clone();
-        let result = invoke_failover_governed(
-            &candidates,
-            request,
-            &policy,
-            &self.monitor,
-            &self.telemetry,
-            ctx,
-            &gov,
-        );
-        if self.telemetry.is_enabled() {
+        let policy = self.core.policy.read().clone();
+        let result = call.failover(&candidates, request, &policy);
+        if call.telemetry.is_enabled() {
             match &result {
                 Ok(ok) => {
                     if let Some((_, predicted)) =
                         predictions.iter().find(|(name, _)| *name == ok.service)
                     {
                         let predicted = *predicted;
-                        self.telemetry
-                            .tracer()
-                            .emit(ctx, || EventKind::PredictionIssued {
-                                service: ok.service.clone(),
-                                predicted_ms: predicted,
-                                observed_ms: ok.latency_ms,
-                            });
-                        self.telemetry.metrics().observe(
+                        tracer.emit(&call.span, || EventKind::PredictionIssued {
+                            service: ok.service.clone(),
+                            predicted_ms: predicted,
+                            observed_ms: ok.latency_ms,
+                        });
+                        call.telemetry.metrics().observe(
                             "sdk_prediction_error_ms",
                             &[("service", &ok.service)],
                             (ok.latency_ms - predicted).abs(),
                         );
                     }
-                    self.telemetry.tracer().emit(ctx, || EventKind::InvokeEnd {
+                    tracer.emit(&call.span, || EventKind::InvokeEnd {
                         service: ok.service.clone(),
                         outcome: "ok",
                         latency_ms: ok.latency_ms,
@@ -743,7 +601,7 @@ impl RichSdk {
                 }
                 Err(e) => {
                     let kind = e.kind();
-                    self.telemetry.tracer().emit(ctx, || EventKind::InvokeEnd {
+                    tracer.emit(&call.span, || EventKind::InvokeEnd {
                         service: class.to_string(),
                         outcome: kind,
                         latency_ms: 0.0,
@@ -780,80 +638,40 @@ impl RichSdk {
             .take(k.max(1))
             .map(|r| r.service)
             .collect();
-        let monitor = self.monitor.clone();
-        let policy = self.policy.read().clone();
+        let root = self.core.budgeted(&self.call());
+        root.telemetry
+            .tracer()
+            .emit(&root.span, || EventKind::InvokeStart {
+                class: class.to_string(),
+                operation: request.operation.clone(),
+            });
+        let core = self.core.clone();
+        let policy = core.policy.read().clone();
         let request = request.clone();
-        let telemetry = self.telemetry.clone();
-        let ctx = telemetry.tracer().new_trace();
-        telemetry.tracer().emit(&ctx, || EventKind::InvokeStart {
-            class: class.to_string(),
-            operation: request.operation.clone(),
-        });
-        let gov = self.governance();
+        let (span, deadline) = (root.span, root.deadline);
         let legs: Vec<RedundantLeg> = self.pool.map_all(candidates, move |service| {
-            let leg_ctx = telemetry.tracer().child(&ctx);
+            let leg = core
+                .call(core.telemetry.tracer().child(&span))
+                .deadline(deadline);
             // A tripped breaker fails the leg without calling the service,
             // so redundant fan-out never wastes pool slots on known-bad
             // replicas.
-            if let Some(breakers) = &gov.breakers {
-                if !breakers.admit(service.name(), &leg_ctx).is_allowed() {
-                    return RedundantLeg {
-                        service: service.name().to_string(),
-                        result: Err(ServiceError::Unavailable),
-                    };
-                }
-            }
-            let retries = policy.retries_for(service.name());
-            let (outcome, _) = invoke_with_backoff_governed(
-                &service,
-                &request,
-                retries,
-                policy.backoff,
-                &monitor,
-                &telemetry,
-                &leg_ctx,
-                &gov,
-            );
+            let admitted = leg
+                .breakers
+                .is_none_or(|b| b.admit(service.name(), &leg.span).is_allowed());
             RedundantLeg {
                 service: service.name().to_string(),
-                result: outcome.result,
+                result: if admitted {
+                    let retries = policy.retries_for(service.name());
+                    leg.retry(&service, &request, retries, policy.backoff)
+                        .0
+                        .result
+                } else {
+                    Err(ServiceError::Unavailable)
+                },
             }
         });
-        if self.telemetry.is_enabled() {
-            let winner = legs.iter().position(|l| l.result.is_ok());
-            for (i, leg) in legs.iter().enumerate() {
-                let won = winner == Some(i);
-                self.telemetry.tracer().emit(&ctx, || {
-                    if won {
-                        EventKind::RedundantLegWon {
-                            service: leg.service.clone(),
-                        }
-                    } else {
-                        EventKind::RedundantLegLost {
-                            service: leg.service.clone(),
-                            outcome: outcome_kind(&leg.result),
-                        }
-                    }
-                });
-                self.telemetry.metrics().inc_counter(
-                    "sdk_redundant_legs_total",
-                    &[
-                        ("service", &leg.service),
-                        ("result", if won { "won" } else { "lost" }),
-                    ],
-                );
-            }
-        }
-        let successes = legs.iter().filter(|l| l.result.is_ok()).count();
-        match mode {
-            RedundantMode::All => Ok(legs),
-            RedundantMode::FirstSuccess if successes > 0 => Ok(legs),
-            RedundantMode::Quorum(need) if successes >= need => Ok(legs),
-            RedundantMode::FirstSuccess => Err(SdkError::AllFailed("no service responded".into())),
-            RedundantMode::Quorum(need) => Err(SdkError::AllFailed(format!(
-                "quorum not met: {successes}/{need}"
-            ))),
-        }
+        root.settle(legs, mode)
     }
 }
 
@@ -1173,7 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn invoke_class_within_bounds_total_latency() {
+    fn invoke_class_deadline_bounds_total_latency() {
         let env = SimEnv::with_seed(42);
         let sdk = RichSdk::with_resilience(
             &env,
@@ -1193,12 +1011,13 @@ mod tests {
             );
         }
         let t0 = env.clock().now();
+        let budget = Deadline::within(env.clock(), Duration::from_millis(5));
         let err = sdk
-            .invoke_class_within(
+            .invoke_class_with(
                 "s",
                 &req(),
                 &RankOptions::default(),
-                Duration::from_millis(5),
+                &sdk.call().deadline(budget),
             )
             .unwrap_err();
         assert!(matches!(err, SdkError::DeadlineExceeded(_)), "{err}");
@@ -1211,6 +1030,70 @@ mod tests {
             .map(|n| sdk.registry().get(n).unwrap().stats().0)
             .sum();
         assert_eq!(calls, 1, "only the first leg's first attempt may run");
+    }
+
+    #[test]
+    fn invoke_async_is_governed_like_invoke() {
+        let env = SimEnv::with_seed(43);
+        let sdk = RichSdk::with_resilience(
+            &env,
+            cogsdk_obs::Telemetry::disabled(),
+            ResilienceOptions {
+                breakers: Some(BreakerConfig {
+                    window: 8,
+                    min_calls: 3,
+                    trip_error_rate: 0.5,
+                    open_for: Duration::from_secs(60),
+                    half_open_probes: 1,
+                }),
+                default_deadline: Some(Duration::from_millis(100)),
+            },
+        );
+        sdk.register(
+            SimService::builder("svc", "s")
+                .latency(LatencyModel::constant_ms(1.0))
+                .failures(FailurePlan::flaky(1.0))
+                .timeout(Duration::from_millis(40))
+                .build(&env),
+        );
+        sdk.register(
+            SimService::builder("healthy", "s")
+                .latency(LatencyModel::constant_ms(1.0))
+                .build(&env),
+        );
+        sdk.set_policy(InvocationPolicy {
+            default_retries: 9,
+            ..InvocationPolicy::default()
+        });
+        let calls = |name: &str| sdk.registry().get(name).unwrap().stats().0;
+        let breakers = sdk.breakers().unwrap();
+
+        // A success through the async path lands in the breaker's window.
+        assert!(sdk.invoke_async("healthy", req()).wait().is_ok());
+        assert_eq!(breakers.breaker("healthy").error_rate(), 0.0);
+        breakers.record("healthy", false, &sdk.call().span);
+        assert_eq!(
+            breakers.breaker("healthy").error_rate(),
+            0.5,
+            "one async success + one recorded failure"
+        );
+
+        // The default 100ms budget stops the retry sequence: each failed
+        // attempt burns the 40ms timeout, so attempts 1-3 start inside the
+        // budget and the other seven retries never run.
+        let result = sdk.invoke_async("svc", req()).wait();
+        assert!(matches!(*result, Err(SdkError::AllFailed(_))), "{result:?}");
+        assert_eq!(calls("svc"), 3);
+
+        // Those three failures tripped the breaker: the next async call is
+        // rejected without touching the service.
+        assert_eq!(breakers.state("svc"), crate::resilience::BreakerState::Open);
+        let result = sdk.invoke_async("svc", req()).wait();
+        assert!(
+            matches!(*result, Err(SdkError::CircuitOpen(_))),
+            "{result:?}"
+        );
+        assert_eq!(calls("svc"), 3, "the open breaker was consulted first");
     }
 
     #[test]

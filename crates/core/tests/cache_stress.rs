@@ -179,7 +179,9 @@ fn sdk_invoke_cached_coalesces_a_thundering_herd() {
             let (barrier, fetched) = (&barrier, &fetched);
             scope.spawn(move || {
                 barrier.wait();
-                let (response, source) = sdk.invoke_cached_outcome("ocr", &request).unwrap();
+                let (response, source) = sdk
+                    .invoke_cached_with("ocr", &request, &sdk.call())
+                    .unwrap();
                 assert_eq!(response.payload, json!({"doc": "invoice-7"}));
                 if source == FetchSource::Fetched {
                     fetched.fetch_add(1, Ordering::SeqCst);
@@ -221,7 +223,7 @@ fn stale_window_serves_stale_while_one_background_refresh_runs() {
     );
     let request = Request::new("lookup", json!({"entity": "ibm"}));
     // Prime the cache.
-    let (_, source) = sdk.invoke_cached_outcome("kb", &request).unwrap();
+    let (_, source) = sdk.invoke_cached_with("kb", &request, &sdk.call()).unwrap();
     assert_eq!(source, FetchSource::Fetched);
     // Expire the entry into the stale window.
     env.clock().advance(Duration::from_secs(45));
@@ -235,7 +237,8 @@ fn stale_window_serves_stale_while_one_background_refresh_runs() {
             let (barrier, stale_serves) = (&barrier, &stale_serves);
             scope.spawn(move || {
                 barrier.wait();
-                let (response, source) = sdk.invoke_cached_outcome("kb", &request).unwrap();
+                let (response, source) =
+                    sdk.invoke_cached_with("kb", &request, &sdk.call()).unwrap();
                 assert_eq!(response.payload, json!({"entity": "ibm"}));
                 // Nobody waits for the refresh: stale data now beats
                 // fresh data later. (A caller arriving after the refresh
@@ -260,7 +263,7 @@ fn stale_window_serves_stale_while_one_background_refresh_runs() {
     // the prime call plus one refresh.
     let wait_start = std::time::Instant::now();
     loop {
-        let (_, source) = sdk.invoke_cached_outcome("kb", &request).unwrap();
+        let (_, source) = sdk.invoke_cached_with("kb", &request, &sdk.call()).unwrap();
         let (calls, _) = sdk.registry().get("kb").unwrap().stats();
         assert!(calls <= 2, "more than one background refresh ran: {calls}");
         if source == FetchSource::Hit {

@@ -8,8 +8,8 @@
 //! over.** Everything runs on the virtual clock with fixed seeds, so the
 //! numbers are bit-for-bit reproducible.
 
-use cogsdk_core::invoke::{invoke_failover_governed, InvocationPolicy};
-use cogsdk_core::resilience::{BreakerConfig, BreakerRegistry, Deadline, Governance};
+use cogsdk_core::invoke::{Call, InvocationPolicy};
+use cogsdk_core::resilience::{BreakerConfig, BreakerRegistry, Deadline};
 use cogsdk_core::{BreakerState, ServiceMonitor};
 use cogsdk_obs::{prometheus_text, Telemetry};
 use cogsdk_sim::chaos::{ChaosScenario, Fault};
@@ -74,8 +74,8 @@ fn breaker_cfg() -> BreakerConfig {
 
 /// Issues one failover request at virtual time `at`, returning the
 /// end-to-end latency and the failover result. The clock is advanced to
-/// `at` *before* the governance (and any deadline) is materialized, so a
-/// per-request budget starts ticking at the request's start.
+/// `at` *before* the call context (and any deadline) is materialized, so
+/// a per-request budget starts ticking at the request's start.
 #[allow(clippy::too_many_arguments)]
 fn request_at(
     env: &SimEnv,
@@ -95,19 +95,12 @@ fn request_at(
         Some(budget) => Deadline::within(clock, budget),
         None => Deadline::NONE,
     };
-    let gov = Governance::new(breakers.clone(), deadline);
     let started = clock.now();
-    let ctx = telemetry.tracer().new_trace();
+    let call = Call::new(monitor, telemetry, telemetry.tracer().new_trace())
+        .breakers(breakers.as_deref())
+        .deadline(deadline);
     let request = Request::new("recognize", cogsdk_json::json!({"img": 1}));
-    let result = invoke_failover_governed(
-        candidates,
-        &request,
-        &policy(),
-        monitor,
-        telemetry,
-        &ctx,
-        &gov,
-    );
+    let result = call.failover(candidates, &request, &policy());
     (clock.now().since(started), result)
 }
 

@@ -17,13 +17,26 @@
 //! repeated federation pulls do not re-pay full re-materialization.
 
 use crate::KbError;
-use cogsdk_core::invoke::invoke_with_retry_within;
-use cogsdk_core::{Deadline, ServiceMonitor};
+use cogsdk_core::{Call, SdkError};
 use cogsdk_json::{json, Json};
 use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::{Statement, Term};
-use cogsdk_sim::service::{Request, ServiceError, SimService};
+use cogsdk_sim::service::{Request, SimService};
 use std::sync::Arc;
+
+/// How many times a remote source is retried before giving up.
+const RETRIES: usize = 2;
+
+/// A remote call's failure as the KB reports it: a rejected query is an
+/// RDF error; an unreachable source, a spent budget or an open breaker is
+/// a storage error.
+fn remote_error(e: SdkError) -> KbError {
+    match e {
+        SdkError::Rejected(m) => KbError::Rdf(m),
+        SdkError::AllFailed(m) => KbError::Store(m),
+        other => KbError::Store(other.to_string()),
+    }
+}
 
 /// Decodes the knowledge-service JSON term encoding
 /// (`{"type": "iri"|"literal"|"bnode", "value": …}`).
@@ -50,42 +63,24 @@ fn decode_term(v: &Json) -> Option<Term> {
 
 /// Runs a SPARQL query against a remote knowledge service and returns its
 /// bindings as [`Solution`]s (the same shape local queries produce, so
-/// results merge trivially).
-///
-/// # Errors
-///
-/// [`KbError::Store`] for unreachable services, [`KbError::Rdf`] for
-/// query rejections or malformed responses.
-pub fn query_remote(
-    service: &Arc<SimService>,
-    monitor: &ServiceMonitor,
-    sparql: &str,
-) -> Result<Vec<Solution>, KbError> {
-    query_remote_within(service, monitor, sparql, Deadline::NONE)
-}
-
-/// As [`query_remote`], bounded by an end-to-end deadline: the query is
-/// refused outright once the budget is spent, and retries never start
+/// results merge trivially). Bounded by the context's deadline: the query
+/// is refused outright once the budget is spent, and retries never start
 /// past it — a slow federated source cannot stall a refresh forever.
 ///
 /// # Errors
 ///
-/// As for [`query_remote`], with deadline exhaustion surfacing as
-/// [`KbError::Store`].
-pub fn query_remote_within(
+/// [`KbError::Store`] for unreachable services or an exhausted deadline,
+/// [`KbError::Rdf`] for query rejections or malformed responses.
+pub fn query_remote(
     service: &Arc<SimService>,
-    monitor: &ServiceMonitor,
     sparql: &str,
-    deadline: Deadline,
+    call: &Call<'_>,
 ) -> Result<Vec<Solution>, KbError> {
     let request = Request::new("sparql", json!({"op": "sparql", "query": (sparql)}));
-    let outcome = invoke_with_retry_within(service, &request, 2, monitor, deadline)
-        .map_err(|e| KbError::Store(e.to_string()))?;
-    let payload = match outcome.result {
-        Ok(resp) => resp.payload,
-        Err(ServiceError::BadRequest(m)) => return Err(KbError::Rdf(m)),
-        Err(e) => return Err(KbError::Store(format!("{}: {e}", service.name()))),
-    };
+    let payload = call
+        .invoke(service, &request, RETRIES)
+        .map_err(remote_error)?
+        .payload;
     let bindings = payload
         .get("bindings")
         .and_then(Json::as_array)
@@ -116,7 +111,8 @@ pub struct RemoteFacts {
 }
 
 /// Fetches every fact a knowledge source has about `entity_id` and
-/// rewrites the subject into the local `kb:` namespace.
+/// rewrites the subject into the local `kb:` namespace. Bounded by the
+/// context's deadline like [`query_remote`].
 ///
 /// # Errors
 ///
@@ -124,35 +120,16 @@ pub struct RemoteFacts {
 /// [`KbError::Store`]/[`KbError::Rdf`] as for [`query_remote`].
 pub fn describe_remote(
     service: &Arc<SimService>,
-    monitor: &ServiceMonitor,
     entity_id: &str,
-) -> Result<RemoteFacts, KbError> {
-    describe_remote_within(service, monitor, entity_id, Deadline::NONE)
-}
-
-/// As [`describe_remote`], bounded by an end-to-end deadline (see
-/// [`query_remote_within`]).
-///
-/// # Errors
-///
-/// As for [`describe_remote`], with deadline exhaustion surfacing as
-/// [`KbError::Store`].
-pub fn describe_remote_within(
-    service: &Arc<SimService>,
-    monitor: &ServiceMonitor,
-    entity_id: &str,
-    deadline: Deadline,
+    call: &Call<'_>,
 ) -> Result<RemoteFacts, KbError> {
     let request = Request::new("describe", json!({"op": "describe", "entity": (entity_id)}));
-    let outcome = invoke_with_retry_within(service, &request, 2, monitor, deadline)
-        .map_err(|e| KbError::Store(e.to_string()))?;
-    let payload = match outcome.result {
-        Ok(resp) => resp.payload,
-        Err(ServiceError::BadRequest(m)) if m.starts_with("404") => {
+    let payload = match call.invoke(service, &request, RETRIES) {
+        Ok(response) => response.payload,
+        Err(SdkError::Rejected(m)) if m.starts_with("404") => {
             return Err(KbError::UnknownEntity(entity_id.to_string()))
         }
-        Err(ServiceError::BadRequest(m)) => return Err(KbError::Rdf(m)),
-        Err(e) => return Err(KbError::Store(format!("{}: {e}", service.name()))),
+        Err(e) => return Err(remote_error(e)),
     };
     let facts = payload
         .get("facts")
@@ -245,6 +222,7 @@ mod tests {
         }
     }
 
+    use cogsdk_core::{Deadline, ServiceMonitor};
     use cogsdk_sim::SimEnv;
 
     #[test]
@@ -252,7 +230,8 @@ mod tests {
         let env = SimEnv::with_seed(1);
         let svc = mini_knowledge_service(&env);
         let monitor = ServiceMonitor::new();
-        let rows = query_remote(&svc, &monitor, "SELECT ?c ?p WHERE { ... }").unwrap();
+        let rows =
+            query_remote(&svc, "SELECT ?c ?p WHERE { ... }", &Call::plain(&monitor)).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0]["c"], Term::iri("db:germany"));
         assert_eq!(rows[0]["p"], Term::integer(82));
@@ -265,7 +244,7 @@ mod tests {
         let env = SimEnv::with_seed(2);
         let svc = mini_knowledge_service(&env);
         let monitor = ServiceMonitor::new();
-        let facts = describe_remote(&svc, &monitor, "germany").unwrap();
+        let facts = describe_remote(&svc, "germany", &Call::plain(&monitor)).unwrap();
         assert_eq!(facts.statements.len(), 3);
         assert!(facts.statements.contains(&Statement::new(
             Term::iri("kb:germany"),
@@ -285,7 +264,7 @@ mod tests {
         let svc = mini_knowledge_service(&env);
         let monitor = ServiceMonitor::new();
         assert!(matches!(
-            describe_remote(&svc, &monitor, "atlantis"),
+            describe_remote(&svc, "atlantis", &Call::plain(&monitor)),
             Err(KbError::UnknownEntity(_))
         ));
     }
@@ -297,15 +276,15 @@ mod tests {
         let monitor = ServiceMonitor::new();
         let expired = Deadline::within(env.clock(), std::time::Duration::ZERO);
         env.clock().advance(std::time::Duration::from_micros(1));
-        let err =
-            query_remote_within(&svc, &monitor, "SELECT ?c WHERE { ... }", expired).unwrap_err();
+        let call = Call::plain(&monitor);
+        let late = call.deadline(expired);
+        let err = query_remote(&svc, "SELECT ?c WHERE { ... }", &late).unwrap_err();
         assert!(matches!(err, KbError::Store(_)), "{err:?}");
-        let err = describe_remote_within(&svc, &monitor, "germany", expired).unwrap_err();
+        let err = describe_remote(&svc, "germany", &late).unwrap_err();
         assert!(matches!(err, KbError::Store(_)), "{err:?}");
         assert_eq!(svc.stats().0, 0, "no budget, no remote calls");
-        // An unbounded deadline behaves exactly like the plain calls.
-        let rows =
-            query_remote_within(&svc, &monitor, "SELECT ?c WHERE { ... }", Deadline::NONE).unwrap();
+        // Without a deadline the same calls go through.
+        let rows = query_remote(&svc, "SELECT ?c WHERE { ... }", &call).unwrap();
         assert_eq!(rows.len(), 2);
     }
 

@@ -40,6 +40,7 @@
 use crate::kb::PersonalKnowledgeBase;
 use crate::KbError;
 use cogsdk_core::ThreadPool;
+use cogsdk_obs::tenant_labels;
 use cogsdk_rdf::{Statement, Term};
 use cogsdk_text::analysis::{DocumentAnalysis, NluConfig};
 use parking_lot::{Condvar, Mutex};
@@ -691,19 +692,18 @@ fn publish_stage_metrics(
     let Some((metrics, tenant)) = kb.ingest_metrics_handle() else {
         return;
     };
-    let labeled = |stage: &'static str| -> Vec<(&str, &str)> {
-        let mut labels = vec![("stage", stage)];
-        if let Some(t) = tenant {
-            labels.push(("tenant", t));
-        }
-        labels
-    };
+    let tenant = tenant.unwrap_or("");
+    let labeled = |stage: &'static str| [("stage", stage), ("tenant", tenant)];
     for (stage, depth) in [
         ("analyze", analyze_q.depth()),
         ("intern", done_q.depth()),
         ("commit", commit_q.depth()),
     ] {
-        metrics.set_gauge("sdk_ingest_stage_depth", &labeled(stage), depth as f64);
+        metrics.set_gauge(
+            "sdk_ingest_stage_depth",
+            tenant_labels(&labeled(stage)),
+            depth as f64,
+        );
     }
     for (stage, docs) in [
         ("parse", counters.parsed.load(Ordering::Relaxed)),
@@ -711,7 +711,11 @@ fn publish_stage_metrics(
         ("intern", counters.interned.load(Ordering::Relaxed)),
         ("commit", counters.committed_docs.load(Ordering::Relaxed)),
     ] {
-        metrics.set_gauge("sdk_ingest_stage_docs", &labeled(stage), docs as f64);
+        metrics.set_gauge(
+            "sdk_ingest_stage_docs",
+            tenant_labels(&labeled(stage)),
+            docs as f64,
+        );
     }
     for (stage, stall) in [
         ("parse", credits.stall()),
@@ -720,28 +724,26 @@ fn publish_stage_metrics(
     ] {
         metrics.set_gauge(
             "sdk_ingest_stage_stall_ms",
-            &labeled(stage),
+            tenant_labels(&labeled(stage)),
             stall.as_secs_f64() * 1e3,
         );
     }
-    let base: Vec<(&str, &str)> = match tenant {
-        Some(t) => vec![("tenant", t)],
-        None => Vec::new(),
-    };
-    metrics.set_gauge("sdk_ingest_in_flight", &base, credits.in_flight() as f64);
+    let base = [("tenant", tenant)];
+    let base = tenant_labels(&base);
+    metrics.set_gauge("sdk_ingest_in_flight", base, credits.in_flight() as f64);
     metrics.set_gauge(
         "sdk_ingest_committed_documents",
-        &base,
+        base,
         counters.committed_docs.load(Ordering::Relaxed) as f64,
     );
     metrics.set_gauge(
         "sdk_ingest_committed_batches",
-        &base,
+        base,
         counters.committed_batches.load(Ordering::Relaxed) as f64,
     );
     metrics.set_gauge(
         "sdk_ingest_committed_statements",
-        &base,
+        base,
         counters.committed_statements.load(Ordering::Relaxed) as f64,
     );
 }

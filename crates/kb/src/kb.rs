@@ -4,7 +4,7 @@ use crate::analytics::{regress_table, RegressionFacts};
 use crate::convert::{graph_to_text, sanitize, table_to_statements, text_to_graph};
 use crate::KbError;
 use bytes::Bytes;
-use cogsdk_obs::Telemetry;
+use cogsdk_obs::{tenant_labels, Telemetry};
 use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::reason::TriplePattern;
 use cogsdk_rdf::weighted::{WeightedGraph, WeightedReasoner};
@@ -252,18 +252,12 @@ impl PersonalKnowledgeBase {
             if delta == 0 {
                 continue;
             }
-            match self.tenant.as_deref() {
-                Some(t) => metrics.add_counter(
-                    "cache_requests_total",
-                    &[KB_CACHE, ("result", result), ("tenant", t)],
-                    delta,
-                ),
-                None => metrics.add_counter(
-                    "cache_requests_total",
-                    &[KB_CACHE, ("result", result)],
-                    delta,
-                ),
-            }
+            let tenant = self.tenant.as_deref().unwrap_or("");
+            metrics.add_counter(
+                "cache_requests_total",
+                tenant_labels(&[KB_CACHE, ("result", result), ("tenant", tenant)]),
+                delta,
+            );
         }
     }
 
@@ -664,28 +658,23 @@ impl PersonalKnowledgeBase {
         if !self.telemetry.is_enabled() {
             return;
         }
-        fn labeled<'a>(
-            mut labels: Vec<(&'a str, &'a str)>,
-            tenant: Option<&'a str>,
-        ) -> Vec<(&'a str, &'a str)> {
-            if let Some(t) = tenant {
-                labels.push(("tenant", t));
-            }
-            labels
-        }
         let metrics = self.telemetry.metrics();
-        let tenant = self.tenant.as_deref();
-        let base = labeled(Vec::new(), tenant);
-        metrics.add_counter("sdk_query_total", &base, 1);
-        metrics.add_counter("sdk_query_rows_total", &base, stats.rows as u64);
-        metrics.observe("sdk_query_plan_micros", &base, stats.plan_micros as f64);
+        let tenant = self.tenant.as_deref().unwrap_or("");
+        let base = [("tenant", tenant)];
+        let base = tenant_labels(&base);
+        metrics.add_counter("sdk_query_total", base, 1);
+        metrics.add_counter("sdk_query_rows_total", base, stats.rows as u64);
+        metrics.observe("sdk_query_plan_micros", base, stats.plan_micros as f64);
         for (strategy, count) in [
             ("merge", stats.merge_joins),
             ("nested_loop", stats.loop_joins),
         ] {
             if count > 0 {
-                let labels = labeled(vec![("strategy", strategy)], tenant);
-                metrics.add_counter("sdk_query_joins_total", &labels, count as u64);
+                metrics.add_counter(
+                    "sdk_query_joins_total",
+                    tenant_labels(&[("strategy", strategy), ("tenant", tenant)]),
+                    count as u64,
+                );
             }
         }
     }
@@ -783,37 +772,22 @@ impl PersonalKnowledgeBase {
     /// Runs a SPARQL query against the local graph *and* a remote
     /// knowledge source, merging the solutions (local first). The paper's
     /// KB "uses \[SPARQL\] to query data sources such as DBpedia" alongside
-    /// its own store.
+    /// its own store. The remote leg runs in the caller's context: the
+    /// local graph always answers, but no remote attempt starts past the
+    /// context's deadline.
     ///
     /// # Errors
     ///
-    /// Local parse errors or remote failures.
+    /// Local parse errors or remote failures; deadline exhaustion
+    /// surfaces as [`KbError::Store`].
     pub fn query_federated(
         &self,
         service: &Arc<cogsdk_sim::SimService>,
-        monitor: &cogsdk_core::ServiceMonitor,
         sparql: &str,
-    ) -> Result<Vec<Solution>, KbError> {
-        self.query_federated_within(service, monitor, sparql, cogsdk_core::Deadline::NONE)
-    }
-
-    /// As [`query_federated`](Self::query_federated), with the remote leg
-    /// bounded by an end-to-end deadline: the local graph always answers,
-    /// but no remote attempt starts past the budget.
-    ///
-    /// # Errors
-    ///
-    /// As for [`query_federated`](Self::query_federated); deadline
-    /// exhaustion surfaces as [`KbError::Store`].
-    pub fn query_federated_within(
-        &self,
-        service: &Arc<cogsdk_sim::SimService>,
-        monitor: &cogsdk_core::ServiceMonitor,
-        sparql: &str,
-        deadline: cogsdk_core::Deadline,
+        call: &cogsdk_core::Call<'_>,
     ) -> Result<Vec<Solution>, KbError> {
         let mut local = self.query(sparql)?;
-        let remote = crate::federation::query_remote_within(service, monitor, sparql, deadline)?;
+        let remote = crate::federation::query_remote(service, sparql, call)?;
         for solution in remote {
             if !local.contains(&solution) {
                 local.push(solution);
@@ -827,38 +801,19 @@ impl PersonalKnowledgeBase {
     /// SDK thread pool so total latency tracks the *slowest* source, not
     /// the sum. Each leg runs under the same retry/monitoring governance
     /// as [`query_federated`](Self::query_federated); solutions merge
-    /// local-first with duplicates dropped.
+    /// local-first with duplicates dropped. Every remote leg is bounded
+    /// by the one shared `deadline` ([`Deadline::NONE`] for none); because
+    /// the legs run concurrently, it buys the slowest source's latency,
+    /// not the sum of all sources'.
+    ///
+    /// [`Deadline::NONE`]: cogsdk_core::Deadline::NONE
     ///
     /// # Errors
     ///
     /// Local parse errors, or the first remote failure (every leg still
-    /// runs to completion before this returns).
+    /// runs to completion before this returns); deadline exhaustion
+    /// surfaces as [`KbError::Store`].
     pub fn query_federated_many(
-        &self,
-        pool: &cogsdk_core::ThreadPool,
-        services: &[Arc<cogsdk_sim::SimService>],
-        monitor: &Arc<cogsdk_core::ServiceMonitor>,
-        sparql: &str,
-    ) -> Result<Vec<Solution>, KbError> {
-        self.query_federated_many_within(
-            pool,
-            services,
-            monitor,
-            sparql,
-            cogsdk_core::Deadline::NONE,
-        )
-    }
-
-    /// As [`query_federated_many`](Self::query_federated_many), with every
-    /// remote leg bounded by one shared end-to-end deadline. Because the
-    /// legs run concurrently, the deadline buys the slowest source's
-    /// latency, not the sum of all sources'.
-    ///
-    /// # Errors
-    ///
-    /// As for [`query_federated_many`](Self::query_federated_many);
-    /// deadline exhaustion surfaces as [`KbError::Store`].
-    pub fn query_federated_many_within(
         &self,
         pool: &cogsdk_core::ThreadPool,
         services: &[Arc<cogsdk_sim::SimService>],
@@ -875,7 +830,8 @@ impl PersonalKnowledgeBase {
                 let monitor = monitor.clone();
                 let sparql = sparql.to_string();
                 pool.submit(move || {
-                    crate::federation::query_remote_within(&service, &monitor, &sparql, deadline)
+                    let call = cogsdk_core::Call::plain(&monitor).deadline(deadline);
+                    crate::federation::query_remote(&service, &sparql, &call)
                 })
             })
             .collect();
@@ -902,11 +858,14 @@ impl PersonalKnowledgeBase {
 
     /// Imports every fact a remote source has about `entity_id`, tagging
     /// each with `source_confidence` (§5: sources "may not be completely
-    /// accurate"). Returns how many statements were added.
+    /// accurate"). Returns how many statements were added. The fetch runs
+    /// in the caller's context, so its deadline keeps a slow or flapping
+    /// source from stalling a KB refresh indefinitely.
     ///
     /// # Errors
     ///
-    /// Unknown entity at the source, or remote failure.
+    /// Unknown entity at the source, or remote failure; deadline
+    /// exhaustion surfaces as [`KbError::Store`].
     ///
     /// # Panics
     ///
@@ -914,45 +873,15 @@ impl PersonalKnowledgeBase {
     pub fn import_entity(
         &self,
         service: &Arc<cogsdk_sim::SimService>,
-        monitor: &cogsdk_core::ServiceMonitor,
         entity_id: &str,
         source_confidence: f64,
-    ) -> Result<usize, KbError> {
-        self.import_entity_within(
-            service,
-            monitor,
-            entity_id,
-            source_confidence,
-            cogsdk_core::Deadline::NONE,
-        )
-    }
-
-    /// As [`import_entity`](Self::import_entity), bounded by an
-    /// end-to-end deadline so a slow or flapping source cannot stall a
-    /// KB refresh indefinitely.
-    ///
-    /// # Errors
-    ///
-    /// As for [`import_entity`](Self::import_entity); deadline exhaustion
-    /// surfaces as [`KbError::Store`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source_confidence` is outside `[0, 1]`.
-    pub fn import_entity_within(
-        &self,
-        service: &Arc<cogsdk_sim::SimService>,
-        monitor: &cogsdk_core::ServiceMonitor,
-        entity_id: &str,
-        source_confidence: f64,
-        deadline: cogsdk_core::Deadline,
+        call: &cogsdk_core::Call<'_>,
     ) -> Result<usize, KbError> {
         assert!(
             (0.0..=1.0).contains(&source_confidence),
             "confidence must be in [0, 1]"
         );
-        let facts =
-            crate::federation::describe_remote_within(service, monitor, entity_id, deadline)?;
+        let facts = crate::federation::describe_remote(service, entity_id, call)?;
         // One delta propagation (and one WAL group commit each for the
         // confidences and the facts) for the imported batch.
         self.with_graph_mut(|g| {
@@ -1815,6 +1744,7 @@ mod tests {
                 &services,
                 &monitor,
                 "SELECT ?c WHERE { ?c <rdf:type> <kb:Entity> . }",
+                cogsdk_core::Deadline::NONE,
             )
             .unwrap();
         let elapsed = started.elapsed();
@@ -1857,6 +1787,7 @@ mod tests {
                 &[good, bad],
                 &monitor,
                 "SELECT ?c WHERE { ?c <rdf:type> <kb:Entity> . }",
+                cogsdk_core::Deadline::NONE,
             )
             .unwrap_err();
         assert!(

@@ -50,7 +50,7 @@ pub use export::{
     event_to_json, prometheus_text, render_trace_tree, trace_jsonl, trace_jsonl_with_summary,
 };
 pub use metrics::{
-    Exemplar, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Sample,
+    tenant_labels, Exemplar, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Sample,
     DEFAULT_MAX_SERIES_PER_METRIC, LATENCY_BUCKETS_MS, SERIES_REJECTED_METRIC,
 };
 pub use profile::{profile_traces, OpStat, Profile};

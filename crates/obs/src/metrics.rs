@@ -46,6 +46,34 @@ impl Key {
     }
 }
 
+/// A label set whose optional `tenant` label is written unconditionally:
+/// call sites put `("tenant", tenant.unwrap_or(""))` *last*, and an empty
+/// value — no tenant attached; interned tenant names are never empty —
+/// slices the pair off, so untenanted deployments keep their original
+/// series. Label order is otherwise free (the registry sorts), and
+/// nothing allocates.
+///
+/// # Examples
+///
+/// ```
+/// use cogsdk_obs::tenant_labels;
+///
+/// assert_eq!(
+///     tenant_labels(&[("route", "invoke"), ("tenant", "acme")]),
+///     &[("route", "invoke"), ("tenant", "acme")]
+/// );
+/// assert_eq!(
+///     tenant_labels(&[("route", "invoke"), ("tenant", "")]),
+///     &[("route", "invoke")]
+/// );
+/// ```
+pub fn tenant_labels<'s, 'a>(labels: &'s [(&'a str, &'a str)]) -> &'s [(&'a str, &'a str)] {
+    match labels.split_last() {
+        Some((("tenant", ""), rest)) => rest,
+        _ => labels,
+    }
+}
+
 /// An exemplar: one concrete trace that landed in a histogram bucket,
 /// linking the aggregate back to retained evidence.
 #[derive(Debug, Clone, Copy, PartialEq)]

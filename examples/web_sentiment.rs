@@ -36,9 +36,9 @@ fn main() {
 
     // Figure-3 pipeline: search -> fetch HTML -> extract -> analyze ->
     // aggregate, using the best NLU vendor.
-    let agg = sdk
+    let (agg, _) = sdk
         .nlu()
-        .search_and_analyze(&engines[0], &web, &fleet[0], query, 12)
+        .search_and_analyze(&engines[0], &web, &fleet[0], query, 12, &sdk.call())
         .expect("pipeline");
 
     println!(

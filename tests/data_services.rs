@@ -219,8 +219,8 @@ fn federated_query_merges_local_and_remote_knowledge() {
     let rows = kb
         .query_federated(
             &dbpedia,
-            sdk.monitor(),
             "SELECT ?c WHERE { ?c <db:continent> <db:africa> . }",
+            &sdk.call(),
         )
         .unwrap();
     let names: Vec<String> = rows.iter().map(|r| r["c"].to_string()).collect();
@@ -241,7 +241,7 @@ fn import_entity_brings_remote_facts_with_source_confidence() {
     let kb = PersonalKnowledgeBase::new(Arc::new(MemoryKv::new()), KbOptions::default());
 
     let added = kb
-        .import_entity(&dbpedia, sdk.monitor(), "germany", 0.8)
+        .import_entity(&dbpedia, "germany", 0.8, &sdk.call())
         .unwrap();
     assert!(added >= 5, "added {added}");
     // Imported facts are queryable locally, in the kb: namespace.
@@ -265,7 +265,7 @@ fn import_entity_brings_remote_facts_with_source_confidence() {
     assert!((inferred[0].1 - 0.8).abs() < 1e-9);
     // Unknown entities at the source surface properly.
     assert!(matches!(
-        kb.import_entity(&dbpedia, sdk.monitor(), "atlantis", 0.9),
+        kb.import_entity(&dbpedia, "atlantis", 0.9, &sdk.call()),
         Err(cogsdk::kb::KbError::UnknownEntity(_))
     ));
 }

@@ -24,9 +24,9 @@ fn search_fetch_analyze_aggregate_end_to_end() {
     let (engines, web, index) = standard_web(&env, 42, 300);
     let nlu = reliable_nlu(&env, "nlu", NluConfig::perfect());
 
-    let agg = sdk
+    let (agg, _) = sdk
         .nlu()
-        .search_and_analyze(&engines[0], &web, &nlu, "energy market", 10)
+        .search_and_analyze(&engines[0], &web, &nlu, "energy market", 10, &sdk.call())
         .unwrap();
 
     assert!(agg.documents >= 5, "documents={}", agg.documents);
@@ -66,9 +66,9 @@ fn pipeline_survives_flaky_web_and_nlu() {
     spec.failures = FailurePlan::flaky(0.2);
     let nlu = nlu_service(&env, analyzer, spec);
 
-    let agg = sdk
+    let (agg, _) = sdk
         .nlu()
-        .search_and_analyze(&engines[1], &web, &nlu, "market report", 8)
+        .search_and_analyze(&engines[1], &web, &nlu, "market report", 8, &sdk.call())
         .unwrap();
     assert!(
         agg.documents >= 4,
@@ -95,8 +95,8 @@ fn aggregate_sentiment_tracks_planted_slant() {
         .map(|d| d.body.clone())
         .collect();
     assert!(positive.len() >= 5 && negative.len() >= 5);
-    let pos = sdk.nlu().analyze_documents(&nlu, &positive);
-    let neg = sdk.nlu().analyze_documents(&nlu, &negative);
+    let (pos, _) = sdk.nlu().analyze_documents(&nlu, &positive, &sdk.call());
+    let (neg, _) = sdk.nlu().analyze_documents(&nlu, &negative, &sdk.call());
     assert!(
         pos.mean_sentiment > neg.mean_sentiment + 0.3,
         "pos={} neg={}",
@@ -150,13 +150,17 @@ fn html_of_stored_documents_reanalyzes_identically() {
         .fetch_document(&web, &hits[0].url, "growth")
         .unwrap();
     let text = cogsdk::search::html::extract_text(&doc.html);
-    let first = sdk.nlu().analyze_text(&nlu, &text).unwrap();
+    let first = sdk.nlu().analyze_text(&nlu, &text, &sdk.call()).unwrap();
 
     // Second pass: from the local store, no web service involved.
     let stored = sdk.nlu().document_store().by_url(&hits[0].url).unwrap();
     let again = sdk
         .nlu()
-        .analyze_text(&nlu, &cogsdk::search::html::extract_text(&stored.html))
+        .analyze_text(
+            &nlu,
+            &cogsdk::search::html::extract_text(&stored.html),
+            &sdk.call(),
+        )
         .unwrap();
     assert_eq!(first.entities, again.entities);
     assert_eq!(first.sentiment, again.sentiment);

@@ -391,7 +391,7 @@ proptest! {
 
     #[test]
     fn retry_attempt_counts_bounded(retries in 0usize..6) {
-        use cogsdk::sdk::invoke::invoke_with_retry_counted;
+        use cogsdk::sdk::invoke::{Backoff, Call};
         use cogsdk::sdk::ServiceMonitor;
         use cogsdk::sim::failure::FailurePlan;
         use cogsdk::sim::{Request, SimService};
@@ -400,8 +400,12 @@ proptest! {
         let dead = SimService::builder("dead", "c")
             .failures(FailurePlan::flaky(1.0))
             .build(&env);
-        let (outcome, attempts) =
-            invoke_with_retry_counted(&dead, &Request::new("op", Json::Null), retries, &monitor);
+        let (outcome, attempts) = Call::plain(&monitor).retry(
+            &dead,
+            &Request::new("op", Json::Null),
+            retries,
+            Backoff::None,
+        );
         prop_assert!(outcome.result.is_err());
         prop_assert_eq!(attempts, retries + 1);
         prop_assert_eq!(

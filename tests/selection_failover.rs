@@ -2,7 +2,7 @@
 //! under injected failures — the §2/§2.1 machinery end to end.
 
 use cogsdk::json::json;
-use cogsdk::sdk::invoke::{InvocationPolicy, RedundantMode};
+use cogsdk::sdk::invoke::{Backoff, Call, InvocationPolicy, RedundantMode};
 use cogsdk::sdk::predict::Predictor;
 use cogsdk::sdk::rank::RankOptions;
 use cogsdk::sdk::score::ScoringFormula;
@@ -102,7 +102,9 @@ fn retries_raise_effective_availability_as_predicted() {
         let n = 2_000;
         let ok = (0..n)
             .filter(|_| {
-                cogsdk::sdk::invoke::invoke_with_retry(&svc, &req(), retries, &monitor)
+                Call::plain(&monitor)
+                    .retry(&svc, &req(), retries, Backoff::None)
+                    .0
                     .result
                     .is_ok()
             })
