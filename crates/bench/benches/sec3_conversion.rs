@@ -25,7 +25,7 @@ fn report_series() {
     let table = csv_to_table(&csv).unwrap();
     let statements = table_to_statements(&table, "id", "kb").unwrap();
     let graph: Graph = statements.iter().cloned().collect();
-    let text = graph_to_text(&graph);
+    let text = graph_to_text(graph.iter());
     let graph2 = text_to_graph(&text).unwrap();
     let triple_table = statements_to_table(&graph2);
     println!(
@@ -77,9 +77,9 @@ fn bench(c: &mut Criterion) {
             .into_iter()
             .collect();
         group.bench_with_input(BenchmarkId::new("rdf_to_text", rows), &graph, |b, g| {
-            b.iter(|| graph_to_text(std::hint::black_box(g)))
+            b.iter(|| graph_to_text(std::hint::black_box(g).iter()))
         });
-        let text = graph_to_text(&graph);
+        let text = graph_to_text(graph.iter());
         group.bench_with_input(BenchmarkId::new("text_to_rdf", rows), &text, |b, t| {
             b.iter(|| text_to_graph(std::hint::black_box(t)).unwrap())
         });

@@ -555,7 +555,7 @@ impl<'a> Call<'a> {
     /// an open breaker are skipped, and no new leg starts after the
     /// deadline expires (legs already collected still count toward the
     /// mode's success requirement). The collected legs are then
-    /// [`settle`](Call::settle)d.
+    /// `settle`d.
     ///
     /// # Errors
     ///

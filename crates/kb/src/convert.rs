@@ -91,11 +91,12 @@ pub fn statements_to_table(graph: &Graph) -> Table {
     table
 }
 
-/// Serializes a graph to a line-oriented N-Triples-like text form used
-/// for persistence (one statement per line).
-pub fn graph_to_text(graph: &Graph) -> String {
+/// Serializes statements to a line-oriented N-Triples-like text form
+/// used for persistence (one statement per line, in the order given) —
+/// `graph.iter()` for a [`Graph`], or the statements of a pinned epoch.
+pub fn graph_to_text(statements: impl IntoIterator<Item = Statement>) -> String {
     let mut out = String::new();
-    for st in graph.iter() {
+    for st in statements {
         out.push_str(&statement_to_line(&st));
         out.push('\n');
     }
@@ -320,7 +321,7 @@ mod tests {
             Term::iri("ex:p"),
             Term::string("x"),
         ));
-        let text = graph_to_text(&g);
+        let text = graph_to_text(g.iter());
         let back = text_to_graph(&text).unwrap();
         assert_eq!(back, g);
     }
@@ -356,7 +357,7 @@ mod tests {
             Term::iri("p"),
             Term::double(4.0),
         ));
-        let back = text_to_graph(&graph_to_text(&g)).unwrap();
+        let back = text_to_graph(&graph_to_text(g.iter())).unwrap();
         let st = back.iter().next().unwrap();
         assert_eq!(st.object, Term::double(4.0));
         assert_ne!(st.object, Term::integer(4));

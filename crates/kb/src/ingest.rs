@@ -24,8 +24,9 @@
 //!   build each document's RDF statements.
 //! * **Intern** — completed documents are restored to input order and
 //!   grouped into batches; each batch's terms are interned into the
-//!   shared [`TermDict`] *before* the store lock is taken, so the commit
-//!   stage's own interning is a read-only fast path.
+//!   shared [`TermDict`](cogsdk_rdf::TermDict) *before* the store lock
+//!   is taken, so the commit stage's own interning is a read-only fast
+//!   path.
 //! * **Commit** — one thread owns the store: each batch is exactly one
 //!   WAL group commit and one closure-complete epoch publish, so crash
 //!   recovery yields a durable *prefix of acked batches* — never a

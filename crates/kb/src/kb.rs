@@ -9,7 +9,7 @@ use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::reason::TriplePattern;
 use cogsdk_rdf::weighted::{WeightedGraph, WeightedReasoner};
 use cogsdk_rdf::{
-    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, Graph, Query,
+    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, Overlay, Query,
     QueryStats, RecoveryStats, Statement, Term, TermId, WalStats,
 };
 use cogsdk_sim::fs::Vfs;
@@ -143,7 +143,7 @@ impl PersonalKnowledgeBase {
     /// and ruleset change is appended to a write-ahead log before it
     /// applies, and recovery (snapshot load + WAL replay + closure
     /// re-derivation) runs before this returns. See
-    /// [`DurableStore`](cogsdk_rdf::DurableStore) for the recovery
+    /// [`DurableStore`] for the recovery
     /// contract.
     ///
     /// # Errors
@@ -684,9 +684,12 @@ impl PersonalKnowledgeBase {
         self.epochs.pin().len()
     }
 
-    /// Runs `f` with read access to the graph (stated plus inferred).
-    pub fn with_graph<R>(&self, f: impl FnOnce(&Graph) -> R) -> R {
-        f(self.graph.read().full())
+    /// Runs `f` with read access to the graph (stated plus inferred),
+    /// holding the store's read lock — writers wait — for as long as `f`
+    /// runs. Reads that need not exclude writers use
+    /// [`query_snapshot`](Self::query_snapshot) instead.
+    pub fn with_graph<R>(&self, f: impl FnOnce(Overlay<'_>) -> R) -> R {
+        f(self.graph.read().view())
     }
 
     /// Enables RDFS entailment as a *standing* ruleset: the closure is
@@ -747,7 +750,7 @@ impl PersonalKnowledgeBase {
     ) -> Result<Vec<cogsdk_rdf::query::Solution>, KbError> {
         let reasoner = GenericRuleReasoner::from_rules_text(rules_text)?;
         let goal = TriplePattern::parse(goal)?;
-        Ok(reasoner.prove(self.graph.read().full(), &goal, max_depth))
+        Ok(reasoner.prove(&*self.epochs.pin(), &goal, max_depth))
     }
 
     /// Runs user-defined rules (Jena-like syntax, one per line) with
@@ -1113,7 +1116,9 @@ impl PersonalKnowledgeBase {
     /// Local storage failure (remote failures leave the key dirty for
     /// the next synchronization instead of failing).
     pub fn persist_graph(&self, key: &str) -> Result<(), KbError> {
-        let text = graph_to_text(self.graph.read().full());
+        let snap = self.epochs.pin();
+        let statements = snap.iter_ids().into_iter();
+        let text = graph_to_text(statements.map(|t| snap.dict().resolve_triple(t)));
         let result = self.store.put(key, Bytes::from(text.into_bytes()));
         self.publish_cache_metrics();
         Ok(result?)
@@ -1189,7 +1194,7 @@ impl PersonalKnowledgeBase {
 /// most-trusted rating seen so far.
 fn merge_confidence(graph: &DurableStore, st: &Statement, incoming: f64) -> f64 {
     graph
-        .full()
+        .base()
         .lookup_statement(st)
         .and_then(|t| graph.confidences().get(&t).copied())
         .map_or(incoming, |current| current.max(incoming))
@@ -1199,10 +1204,9 @@ fn merge_confidence(graph: &DurableStore, st: &Statement, incoming: f64) -> f64 
 /// past the highest `kb:doc_{n}` subject already in the store, so a
 /// durably recovered base never reuses a document id.
 fn next_doc_id(graph: &DurableStore) -> usize {
-    let full = graph.full();
-    let dict = full.dict();
+    let dict = graph.base().dict();
     let mut next = 0;
-    for (s, _, _) in full.iter_ids() {
+    for (s, _, _) in graph.base().iter_ids().chain(graph.derived().iter_ids()) {
         if let Some(iri) = dict.resolve(s).as_iri() {
             if let Some(n) = iri
                 .strip_prefix("kb:doc_")
@@ -1879,6 +1883,67 @@ mod tests {
             "only the post-snapshot fact replays: {stats:?}"
         );
         assert_eq!(kb.statement_count(), 2);
+    }
+
+    #[test]
+    fn failed_load_graph_leaves_the_base_as_it_was() {
+        let fs = Arc::new(cogsdk_sim::SimFs::new(14));
+        let kb = PersonalKnowledgeBase::open_durable_on(
+            fs.clone(),
+            Arc::new(MemoryKv::new()),
+            KbOptions::default(),
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        kb.add_fact("IBM", "hq", "New York").unwrap();
+        kb.persist_graph("one-fact").unwrap();
+        kb.add_fact("Google", "hq", "California").unwrap();
+
+        fs.set_space_limit(Some(0));
+        let err = kb.load_graph("one-fact").unwrap_err();
+        assert!(matches!(err, KbError::Durability(_)), "{err:?}");
+        assert_eq!(kb.statement_count(), 2, "a failed load replaces nothing");
+        assert_eq!(kb.with_graph(|g| g.iter_ids().count()), 2);
+
+        fs.set_space_limit(None);
+        assert_eq!(kb.load_graph("one-fact").unwrap(), 1);
+        assert_eq!(kb.statement_count(), 1);
+    }
+
+    #[test]
+    fn prove_and_persist_graph_do_not_wait_for_the_store_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let kb = kb();
+        kb.add_fact("IBM", "supplies", "Microsoft").unwrap();
+        let rules = "[(?a kb:supplies ?b) -> (?a kb:reaches ?b)]";
+        let goal = "(kb:ibm kb:reaches ?who)";
+        let proofs = kb.prove(rules, goal, 4).unwrap();
+        assert_eq!(proofs.len(), 1);
+
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            // A writer that keeps the store lock until the readers below
+            // are done — or gives up waiting for them, if they queue
+            // behind the lock it holds.
+            let kb = &kb;
+            let writer = scope.spawn(move || {
+                kb.with_graph_mut(|_| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv_timeout(Duration::from_secs(5)).is_ok()
+                })
+            });
+            held_rx.recv().unwrap();
+            assert_eq!(kb.prove(rules, goal, 4).unwrap(), proofs);
+            kb.persist_graph("while-locked").unwrap();
+            release_tx.send(()).ok();
+            assert!(
+                writer.join().unwrap(),
+                "prove/persist_graph blocked until the writer let go"
+            );
+        });
+        assert_eq!(kb.load_graph("while-locked").unwrap(), 1);
     }
 
     #[test]

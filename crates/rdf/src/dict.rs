@@ -17,7 +17,7 @@
 //! ingest interns new terms while result materialization resolves ids:
 //!
 //! * The **forward map** (term → id) is sharded by term hash across
-//!   [`SHARDS`] independent `RwLock`ed hash maps, so lookups on distinct
+//!   `SHARDS` independent `RwLock`ed hash maps, so lookups on distinct
 //!   terms rarely contend and an intern only write-locks one shard.
 //! * The **reverse store** (sequence number → term) is a lock-free
 //!   chunked arena: a fixed array of chunk slots with doubling

@@ -4,7 +4,7 @@
 //! every mutation is appended to the [WAL](crate::wal) and fsynced
 //! *before* it is applied in memory, so an operation that returned `Ok`
 //! survives any crash, and one that failed was never applied. Periodic
-//! [snapshots](crate::snapshot) bound recovery time and reclaim log
+//! snapshots (`crate::snapshot`) bound recovery time and reclaim log
 //! space.
 //!
 //! Recovery ([`DurableStore::open`]) loads the newest valid snapshot,
@@ -26,7 +26,7 @@
 
 use crate::dict::IdTriple;
 use crate::epoch::EpochStore;
-use crate::graph::Graph;
+use crate::graph::{Graph, Overlay};
 use crate::incremental::{IncrementalMaterializer, MaterializerConfig};
 use crate::model::{Statement, Term};
 use crate::reason::Rule;
@@ -82,6 +82,27 @@ struct Durability {
     dict_watermark: usize,
 }
 
+impl Durability {
+    /// Writes a checksummed snapshot of `base`'s dictionary and triples,
+    /// the ruleset config and the confidences via write-temp → fsync →
+    /// rename, then truncates the WAL. Returns bytes written.
+    fn snapshot(
+        &mut self,
+        base: &Graph,
+        config: &MaterializerConfig,
+        confidence: &HashMap<IdTriple, f64>,
+    ) -> Result<u64, DurableError> {
+        let triples: Vec<IdTriple> = base.iter_ids().collect();
+        let mut confidence: Vec<(IdTriple, f64)> =
+            confidence.iter().map(|(&t, &v)| (t, v)).collect();
+        confidence.sort_by_key(|&(t, _)| t);
+        let bytes = write_snapshot(self.fs.as_ref(), base.dict(), &triples, config, &confidence)?;
+        self.wal.reset()?;
+        self.dict_watermark = base.dict().len();
+        Ok(bytes)
+    }
+}
+
 /// An [`IncrementalMaterializer`] with optional write-ahead durability.
 ///
 /// In-memory stores ([`DurableStore::in_memory`]) behave exactly like
@@ -128,7 +149,7 @@ impl DurableStore {
     pub fn in_memory() -> DurableStore {
         let inner = IncrementalMaterializer::new();
         let confidence = Arc::new(HashMap::new());
-        let epochs = Arc::new(EpochStore::new(inner.full(), confidence.clone()));
+        let epochs = Arc::new(EpochStore::new(inner.view(), confidence.clone()));
         DurableStore {
             inner,
             durability: None,
@@ -260,7 +281,7 @@ impl DurableStore {
         fs.delete(SNAPSHOT_TMP)?;
         let wal = Wal::open(fs.clone(), options.segment_max_bytes)?;
         let confidence = Arc::new(confidence);
-        let epochs = Arc::new(EpochStore::new(inner.full(), confidence.clone()));
+        let epochs = Arc::new(EpochStore::new(inner.view(), confidence.clone()));
         // The recovered closure is already reflected in epoch 0; drop the
         // delta materialization recorded so the first mutation's publish
         // doesn't force a redundant base rebuild.
@@ -341,7 +362,7 @@ impl DurableStore {
     fn publish_epoch(&mut self) {
         let delta = self.inner.take_delta();
         self.epochs
-            .publish(self.inner.full(), delta, self.confidence.clone());
+            .publish(self.inner.view(), delta, self.confidence.clone());
     }
 
     /// The reader-facing epoch store. Clone the `Arc` once and pin
@@ -396,10 +417,8 @@ impl DurableStore {
     /// durable). Returns whether the fact was present in the full view.
     pub fn remove(&mut self, st: &Statement) -> Result<bool, DurableError> {
         if self.durability.is_some() {
-            if let Some(triple) = self.inner.full().lookup_statement(st) {
-                if self.inner.full().contains_id(triple) {
-                    self.log_records(vec![WalRecord::remove(triple)])?;
-                }
+            if let Some(triple) = self.inner.lookup_present(st) {
+                self.log_records(vec![WalRecord::remove(triple)])?;
             }
         }
         let removed = self.inner.remove(st);
@@ -422,8 +441,8 @@ impl DurableStore {
             let mut seen = BTreeSet::new();
             let mut ops = Vec::new();
             for st in &batch {
-                if let Some(triple) = self.inner.full().lookup_statement(st) {
-                    if self.inner.full().contains_id(triple) && seen.insert(triple) {
+                if let Some(triple) = self.inner.lookup_present(st) {
+                    if seen.insert(triple) {
                         ops.push(WalRecord::remove(triple));
                     }
                 }
@@ -523,7 +542,7 @@ impl DurableStore {
     /// The confidence recorded for a statement, default 1.0.
     pub fn confidence_of(&self, st: &Statement) -> f64 {
         self.inner
-            .full()
+            .base()
             .lookup_statement(st)
             .and_then(|t| self.confidence.get(&t).copied())
             .unwrap_or(1.0)
@@ -598,49 +617,45 @@ impl DurableStore {
     }
 
     /// Replaces all facts with `graph` as the stated base, keeping the
-    /// configuration. On a durable store this immediately writes a
-    /// snapshot (the old WAL no longer describes the state).
+    /// configuration. A durable store first writes `graph` as its
+    /// snapshot (the old WAL no longer describes the state) and only
+    /// then replaces the contents in memory.
+    ///
+    /// # Errors
+    ///
+    /// If the snapshot cannot be written, memory, the published epoch
+    /// and the files all keep the old contents. (Memory and the epoch
+    /// do so on any error; an error *after* the snapshot's rename, from
+    /// deleting the old WAL segments, leaves the files as a crash at
+    /// that point would — new snapshot, stale log — until a `snapshot`
+    /// or `reset` succeeds.)
     pub fn reset(&mut self, graph: Graph) -> Result<(), DurableError> {
-        self.inner.reset(graph);
-        self.confidence = Arc::new(HashMap::new());
+        let confidence = Arc::new(HashMap::new());
         if let Some(d) = self.durability.as_mut() {
-            d.dict_watermark = 0;
+            d.snapshot(&graph, self.inner.config(), &confidence)?;
         }
-        if self.durability.is_some() {
-            self.snapshot()?;
-        }
+        self.inner.reset(graph);
+        self.confidence = confidence;
         self.publish_epoch();
         Ok(())
     }
 
     /// Writes a checksummed snapshot of the dictionary, base triples,
-    /// and ruleset config via write-temp → fsync → rename, then
-    /// truncates the WAL. Returns bytes written (0 for in-memory
-    /// stores, which have nothing to snapshot).
+    /// ruleset config and confidences, then truncates the WAL. Returns
+    /// bytes written (0 for in-memory stores, which have nothing to
+    /// snapshot).
     pub fn snapshot(&mut self) -> Result<u64, DurableError> {
-        let Some(d) = self.durability.as_mut() else {
-            return Ok(0);
-        };
-        let dict = self.inner.base().dict();
-        let triples: Vec<IdTriple> = self.inner.base().iter_ids().collect();
-        let mut confidence: Vec<(IdTriple, f64)> =
-            self.confidence.iter().map(|(&t, &v)| (t, v)).collect();
-        confidence.sort_by_key(|&(t, _)| t);
-        let bytes = write_snapshot(
-            d.fs.as_ref(),
-            dict,
-            &triples,
-            self.inner.config(),
-            &confidence,
-        )?;
-        d.wal.reset()?;
-        d.dict_watermark = dict.len();
-        Ok(bytes)
+        match self.durability.as_mut() {
+            Some(d) => d.snapshot(self.inner.base(), self.inner.config(), &self.confidence),
+            None => Ok(0),
+        }
     }
 
-    /// The full view (base ∪ derived).
-    pub fn full(&self) -> &Graph {
-        self.inner.full()
+    /// The full view (`base ⊎ derived`) as the writer sees it. Readers
+    /// that do not hold the store pin [`epochs`](Self::epochs) instead,
+    /// which every mutating call leaves equal to this.
+    pub fn view(&self) -> Overlay<'_> {
+        self.inner.view()
     }
 
     /// The stated base facts.
@@ -724,13 +739,13 @@ mod tests {
             .unwrap();
         store.insert(st("ex:felix", vocab::TYPE, "ex:cat")).unwrap();
         store.materialize();
-        let expected = store.full().clone();
+        let expected = store.view().to_graph();
         assert!(expected.contains(&st("ex:felix", vocab::TYPE, "ex:animal")));
         drop(store);
 
         let mut recovered = open(&fs);
         recovered.materialize();
-        assert_eq!(recovered.full(), &expected);
+        assert_eq!(recovered.view().to_graph(), expected);
         assert!(recovered.config().rdfs);
         let stats = recovered.recovery_stats().unwrap();
         assert!(!stats.snapshot_loaded);
@@ -888,6 +903,36 @@ mod tests {
     }
 
     #[test]
+    fn failed_reset_changes_nothing_anywhere() {
+        let fs = Arc::new(SimFs::new(11));
+        let mut store = open(&fs);
+        let old = st("ex:old", "ex:p", "ex:o");
+        store.insert(old.clone()).unwrap();
+        let replacement: Graph = (0..50)
+            .map(|i| st(&format!("ex:new{i}"), "ex:p", "ex:o"))
+            .collect();
+
+        fs.set_space_limit(Some(0));
+        assert!(store.reset(replacement).is_err());
+        // Write side and readers still agree on the old contents.
+        assert_eq!(store.len(), 1);
+        assert!(store.contains(&old));
+        assert_eq!(store.epochs().pin().len(), 1);
+        assert!(store.epochs().pin().contains(&old));
+
+        // The next mutation logs against the old dictionary, so the
+        // files still round-trip.
+        fs.set_space_limit(None);
+        let later = st("ex:later", "ex:p", "ex:o");
+        store.insert(later.clone()).unwrap();
+        assert_eq!(store.epochs().pin().len(), 2);
+        drop(store);
+        let recovered = open(&fs);
+        assert_eq!(recovered.len(), 2);
+        assert!(recovered.contains(&old) && recovered.contains(&later));
+    }
+
+    #[test]
     fn transitive_and_rules_survive_reopen() {
         let fs = Arc::new(SimFs::new(6));
         let mut store = open(&fs);
@@ -904,12 +949,12 @@ mod tests {
         store.insert(st("ex:b", "ex:parent", "ex:c")).unwrap();
         store.materialize();
         assert!(store.contains(&st("ex:a", "ex:ancestor", "ex:c")));
-        let expected = store.full().clone();
+        let expected = store.view().to_graph();
         drop(store);
 
         let mut recovered = open(&fs);
         recovered.materialize();
-        assert_eq!(recovered.full(), &expected);
+        assert_eq!(recovered.view().to_graph(), expected);
         assert_eq!(recovered.config().transitive.len(), 1);
         assert_eq!(recovered.config().rules.len(), 1);
     }

@@ -11,28 +11,29 @@
 //!
 //! Epochs are built LSM-style so publishing is cheap:
 //!
-//! * a [`FrozenIndex`] base — three sorted triple vectors (SPO order
+//! * a `FrozenIndex` base — three sorted triple vectors (SPO order
 //!   plus the POS/OSP permutations), binary-searched exactly like the
 //!   write side's BTree indexes;
-//! * a short stack of [`DeltaRun`]s — the net adds/removes of recent
+//! * a short stack of `DeltaRun`s — the net adds/removes of recent
 //!   batches, each sorted the same three ways.
 //!
 //! A scan merges the base range with each run's range and applies
 //! newest-run-wins deletion, preserving index sort order (merge joins
 //! depend on it). Publishing a batch costs `O(batch log batch)`; runs
 //! are size-tier merged as they accumulate, and once the delta stack
-//! outgrows a fraction of the base the writer re-freezes its
-//! authoritative full graph into a fresh base — so read amplification
-//! stays bounded without ever blocking readers.
+//! outgrows a fraction of the base the writer re-freezes its stated and
+//! derived graphs (one linear merge per index, no sort) into a fresh
+//! base — so read amplification stays bounded without ever blocking
+//! readers.
 //!
 //! Each epoch also carries the statement-confidence map (shared by
 //! `Arc`, cloned only in batches that touch confidences), so weighted
 //! conflict resolution reads the same isolated state as everything else.
 
 use crate::dict::{IdTriple, TermDict, TermId};
-use crate::graph::{Graph, QueryView, TripleView};
+use crate::graph::{classify, Graph, Index, Overlay, QueryView, Scan, TripleView};
 use crate::model::{Statement, Term};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// How many published epochs the store keeps reachable by number (for
@@ -41,24 +42,8 @@ const RETAINED_EPOCHS: usize = 8;
 
 /// Base rebuild threshold: when the run stack holds more events than
 /// `max(REBUILD_MIN_EVENTS, base/4)`, the next publish re-freezes the
-/// full graph instead of stacking another run.
+/// write side instead of stacking another run.
 const REBUILD_MIN_EVENTS: usize = 4096;
-
-fn to_pos((s, p, o): IdTriple) -> IdTriple {
-    (p, o, s)
-}
-
-fn from_pos((p, o, s): IdTriple) -> IdTriple {
-    (s, p, o)
-}
-
-fn to_osp((s, p, o): IdTriple) -> IdTriple {
-    (o, s, p)
-}
-
-fn from_osp((o, s, p): IdTriple) -> IdTriple {
-    (s, p, o)
-}
 
 /// The sub-slice of a sorted vector falling in `lo..=hi`.
 fn range_of(sorted: &[IdTriple], lo: IdTriple, hi: IdTriple) -> &[IdTriple] {
@@ -67,8 +52,8 @@ fn range_of(sorted: &[IdTriple], lo: IdTriple, hi: IdTriple) -> &[IdTriple] {
     &sorted[start..end]
 }
 
-/// An immutable, fully-sorted freeze of a graph's three indexes. The
-/// POS/OSP vectors hold *permuted* tuples (as the write-side BTree
+/// An immutable, fully-sorted freeze of the write side's three indexes.
+/// The POS/OSP vectors hold *permuted* tuples (as the write-side BTree
 /// indexes do), so every scan is a binary-searched contiguous slice.
 #[derive(Debug, Default)]
 struct FrozenIndex {
@@ -88,14 +73,32 @@ impl FrozenIndex {
         }
     }
 
-    fn from_graph(graph: &Graph) -> FrozenIndex {
-        let spo: Vec<IdTriple> = graph.iter_ids().collect();
-        let mut pos: Vec<IdTriple> = spo.iter().map(|&t| to_pos(t)).collect();
-        pos.sort_unstable();
-        let mut osp: Vec<IdTriple> = spo.iter().map(|&t| to_osp(t)).collect();
-        osp.sort_unstable();
-        FrozenIndex { spo, pos, osp }
+    /// Freezes the write side's `base ⊎ derived`. Both graphs already
+    /// keep each index sorted, so every array is one linear merge of two
+    /// sorted sets.
+    fn freeze(view: Overlay<'_>) -> FrozenIndex {
+        let merged = |index| merge_disjoint(view.base.index(index), view.extra.index(index));
+        FrozenIndex {
+            spo: merged(Index::Spo),
+            pos: merged(Index::Pos),
+            osp: merged(Index::Osp),
+        }
     }
+}
+
+/// Merges two sorted sets that share no element into one sorted vector.
+fn merge_disjoint(a: &BTreeSet<IdTriple>, b: &BTreeSet<IdTriple>) -> Vec<IdTriple> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.iter().copied().peekable();
+    for &x in a {
+        while let Some(y) = b.next_if(|&y| y < x) {
+            out.push(y);
+        }
+        debug_assert!(b.peek() != Some(&x), "base and derived share {x:?}");
+        out.push(x);
+    }
+    out.extend(b);
+    out
 }
 
 /// The net effect of one published batch: triples that became present
@@ -119,9 +122,9 @@ impl DeltaRun {
     fn new(mut adds: Vec<IdTriple>, mut dels: Vec<IdTriple>) -> DeltaRun {
         adds.sort_unstable();
         dels.sort_unstable();
-        let mut adds_pos: Vec<IdTriple> = adds.iter().map(|&t| to_pos(t)).collect();
+        let mut adds_pos: Vec<IdTriple> = adds.iter().map(|&t| Index::Pos.permute(t)).collect();
         adds_pos.sort_unstable();
-        let mut adds_osp: Vec<IdTriple> = adds.iter().map(|&t| to_osp(t)).collect();
+        let mut adds_osp: Vec<IdTriple> = adds.iter().map(|&t| Index::Osp.permute(t)).collect();
         adds_osp.sort_unstable();
         DeltaRun {
             adds_spo: adds,
@@ -190,37 +193,6 @@ fn merge_runs(older: &DeltaRun, newer: &DeltaRun) -> DeltaRun {
         .filter_map(|(&t, &add)| (!add).then_some(t))
         .collect();
     DeltaRun::new(adds, dels)
-}
-
-/// Which index serves a pattern shape, plus the permuted scan bounds.
-/// Mirrors [`Graph::match_ids`]'s eight arms.
-enum Scan {
-    /// Fully bound: a membership probe.
-    Probe(IdTriple),
-    /// A range scan: index selector, permuted `lo..=hi` bounds.
-    Range(Index, IdTriple, IdTriple),
-}
-
-#[derive(Clone, Copy)]
-enum Index {
-    Spo,
-    Pos,
-    Osp,
-}
-
-fn classify(subject: Option<TermId>, predicate: Option<TermId>, object: Option<TermId>) -> Scan {
-    let min = TermId::MIN;
-    let max = TermId::MAX;
-    match (subject, predicate, object) {
-        (Some(s), Some(p), Some(o)) => Scan::Probe((s, p, o)),
-        (Some(s), Some(p), None) => Scan::Range(Index::Spo, (s, p, min), (s, p, max)),
-        (Some(s), None, Some(o)) => Scan::Range(Index::Osp, (o, s, min), (o, s, max)),
-        (Some(s), None, None) => Scan::Range(Index::Spo, (s, min, min), (s, max, max)),
-        (None, Some(p), Some(o)) => Scan::Range(Index::Pos, (p, o, min), (p, o, max)),
-        (None, Some(p), None) => Scan::Range(Index::Pos, (p, min, min), (p, max, max)),
-        (None, None, Some(o)) => Scan::Range(Index::Osp, (o, min, min), (o, max, max)),
-        (None, None, None) => Scan::Range(Index::Spo, (min, min, min), (max, max, max)),
-    }
 }
 
 /// One immutable published epoch: a frozen base, a short stack of net
@@ -326,12 +298,6 @@ impl EpochSnapshot {
     /// order, deduplicates, drops deleted triples, and maps tuples back
     /// to `(s, p, o)`.
     fn merged_scan(&self, index: Index, lo: IdTriple, hi: IdTriple) -> Vec<IdTriple> {
-        let unpermute = |t: IdTriple| match index {
-            Index::Spo => t,
-            Index::Pos => from_pos(t),
-            Index::Osp => from_osp(t),
-        };
-
         let mut sources: Vec<&[IdTriple]> = Vec::with_capacity(1 + self.runs.len());
         sources.push(range_of(self.base.select(index), lo, hi));
         for run in &self.runs {
@@ -365,7 +331,7 @@ impl EpochSnapshot {
                     cursors[i] += 1;
                 }
             }
-            let original = unpermute(next);
+            let original = index.unpermute(next);
             if self.live(original) {
                 out.push(original);
             }
@@ -501,8 +467,8 @@ impl EpochDelta {
 ///
 /// `pin()` holds the lock only long enough to clone one `Arc`; all
 /// subsequent reads on the snapshot are lock-free. Writers publish
-/// through [`publish`](EpochStore::publish), which swaps the current
-/// `Arc` — readers already holding an older epoch are unaffected.
+/// through `publish`, which swaps the current `Arc` — readers already
+/// holding an older epoch are unaffected.
 #[derive(Debug)]
 pub struct EpochStore {
     current: RwLock<Arc<EpochSnapshot>>,
@@ -510,14 +476,16 @@ pub struct EpochStore {
 }
 
 impl EpochStore {
-    /// Creates a store whose epoch 0 freezes `full`.
-    pub(crate) fn new(full: &Graph, confidence: Arc<HashMap<IdTriple, f64>>) -> EpochStore {
+    /// Creates a store whose epoch 0 freezes `view` — the write side's
+    /// stated and derived graphs, disjoint and over one dictionary.
+    pub(crate) fn new(view: Overlay<'_>, confidence: Arc<HashMap<IdTriple, f64>>) -> EpochStore {
+        let base = FrozenIndex::freeze(view);
         let snapshot = Arc::new(EpochSnapshot {
             epoch: 0,
-            dict: full.dict().clone(),
-            base: Arc::new(FrozenIndex::from_graph(full)),
+            dict: view.base.dict().clone(),
+            len: base.spo.len(),
+            base: Arc::new(base),
             runs: Vec::new(),
-            len: full.len(),
             confidence,
         });
         EpochStore {
@@ -542,13 +510,14 @@ impl EpochStore {
             .cloned()
     }
 
-    /// Publishes the write side's net delta as the next epoch. `full`
-    /// is the writer's authoritative materialized graph, consulted for
-    /// base rebuilds. No-op deltas (empty and no confidence change)
-    /// publish nothing, so idle readers keep hitting the same epoch.
+    /// Publishes the write side's net delta as the next epoch. `view`
+    /// is the writer's stated and derived graphs (disjoint, one
+    /// dictionary) as of the delta, consulted for base rebuilds. No-op
+    /// deltas (empty and no confidence change) publish nothing, so idle
+    /// readers keep hitting the same epoch.
     pub(crate) fn publish(
         &self,
-        full: &Graph,
+        view: Overlay<'_>,
         delta: EpochDelta,
         confidence: Arc<HashMap<IdTriple, f64>>,
     ) {
@@ -562,11 +531,9 @@ impl EpochStore {
         let rebuild = delta.rebuilt || pending > REBUILD_MIN_EVENTS.max(prev.base.spo.len() / 4);
 
         let (base, runs, len) = if rebuild {
-            (
-                Arc::new(FrozenIndex::from_graph(full)),
-                Vec::new(),
-                full.len(),
-            )
+            let base = FrozenIndex::freeze(view);
+            let len = base.spo.len();
+            (Arc::new(base), Vec::new(), len)
         } else {
             // Net the delta against the previous epoch so the run
             // invariant holds (adds were absent, deletes were present)
@@ -604,7 +571,7 @@ impl EpochStore {
 
         let next = Arc::new(EpochSnapshot {
             epoch: prev.epoch + 1,
-            dict: full.dict().clone(),
+            dict: view.base.dict().clone(),
             base,
             runs,
             len,
@@ -630,8 +597,16 @@ mod tests {
             .intern_statement(&Statement::new(Term::iri(s), Term::iri(p), Term::iri(o)))
     }
 
+    /// An empty derived graph over `base`'s dictionary.
+    fn no_derived(base: &Graph) -> Graph {
+        Graph::with_dict(base.dict().clone())
+    }
+
     fn store_over(graph: &Graph) -> EpochStore {
-        EpochStore::new(graph, Arc::new(HashMap::new()))
+        EpochStore::new(
+            Overlay::new(graph, &no_derived(graph)),
+            Arc::new(HashMap::new()),
+        )
     }
 
     fn publish_changes(store: &EpochStore, graph: &Graph, changes: &[(IdTriple, bool)]) {
@@ -639,7 +614,56 @@ mod tests {
         for &(t, added) in changes {
             delta.record(t, added);
         }
-        store.publish(graph, delta, store.pin().confidence.clone());
+        let confidence = store.pin().confidence.clone();
+        store.publish(Overlay::new(graph, &no_derived(graph)), delta, confidence);
+    }
+
+    #[test]
+    fn freeze_equals_collect_permute_sort() {
+        use cogsdk_sim::rng::Rng;
+        let mut rng = Rng::new(0xF4EE);
+        // (base share of the triples, how many): empty derived, empty
+        // base, and ids interleaved between the two at several sizes.
+        for (round, &(base_share, n)) in [(1.0, 60), (0.0, 60), (0.5, 1), (0.5, 200), (0.9, 200)]
+            .iter()
+            .enumerate()
+        {
+            let base = &mut Graph::new();
+            let derived = &mut no_derived(base);
+            for _ in 0..n {
+                let t = triple(
+                    base,
+                    &format!("ex:s{}", rng.below(15)),
+                    &format!("ex:p{}", rng.below(5)),
+                    &format!("ex:o{}", rng.below(15)),
+                );
+                if !base.contains_id(t) && !derived.contains_id(t) {
+                    let side = if rng.chance(base_share) {
+                        &mut *base
+                    } else {
+                        &mut *derived
+                    };
+                    side.insert_id(t);
+                }
+            }
+            // The reference: the sort-based freeze this merge replaced.
+            let mut spo: Vec<IdTriple> = base.iter_ids().chain(derived.iter_ids()).collect();
+            spo.sort_unstable();
+            let mut pos: Vec<IdTriple> = spo.iter().map(|&t| Index::Pos.permute(t)).collect();
+            pos.sort_unstable();
+            let mut osp: Vec<IdTriple> = spo.iter().map(|&t| Index::Osp.permute(t)).collect();
+            osp.sort_unstable();
+
+            let frozen = FrozenIndex::freeze(Overlay::new(base, derived));
+            assert_eq!(
+                frozen.spo.len(),
+                base.len() + derived.len(),
+                "round {round}"
+            );
+            assert_eq!(frozen.spo, spo, "round {round}: spo");
+            assert_eq!(frozen.pos, pos, "round {round}: pos");
+            assert_eq!(frozen.osp, osp, "round {round}: osp");
+        }
     }
 
     #[test]
@@ -708,30 +732,44 @@ mod tests {
     fn scans_agree_with_a_graph_across_many_random_publishes() {
         use cogsdk_sim::rng::Rng;
         let mut rng = Rng::new(0xE90C);
-        let mut g = Graph::new();
-        let store = store_over(&g);
-        // Random insert/remove batches, each published; after every
-        // publish the pinned epoch must agree with the live graph on
-        // every pattern shape.
+        let mut base = Graph::new();
+        let mut derived = no_derived(&base);
+        let store = store_over(&base);
+        // Random insert/remove batches over a disjoint base/derived pair,
+        // each published (rounds 9, 19 and 29 as forced re-freezes);
+        // after every publish the pinned epoch must agree with a graph
+        // holding their union on every pattern shape.
         for round in 0..30 {
-            let mut delta = EpochDelta::default();
+            let mut delta = if round % 10 == 9 {
+                EpochDelta::rebuild()
+            } else {
+                EpochDelta::default()
+            };
             for _ in 0..(1 + rng.below(40)) {
                 let t = triple(
-                    &mut g,
+                    &mut base,
                     &format!("ex:s{}", rng.below(12)),
                     &format!("ex:p{}", rng.below(4)),
                     &format!("ex:o{}", rng.below(8)),
                 );
                 if rng.chance(0.7) {
-                    if g.insert_id(t) {
+                    if !base.contains_id(t) && !derived.contains_id(t) {
+                        let side = if rng.chance(0.5) {
+                            &mut base
+                        } else {
+                            &mut derived
+                        };
+                        side.insert_id(t);
                         delta.record(t, true);
                     }
-                } else if g.remove_id(t) {
+                } else if base.remove_id(t) || derived.remove_id(t) {
                     delta.record(t, false);
                 }
             }
-            store.publish(&g, delta, store.pin().confidence.clone());
+            let view = Overlay::new(&base, &derived);
+            store.publish(view, delta, store.pin().confidence.clone());
             let snap = store.pin();
+            let g = view.to_graph();
             assert_eq!(snap.len(), g.len(), "round {round}: len");
 
             let s = g.dict().lookup(&Term::iri("ex:s3"));
@@ -764,13 +802,21 @@ mod tests {
         g.insert_id(t1);
         let store = store_over(&g);
         let delta = EpochDelta::rebuild();
-        let mut replacement = Graph::with_dict(g.dict().clone());
+        let mut replacement = no_derived(&g);
         let t2 = triple(&mut replacement, "ex:b", "ex:p", "ex:y");
         replacement.insert_id(t2);
-        store.publish(&replacement, delta, Arc::new(HashMap::new()));
+        let mut inferred = no_derived(&g);
+        let t3 = triple(&mut inferred, "ex:a", "ex:q", "ex:y");
+        inferred.insert_id(t3);
+        let view = Overlay::new(&replacement, &inferred);
+        store.publish(view, delta, Arc::new(HashMap::new()));
         let snap = store.pin();
         assert!(snap.runs.is_empty(), "rebuild clears the run stack");
-        assert!(snap.contains_id(t2));
+        assert_eq!(
+            snap.iter_ids(),
+            vec![t3, t2],
+            "stated and derived, in SPO order"
+        );
         assert!(!snap.contains_id(t1));
     }
 
@@ -798,8 +844,7 @@ mod tests {
         let t = triple(&mut g, "ex:a", "ex:p", "ex:x");
         g.insert_id(t);
         let store = store_over(&g);
-        let conf = store.pin().confidence.clone();
-        store.publish(&g, EpochDelta::default(), conf);
+        publish_changes(&store, &g, &[]);
         assert_eq!(store.pin().epoch(), 0, "no-op publishes nothing");
     }
 
@@ -815,7 +860,7 @@ mod tests {
         conf.insert(t, 0.4);
         let mut delta = EpochDelta::default();
         delta.record(t, true); // no-op membership-wise, but confidence changed
-        store.publish(&g, delta, Arc::new(conf));
+        store.publish(Overlay::new(&g, &no_derived(&g)), delta, Arc::new(conf));
 
         assert_eq!(store.pin().confidence_of(t), Some(0.4));
         assert_eq!(

@@ -220,94 +220,32 @@ impl Graph {
     }
 
     /// Finds encoded triples matching a pattern; `None` positions are
-    /// wildcards. Results are in `(s, p, o)` order of the chosen index.
+    /// wildcards. Results are in `(s, p, o)` form, in the sort order of
+    /// the index `classify` picks for the pattern's shape.
     ///
-    /// Every arm is a borrowed `Copy`-key lookup or range scan — the
-    /// fully-bound arm is a plain `contains` on the SPO index and the
-    /// `(S, _, O)` arm range-scans OSP, neither allocating a key.
+    /// Every shape is a borrowed `Copy`-key lookup or range scan — the
+    /// fully-bound one is a plain `contains` on the SPO index and
+    /// `(S, _, O)` range-scans OSP, neither allocating a key.
     pub fn match_ids(
         &self,
         subject: Option<TermId>,
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> Vec<IdTriple> {
-        let full = (TermId::MIN, TermId::MAX);
-        match (subject, predicate, object) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&(s, p, o)) {
-                    vec![(s, p, o)]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(s), Some(p), None) => self
-                .spo
-                .range((s, p, full.0)..=(s, p, full.1))
-                .copied()
+        match classify(subject, predicate, object) {
+            Scan::Probe(triple) if self.spo.contains(&triple) => vec![triple],
+            Scan::Probe(_) => Vec::new(),
+            Scan::Range(index, lo, hi) => self
+                .index(index)
+                .range(lo..=hi)
+                .map(|&t| index.unpermute(t))
                 .collect(),
-            (Some(s), None, Some(o)) => self
-                .osp
-                .range((o, s, full.0)..=(o, s, full.1))
-                .map(|&(o, s, p)| (s, p, o))
-                .collect(),
-            (Some(s), None, None) => self
-                .spo
-                .range((s, full.0, full.0)..=(s, full.1, full.1))
-                .copied()
-                .collect(),
-            (None, Some(p), Some(o)) => self
-                .pos
-                .range((p, o, full.0)..=(p, o, full.1))
-                .map(|&(p, o, s)| (s, p, o))
-                .collect(),
-            (None, Some(p), None) => self
-                .pos
-                .range((p, full.0, full.0)..=(p, full.1, full.1))
-                .map(|&(p, o, s)| (s, p, o))
-                .collect(),
-            (None, None, Some(o)) => self
-                .osp
-                .range((o, full.0, full.0)..=(o, full.1, full.1))
-                .map(|&(o, s, p)| (s, p, o))
-                .collect(),
-            (None, None, None) => self.spo.iter().copied().collect(),
         }
     }
 
-    /// Counts triples matching a pattern without materializing them.
-    /// Same index routing as [`match_ids`](Self::match_ids); the
-    /// fully-unbound arm is `len()`. Costs `O(matches)` — the planner
-    /// uses [`count_ids_capped`](Self::count_ids_capped) instead.
-    pub fn count_ids(
-        &self,
-        subject: Option<TermId>,
-        predicate: Option<TermId>,
-        object: Option<TermId>,
-    ) -> usize {
-        let full = (TermId::MIN, TermId::MAX);
-        match (subject, predicate, object) {
-            (Some(s), Some(p), Some(o)) => usize::from(self.spo.contains(&(s, p, o))),
-            (Some(s), Some(p), None) => self.spo.range((s, p, full.0)..=(s, p, full.1)).count(),
-            (Some(s), None, Some(o)) => self.osp.range((o, s, full.0)..=(o, s, full.1)).count(),
-            (Some(s), None, None) => self
-                .spo
-                .range((s, full.0, full.0)..=(s, full.1, full.1))
-                .count(),
-            (None, Some(p), Some(o)) => self.pos.range((p, o, full.0)..=(p, o, full.1)).count(),
-            (None, Some(p), None) => self
-                .pos
-                .range((p, full.0, full.0)..=(p, full.1, full.1))
-                .count(),
-            (None, None, Some(o)) => self
-                .osp
-                .range((o, full.0, full.0)..=(o, full.1, full.1))
-                .count(),
-            (None, None, None) => self.spo.len(),
-        }
-    }
-
-    /// Like [`count_ids`](Self::count_ids) but stops counting at `cap`,
-    /// so the cost is `O(min(matches, cap))` instead of `O(matches)`.
+    /// Counts triples matching a pattern without materializing them,
+    /// stopping at `cap`: same index routing as
+    /// [`match_ids`](Self::match_ids), cost `O(min(matches, cap))`.
     /// This is the query planner's cardinality source: join *ordering*
     /// only needs estimates good enough to rank patterns, and every
     /// pattern at or above the cap is equally "huge".
@@ -318,41 +256,83 @@ impl Graph {
         object: Option<TermId>,
         cap: usize,
     ) -> usize {
-        let full = (TermId::MIN, TermId::MAX);
-        match (subject, predicate, object) {
-            (Some(s), Some(p), Some(o)) => usize::from(self.spo.contains(&(s, p, o))),
-            (Some(s), Some(p), None) => self
-                .spo
-                .range((s, p, full.0)..=(s, p, full.1))
-                .take(cap)
-                .count(),
-            (Some(s), None, Some(o)) => self
-                .osp
-                .range((o, s, full.0)..=(o, s, full.1))
-                .take(cap)
-                .count(),
-            (Some(s), None, None) => self
-                .spo
-                .range((s, full.0, full.0)..=(s, full.1, full.1))
-                .take(cap)
-                .count(),
-            (None, Some(p), Some(o)) => self
-                .pos
-                .range((p, o, full.0)..=(p, o, full.1))
-                .take(cap)
-                .count(),
-            (None, Some(p), None) => self
-                .pos
-                .range((p, full.0, full.0)..=(p, full.1, full.1))
-                .take(cap)
-                .count(),
-            (None, None, Some(o)) => self
-                .osp
-                .range((o, full.0, full.0)..=(o, full.1, full.1))
-                .take(cap)
-                .count(),
-            (None, None, None) => self.spo.len().min(cap),
+        match classify(subject, predicate, object) {
+            Scan::Probe(triple) => usize::from(self.spo.contains(&triple)),
+            Scan::Range(index, lo, hi) => self.index(index).range(lo..=hi).take(cap).count(),
         }
+    }
+
+    /// The set holding `index`'s permuted tuples, in sorted order.
+    pub(crate) fn index(&self, index: Index) -> &BTreeSet<IdTriple> {
+        match index {
+            Index::Spo => &self.spo,
+            Index::Pos => &self.pos,
+            Index::Osp => &self.osp,
+        }
+    }
+}
+
+/// One of the three sort orders every triple is indexed in. POS and OSP
+/// hold *permuted* tuples, so a bound prefix is a contiguous range.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Index {
+    /// `(s, p, o)` order.
+    Spo,
+    /// `(p, o, s)` order.
+    Pos,
+    /// `(o, s, p)` order.
+    Osp,
+}
+
+impl Index {
+    /// Maps `(s, p, o)` into this index's tuple order.
+    pub(crate) fn permute(self, (s, p, o): IdTriple) -> IdTriple {
+        match self {
+            Index::Spo => (s, p, o),
+            Index::Pos => (p, o, s),
+            Index::Osp => (o, s, p),
+        }
+    }
+
+    /// Maps one of this index's tuples back to `(s, p, o)`.
+    pub(crate) fn unpermute(self, (a, b, c): IdTriple) -> IdTriple {
+        match self {
+            Index::Spo => (a, b, c),
+            Index::Pos => (c, a, b),
+            Index::Osp => (b, c, a),
+        }
+    }
+}
+
+/// How a pattern shape is served: a membership probe, or a range scan of
+/// one index between permuted `lo..=hi` bounds.
+pub(crate) enum Scan {
+    /// Fully bound: a membership probe.
+    Probe(IdTriple),
+    /// A range scan: index selector, permuted `lo..=hi` bounds.
+    Range(Index, IdTriple, IdTriple),
+}
+
+/// The index-routing table: which index turns the bound positions of a
+/// pattern into a prefix range. The write-side [`Graph`] and the frozen
+/// arrays of an [`EpochSnapshot`](crate::EpochSnapshot) both scan what
+/// this names, so they agree on result order (merge joins rely on it).
+pub(crate) fn classify(
+    subject: Option<TermId>,
+    predicate: Option<TermId>,
+    object: Option<TermId>,
+) -> Scan {
+    let min = TermId::MIN;
+    let max = TermId::MAX;
+    match (subject, predicate, object) {
+        (Some(s), Some(p), Some(o)) => Scan::Probe((s, p, o)),
+        (Some(s), Some(p), None) => Scan::Range(Index::Spo, (s, p, min), (s, p, max)),
+        (Some(s), None, Some(o)) => Scan::Range(Index::Osp, (o, s, min), (o, s, max)),
+        (Some(s), None, None) => Scan::Range(Index::Spo, (s, min, min), (s, max, max)),
+        (None, Some(p), Some(o)) => Scan::Range(Index::Pos, (p, o, min), (p, o, max)),
+        (None, Some(p), None) => Scan::Range(Index::Pos, (p, min, min), (p, max, max)),
+        (None, None, Some(o)) => Scan::Range(Index::Osp, (o, min, min), (o, max, max)),
+        (None, None, None) => Scan::Range(Index::Spo, (min, min, min), (max, max, max)),
     }
 }
 
@@ -537,14 +517,36 @@ impl QueryView for Graph {
 /// work regardless.
 #[derive(Debug, Clone, Copy)]
 pub struct Overlay<'a> {
-    base: &'a Graph,
-    extra: &'a Graph,
+    pub(crate) base: &'a Graph,
+    pub(crate) extra: &'a Graph,
 }
 
 impl<'a> Overlay<'a> {
     /// Creates a union view over `base` and `extra`.
     pub fn new(base: &'a Graph, extra: &'a Graph) -> Overlay<'a> {
         Overlay { base, extra }
+    }
+
+    /// Every encoded triple of the union once: `base`'s in `(s, p, o)`
+    /// order, then those of `extra` that `base` lacks. Requires a shared
+    /// dictionary, like the other id-level methods.
+    pub fn iter_ids(&self) -> impl Iterator<Item = IdTriple> + 'a {
+        debug_assert!(
+            self.base.dict().ptr_eq(self.extra.dict()),
+            "id-level overlay queries require a shared dictionary"
+        );
+        let base = self.base;
+        base.iter_ids()
+            .chain(self.extra.iter_ids().filter(|&t| !base.contains_id(t)))
+    }
+
+    /// Copies the union into a standalone [`Graph`]. O(n) — for tests and
+    /// cold paths that need an owned graph; readers outside the writer's
+    /// lock pin an epoch instead.
+    pub fn to_graph(&self) -> Graph {
+        let mut graph = self.base.clone();
+        graph.extend_from(self.extra);
+        graph
     }
 }
 

@@ -1,7 +1,10 @@
 //! Incremental materialization of the inferred closure.
 //!
-//! [`IncrementalMaterializer`] keeps a stated base graph, the derived
-//! closure, and their union ("full view") maintained across mutations:
+//! [`IncrementalMaterializer`] stores two disjoint graphs — the stated
+//! base and the derived closure — and keeps the second the fixpoint of the
+//! first across mutations. Their union (the "full view") is not stored: the
+//! writer reads it as an [`Overlay`] of the pair, readers as a published
+//! epoch.
 //!
 //! * **Inserts** propagate forward semi-naively — only joins involving the
 //!   new facts run, so per-batch cost is proportional to the change, not
@@ -16,7 +19,7 @@
 //! [`materialize`](IncrementalMaterializer::materialize) call reseeds the
 //! fixpoint over the existing facts.
 //!
-//! All three graphs share one term dictionary, so the DRed cascades and
+//! Both graphs share one term dictionary, so the DRed cascades and
 //! semi-naive propagation run entirely on id triples — no statement is
 //! materialized during maintenance.
 
@@ -119,10 +122,10 @@ pub struct IncrementalMaterializer {
     /// Explicitly stated facts.
     base: Graph,
     /// Derived closure, disjoint from `base` (shares its dictionary).
+    /// Every mutation keeps it so: a fact enters `derived` only when
+    /// neither graph has it and leaves when it becomes stated — `len`
+    /// and the epoch freeze rely on that.
     derived: Graph,
-    /// `base ∪ derived`, kept materialized so readers get a plain
-    /// [`Graph`] without merging on every query (shares the dictionary).
-    full: Graph,
     /// Whether `derived` is the fixpoint of `config` over `base`. Cleared
     /// when a ruleset is enabled after facts already arrived.
     clean: bool,
@@ -142,12 +145,10 @@ impl IncrementalMaterializer {
     pub fn new() -> IncrementalMaterializer {
         let base = Graph::new();
         let derived = Graph::with_dict(base.dict().clone());
-        let full = Graph::with_dict(base.dict().clone());
         IncrementalMaterializer {
             config: MaterializerConfig::default(),
             base,
             derived,
-            full,
             clean: true,
             delta: EpochDelta::default(),
         }
@@ -159,7 +160,6 @@ impl IncrementalMaterializer {
         IncrementalMaterializer {
             config: MaterializerConfig::default(),
             derived: Graph::with_dict(graph.dict().clone()),
-            full: graph.clone(),
             base: graph,
             clean: true,
             delta: EpochDelta::rebuild(),
@@ -172,9 +172,9 @@ impl IncrementalMaterializer {
         std::mem::take(&mut self.delta)
     }
 
-    /// The maintained `base ∪ derived` view.
-    pub fn full(&self) -> &Graph {
-        &self.full
+    /// The full view, `base ⊎ derived`, read through both graphs' indexes.
+    pub fn view(&self) -> Overlay<'_> {
+        Overlay::new(&self.base, &self.derived)
     }
 
     /// The explicitly stated facts.
@@ -189,17 +189,23 @@ impl IncrementalMaterializer {
 
     /// Number of facts in the full view.
     pub fn len(&self) -> usize {
-        self.full.len()
+        self.base.len() + self.derived.len()
     }
 
     /// Whether the full view is empty.
     pub fn is_empty(&self) -> bool {
-        self.full.is_empty()
+        self.base.is_empty() && self.derived.is_empty()
     }
 
     /// Whether the full view contains the statement.
     pub fn contains(&self, st: &Statement) -> bool {
-        self.full.contains(st)
+        self.lookup_present(st).is_some()
+    }
+
+    /// The id triple of `st`, if the full view holds it.
+    pub(crate) fn lookup_present(&self, st: &Statement) -> Option<IdTriple> {
+        let triple = self.base.lookup_statement(st)?;
+        self.view().has_id(triple).then_some(triple)
     }
 
     /// Enables the RDFS subset; returns whether this changed the config.
@@ -207,7 +213,7 @@ impl IncrementalMaterializer {
         let changed = !self.config.rdfs;
         if changed {
             self.config.rdfs = true;
-            self.clean = self.full.is_empty();
+            self.clean = self.is_empty();
         }
         changed
     }
@@ -219,7 +225,7 @@ impl IncrementalMaterializer {
         if changed {
             self.config.owl = true;
             self.config.rdfs = true;
-            self.clean = self.full.is_empty();
+            self.clean = self.is_empty();
         }
         changed
     }
@@ -235,7 +241,7 @@ impl IncrementalMaterializer {
             }
         }
         if changed {
-            self.clean = self.full.is_empty();
+            self.clean = self.is_empty();
         }
         changed
     }
@@ -250,7 +256,7 @@ impl IncrementalMaterializer {
             }
         }
         if changed {
-            self.clean = self.full.is_empty();
+            self.clean = self.is_empty();
         }
         changed
     }
@@ -260,33 +266,22 @@ impl IncrementalMaterializer {
         &self.config
     }
 
+    /// Runs the rules forward from `seed` (facts already in the view) to
+    /// fixpoint, recording every newly derived fact; returns how many.
+    fn derive_from(&mut self, compiled: &CompiledRules, seed: Vec<IdTriple>) -> usize {
+        let new_facts = propagate(&self.base, &mut self.derived, seed, &mut |v, d| {
+            compiled.delta(v, d)
+        });
+        for &f in &new_facts {
+            self.delta.record(f, true);
+        }
+        new_facts.len()
+    }
+
     /// Inserts a stated fact and propagates its consequences forward.
     /// Returns whether the fact was new to the full view.
     pub fn insert(&mut self, st: Statement) -> bool {
-        let t = self.base.intern_statement(&st);
-        if !self.base.insert_id(t) {
-            return false;
-        }
-        // A previously derived fact that is now stated moves to the base;
-        // the full view already has it and nothing new follows from it.
-        if self.derived.remove_id(t) {
-            return false;
-        }
-        if self.full.insert_id(t) {
-            self.delta.record(t, true);
-        }
-        if self.config.is_active() && self.clean {
-            let compiled = self.config.compile(self.base.dict());
-            let new_facts = propagate(&self.base, &mut self.derived, vec![t], &mut |v, d| {
-                compiled.delta(v, d)
-            });
-            for f in new_facts {
-                if self.full.insert_id(f) {
-                    self.delta.record(f, true);
-                }
-            }
-        }
-        true
+        self.insert_batch([st]) == 1
     }
 
     /// Inserts a batch and propagates once over the whole batch delta.
@@ -298,25 +293,19 @@ impl IncrementalMaterializer {
             if !self.base.insert_id(t) {
                 continue;
             }
+            // A previously derived fact that is now stated moves to the
+            // base; the full view already has it and nothing new follows
+            // from it.
             if self.derived.remove_id(t) {
                 continue;
             }
-            if self.full.insert_id(t) {
-                self.delta.record(t, true);
-            }
+            self.delta.record(t, true);
             seed.push(t);
         }
         let added = seed.len();
         if !seed.is_empty() && self.config.is_active() && self.clean {
             let compiled = self.config.compile(self.base.dict());
-            let new_facts = propagate(&self.base, &mut self.derived, seed, &mut |v, d| {
-                compiled.delta(v, d)
-            });
-            for f in new_facts {
-                if self.full.insert_id(f) {
-                    self.delta.record(f, true);
-                }
-            }
+            self.derive_from(&compiled, seed);
         }
         added
     }
@@ -330,12 +319,9 @@ impl IncrementalMaterializer {
         // DRed needs an up-to-date closure to cascade over; catch up first
         // if a ruleset was enabled after facts arrived.
         self.materialize();
-        let Some(t) = self.full.lookup_statement(st) else {
+        let Some(t) = self.lookup_present(st) else {
             return false;
         };
-        if !self.full.contains_id(t) {
-            return false;
-        }
         let compiled = self
             .config
             .is_active()
@@ -346,10 +332,7 @@ impl IncrementalMaterializer {
         if let Some(compiled) = &compiled {
             let mut frontier = vec![t];
             while !frontier.is_empty() {
-                let candidates = {
-                    let view = Overlay::new(&self.base, &self.derived);
-                    compiled.delta(&view, &frontier)
-                };
+                let candidates = compiled.delta(&self.view(), &frontier);
                 let mut fresh = Vec::new();
                 for c in candidates {
                     if self.derived.contains_id(c) && c != t && overdeleted.insert(c) {
@@ -361,43 +344,27 @@ impl IncrementalMaterializer {
         }
         self.base.remove_id(t);
         self.derived.remove_id(t);
-        if self.full.remove_id(t) {
-            self.delta.record(t, false);
-        }
+        self.delta.record(t, false);
         for &o in &overdeleted {
             self.derived.remove_id(o);
-            if self.full.remove_id(o) {
-                self.delta.record(o, false);
-            }
+            self.delta.record(o, false);
         }
         // Rederivation: one naive round over what remains picks up every
         // suspect fact that still has a one-step derivation; semi-naive
         // propagation from those seeds restores the rest of the closure.
         if let Some(compiled) = &compiled {
-            let candidates = {
-                let view = Overlay::new(&self.base, &self.derived);
-                let all: Vec<IdTriple> = self.full.iter_ids().collect();
-                compiled.delta(&view, &all)
-            };
+            let all: Vec<IdTriple> = self.view().iter_ids().collect();
+            let candidates = compiled.delta(&self.view(), &all);
             let mut seeds = Vec::new();
             for c in candidates {
                 let suspect = overdeleted.contains(&c) || c == t;
-                if suspect && !self.full.contains_id(c) && self.derived.insert_id(c) {
-                    if self.full.insert_id(c) {
-                        self.delta.record(c, true);
-                    }
+                if suspect && !self.base.contains_id(c) && self.derived.insert_id(c) {
+                    self.delta.record(c, true);
                     seeds.push(c);
                 }
             }
             if !seeds.is_empty() {
-                let new_facts = propagate(&self.base, &mut self.derived, seeds, &mut |v, d| {
-                    compiled.delta(v, d)
-                });
-                for f in new_facts {
-                    if self.full.insert_id(f) {
-                        self.delta.record(f, true);
-                    }
-                }
+                self.derive_from(compiled, seeds);
             }
         }
         true
@@ -411,17 +378,8 @@ impl IncrementalMaterializer {
             self.clean = true;
             return 0;
         }
-        let seed: Vec<IdTriple> = self.full.iter_ids().collect();
         let compiled = self.config.compile(self.base.dict());
-        let new_facts = propagate(&self.base, &mut self.derived, seed, &mut |v, d| {
-            compiled.delta(v, d)
-        });
-        let added = new_facts.len();
-        for f in new_facts {
-            if self.full.insert_id(f) {
-                self.delta.record(f, true);
-            }
-        }
+        let added = self.derive_from(&compiled, self.view().iter_ids().collect());
         self.clean = true;
         added
     }
@@ -432,9 +390,8 @@ impl IncrementalMaterializer {
     /// adopts `graph`'s dictionary.
     pub fn reset(&mut self, graph: Graph) {
         self.derived = Graph::with_dict(graph.dict().clone());
-        self.full = graph.clone();
         self.base = graph;
-        self.clean = !self.config.is_active() || self.full.is_empty();
+        self.clean = !self.config.is_active() || self.base.is_empty();
         self.delta = EpochDelta::rebuild();
     }
 }
@@ -468,7 +425,7 @@ mod tests {
         m.enable_rdfs();
         m.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
         assert!(m.base().dict().ptr_eq(m.derived().dict()));
-        assert!(m.base().dict().ptr_eq(m.full().dict()));
+        assert!(m.base().dict().ptr_eq(m.view().to_graph().dict()));
     }
 
     #[test]
@@ -487,7 +444,7 @@ mod tests {
         let base: Graph = facts.iter().cloned().collect();
         let mut scratch = base.clone();
         scratch.extend_from(&RdfsReasoner::new().infer(&base));
-        assert_eq!(*m.full(), scratch);
+        assert_eq!(m.view().to_graph(), scratch);
     }
 
     #[test]
@@ -520,7 +477,7 @@ mod tests {
         let base_now: Graph = m.base().iter().collect();
         let mut scratch = base_now.clone();
         scratch.extend_from(&TransitiveReasoner::new(vec![Term::iri("sub")]).infer(&base_now));
-        assert_eq!(*m.full(), scratch);
+        assert_eq!(m.view().to_graph(), scratch);
     }
 
     #[test]

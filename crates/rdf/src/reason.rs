@@ -12,7 +12,7 @@
 //!   Jena-style rule syntax.
 //!
 //! Forward chaining runs entirely on dictionary-encoded id triples: rules
-//! are compiled once per run ([`compile_rules`]) into constant-id /
+//! are compiled once per run (`compile_rules`) into constant-id /
 //! variable-index form, bindings are flat `Vec<Option<TermId>>` arrays,
 //! and every join is integer work. Terms are materialized only at the API
 //! boundary.
@@ -856,9 +856,11 @@ impl GenericRuleReasoner {
     /// Backward chaining: proves whether `goal` (a possibly-variable
     /// pattern) holds, returning all binding solutions. Memoizes goals to
     /// terminate on recursive rule sets ("tabled" in Jena's terminology).
+    /// Ground facts come from any [`TripleView`] — a [`Graph`], or a
+    /// pinned epoch so the search holds no lock.
     pub fn prove(
         &self,
-        graph: &Graph,
+        graph: &dyn TripleView,
         goal: &TriplePattern,
         max_depth: usize,
     ) -> Vec<HashMap<String, Term>> {
@@ -868,7 +870,7 @@ impl GenericRuleReasoner {
 
     fn prove_inner(
         &self,
-        graph: &Graph,
+        graph: &dyn TripleView,
         goal: &TriplePattern,
         bindings: &HashMap<String, Term>,
         depth: usize,

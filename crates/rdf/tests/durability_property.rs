@@ -298,8 +298,8 @@ fn run_scenario(seed: u64) -> ScenarioDigest {
     configure(&mut scratch, &recovered_config);
     scratch.materialize();
     assert_eq!(
-        recovered.full(),
-        scratch.full(),
+        recovered.view().to_graph(),
+        scratch.view().to_graph(),
         "seed {seed}: recovered closure diverges from from-scratch materialization"
     );
 
