@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 /// Panics if the value contains a non-finite float; such a value cannot be
 /// represented in JSON and indicates a bug in the producer.
 pub(crate) fn to_string(value: &Json, indent: Option<usize>) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(value.size_bytes());
     write_value(&mut out, value, indent, 0);
     out
 }
@@ -78,23 +78,34 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
+/// Writes `s` as a JSON string literal, copying each run of characters
+/// that needs no escape with one `push_str`. Every escaped character is
+/// ASCII, and no byte of a multi-byte UTF-8 sequence is, so scanning
+/// bytes only ever splits `s` at character boundaries.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -125,6 +136,41 @@ mod tests {
     fn escapes_control_and_quote_characters() {
         let v = Json::from("a\"b\\c\nd\u{0001}e");
         assert_eq!(v.to_json(), "\"a\\\"b\\\\c\\nd\\u0001e\"");
+    }
+
+    #[test]
+    fn run_copying_matches_a_char_by_char_escaper() {
+        // The reference escapes one char at a time.
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{0008}' => out.push_str("\\b"),
+                    '\u{000C}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let ascii: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            ascii.as_str(),
+            "é\"ü\n日本\u{1F600}\\\u{7f}\u{1}",
+            "\u{1F600}",
+            "\"\"",
+            "tail\\",
+        ] {
+            assert_eq!(Json::from(s).to_json(), reference(s), "{s:?}");
+        }
     }
 
     #[test]

@@ -17,23 +17,27 @@
 
 use crate::ingest::{chunk_documents, IngestConfig};
 use crate::kb::PersonalKnowledgeBase;
+use crate::KbError;
 use cogsdk_core::gateway::{IngestHandler, QueryHandler};
 use cogsdk_core::ThreadPool;
 use cogsdk_json::Json;
+use cogsdk_rdf::Query;
 use std::sync::Arc;
 
 /// Builds a [`QueryHandler`] for
 /// [`HttpGateway::set_query_handler`](cogsdk_core::HttpGateway::set_query_handler)
 /// over a shared knowledge base.
 ///
-/// Each call runs through [`PersonalKnowledgeBase::query_with_stats`], so
-/// the base's `sdk_query_*` metrics (plan time, result rows, join
-/// strategy counts — tenant-labeled when the base is attributed to one)
-/// are published per request. Body fields:
+/// Each call publishes the same `sdk_query_*` metrics as
+/// [`PersonalKnowledgeBase::query_with_stats`] (plan time, result rows,
+/// join strategy counts — tenant-labeled when the base is attributed to
+/// one). Rows are written into the response straight from the executor's
+/// id rows, and `stats` adds the executor's work counters
+/// (`index_probes`, `rows_scanned`, `rows_materialised`). Body fields:
 ///
 /// * `sparql` (string, required) — the query text.
-/// * `explain` (bool, optional) — include the planner's `explain()`
-///   rendering as a `plan` field.
+/// * `explain` (bool, optional) — include the `explain()` rendering of
+///   the plan that ran as a `plan` field.
 /// * `epoch` (integer, optional) — pin the query to a previously
 ///   reported snapshot epoch instead of the current one, so
 ///   `OFFSET`/`LIMIT` pages tile one consistent result set while ingest
@@ -54,37 +58,43 @@ pub fn gateway_query_handler(kb: Arc<PersonalKnowledgeBase>) -> QueryHandler {
             ))?,
             None => kb.query_snapshot(),
         };
-        let (rows, stats) = kb
-            .query_on(&snapshot, sparql)
-            .map_err(|e| format!("query failed: {e}"))?;
-        let mut rows_json = Json::Array(Vec::new());
-        for row in &rows {
-            let mut obj = Json::object();
-            // Deterministic field order: sort by variable name (HashMap
-            // iteration order would leak into the wire format otherwise).
-            let mut entries: Vec<_> = row.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            for (var, term) in entries {
-                obj.insert(var.clone(), term.to_string());
-            }
-            rows_json.push(obj);
-        }
+        let query =
+            Query::parse(sparql).map_err(|e| format!("query failed: {}", KbError::from(e)))?;
+        let plan = query.plan(&*snapshot);
+        // Each row is an object keyed by variable name in sorted order, so
+        // the wire format is deterministic; a repeated SELECT variable is
+        // one key.
+        let mut columns = query.columns(&plan);
+        columns.sort_unstable();
+        columns.dedup();
+        let dict = snapshot.dict();
+        let mut rows = Vec::new();
+        let stats = query.run(&plan, &*snapshot, |row| {
+            let fields = columns.iter().filter_map(|&(var, i)| {
+                Some((
+                    var.to_string(),
+                    Json::from(dict.resolve_ref(row[i]?).to_string()),
+                ))
+            });
+            rows.push(fields.collect::<Json>());
+        });
+        kb.publish_query_metrics(&stats);
         let mut stats_json = Json::object();
         stats_json.insert("rows", stats.rows);
         stats_json.insert("plan_micros", stats.plan_micros as usize);
         stats_json.insert("merge_joins", stats.merge_joins);
         stats_json.insert("nested_loop_joins", stats.loop_joins);
         stats_json.insert("patterns", stats.patterns);
+        stats_json.insert("index_probes", stats.index_probes);
+        stats_json.insert("rows_scanned", stats.rows_scanned);
+        stats_json.insert("rows_materialised", stats.rows_materialised);
         let mut out = Json::object();
-        out.insert("rows", rows_json);
+        out.insert("rows", Json::Array(rows));
         out.insert("stats", stats_json);
         out.insert("epoch", snapshot.epoch() as usize);
         if explain {
-            out.insert(
-                "plan",
-                kb.query_explain(sparql)
-                    .map_err(|e| format!("explain failed: {e}"))?,
-            );
+            // The plan that produced the rows, on the epoch they came from.
+            out.insert("plan", plan.explain());
         }
         Ok(out)
     })
@@ -258,6 +268,48 @@ mod tests {
             Some(3)
         );
         assert!(fresh.get("epoch").and_then(Json::as_usize).unwrap() > epoch);
+    }
+
+    #[test]
+    fn explain_renders_the_plan_that_ran_on_the_pinned_epoch() {
+        let kb = sample_kb();
+        let handler = gateway_query_handler(kb.clone());
+        let epoch = kb.query_snapshot().epoch();
+        kb.add_statement(Statement::new(
+            Term::iri("kb:japan"),
+            Term::iri("kb:gdp"),
+            Term::integer(5000),
+        ))
+        .unwrap();
+        let body = format!(
+            r#"{{"sparql": "SELECT ?c WHERE {{ ?c <kb:gdp> ?g }}", "explain": true, "epoch": {epoch}}}"#
+        );
+        let out = handler(&post(&body)).unwrap();
+        let plan = out.get("plan").and_then(Json::as_str).unwrap();
+        // The pinned epoch holds two gdp facts; the current one holds three.
+        assert!(plan.contains("est=2"), "{plan}");
+        assert_eq!(out.pointer("/stats/rows").and_then(Json::as_usize), Some(2));
+    }
+
+    #[test]
+    fn stats_report_the_executor_work_counters() {
+        let handler = gateway_query_handler(sample_kb());
+        let out = handler(&post(
+            r#"{"sparql": "SELECT ?c ?c WHERE { ?c <kb:gdp> ?g } LIMIT 1"}"#,
+        ))
+        .unwrap();
+        let stat = |name: &str| {
+            out.pointer(&format!("/stats/{name}"))
+                .and_then(Json::as_usize)
+        };
+        assert_eq!(stat("index_probes"), Some(1));
+        assert_eq!(stat("rows_scanned"), Some(1), "LIMIT 1 stops the scan");
+        assert_eq!(stat("rows_materialised"), Some(1));
+        // A variable selected twice is still one key in its row.
+        assert_eq!(
+            out.pointer("/rows/0").map(Json::to_json).as_deref(),
+            Some(r#"{"c":"<kb:usa>"}"#)
+        );
     }
 
     #[test]

@@ -654,7 +654,7 @@ impl PersonalKnowledgeBase {
     /// `sdk_query_total`, `sdk_query_rows_total`,
     /// `sdk_query_joins_total{strategy=…}` and the `sdk_query_plan_micros`
     /// histogram. Tenant-labeled like the cache counters.
-    fn publish_query_metrics(&self, stats: &QueryStats) {
+    pub(crate) fn publish_query_metrics(&self, stats: &QueryStats) {
         if !self.telemetry.is_enabled() {
             return;
         }

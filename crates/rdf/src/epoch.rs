@@ -52,6 +52,26 @@ fn range_of(sorted: &[IdTriple], lo: IdTriple, hi: IdTriple) -> &[IdTriple] {
     &sorted[start..end]
 }
 
+/// Where the range starting at `lo` begins in `sorted`, searched from
+/// `hint` (where an earlier probe's range began; 0 for none): a gallop
+/// forward when the range lies after it, so ascending probes read memory
+/// near the previous one rather than a fresh binary-search path.
+fn start_near(sorted: &[IdTriple], hint: usize, lo: IdTriple) -> usize {
+    let hint = hint.min(sorted.len());
+    if hint == 0 || sorted[hint - 1] >= lo {
+        let before = if hint == 0 { sorted } else { &sorted[..hint] };
+        return before.partition_point(|&t| t < lo);
+    }
+    // Everything before `from` sorts below `lo`.
+    let (mut from, mut step) = (hint, 1);
+    while from + step <= sorted.len() && sorted[from + step - 1] < lo {
+        from += step;
+        step *= 2;
+    }
+    let to = (from + step).min(sorted.len());
+    from + sorted[from..to].partition_point(|&t| t < lo)
+}
+
 /// An immutable, fully-sorted freeze of the write side's three indexes.
 /// The POS/OSP vectors hold *permuted* tuples (as the write-side BTree
 /// indexes do), so every scan is a binary-searched contiguous slice.
@@ -233,6 +253,12 @@ impl EpochSnapshot {
         self.len == 0
     }
 
+    /// Delta runs stacked on the frozen base: every scan merges this many
+    /// sorted slices besides the base's.
+    pub fn delta_runs(&self) -> usize {
+        self.runs.len()
+    }
+
     /// The statement-confidence map as of this epoch (triples absent
     /// from the map have the default confidence 1.0).
     pub fn confidence(&self) -> &Arc<HashMap<IdTriple, f64>> {
@@ -305,7 +331,6 @@ impl EpochSnapshot {
         }
         sources.retain(|s| !s.is_empty());
 
-        // Fast path: one source, no deletions to consult beyond `live`.
         let mut out = Vec::new();
         if sources.is_empty() {
             return out;
@@ -388,6 +413,16 @@ impl QueryView for EpochSnapshot {
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> Vec<IdTriple> {
+        self.match_ids_near(subject, predicate, object, &mut 0)
+    }
+
+    fn match_ids_near(
+        &self,
+        subject: Option<TermId>,
+        predicate: Option<TermId>,
+        object: Option<TermId>,
+        finger: &mut usize,
+    ) -> Vec<IdTriple> {
         match classify(subject, predicate, object) {
             Scan::Probe(triple) => {
                 if self.contains_id(triple) {
@@ -395,6 +430,16 @@ impl QueryView for EpochSnapshot {
                 } else {
                     Vec::new()
                 }
+            }
+            // No runs: the base slice is the answer, nothing to merge.
+            Scan::Range(index, lo, hi) if self.runs.is_empty() => {
+                let sorted = self.base.select(index);
+                *finger = start_near(sorted, *finger, lo);
+                sorted[*finger..]
+                    .iter()
+                    .take_while(|&&t| t <= hi)
+                    .map(|&t| index.unpermute(t))
+                    .collect()
             }
             Scan::Range(index, lo, hi) => self.merged_scan(index, lo, hi),
         }
@@ -664,6 +709,35 @@ mod tests {
             assert_eq!(frozen.pos, pos, "round {round}: pos");
             assert_eq!(frozen.osp, osp, "round {round}: osp");
         }
+    }
+
+    #[test]
+    fn start_near_agrees_with_a_binary_search_from_any_hint() {
+        use cogsdk_sim::rng::Rng;
+        let mut rng = Rng::new(0x5EA4);
+        let mut id = |n: u64| TermId::from_raw(rng.below(n) as u32);
+        let mut sorted: Vec<IdTriple> = (0..300).map(|_| (id(40), id(4), id(3))).collect();
+        sorted.sort_unstable();
+        // Keys equal to elements (so to the one just before a hint), and
+        // keys between or beyond them; every hint, past the end included.
+        let keys: Vec<IdTriple> = sorted
+            .iter()
+            .copied()
+            .chain((0..100).map(|_| (id(42), id(5), id(4))))
+            .collect();
+        for lo in keys {
+            for hint in 0..sorted.len() + 3 {
+                assert_eq!(
+                    start_near(&sorted, hint, lo),
+                    sorted.partition_point(|&t| t < lo),
+                    "hint {hint}, key {lo:?}"
+                );
+            }
+        }
+        assert_eq!(
+            start_near(&[], 3, (TermId::MIN, TermId::MIN, TermId::MIN)),
+            0
+        );
     }
 
     #[test]

@@ -458,6 +458,22 @@ pub trait QueryView: TripleView {
         object: Option<TermId>,
     ) -> Vec<IdTriple>;
 
+    /// [`match_ids`](Self::match_ids) for a caller probing one pattern
+    /// shape many times, mostly in ascending key order. `finger` keeps
+    /// where the last probe's range began in the serving index, and a
+    /// view with positional indexes starts the next search there; the
+    /// default ignores it.
+    fn match_ids_near(
+        &self,
+        subject: Option<TermId>,
+        predicate: Option<TermId>,
+        object: Option<TermId>,
+        finger: &mut usize,
+    ) -> Vec<IdTriple> {
+        let _ = finger;
+        self.match_ids(subject, predicate, object)
+    }
+
     /// Cardinality estimate for a pattern, saturating at `cap`. May
     /// over-count (it only ranks join candidates) but must never report
     /// zero for a pattern that has matches. [`Graph`] returns an exact

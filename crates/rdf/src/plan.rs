@@ -28,10 +28,13 @@
 //! renders the chosen strategy as stable text so tests (and the gateway)
 //! can pin join orders.
 //!
-//! Evaluation order is: required patterns (planner order), then `UNION`
-//! blocks (order added), then `OPTIONAL` groups (order added), then the
-//! offset/limit slice, then projection. Results are bags — duplicates are
-//! preserved, matching SPARQL multiset semantics.
+//! [`ExecPlan::run`] executes depth-first over the required patterns
+//! (planner order), then `UNION` blocks, then `OPTIONAL` groups, binding
+//! variables in place in one row buffer. Each finished id row goes to a
+//! sink that can stop the execution, so a slice ends the join once its
+//! last row is out, and terms are resolved only for rows returned.
+//! Results are bags — duplicates are preserved, matching SPARQL multiset
+//! semantics.
 //!
 //! # Examples
 //!
@@ -57,6 +60,7 @@ use crate::query::Solution;
 use crate::reason::{var_index, IdPattern, IdPatternTerm, PatternTerm, TriplePattern};
 use crate::RdfError;
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Cardinality estimates saturate here. Ordering patterns only needs
@@ -72,7 +76,7 @@ const ESTIMATE_CAP: usize = 4096;
 /// Build one with the fluent methods, then either [`execute`](Self::execute)
 /// it directly or [`plan`](Self::plan) it first to inspect the chosen join
 /// strategy via [`ExecPlan::explain`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BgpQuery {
     patterns: Vec<TriplePattern>,
     unions: Vec<Vec<Vec<TriplePattern>>>,
@@ -168,6 +172,11 @@ impl BgpQuery {
         self.plan_inner(graph, false)
     }
 
+    /// Whether the query has no pattern at all to match.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.patterns.is_empty() && self.unions.is_empty() && self.optionals.is_empty()
+    }
+
     /// Plans and executes in one call.
     pub fn execute<V: QueryView>(&self, graph: &V) -> Vec<Solution> {
         self.plan(graph).execute(graph)
@@ -204,8 +213,7 @@ impl BgpQuery {
             .map(|g| compile_group(g, dict, &mut vars))
             .collect();
 
-        let nothing_to_match =
-            self.patterns.is_empty() && self.unions.is_empty() && self.optionals.is_empty();
+        let nothing_to_match = self.is_empty();
         let empty = nothing_to_match || required.iter().any(Option::is_none);
 
         let mut steps: Vec<Step> = Vec::new();
@@ -238,11 +246,10 @@ impl BgpQuery {
             let mut remaining: Vec<usize> = (0..pats.len()).collect();
             let mut bound: HashSet<usize> = HashSet::new();
             let mut sorted_var: Option<usize> = None;
-            let mut first = true;
             while !remaining.is_empty() {
                 let pick = if !optimize {
                     0
-                } else if first {
+                } else if steps.is_empty() {
                     argmin(&remaining, |&i| est[i])
                 } else {
                     let connected: Vec<usize> = (0..remaining.len())
@@ -263,8 +270,8 @@ impl BgpQuery {
                 let (index_name, sort_pos) = index_choice(p);
                 let scan_sort_var = sort_pos.and_then(|pos| var_at(p, pos));
                 let rendered = render_pattern(&self.patterns[idx]);
-                if first {
-                    steps.push(Step::Scan { pattern: p });
+                if steps.is_empty() {
+                    steps.push(Step::Loop { pattern: p });
                     let sorted = match scan_sort_var {
                         Some(v) => format!(" sorted=?{}", vars[v]),
                         None => String::new(),
@@ -274,13 +281,9 @@ impl BgpQuery {
                         est[idx]
                     ));
                     sorted_var = scan_sort_var;
-                    first = false;
-                } else if optimize
-                    && scan_sort_var.is_some()
-                    && scan_sort_var == sorted_var
-                    && scan_sort_var.is_some_and(|v| bound.contains(&v))
+                } else if let Some(v) = scan_sort_var
+                    .filter(|v| optimize && sorted_var == Some(*v) && bound.contains(v))
                 {
-                    let v = scan_sort_var.expect("checked");
                     let pos = sort_pos.expect("sort var implies sort position");
                     steps.push(Step::Merge {
                         pattern: p,
@@ -316,15 +319,12 @@ impl BgpQuery {
                     arms: arms.iter().filter_map(Clone::clone).collect(),
                 });
             }
-            for (oi, group) in optionals.iter().enumerate() {
+            for (source, group) in self.optionals.iter().zip(optionals) {
                 let suffix = if group.is_none() { " no-match" } else { "" };
-                lines.push(format!(
-                    "optional {}{suffix}",
-                    render_group(&self.optionals[oi])
-                ));
-                steps.push(Step::Optional {
-                    group: group.clone(),
-                });
+                lines.push(format!("optional {}{suffix}", render_group(source)));
+                if let Some(group) = group {
+                    steps.push(Step::Optional { group });
+                }
             }
         }
 
@@ -355,10 +355,13 @@ impl BgpQuery {
             offset: self.offset,
             limit: self.limit,
             explain: lines.join("\n"),
-            plan_micros: start.elapsed().as_micros() as u64,
-            merge_joins,
-            loop_joins,
-            patterns: self.patterns.len(),
+            stats: QueryStats {
+                plan_micros: start.elapsed().as_micros() as u64,
+                merge_joins,
+                loop_joins,
+                patterns: self.patterns.len(),
+                ..QueryStats::default()
+            },
         }
     }
 }
@@ -366,8 +369,6 @@ impl BgpQuery {
 /// One operator in an [`ExecPlan`].
 #[derive(Debug, Clone)]
 enum Step {
-    /// The opening index scan (the most selective required pattern).
-    Scan { pattern: IdPattern },
     /// Merge join: current rows and the pattern's index scan are both
     /// sorted by `var` (`pos` is the position of `var` in the scanned
     /// tuples).
@@ -376,14 +377,15 @@ enum Step {
         var: usize,
         pos: usize,
     },
-    /// Index nested-loop join: per row, probe the best index.
+    /// Index nested-loop join: per row, probe the best index. The opening
+    /// scan is this step run for the one empty row.
     Loop { pattern: IdPattern },
     /// Bag union over arm expansions. Dead arms (unknown constants) are
     /// already pruned; an empty arm list matches nothing.
     Union { arms: Vec<Vec<IdPattern>> },
-    /// Left-outer join against a pattern group. `None` means the group
-    /// can never match (unknown constant): rows pass through unchanged.
-    Optional { group: Option<Vec<IdPattern>> },
+    /// Left-outer join against a pattern group. A group that can never
+    /// match (unknown constant) gets no step: rows pass through unchanged.
+    Optional { group: Vec<IdPattern> },
 }
 
 /// A compiled, executable query plan. Produced by [`BgpQuery::plan`];
@@ -399,14 +401,13 @@ pub struct ExecPlan {
     offset: usize,
     limit: Option<usize>,
     explain: String,
-    plan_micros: u64,
-    merge_joins: usize,
-    loop_joins: usize,
-    patterns: usize,
+    /// The plan's counters; execution adds its work counters to a copy.
+    stats: QueryStats,
 }
 
-/// Counters describing one planned execution, for metrics and `EXPLAIN`
-/// output at the gateway.
+/// Counters describing one planned execution, for metrics and the
+/// gateway's `/query` `stats`. The work counters are exact for a given
+/// view and query, so a change in work shows as a count, not a timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Time spent planning, in microseconds.
@@ -419,6 +420,12 @@ pub struct QueryStats {
     pub loop_joins: usize,
     /// Required patterns in the query.
     pub patterns: usize,
+    /// Index lookups made: one per scan or loop probe, one per merge join.
+    pub index_probes: usize,
+    /// Triples consumed from those lookups before execution stopped.
+    pub rows_scanned: usize,
+    /// Rows whose terms were resolved to build the output: those returned.
+    pub rows_materialised: usize,
 }
 
 impl ExecPlan {
@@ -437,202 +444,246 @@ impl ExecPlan {
 
     /// Time spent planning, in microseconds.
     pub fn plan_micros(&self) -> u64 {
-        self.plan_micros
+        self.stats.plan_micros
     }
 
-    /// Executes the plan, returning raw binding rows (indexes match
-    /// [`vars`](Self::vars); `None` = unbound, ids relative to the view's
-    /// dictionary). The offset/limit slice is applied; projection is not.
-    pub fn rows<V: QueryView>(&self, graph: &V) -> Vec<Vec<Option<TermId>>> {
-        if self.empty {
-            return Vec::new();
-        }
-        let mut rows: Vec<Vec<Option<TermId>>> = vec![vec![None; self.vars.len()]];
-        for step in &self.steps {
-            match step {
-                Step::Scan { pattern } | Step::Loop { pattern } => {
-                    rows = solve_all(pattern, graph, &rows);
-                }
-                Step::Merge { pattern, var, pos } => {
-                    let scan = graph.match_ids(
-                        const_slot(pattern.subject),
-                        const_slot(pattern.predicate),
-                        const_slot(pattern.object),
-                    );
-                    rows.sort_by_key(|r| r[*var]);
-                    rows = merge_join(rows, &scan, pattern, *var, *pos);
-                }
-                Step::Union { arms } => {
-                    let mut next = Vec::new();
-                    for row in &rows {
-                        for arm in arms {
-                            next.extend(solve_group(arm, graph, row));
-                        }
-                    }
-                    rows = next;
-                }
-                Step::Optional { group } => {
-                    if let Some(group) = group {
-                        let mut next = Vec::new();
-                        for row in &rows {
-                            let extended = solve_group(group, graph, row);
-                            if extended.is_empty() {
-                                next.push(row.clone());
-                            } else {
-                                next.extend(extended);
-                            }
-                        }
-                        rows = next;
-                    }
-                }
-            }
-            if rows.is_empty() {
-                break;
-            }
-        }
-        let it = rows.into_iter().skip(self.offset);
-        match self.limit {
-            Some(l) => it.take(l).collect(),
-            None => it.collect(),
-        }
-    }
-
-    /// Executes the plan and materializes terms for the projected
-    /// variables. Unbound variables (e.g. from unmatched optionals) are
-    /// simply absent from their row.
-    pub fn execute<V: QueryView>(&self, graph: &V) -> Vec<Solution> {
-        self.materialize(graph, self.rows(graph))
-    }
-
-    /// Like [`execute`](Self::execute), also returning the stats record
-    /// the knowledge base publishes as `sdk_query_*` metrics.
-    pub fn execute_with_stats<V: QueryView>(&self, graph: &V) -> (Vec<Solution>, QueryStats) {
-        let out = self.execute(graph);
-        let stats = QueryStats {
-            plan_micros: self.plan_micros,
-            rows: out.len(),
-            merge_joins: self.merge_joins,
-            loop_joins: self.loop_joins,
-            patterns: self.patterns,
-        };
-        (out, stats)
-    }
-
-    fn materialize<V: QueryView>(
+    /// Runs the plan depth-first, handing each finished id row (indexes
+    /// match [`vars`](Self::vars); `None` = unbound) to `sink` in a fixed
+    /// order; `Break` from `sink` stops it before any further index lookup.
+    /// The plan's own slice and projection are *not* applied. Returns the
+    /// plan's counters plus `index_probes` and `rows_scanned`.
+    pub fn run<V: QueryView>(
         &self,
         graph: &V,
-        rows: Vec<Vec<Option<TermId>>>,
-    ) -> Vec<Solution> {
-        let dict = graph.dict();
-        let proj: Vec<usize> = if self.select.is_empty() {
-            (0..self.vars.len()).collect()
-        } else {
-            self.select
-                .iter()
-                .filter_map(|n| self.vars.iter().position(|v| v == n))
-                .collect()
+        sink: &mut dyn FnMut(&[Option<TermId>]) -> ControlFlow<()>,
+    ) -> QueryStats {
+        let mut exec = Executor {
+            graph,
+            steps: &self.steps,
+            row: vec![None; self.vars.len()],
+            merges: vec![None; self.steps.len()],
+            fingers: vec![0; self.steps.len()],
+            extended: 0,
+            stats: self.stats,
+            sink,
         };
-        rows.into_iter()
-            .map(|row| {
-                proj.iter()
-                    .filter_map(|&i| row[i].map(|id| (self.vars[i].clone(), dict.resolve(id))))
-                    .collect()
-            })
-            .collect()
+        if !self.empty {
+            let _ = exec.step(0);
+        }
+        exec.stats
+    }
+
+    /// Executes the plan, applies its offset/limit slice, and materializes
+    /// terms for the projected variables. Unbound variables (e.g. from
+    /// unmatched optionals) are simply absent from their row.
+    pub fn execute<V: QueryView>(&self, graph: &V) -> Vec<Solution> {
+        let columns = columns(&self.vars, &self.select);
+        let mut out = Vec::new();
+        self.run(
+            graph,
+            &mut window(self.offset, self.limit, |row| {
+                out.push(solution(&columns, graph.dict(), row));
+            }),
+        );
+        out
     }
 }
 
-/// Pattern-at-a-time expansion of `rows` through one pattern.
-fn solve_all<V: QueryView>(
-    pattern: &IdPattern,
-    graph: &V,
-    rows: &[Vec<Option<TermId>>],
-) -> Vec<Vec<Option<TermId>>> {
-    let mut next = Vec::new();
-    for row in rows {
-        next.extend(pattern.solve(graph, row).into_iter().map(|(r, _)| r));
+/// OFFSET/LIMIT over a row stream: passes rows `[offset, offset + limit)`
+/// to `emit` and breaks right after the last of them, so no lookup runs
+/// for a row that could not be returned.
+pub(crate) fn window(
+    offset: usize,
+    limit: Option<usize>,
+    mut emit: impl FnMut(&[Option<TermId>]),
+) -> impl FnMut(&[Option<TermId>]) -> ControlFlow<()> {
+    let end = limit.map_or(usize::MAX, |l| offset.saturating_add(l));
+    let mut seen = 0usize;
+    move |row| {
+        seen += 1;
+        if seen > offset && seen <= end {
+            emit(row);
+        }
+        if seen >= end {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
-    next
 }
 
-/// Expands one row through every pattern of a group (inner join).
-fn solve_group<V: QueryView>(
-    group: &[IdPattern],
-    graph: &V,
+/// A projection's columns, `(name, index into vars)`: each selected variable
+/// the plan knows, in `select` order, or every variable if none is selected.
+pub(crate) fn columns<'a>(vars: &'a [String], select: &'a [String]) -> Vec<(&'a str, usize)> {
+    let names = if select.is_empty() { vars } else { select };
+    names
+        .iter()
+        .filter_map(|n| Some((n.as_str(), vars.iter().position(|v| v == n)?)))
+        .collect()
+}
+
+/// Resolves the bound `columns` of one id row into a [`Solution`].
+pub(crate) fn solution(
+    columns: &[(&str, usize)],
+    dict: &TermDict,
     row: &[Option<TermId>],
-) -> Vec<Vec<Option<TermId>>> {
-    let mut sub = vec![row.to_vec()];
-    for pattern in group {
-        sub = solve_all(pattern, graph, &sub);
-        if sub.is_empty() {
-            break;
-        }
-    }
-    sub
+) -> Solution {
+    columns
+        .iter()
+        .filter_map(|&(name, i)| Some((name.to_string(), dict.resolve(row[i]?))))
+        .collect()
 }
 
-/// Many-to-many merge join of sorted `rows` (by `rows[i][var]`) with a
-/// sorted index `scan` (by the tuple component at `pos`). Linear in
-/// `|rows| + |scan| + |matches|`: the scan cursor never retreats past the
-/// current key block.
-fn merge_join(
-    rows: Vec<Vec<Option<TermId>>>,
-    scan: &[IdTriple],
-    pattern: &IdPattern,
-    var: usize,
-    pos: usize,
-) -> Vec<Vec<Option<TermId>>> {
-    let key_of = |t: &IdTriple| match pos {
-        0 => t.0,
-        1 => t.1,
-        _ => t.2,
-    };
-    let mut out = Vec::new();
-    let mut lo = 0usize;
-    for row in rows {
-        debug_assert!(row[var].is_some(), "merge var must be bound by prior joins");
-        let Some(k) = row[var] else { continue };
-        while lo < scan.len() && key_of(&scan[lo]) < k {
-            lo += 1;
-        }
-        let mut i = lo;
-        while i < scan.len() && key_of(&scan[i]) == k {
-            if let Some(ext) = extend_row(&row, pattern, scan[i]) {
-                out.push(ext);
+/// Depth-first execution state: one row buffer, bound and unbound in place.
+struct Executor<'a, V> {
+    graph: &'a V,
+    steps: &'a [Step],
+    row: Vec<Option<TermId>>,
+    /// Per step, a merge join's cursor, made when its first row arrives.
+    merges: Vec<Option<MergeCursor>>,
+    /// Per step, where its last index probe landed (see `match_ids_near`).
+    fingers: Vec<usize>,
+    /// Rows that made it through a whole pattern group. An `OPTIONAL`
+    /// whose group leaves this unchanged passes its input row on.
+    extended: usize,
+    stats: QueryStats,
+    sink: &'a mut dyn FnMut(&[Option<TermId>]) -> ControlFlow<()>,
+}
+
+/// A merge join's sorted index scan and its forward-only cursor.
+#[derive(Debug, Clone)]
+struct MergeCursor {
+    scan: Vec<IdTriple>,
+    next: usize,
+    /// The last merge key seen, to check that rows arrive sorted.
+    key: TermId,
+}
+
+impl<V: QueryView> Executor<'_, V> {
+    /// Continues the row at step `at`, or hands it to the sink after the last.
+    fn step(&mut self, at: usize) -> ControlFlow<()> {
+        let steps = self.steps;
+        let Some(step) = steps.get(at) else {
+            return (self.sink)(&self.row);
+        };
+        match step {
+            Step::Loop { pattern } => self.join(std::slice::from_ref(pattern), at + 1),
+            Step::Merge { pattern, var, pos } => self.merge(at, pattern, *var, *pos),
+            Step::Union { arms } => {
+                for arm in arms {
+                    self.join(arm, at + 1)?;
+                }
+                ControlFlow::Continue(())
             }
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Extends a binding row with one matched triple, checking constants and
-/// already-bound variables (handles repeated-variable patterns).
-fn extend_row(
-    row: &[Option<TermId>],
-    pattern: &IdPattern,
-    t: IdTriple,
-) -> Option<Vec<Option<TermId>>> {
-    let mut out = row.to_vec();
-    for (slot, val) in [
-        (pattern.subject, t.0),
-        (pattern.predicate, t.1),
-        (pattern.object, t.2),
-    ] {
-        match slot {
-            IdPatternTerm::Const(c) => {
-                if c != val {
-                    return None;
+            Step::Optional { group } => {
+                let before = self.extended;
+                self.join(group, at + 1)?;
+                if self.extended == before {
+                    self.step(at + 1)
+                } else {
+                    ControlFlow::Continue(())
                 }
             }
-            IdPatternTerm::Var(i) => match out[i] {
-                Some(bound) if bound != val => return None,
-                Some(_) => {}
-                None => out[i] = Some(val),
-            },
         }
     }
-    Some(out)
+
+    /// Joins the current row through `patterns`, one index probe per
+    /// pattern with the row's bindings as constants, then continues at
+    /// step `next`.
+    fn join(&mut self, patterns: &[IdPattern], next: usize) -> ControlFlow<()> {
+        let Some((pattern, rest)) = patterns.split_first() else {
+            self.extended += 1;
+            return self.step(next);
+        };
+        let triples = self.graph.match_ids_near(
+            pattern.subject.bind(&self.row),
+            pattern.predicate.bind(&self.row),
+            pattern.object.bind(&self.row),
+            &mut self.fingers[next - 1],
+        );
+        self.stats.index_probes += 1;
+        for t in triples {
+            self.stats.rows_scanned += 1;
+            self.extend(pattern, t, |exec| exec.join(rest, next))?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Merge join: rows reach step `at` sorted by `var` (the opening
+    /// scan's sort variable, which later joins only extend), so one
+    /// forward-only cursor over the index scan, sorted by the tuple
+    /// component at `pos`, serves them all.
+    fn merge(&mut self, at: usize, pattern: &IdPattern, var: usize, pos: usize) -> ControlFlow<()> {
+        let k = self.row[var].expect("the opening scan binds the merge var");
+        let key_of = |t: IdTriple| [t.0, t.1, t.2][pos];
+        let mut cursor = self.merges[at].take().unwrap_or_else(|| {
+            self.stats.index_probes += 1;
+            let scan = self.graph.match_ids(
+                const_slot(pattern.subject),
+                const_slot(pattern.predicate),
+                const_slot(pattern.object),
+            );
+            MergeCursor {
+                scan,
+                next: 0,
+                key: k,
+            }
+        });
+        debug_assert!(cursor.key <= k, "rows must reach a merge join sorted");
+        cursor.key = k;
+        while cursor.scan.get(cursor.next).is_some_and(|&t| key_of(t) < k) {
+            cursor.next += 1;
+            self.stats.rows_scanned += 1;
+        }
+        for &t in cursor.scan[cursor.next..]
+            .iter()
+            .take_while(|&&t| key_of(t) == k)
+        {
+            self.stats.rows_scanned += 1;
+            // A `Break` ends the execution, so the cursor need not be put
+            // back on that path.
+            self.extend(pattern, t, |exec| exec.step(at + 1))?;
+        }
+        self.merges[at] = Some(cursor);
+        ControlFlow::Continue(())
+    }
+
+    /// Binds `pattern`'s unbound variables to triple `t` if `t` agrees
+    /// with its constants and already-bound variables (repeated variables
+    /// included), runs `then`, and unbinds them again.
+    fn extend(
+        &mut self,
+        pattern: &IdPattern,
+        t: IdTriple,
+        then: impl FnOnce(&mut Self) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let mut fresh = [0usize; 3];
+        let mut bound = 0;
+        let mut agrees = true;
+        for (slot, val) in [
+            (pattern.subject, t.0),
+            (pattern.predicate, t.1),
+            (pattern.object, t.2),
+        ] {
+            match slot {
+                IdPatternTerm::Var(i) if self.row[i].is_none() => {
+                    self.row[i] = Some(val);
+                    fresh[bound] = i;
+                    bound += 1;
+                }
+                _ => agrees &= slot.bind(&self.row) == Some(val),
+            }
+        }
+        let flow = if agrees {
+            then(self)
+        } else {
+            ControlFlow::Continue(())
+        };
+        for &i in &fresh[..bound] {
+            self.row[i] = None;
+        }
+        flow
+    }
 }
 
 /// Compiles one pattern in lookup mode. Variables are registered in
@@ -681,12 +732,7 @@ fn const_slot(slot: IdPatternTerm) -> Option<TermId> {
 }
 
 fn var_at(pattern: IdPattern, pos: usize) -> Option<usize> {
-    let slot = match pos {
-        0 => pattern.subject,
-        1 => pattern.predicate,
-        _ => pattern.object,
-    };
-    match slot {
+    match [pattern.subject, pattern.predicate, pattern.object][pos] {
         IdPatternTerm::Var(i) => Some(i),
         IdPatternTerm::Const(_) => None,
     }

@@ -22,12 +22,16 @@
 //! patterns are join-reordered by selectivity and executed with merge or
 //! index nested-loop joins (see [`Query::explain`] for the chosen plan).
 
+use crate::dict::TermId;
 use crate::graph::QueryView;
 use crate::model::{Literal, Term};
-use crate::plan::{BgpQuery, QueryStats};
+use crate::plan::{columns, solution, window, BgpQuery, ExecPlan, QueryStats};
 use crate::reason::{PatternTerm, TriplePattern};
 use crate::RdfError;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::iter::Peekable;
+use std::ops::ControlFlow;
+use std::str::Chars;
 
 /// One result row: variable name → bound term.
 pub type Solution = HashMap<String, Term>;
@@ -58,12 +62,12 @@ struct Filter {
 }
 
 impl Filter {
-    fn eval(&self, solution: &Solution) -> bool {
-        let resolve = |operand: &Operand| -> Option<Term> {
-            match operand {
-                Operand::Var(v) => solution.get(v).cloned(),
-                Operand::Const(t) => Some(t.clone()),
-            }
+    /// Evaluates the filter, reading each variable's bound term (if any)
+    /// through `value`.
+    fn eval<'a>(&'a self, value: impl Fn(&str) -> Option<&'a Term>) -> bool {
+        let resolve = |operand: &'a Operand| match operand {
+            Operand::Var(v) => value(v),
+            Operand::Const(t) => Some(t),
         };
         let (Some(l), Some(r)) = (resolve(&self.left), resolve(&self.right)) else {
             return false;
@@ -81,20 +85,12 @@ impl Filter {
                     (Some(a), Some(b)) => a.partial_cmp(&b),
                     _ => Some(l.to_string().cmp(&r.to_string())),
                 };
-                let Some(ord) = ord else { return false };
-                matches!(
-                    (op, ord),
-                    (CmpOp::Lt, std::cmp::Ordering::Less)
-                        | (
-                            CmpOp::Le,
-                            std::cmp::Ordering::Less | std::cmp::Ordering::Equal
-                        )
-                        | (CmpOp::Gt, std::cmp::Ordering::Greater)
-                        | (
-                            CmpOp::Ge,
-                            std::cmp::Ordering::Greater | std::cmp::Ordering::Equal
-                        )
-                )
+                ord.is_some_and(|ord| match op {
+                    CmpOp::Lt => ord.is_lt(),
+                    CmpOp::Le => ord.is_le(),
+                    CmpOp::Gt => ord.is_gt(),
+                    _ => ord.is_ge(),
+                })
             }
         }
     }
@@ -120,9 +116,10 @@ impl Filter {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     select: Vec<String>,
-    patterns: Vec<TriplePattern>,
-    optionals: Vec<Vec<TriplePattern>>,
-    unions: Vec<Vec<Vec<TriplePattern>>>,
+    /// The pattern block; filters, ordering, slice and projection stay at
+    /// this layer ([`run`](Self::run)), since SPARQL slices after
+    /// `ORDER BY`.
+    bgp: BgpQuery,
     filters: Vec<Filter>,
     order_by: Option<String>,
     offset: usize,
@@ -140,47 +137,43 @@ impl Query {
         let mut tokens = tokenize(text)?;
         expect_keyword(&mut tokens, "SELECT")?;
         let mut select = Vec::new();
-        while let Some(Token::Var(_)) = tokens.first() {
-            let Some(Token::Var(v)) = tokens.drain(..1).next() else {
-                unreachable!()
-            };
-            select.push(v);
+        while let Some(Token::Var(v)) = tokens.front() {
+            select.push(v.clone());
+            tokens.pop_front();
         }
         if select.is_empty() {
             // SELECT * form.
-            if matches!(tokens.first(), Some(Token::Word(w)) if w == "*") {
-                tokens.remove(0);
+            if matches!(tokens.front(), Some(Token::Word(w)) if w == "*") {
+                tokens.pop_front();
             } else {
                 return Err(RdfError::new("SELECT needs at least one ?var or *"));
             }
         }
         expect_keyword(&mut tokens, "WHERE")?;
         expect_token(&mut tokens, &Token::OpenBrace)?;
-        let mut patterns = Vec::new();
-        let mut optionals = Vec::new();
-        let mut unions = Vec::new();
+        let mut bgp = BgpQuery::new();
         let mut filters = Vec::new();
         loop {
-            match tokens.first() {
+            match tokens.front() {
                 Some(Token::CloseBrace) => {
-                    tokens.remove(0);
+                    tokens.pop_front();
                     break;
                 }
                 Some(Token::Word(w)) if w.eq_ignore_ascii_case("FILTER") => {
-                    tokens.remove(0);
+                    tokens.pop_front();
                     filters.push(parse_filter(&mut tokens)?);
                 }
                 Some(Token::Word(w)) if w.eq_ignore_ascii_case("OPTIONAL") => {
-                    tokens.remove(0);
-                    optionals.push(parse_group(&mut tokens)?);
+                    tokens.pop_front();
+                    bgp = bgp.optional(parse_group(&mut tokens)?);
                 }
                 Some(Token::OpenBrace) => {
                     let mut arms = vec![parse_group(&mut tokens)?];
                     while matches!(
-                        tokens.first(),
+                        tokens.front(),
                         Some(Token::Word(w)) if w.eq_ignore_ascii_case("UNION")
                     ) {
-                        tokens.remove(0);
+                        tokens.pop_front();
                         arms.push(parse_group(&mut tokens)?);
                     }
                     if arms.len() < 2 {
@@ -188,48 +181,32 @@ impl Query {
                             "a braced group inside WHERE must be part of a UNION",
                         ));
                     }
-                    unions.push(arms);
+                    bgp = bgp.union(arms);
                 }
-                Some(_) => {
-                    patterns.push(parse_triple(&mut tokens)?);
-                }
+                Some(_) => bgp = bgp.pattern(parse_triple(&mut tokens)?),
                 None => return Err(RdfError::new("unterminated WHERE block")),
             }
         }
         let mut order_by = None;
         let mut offset = 0usize;
         let mut limit = None;
-        while let Some(tok) = tokens.first() {
+        while let Some(tok) = tokens.front() {
             match tok {
                 Token::Word(w) if w.eq_ignore_ascii_case("ORDER") => {
-                    tokens.remove(0);
+                    tokens.pop_front();
                     expect_keyword(&mut tokens, "BY")?;
-                    match (!tokens.is_empty()).then(|| tokens.remove(0)) {
+                    match tokens.pop_front() {
                         Some(Token::Var(v)) => order_by = Some(v),
                         _ => return Err(RdfError::new("ORDER BY needs a ?var")),
                     }
                 }
                 Token::Word(w) if w.eq_ignore_ascii_case("LIMIT") => {
-                    tokens.remove(0);
-                    match (!tokens.is_empty()).then(|| tokens.remove(0)) {
-                        Some(Token::Word(n)) => {
-                            limit = Some(n.parse().map_err(|_| {
-                                RdfError::new("LIMIT needs a non-negative integer")
-                            })?);
-                        }
-                        _ => return Err(RdfError::new("LIMIT needs a number")),
-                    }
+                    tokens.pop_front();
+                    limit = Some(parse_count(&mut tokens, "LIMIT")?);
                 }
                 Token::Word(w) if w.eq_ignore_ascii_case("OFFSET") => {
-                    tokens.remove(0);
-                    match (!tokens.is_empty()).then(|| tokens.remove(0)) {
-                        Some(Token::Word(n)) => {
-                            offset = n.parse().map_err(|_| {
-                                RdfError::new("OFFSET needs a non-negative integer")
-                            })?;
-                        }
-                        _ => return Err(RdfError::new("OFFSET needs a number")),
-                    }
+                    tokens.pop_front();
+                    offset = parse_count(&mut tokens, "OFFSET")?;
                 }
                 other => {
                     return Err(RdfError::new(format!(
@@ -238,14 +215,12 @@ impl Query {
                 }
             }
         }
-        if patterns.is_empty() && unions.is_empty() && optionals.is_empty() {
+        if bgp.is_empty() {
             return Err(RdfError::new("WHERE needs at least one triple pattern"));
         }
         Ok(Query {
             select,
-            patterns,
-            optionals,
-            unions,
+            bgp,
             filters,
             order_by,
             offset,
@@ -253,85 +228,96 @@ impl Query {
         })
     }
 
-    /// The selected variable names (empty = all).
-    pub fn selected(&self) -> &[String] {
-        &self.select
-    }
-
     /// Executes the query against any [`QueryView`] — the live
     /// [`Graph`](crate::Graph) or a pinned
     /// [`EpochSnapshot`](crate::EpochSnapshot).
     ///
-    /// The pattern block compiles through the cost-based planner
-    /// ([`BgpQuery::plan`]): join order is chosen by selectivity, joins run
-    /// as merge or index nested-loop operators on id triples, and terms
-    /// are materialized only for the surviving rows. A constant the view
-    /// never interned yields zero rows for a *required* pattern, but is
-    /// local to its arm inside `OPTIONAL`/`UNION`. Filters, ordering, the
-    /// offset/limit slice and projection then apply in that order.
+    /// The pattern block runs on the planner's streaming executor
+    /// ([`ExecPlan::run`]). A constant the view never interned yields zero
+    /// rows for a *required* pattern, but is local to its arm inside
+    /// `OPTIONAL`/`UNION`. Without `ORDER BY`, filters, the slice and
+    /// projection apply to each id row as it is produced: execution stops
+    /// once the slice's last row is out, and only returned rows are
+    /// resolved to terms. With `ORDER BY`, the rows that pass the filters
+    /// are collected as ids and sorted first.
     pub fn execute<V: QueryView>(&self, graph: &V) -> Vec<Solution> {
         self.execute_with_stats(graph).0
     }
 
-    /// Like [`execute`](Self::execute), also returning plan/join counters
-    /// for metrics ([`QueryStats::rows`] reflects the final row count).
+    /// Like [`execute`](Self::execute), also returning the plan, join and
+    /// work counters for metrics ([`QueryStats::rows`] reflects the final
+    /// row count).
     pub fn execute_with_stats<V: QueryView>(&self, graph: &V) -> (Vec<Solution>, QueryStats) {
-        let plan = self.to_bgp().plan(graph);
-        let (mut bindings, mut stats) = plan.execute_with_stats(graph);
-        bindings.retain(|b| self.filters.iter().all(|f| f.eval(b)));
-        if let Some(var) = &self.order_by {
-            bindings.sort_by(|a, b| match (a.get(var), b.get(var)) {
-                (Some(x), Some(y)) => x.cmp(y),
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => std::cmp::Ordering::Equal,
+        let plan = self.plan(graph);
+        let columns = self.columns(&plan);
+        let mut out = Vec::new();
+        let stats = self.run(&plan, graph, |row| {
+            out.push(solution(&columns, graph.dict(), row));
+        });
+        (out, stats)
+    }
+
+    /// Plans the pattern block against `graph` (see [`BgpQuery::plan`]).
+    pub fn plan<V: QueryView>(&self, graph: &V) -> ExecPlan {
+        self.bgp.plan(graph)
+    }
+
+    /// The result columns of `plan`: `(variable, index into its id rows)`
+    /// per selected variable, in `SELECT` order (plan order for
+    /// `SELECT *`).
+    pub fn columns<'a>(&'a self, plan: &'a ExecPlan) -> Vec<(&'a str, usize)> {
+        columns(plan.vars(), &self.select)
+    }
+
+    /// Runs `plan` (from [`plan`](Self::plan) on the same view) and hands
+    /// `emit` each result row as ids, filtered, ordered and sliced, in
+    /// result order; [`columns`](Self::columns) projects it. Returns the
+    /// plan's stats with `rows` and `rows_materialised` set to the rows
+    /// emitted.
+    pub fn run<V: QueryView>(
+        &self,
+        plan: &ExecPlan,
+        graph: &V,
+        mut emit: impl FnMut(&[Option<TermId>]),
+    ) -> QueryStats {
+        let index = |var: &str| plan.vars().iter().position(|v| v == var);
+        let term =
+            |row: &[Option<TermId>], i: Option<usize>| Some(graph.dict().resolve_ref(row[i?]?));
+        let keep =
+            |row: &[Option<TermId>]| self.filters.iter().all(|f| f.eval(|v| term(row, index(v))));
+        let mut rows = 0;
+        let mut sink = window(self.offset, self.limit, |row| {
+            rows += 1;
+            emit(row);
+        });
+        let order = self.order_by.as_deref().map(index);
+        let mut sorted = Vec::new();
+        let mut stats = plan.run(graph, &mut |row| match (keep(row), order) {
+            (false, _) => ControlFlow::Continue(()),
+            (true, None) => sink(row),
+            (true, Some(_)) => {
+                sorted.push(row.to_vec());
+                ControlFlow::Continue(())
+            }
+        });
+        if let Some(key) = order {
+            // A stable sort, bound values first.
+            sorted.sort_by_key(|row| {
+                let t = term(row, key);
+                (t.is_none(), t)
             });
+            let _ = sorted.iter().try_for_each(|row| sink(row));
         }
-        if self.offset > 0 {
-            bindings.drain(..self.offset.min(bindings.len()));
-        }
-        if let Some(limit) = self.limit {
-            bindings.truncate(limit);
-        }
-        let bindings = if self.select.is_empty() {
-            bindings
-        } else {
-            bindings
-                .into_iter()
-                .map(|b| {
-                    self.select
-                        .iter()
-                        .filter_map(|v| b.get(v).map(|t| (v.clone(), t.clone())))
-                        .collect()
-                })
-                .collect()
-        };
-        stats.rows = bindings.len();
-        (bindings, stats)
+        drop(sink);
+        stats.rows = rows;
+        stats.rows_materialised = rows;
+        stats
     }
 
     /// Renders the plan the query would run with against `graph` (see
-    /// [`crate::plan::ExecPlan::explain`]).
+    /// [`ExecPlan::explain`]).
     pub fn explain<V: QueryView>(&self, graph: &V) -> String {
-        self.to_bgp().plan(graph).explain().to_string()
-    }
-
-    /// Lowers the textual query to the planner's builder. Filters,
-    /// ordering, slice and projection stay at this layer: filters need
-    /// every variable materialized, and SPARQL applies the slice after
-    /// `ORDER BY`.
-    fn to_bgp(&self) -> BgpQuery {
-        let mut q = BgpQuery::new();
-        for p in &self.patterns {
-            q = q.pattern(p.clone());
-        }
-        for arms in &self.unions {
-            q = q.union(arms.clone());
-        }
-        for group in &self.optionals {
-            q = q.optional(group.clone());
-        }
-        q
+        self.plan(graph).explain().to_string()
     }
 }
 
@@ -349,129 +335,96 @@ enum Token {
     Op(String),
 }
 
-fn tokenize(text: &str) -> Result<Vec<Token>, RdfError> {
-    let mut out = Vec::new();
+fn tokenize(text: &str) -> Result<VecDeque<Token>, RdfError> {
+    let mut out = VecDeque::new();
     let mut chars = text.chars().peekable();
     while let Some(&c) = chars.peek() {
         match c {
             c if c.is_whitespace() => {
                 chars.next();
             }
-            '{' => {
+            '{' | '}' | '(' | ')' | '.' => {
                 chars.next();
-                out.push(Token::OpenBrace);
-            }
-            '}' => {
-                chars.next();
-                out.push(Token::CloseBrace);
-            }
-            '(' => {
-                chars.next();
-                out.push(Token::OpenParen);
-            }
-            ')' => {
-                chars.next();
-                out.push(Token::CloseParen);
-            }
-            '.' => {
-                chars.next();
-                out.push(Token::Dot);
+                out.push_back(match c {
+                    '{' => Token::OpenBrace,
+                    '}' => Token::CloseBrace,
+                    '(' => Token::OpenParen,
+                    ')' => Token::CloseParen,
+                    _ => Token::Dot,
+                });
             }
             '?' => {
                 chars.next();
                 let mut v = String::new();
-                while let Some(&ch) = chars.peek() {
-                    if ch.is_alphanumeric() || ch == '_' {
-                        v.push(ch);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                while let Some(ch) = chars.next_if(|&ch| ch.is_alphanumeric() || ch == '_') {
+                    v.push(ch);
                 }
                 if v.is_empty() {
                     return Err(RdfError::new("empty variable name"));
                 }
-                out.push(Token::Var(v));
+                out.push_back(Token::Var(v));
             }
-            '<' => {
-                chars.next();
-                let mut iri = String::new();
-                loop {
-                    match chars.next() {
-                        Some('>') => break,
-                        Some(ch) => iri.push(ch),
-                        None => return Err(RdfError::new("unterminated IRI")),
-                    }
-                }
-                out.push(Token::Iri(iri));
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some(ch) => s.push(ch),
-                        None => return Err(RdfError::new("unterminated string")),
-                    }
-                }
-                out.push(Token::Str(s));
-            }
+            '<' => out.push_back(Token::Iri(delimited(&mut chars, '>', "IRI")?)),
+            '"' => out.push_back(Token::Str(delimited(&mut chars, '"', "string")?)),
             '>' | '=' | '!' => {
                 chars.next();
                 let mut op = c.to_string();
-                if chars.peek() == Some(&'=') {
-                    op.push('=');
-                    chars.next();
-                }
-                out.push(Token::Op(op));
+                op.extend(chars.next_if_eq(&'='));
+                out.push_back(Token::Op(op));
             }
             _ => {
                 let mut w = String::new();
-                while let Some(&ch) = chars.peek() {
-                    if ch.is_whitespace()
+                while let Some(ch) = chars.next_if(|&ch| {
+                    !(ch.is_whitespace()
                         || matches!(
                             ch,
                             '{' | '}' | '(' | ')' | '?' | '<' | '"' | '>' | '=' | '!'
                         )
-                        || (ch == '.' && !w.chars().next().is_some_and(|f| f.is_ascii_digit()))
-                    {
-                        break;
-                    }
+                        || (ch == '.' && !w.starts_with(|f: char| f.is_ascii_digit())))
+                }) {
                     w.push(ch);
-                    chars.next();
                 }
                 if w.is_empty() {
                     // `<` handled above; a bare `.` etc. Consume defensively.
                     return Err(RdfError::new(format!("unexpected character '{c}'")));
                 }
-                out.push(Token::Word(w));
+                out.push_back(Token::Word(w));
             }
         }
     }
-    // `<` starts IRIs, so the less-than operator is written `&lt;`? No:
-    // FILTER uses `<` too. Patch: inside parens a lone `<` token parses as
-    // the operator — the tokenizer above turned `<x` into an IRI, so
-    // filters must place spaces: `FILTER (?g < 10)`. `< 10` became
-    // Iri("10")? No: `< 10` reads chars until '>' → unterminated. We
-    // therefore pre-handle this case in parse_filter via Op("<").
+    // `<` always opens an IRI, so a less-than filter is written `(?g < 10 >)`
+    // or `(?g <= 10 >)`, and `parse_filter` reads that IRI as the operator.
     Ok(out)
 }
 
-fn expect_keyword(tokens: &mut Vec<Token>, kw: &str) -> Result<(), RdfError> {
-    match tokens.first() {
+/// Reads a token's body from its opening delimiter (the next char) up to
+/// `close`, consuming both.
+fn delimited(chars: &mut Peekable<Chars>, close: char, what: &str) -> Result<String, RdfError> {
+    chars.next();
+    let mut body = String::new();
+    loop {
+        match chars.next() {
+            Some(ch) if ch == close => return Ok(body),
+            Some(ch) => body.push(ch),
+            None => return Err(RdfError::new(format!("unterminated {what}"))),
+        }
+    }
+}
+
+fn expect_keyword(tokens: &mut VecDeque<Token>, kw: &str) -> Result<(), RdfError> {
+    match tokens.front() {
         Some(Token::Word(w)) if w.eq_ignore_ascii_case(kw) => {
-            tokens.remove(0);
+            tokens.pop_front();
             Ok(())
         }
         other => Err(RdfError::new(format!("expected {kw}, found {other:?}"))),
     }
 }
 
-fn expect_token(tokens: &mut Vec<Token>, expected: &Token) -> Result<(), RdfError> {
-    match tokens.first() {
+fn expect_token(tokens: &mut VecDeque<Token>, expected: &Token) -> Result<(), RdfError> {
+    match tokens.front() {
         Some(t) if t == expected => {
-            tokens.remove(0);
+            tokens.pop_front();
             Ok(())
         }
         other => Err(RdfError::new(format!(
@@ -480,11 +433,9 @@ fn expect_token(tokens: &mut Vec<Token>, expected: &Token) -> Result<(), RdfErro
     }
 }
 
-fn parse_term(tokens: &mut Vec<Token>) -> Result<PatternTerm, RdfError> {
-    if tokens.is_empty() {
-        return Err(RdfError::new("expected term, found end of input"));
-    }
-    match Some(tokens.remove(0)) {
+fn parse_term(tokens: &mut VecDeque<Token>) -> Result<PatternTerm, RdfError> {
+    match tokens.pop_front() {
+        None => Err(RdfError::new("expected term, found end of input")),
         Some(Token::Var(v)) => Ok(PatternTerm::Var(v)),
         Some(Token::Iri(iri)) => Ok(PatternTerm::Term(Term::iri(iri))),
         Some(Token::Str(s)) => Ok(PatternTerm::Term(Term::string(s))),
@@ -503,13 +454,13 @@ fn parse_term(tokens: &mut Vec<Token>) -> Result<PatternTerm, RdfError> {
     }
 }
 
-fn parse_triple(tokens: &mut Vec<Token>) -> Result<TriplePattern, RdfError> {
+fn parse_triple(tokens: &mut VecDeque<Token>) -> Result<TriplePattern, RdfError> {
     let subject = parse_term(tokens)?;
     let predicate = parse_term(tokens)?;
     let object = parse_term(tokens)?;
     // Optional trailing dot.
-    if matches!(tokens.first(), Some(Token::Dot)) {
-        tokens.remove(0);
+    if matches!(tokens.front(), Some(Token::Dot)) {
+        tokens.pop_front();
     }
     Ok(TriplePattern {
         subject,
@@ -521,13 +472,13 @@ fn parse_triple(tokens: &mut Vec<Token>) -> Result<TriplePattern, RdfError> {
 /// Parses a braced pattern group `{ ?a <p> ?b . … }` — the body of an
 /// `OPTIONAL` or one `UNION` arm. Groups hold plain triple patterns only
 /// (no nested filters or blocks).
-fn parse_group(tokens: &mut Vec<Token>) -> Result<Vec<TriplePattern>, RdfError> {
+fn parse_group(tokens: &mut VecDeque<Token>) -> Result<Vec<TriplePattern>, RdfError> {
     expect_token(tokens, &Token::OpenBrace)?;
     let mut group = Vec::new();
     loop {
-        match tokens.first() {
+        match tokens.front() {
             Some(Token::CloseBrace) => {
-                tokens.remove(0);
+                tokens.pop_front();
                 break;
             }
             Some(_) => group.push(parse_triple(tokens)?),
@@ -540,14 +491,11 @@ fn parse_group(tokens: &mut Vec<Token>) -> Result<Vec<TriplePattern>, RdfError> 
     Ok(group)
 }
 
-fn parse_filter(tokens: &mut Vec<Token>) -> Result<Filter, RdfError> {
+fn parse_filter(tokens: &mut VecDeque<Token>) -> Result<Filter, RdfError> {
     expect_token(tokens, &Token::OpenParen)?;
     let left = parse_operand(tokens)?;
-    if tokens.is_empty() {
-        return Err(RdfError::new("expected operator"));
-    }
-    let tok = tokens.remove(0);
-    let op = match Some(tok) {
+    let op = match tokens.pop_front() {
+        None => return Err(RdfError::new("expected operator")),
         Some(Token::Op(op)) => match op.as_str() {
             ">" => CmpOp::Gt,
             ">=" => CmpOp::Ge,
@@ -555,19 +503,15 @@ fn parse_filter(tokens: &mut Vec<Token>) -> Result<Filter, RdfError> {
             "!=" => CmpOp::Ne,
             other => return Err(RdfError::new(format!("unknown operator {other}"))),
         },
-        // `< 10` tokenizes as Iri(" 10")-ish; we catch the common
-        // spellings here.
+        // `< x >` tokenizes as `Iri(" x ")` and `<= x >` as `Iri("= x ")`.
         Some(Token::Iri(rest)) => {
-            // `<` immediately followed by the right operand without a
-            // closing '>': cannot happen (tokenizer errors). But `< x >`
-            // forms Iri(" x "). Treat a whitespace-framed IRI as Lt.
             let trimmed = rest.trim();
             if let Some(stripped) = trimmed.strip_prefix('=') {
                 let rhs = stripped.trim().to_string();
-                tokens.insert(0, Token::Word(rhs));
+                tokens.push_front(Token::Word(rhs));
                 CmpOp::Le
             } else {
-                tokens.insert(0, Token::Word(trimmed.to_string()));
+                tokens.push_front(Token::Word(trimmed.to_string()));
                 CmpOp::Lt
             }
         }
@@ -578,7 +522,17 @@ fn parse_filter(tokens: &mut Vec<Token>) -> Result<Filter, RdfError> {
     Ok(Filter { left, op, right })
 }
 
-fn parse_operand(tokens: &mut Vec<Token>) -> Result<Operand, RdfError> {
+/// Parses the count after a `LIMIT` or `OFFSET` keyword.
+fn parse_count(tokens: &mut VecDeque<Token>, keyword: &str) -> Result<usize, RdfError> {
+    match tokens.pop_front() {
+        Some(Token::Word(n)) => n
+            .parse()
+            .map_err(|_| RdfError::new(format!("{keyword} needs a non-negative integer"))),
+        _ => Err(RdfError::new(format!("{keyword} needs a number"))),
+    }
+}
+
+fn parse_operand(tokens: &mut VecDeque<Token>) -> Result<Operand, RdfError> {
     match parse_term(tokens)? {
         PatternTerm::Var(v) => Ok(Operand::Var(v)),
         PatternTerm::Term(t) => Ok(Operand::Const(t)),

@@ -11,7 +11,12 @@
 //! * naive reference == optimizer-bypassed plan (`execute_textual`)
 //!
 //! Results are compared as *multisets* (bags) of rows — join order must
-//! never change what is returned, only how fast. The generator covers
+//! never change what is returned, only how fast. An offset/limit slice
+//! must be exactly the in-order window `[offset, offset + limit)` of the
+//! unsliced planned execution. Every case runs on a [`Graph`], on a
+//! freshly frozen [`EpochSnapshot`], and on an epoch whose scans merge a
+//! frozen base with at least two delta runs, one of them deleting base
+//! triples. The generator covers
 //! 1–5-pattern BGPs, repeated variables, fully-unbound patterns,
 //! constants absent from the dictionary (in required patterns and,
 //! crucially, local to `OPTIONAL`/`UNION` arms), and offset/limit
@@ -20,9 +25,12 @@
 //! constant, so any semantic drift shows up as a digest change.
 
 use cogsdk_rdf::reason::TriplePattern;
-use cogsdk_rdf::{BgpQuery, Graph, Solution, Statement, Term};
+use cogsdk_rdf::{
+    BgpQuery, DurableStore, EpochSnapshot, Graph, QueryView, Solution, Statement, Term,
+};
 use cogsdk_sim::rng::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const CASES: u64 = 240;
 const MASTER_SEED: u64 = 0xB6_9055;
@@ -310,6 +318,75 @@ fn random_case(rng: &mut Rng, case_idx: u64) -> Case {
     case
 }
 
+/// The case's triples as a pinned epoch: half of them (plus junk
+/// triples) frozen into the base by a reset, then three published
+/// batches — the next share of the triples, a deletion of the junk, and
+/// the last triple. The last batch is too small to be merged into the
+/// runs below it, so scans merge the base with two or three runs.
+fn epoch_of(case: &Case) -> Arc<EpochSnapshot> {
+    let junk: Vec<Statement> = (0..8)
+        .map(|i| {
+            Statement::new(
+                Term::iri(format!("ex:junk{i}")),
+                Term::iri("ex:junk"),
+                Term::iri(format!("ex:junk_o{i}")),
+            )
+        })
+        .collect();
+    let (base, rest) = case.triples.split_at(case.triples.len() / 2);
+    let (middle, last) = rest.split_at(rest.len() - 1);
+    let mut frozen = Graph::new();
+    for st in base.iter().chain(&junk) {
+        frozen.insert(st.clone());
+    }
+    let mut store = DurableStore::in_memory();
+    store.reset(frozen).unwrap();
+    store.insert_batch(middle.iter().cloned()).unwrap();
+    store.remove_batch(&junk).unwrap();
+    store.insert_batch(last.iter().cloned()).unwrap();
+    let epoch = store.epochs().pin();
+    assert!(epoch.delta_runs() >= 2, "{} runs", epoch.delta_runs());
+    assert_eq!(epoch.len(), case.triples.len());
+    epoch
+}
+
+/// The graph as a freshly frozen epoch: a base and no runs, where scans
+/// read the base arrays directly and loop probes start near the last.
+fn frozen_epoch(graph: &Graph) -> Arc<EpochSnapshot> {
+    let mut store = DurableStore::in_memory();
+    store.reset(graph.clone()).unwrap();
+    let epoch = store.epochs().pin();
+    assert_eq!(epoch.delta_runs(), 0);
+    epoch
+}
+
+/// Checks one view against the reference bag: the planner and the
+/// optimizer-bypassed plan return it, and the sliced query returns the
+/// exact window of the unsliced planned execution, in order.
+fn check_view<V: QueryView>(case_idx: u64, case: &Case, view: &V, on: &str, expected: &[String]) {
+    let bgp = to_bgp(case);
+    let planned = bgp.execute(view);
+    assert_eq!(
+        canon_solutions(&planned),
+        expected,
+        "case {case_idx} on {on}: planner disagrees with naive reference\nquery: {case:?}"
+    );
+    assert_eq!(
+        canon_solutions(&bgp.execute_textual(view)),
+        expected,
+        "case {case_idx} on {on}: textual-order plan disagrees with naive reference"
+    );
+    let limit = case.limit.unwrap_or(usize::MAX);
+    let window: Vec<Solution> = planned.into_iter().skip(case.offset).take(limit).collect();
+    assert_eq!(
+        bgp.offset(case.offset).limit(limit).execute(view),
+        window,
+        "case {case_idx} on {on}: slice is not the in-order window (offset={} limit={:?})",
+        case.offset,
+        case.limit
+    );
+}
+
 // --- the suite ------------------------------------------------------------
 
 /// Runs every case once, asserting agreement, and folds the canonical
@@ -326,46 +403,9 @@ fn run_suite() -> u64 {
         }
 
         let expected = canon_reference(&reference_rows(&case));
-        let bgp = to_bgp(&case);
-        let planned = canon_solutions(&bgp.execute(&graph));
-        let textual = canon_solutions(&bgp.execute_textual(&graph));
-
-        assert_eq!(
-            planned, expected,
-            "case {case_idx}: planner disagrees with naive reference\nquery: {case:?}"
-        );
-        assert_eq!(
-            textual, expected,
-            "case {case_idx}: textual-order plan disagrees with naive reference"
-        );
-
-        // The offset/limit slice must be an exact window of some full
-        // evaluation: right length, and a sub-multiset of the full bag.
-        let sliced = bgp
-            .clone()
-            .offset(case.offset)
-            .limit(case.limit.unwrap_or(usize::MAX));
-        let page = canon_solutions(&sliced.execute(&graph));
-        let want_len = expected
-            .len()
-            .saturating_sub(case.offset)
-            .min(case.limit.unwrap_or(usize::MAX));
-        assert_eq!(
-            page.len(),
-            want_len,
-            "case {case_idx}: slice length wrong (offset={} limit={:?} total={})",
-            case.offset,
-            case.limit,
-            expected.len()
-        );
-        let mut pool = expected.clone();
-        for row in &page {
-            let at = pool
-                .iter()
-                .position(|r| r == row)
-                .unwrap_or_else(|| panic!("case {case_idx}: sliced row not in full bag"));
-            pool.remove(at);
-        }
+        check_view(case_idx, &case, &graph, "graph", &expected);
+        check_view(case_idx, &case, &*epoch_of(&case), "epoch", &expected);
+        check_view(case_idx, &case, &*frozen_epoch(&graph), "frozen", &expected);
 
         if !expected.is_empty() {
             nonempty += 1;
