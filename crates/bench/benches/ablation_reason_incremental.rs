@@ -159,7 +159,8 @@ fn report_series() {
         // Incremental: closure already materialized; time maintaining it
         // through one ingest batch of 10 facts, vs full re-materialization
         // of the grown graph (what every ingest paid before this change).
-        let mut m = IncrementalMaterializer::from_graph(g.clone());
+        let mut m = IncrementalMaterializer::new();
+        m.reset(g.clone());
         m.enable_rdfs();
         m.materialize();
         let batch = instance_batch(0, 10);
@@ -205,7 +206,8 @@ fn bench(c: &mut Criterion) {
     // Per-ingest maintenance: each iteration feeds a fresh, distinct batch
     // of 10 facts into a live materializer (the closure grows slightly
     // across iterations, which only biases *against* the incremental arm).
-    let mut seeded = IncrementalMaterializer::from_graph(g.clone());
+    let mut seeded = IncrementalMaterializer::new();
+    seeded.reset(g.clone());
     seeded.enable_rdfs();
     seeded.materialize();
     let live = RefCell::new((seeded, 0usize));

@@ -190,20 +190,37 @@ fn exhaustion_queues_excess_jobs_without_loss() {
 #[test]
 fn pool_futures_compose_with_map_and_listeners() {
     let pool = ThreadPool::new(3);
-    let fired = Arc::new(AtomicUsize::new(0));
+    let (fired, heard) = std::sync::mpsc::channel();
     let futures: Vec<_> = (0..9u64)
         .map(|i| {
             let fired = fired.clone();
             let f = pool.submit(move || i * i).map(|sq| sq + 1);
-            f.add_listener(move |_| {
-                fired.fetch_add(1, Ordering::SeqCst);
+            f.add_listener(move |v| {
+                fired.send(*v).expect("the test is still listening");
             });
             f
         })
         .collect();
     let total: u64 = futures.iter().map(|f| *f.wait()).sum();
     assert_eq!(total, (0..9u64).map(|i| i * i + 1).sum::<u64>());
-    assert_eq!(fired.load(Ordering::SeqCst), 9, "every listener fired once");
+    // Completion wakes waiters before it runs listeners, so a listener
+    // may still be running when `wait` returns: receive, don't count.
+    let mut values: Vec<u64> = (0..9)
+        .map(|_| {
+            heard
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every listener fires")
+        })
+        .collect();
+    values.sort_unstable();
+    assert_eq!(values, (0..9u64).map(|i| i * i + 1).collect::<Vec<_>>());
+    // Fired listeners are dropped with their senders: nothing more comes.
+    drop(fired);
+    assert_eq!(
+        heard.recv_timeout(Duration::from_secs(10)),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+        "each listener fired exactly once"
+    );
 }
 
 /// Concurrent submitters from many threads share one pool safely.

@@ -9,7 +9,7 @@ use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::reason::TriplePattern;
 use cogsdk_rdf::weighted::{WeightedGraph, WeightedReasoner};
 use cogsdk_rdf::{
-    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, Overlay, Query,
+    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, Query,
     QueryStats, RecoveryStats, Statement, Term, TermId, WalStats,
 };
 use cogsdk_sim::fs::Vfs;
@@ -684,12 +684,12 @@ impl PersonalKnowledgeBase {
         self.epochs.pin().len()
     }
 
-    /// Runs `f` with read access to the graph (stated plus inferred),
+    /// Runs `f` on the writer's epoch (stated plus inferred facts),
     /// holding the store's read lock — writers wait — for as long as `f`
     /// runs. Reads that need not exclude writers use
     /// [`query_snapshot`](Self::query_snapshot) instead.
-    pub fn with_graph<R>(&self, f: impl FnOnce(Overlay<'_>) -> R) -> R {
-        f(self.graph.read().view())
+    pub fn with_graph<R>(&self, f: impl FnOnce(&EpochSnapshot) -> R) -> R {
+        f(&self.graph.read().epochs().pin())
     }
 
     /// Enables RDFS entailment as a *standing* ruleset: the closure is
@@ -1030,27 +1030,27 @@ impl PersonalKnowledgeBase {
     ///
     /// # Errors
     ///
-    /// [`KbError::Durability`] if logging a retraction fails; dropped
-    /// counts retractions applied before the failure.
+    /// [`KbError::Durability`] if logging fails. The round's retractions
+    /// are one group commit and one DRed round, all or nothing; if only
+    /// the confidence reset after them fails, they stand.
     pub fn resolve_conflicts_for(&self, predicate: &Term) -> Result<usize, KbError> {
         let conflicts = self.conflicts();
         self.with_graph_mut(|graph| {
-            let mut dropped = 0;
-            for ((subject, p), candidates) in conflicts {
-                if &p != predicate {
-                    continue;
-                }
-                for (object, _) in candidates.into_iter().skip(1) {
-                    let st = Statement::new(subject.clone(), p.clone(), object);
-                    if graph.remove(&st)? {
-                        // Restore the default so the dropped statement's
-                        // stale accuracy level doesn't outlive it.
-                        graph.set_confidence(&st, 1.0)?;
-                        dropped += 1;
-                    }
-                }
-            }
-            Ok(dropped)
+            let dropped: Vec<Statement> = conflicts
+                .into_iter()
+                .filter(|((_, p), _)| p == predicate)
+                .flat_map(|((subject, p), candidates)| {
+                    let losers = candidates.into_iter().skip(1);
+                    losers
+                        .map(move |(object, _)| Statement::new(subject.clone(), p.clone(), object))
+                })
+                .filter(|st| graph.contains(st))
+                .collect();
+            let removed = graph.remove_batch(&dropped)?;
+            // Restore the default so the dropped statements' stale
+            // accuracy levels don't outlive them.
+            graph.set_confidence_batch(dropped.into_iter().map(|st| (st, 1.0)))?;
+            Ok(removed)
         })
     }
 
@@ -1193,10 +1193,11 @@ impl PersonalKnowledgeBase {
 /// unrated statement takes the incoming level; a rated one keeps the
 /// most-trusted rating seen so far.
 fn merge_confidence(graph: &DurableStore, st: &Statement, incoming: f64) -> f64 {
-    graph
-        .base()
+    let epoch = graph.epochs().pin();
+    epoch
+        .dict()
         .lookup_statement(st)
-        .and_then(|t| graph.confidences().get(&t).copied())
+        .and_then(|t| epoch.confidence().get(&t).copied())
         .map_or(incoming, |current| current.max(incoming))
 }
 
@@ -1204,9 +1205,10 @@ fn merge_confidence(graph: &DurableStore, st: &Statement, incoming: f64) -> f64 
 /// past the highest `kb:doc_{n}` subject already in the store, so a
 /// durably recovered base never reuses a document id.
 fn next_doc_id(graph: &DurableStore) -> usize {
-    let dict = graph.base().dict();
+    let epoch = graph.epochs().pin();
+    let dict = epoch.dict();
     let mut next = 0;
-    for (s, _, _) in graph.base().iter_ids().chain(graph.derived().iter_ids()) {
+    for (s, _, _) in epoch.iter_ids() {
         if let Some(iri) = dict.resolve(s).as_iri() {
             if let Some(n) = iri
                 .strip_prefix("kb:doc_")
@@ -1903,7 +1905,7 @@ mod tests {
         let err = kb.load_graph("one-fact").unwrap_err();
         assert!(matches!(err, KbError::Durability(_)), "{err:?}");
         assert_eq!(kb.statement_count(), 2, "a failed load replaces nothing");
-        assert_eq!(kb.with_graph(|g| g.iter_ids().count()), 2);
+        assert_eq!(kb.with_graph(|g| g.len()), 2);
 
         fs.set_space_limit(None);
         assert_eq!(kb.load_graph("one-fact").unwrap(), 1);
@@ -2003,6 +2005,54 @@ mod tests {
         );
         assert!(kb.conflicts().is_empty());
         assert_eq!(kb.fact_confidence(&berlin), Some(0.95));
+    }
+
+    #[test]
+    fn a_conflict_round_is_two_wal_commits() {
+        let fs = Arc::new(cogsdk_sim::SimFs::new(15));
+        let kb = PersonalKnowledgeBase::open_durable_on(
+            fs,
+            Arc::new(MemoryKv::new()),
+            KbOptions::default(),
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        let capital = Term::iri("kb:capital");
+        let fact = |i: usize, o: &str| {
+            Statement::new(Term::iri(format!("kb:c{i}")), capital.clone(), Term::iri(o))
+        };
+        // 50 countries, each with a trusted and a doubtful capital.
+        let mut facts = Vec::new();
+        for i in 0..50 {
+            facts.push((fact(i, &format!("kb:good{i}")), 0.9));
+            facts.push((fact(i, &format!("kb:bad{i}")), 0.4));
+        }
+        kb.with_graph_mut(|g| {
+            g.insert_batch(facts.iter().map(|(st, _)| st.clone()))?;
+            g.set_confidence_batch(facts.clone())
+        })
+        .unwrap();
+        kb.infer_rules("[(?c kb:capital ?x) -> (?x kb:capitalOf ?c)]")
+            .unwrap();
+        assert_eq!(kb.conflicts().len(), 50);
+
+        let appends = kb.wal_stats().appends;
+        assert_eq!(kb.resolve_conflicts_for(&capital).unwrap(), 50);
+        assert_eq!(
+            kb.wal_stats().appends,
+            appends + 2,
+            "one retraction batch, one confidence batch"
+        );
+        assert!(kb.conflicts().is_empty());
+        assert!(kb.weak_facts(0.5).is_empty(), "dropped levels are reset");
+        // DRed retracted what the dropped facts entailed.
+        let bad = Statement::new(
+            Term::iri("kb:bad7"),
+            Term::iri("kb:capitalOf"),
+            Term::iri("kb:c7"),
+        );
+        assert!(!kb.query_snapshot().contains(&bad));
+        assert_eq!(kb.statement_count(), 100);
     }
 
     #[test]

@@ -5,28 +5,25 @@
 //! *before* it is applied in memory, so an operation that returned `Ok`
 //! survives any crash, and one that failed was never applied. Periodic
 //! snapshots (`crate::snapshot`) bound recovery time and reclaim log
-//! space.
+//! space. In memory the store is the materializer's epochs: every
+//! mutation seals one, and the store publishes it to readers.
 //!
-//! Recovery ([`DurableStore::open`]) loads the newest valid snapshot,
-//! replays the WAL on top of it — tolerating a torn tail record,
-//! failing hard on mid-log corruption — and then *re-derives* the
-//! inference closure by running materialization over the recovered base
-//! and standing rulesets. Derived facts are never read from disk:
-//! the closure is a function of (base, config), so recomputing it is
-//! both simpler and safer than trusting serialized reasoner state.
-//!
-//! Replay applies inserts and removes at the id level on the base graph
-//! and defers all reasoning to one final `materialize()`. That makes
-//! replay insensitive to when the reasoners interned their vocabulary
-//! terms in the original run (those interns are logged as dict entries
-//! with explicit sequence numbers and verified on replay), and it makes
-//! re-replaying records already reflected in a snapshot — possible when
-//! a crash lands between the snapshot rename and the WAL truncation —
-//! a semantic no-op: per triple, the last logged operation wins.
+//! Recovery ([`DurableStore::open`]) loads the snapshot's stated triples,
+//! already in SPO order, straight into a frozen epoch base; nets the WAL
+//! into one run on top (tolerating a torn tail record, failing hard on
+//! mid-log corruption); and then *re-derives* the closure of the standing
+//! rulesets. Derived facts are never read from disk: they are a function
+//! of (stated facts, config). Replay works at the id level and defers all
+//! reasoning to that one materialization, so it is insensitive to when
+//! the reasoners interned their vocabulary (dict entries are logged with
+//! explicit sequence numbers and verified on replay), and re-replaying
+//! records a snapshot already holds — possible after a crash between the
+//! snapshot rename and the WAL truncation — is a no-op: per triple, the
+//! last logged operation wins.
 
-use crate::dict::IdTriple;
-use crate::epoch::EpochStore;
-use crate::graph::{Graph, Overlay};
+use crate::dict::{IdTriple, TermDict};
+use crate::epoch::{EpochStore, Fact};
+use crate::graph::Graph;
 use crate::incremental::{IncrementalMaterializer, MaterializerConfig};
 use crate::model::{Statement, Term};
 use crate::reason::Rule;
@@ -83,22 +80,23 @@ struct Durability {
 }
 
 impl Durability {
-    /// Writes a checksummed snapshot of `base`'s dictionary and triples,
-    /// the ruleset config and the confidences via write-temp → fsync →
-    /// rename, then truncates the WAL. Returns bytes written.
+    /// Writes a checksummed snapshot of `dict`, the stated `triples`
+    /// (SPO order), the ruleset config and the confidences via
+    /// write-temp → fsync → rename, then truncates the WAL. Returns
+    /// bytes written.
     fn snapshot(
         &mut self,
-        base: &Graph,
+        dict: &TermDict,
+        triples: &[IdTriple],
         config: &MaterializerConfig,
         confidence: &HashMap<IdTriple, f64>,
     ) -> Result<u64, DurableError> {
-        let triples: Vec<IdTriple> = base.iter_ids().collect();
         let mut confidence: Vec<(IdTriple, f64)> =
             confidence.iter().map(|(&t, &v)| (t, v)).collect();
         confidence.sort_by_key(|&(t, _)| t);
-        let bytes = write_snapshot(self.fs.as_ref(), base.dict(), &triples, config, &confidence)?;
+        let bytes = write_snapshot(self.fs.as_ref(), dict, triples, config, &confidence)?;
         self.wal.reset()?;
-        self.dict_watermark = base.dict().len();
+        self.dict_watermark = dict.len();
         Ok(bytes)
     }
 }
@@ -134,11 +132,6 @@ pub struct DurableStore {
     inner: IncrementalMaterializer,
     durability: Option<Durability>,
     recovery: Option<RecoveryStats>,
-    /// Authoritative weighted-confidence map (statement → confidence).
-    /// Entries exist only for confidences below 1.0; everything else has
-    /// the implicit default of 1.0. Shared by `Arc` with published
-    /// epochs, so a publish after no confidence change is free.
-    confidence: Arc<HashMap<IdTriple, f64>>,
     /// Reader-facing epoch snapshots; shared with the KB layer outside
     /// its store lock so pinning never contends with writers.
     epochs: Arc<EpochStore>,
@@ -147,15 +140,15 @@ pub struct DurableStore {
 impl DurableStore {
     /// A purely in-memory store: no logging, mutations never fail.
     pub fn in_memory() -> DurableStore {
-        let inner = IncrementalMaterializer::new();
-        let confidence = Arc::new(HashMap::new());
-        let epochs = Arc::new(EpochStore::new(inner.view(), confidence.clone()));
+        DurableStore::over(IncrementalMaterializer::new(), None)
+    }
+
+    fn over(inner: IncrementalMaterializer, durability: Option<Durability>) -> DurableStore {
         DurableStore {
+            epochs: Arc::new(EpochStore::new(inner.epoch().clone())),
             inner,
-            durability: None,
+            durability,
             recovery: None,
-            confidence,
-            epochs,
         }
     }
 
@@ -182,32 +175,16 @@ impl DurableStore {
     /// [`DurableError::Io`] if storage fails.
     pub fn open(fs: Arc<dyn Vfs>, options: DurableOptions) -> Result<DurableStore, DurableError> {
         let start = Instant::now();
-        let mut config;
-        let base;
-        let snapshot_loaded;
-        let mut confidence: HashMap<IdTriple, f64> = HashMap::new();
-        match load_snapshot(fs.as_ref())? {
-            Some(snap) => {
-                let mut graph = Graph::with_dict(snap.dict);
-                for triple in snap.triples {
-                    graph.insert_id(triple);
-                }
-                config = snap.config;
-                confidence = snap.confidence.into_iter().collect();
-                base = graph;
-                snapshot_loaded = true;
-            }
-            None => {
-                config = MaterializerConfig::default();
-                base = Graph::new();
-                snapshot_loaded = false;
-            }
-        }
-        let mut base = base;
-        let dict = base.dict().clone();
+        let snapshot = load_snapshot(fs.as_ref())?;
+        let snapshot_loaded = snapshot.is_some();
+        let snap = snapshot.unwrap_or_default();
+        let (dict, mut config) = (snap.dict, snap.config);
+        let mut confidence: HashMap<IdTriple, f64> = snap.confidence.into_iter().collect();
 
         let replayed = wal::replay(fs.as_ref())?;
         let replayed_records = replayed.records.len() as u64;
+        // Per triple, the last logged operation wins: one net run.
+        let mut net: HashMap<IdTriple, bool> = HashMap::new();
         for record in replayed.records {
             match record {
                 WalRecord::DictEntry { seq, term } => {
@@ -220,12 +197,10 @@ impl DurableStore {
                     }
                 }
                 WalRecord::Insert(s, p, o) => {
-                    let triple = check_triple((s, p, o), dict.len())?;
-                    base.insert_id(triple);
+                    net.insert(check_triple((s, p, o), dict.len())?, true);
                 }
                 WalRecord::Remove(s, p, o) => {
-                    let triple = check_triple((s, p, o), dict.len())?;
-                    base.remove_id(triple);
+                    net.insert(check_triple((s, p, o), dict.len())?, false);
                 }
                 WalRecord::EnableRdfs => config.rdfs = true,
                 WalRecord::EnableOwl => {
@@ -261,42 +236,22 @@ impl DurableStore {
             }
         }
 
-        let base_triples = base.len();
-        let mut inner = IncrementalMaterializer::from_graph(base);
-        if config.rdfs {
-            inner.enable_rdfs();
-        }
-        if config.owl {
-            inner.enable_owl();
-        }
-        if !config.transitive.is_empty() {
-            inner.add_transitive(config.transitive.clone());
-        }
-        if !config.rules.is_empty() {
-            inner.add_rules(config.rules.clone());
-        }
-        let rederived_facts = inner.materialize();
-
+        let (inner, base_triples, rederived_facts) = IncrementalMaterializer::recover(
+            dict.clone(),
+            snap.triples,
+            net,
+            config,
+            Arc::new(confidence),
+        );
         // Discard any half-written snapshot temp from a previous run.
         fs.delete(SNAPSHOT_TMP)?;
         let wal = Wal::open(fs.clone(), options.segment_max_bytes)?;
-        let confidence = Arc::new(confidence);
-        let epochs = Arc::new(EpochStore::new(inner.view(), confidence.clone()));
-        // The recovered closure is already reflected in epoch 0; drop the
-        // delta materialization recorded so the first mutation's publish
-        // doesn't force a redundant base rebuild.
-        inner.take_delta();
-        let mut store = DurableStore {
-            inner,
-            durability: Some(Durability {
-                fs,
-                wal,
-                dict_watermark: dict.len(),
-            }),
-            recovery: None,
-            confidence,
-            epochs,
+        let durability = Durability {
+            fs,
+            wal,
+            dict_watermark: dict.len(),
         };
+        let mut store = DurableStore::over(inner, Some(durability));
         if replayed_records > 0 || replayed.torn_tails > 0 {
             // Fold the replayed log (and any torn bytes) into a fresh
             // snapshot so the new WAL starts empty — appending after a
@@ -332,15 +287,15 @@ impl DurableStore {
             .unwrap_or_default()
     }
 
-    /// Appends `ops` to the WAL in one group commit, prefixed by
+    /// Appends `ops`, if any, to the WAL in one group commit, prefixed by
     /// `DictEntry` records for every term interned since the last
     /// commit. The watermark advances only on success, so terms interned
     /// by a failed batch are re-logged by the next one.
     fn log_records(&mut self, ops: Vec<WalRecord>) -> Result<(), DurableError> {
-        let Some(d) = self.durability.as_mut() else {
+        let Some(d) = self.durability.as_mut().filter(|_| !ops.is_empty()) else {
             return Ok(());
         };
-        let fresh = self.inner.base().dict().terms_from(d.dict_watermark);
+        let fresh = self.inner.epoch().dict().terms_from(d.dict_watermark);
         let mut records = Vec::with_capacity(fresh.len() + ops.len());
         for (i, term) in fresh.iter().enumerate() {
             records.push(WalRecord::DictEntry {
@@ -355,14 +310,12 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Publishes the mutations applied since the last publish as a new
-    /// reader-visible epoch. Called at the end of every mutating method,
-    /// after the WAL append and after the closure is maintained — so a
-    /// pinned epoch is always fully materialized and fully durable.
-    fn publish_epoch(&mut self) {
-        let delta = self.inner.take_delta();
-        self.epochs
-            .publish(self.inner.view(), delta, self.confidence.clone());
+    /// Publishes the epoch the last mutation sealed to readers. Called
+    /// at the end of every mutating method, after the WAL append and
+    /// after the closure is maintained — so a pinned epoch is always
+    /// fully materialized and fully durable.
+    fn publish_epoch(&self) {
+        self.epochs.publish(self.inner.epoch());
     }
 
     /// The reader-facing epoch store. Clone the `Arc` once and pin
@@ -378,15 +331,7 @@ impl DurableStore {
     ///
     /// If the WAL append fails the fact is *not* applied in memory.
     pub fn insert(&mut self, st: Statement) -> Result<bool, DurableError> {
-        if self.durability.is_some() {
-            let triple = self.inner.base().dict().intern_statement(&st);
-            if !self.inner.base().contains_id(triple) {
-                self.log_records(vec![WalRecord::insert(triple)])?;
-            }
-        }
-        let added = self.inner.insert(st);
-        self.publish_epoch();
-        Ok(added)
+        Ok(self.insert_batch([st])? == 1)
     }
 
     /// Inserts a batch under a single group commit. Returns how many
@@ -397,12 +342,12 @@ impl DurableStore {
     ) -> Result<usize, DurableError> {
         let batch: Vec<Statement> = batch.into_iter().collect();
         if self.durability.is_some() {
-            let dict = self.inner.base().dict().clone();
+            let epoch = self.inner.epoch().clone();
             let mut seen = BTreeSet::new();
             let mut ops = Vec::new();
             for st in &batch {
-                let triple = dict.intern_statement(st);
-                if !self.inner.base().contains_id(triple) && seen.insert(triple) {
+                let triple = epoch.dict().intern_statement(st);
+                if epoch.state(triple) != Some(Fact::Stated) && seen.insert(triple) {
                     ops.push(WalRecord::insert(triple));
                 }
             }
@@ -416,18 +361,12 @@ impl DurableStore {
     /// Removes a stated fact (DRed in memory, logged first when
     /// durable). Returns whether the fact was present in the full view.
     pub fn remove(&mut self, st: &Statement) -> Result<bool, DurableError> {
-        if self.durability.is_some() {
-            if let Some(triple) = self.inner.lookup_present(st) {
-                self.log_records(vec![WalRecord::remove(triple)])?;
-            }
-        }
-        let removed = self.inner.remove(st);
-        self.publish_epoch();
-        Ok(removed)
+        Ok(self.remove_batch([st])? == 1)
     }
 
-    /// Removes a batch of stated facts under a single group commit and
-    /// a single epoch publish. Returns how many were present.
+    /// Removes a batch of stated facts under a single group commit, one
+    /// DRed round and a single epoch publish. Returns how many were
+    /// present.
     ///
     /// # Errors
     ///
@@ -449,56 +388,27 @@ impl DurableStore {
             }
             self.log_records(ops)?;
         }
-        let mut removed = 0;
-        for st in batch {
-            if self.inner.remove(st) {
-                removed += 1;
-            }
-        }
+        let removed = self.inner.remove_batch(batch);
         self.publish_epoch();
         Ok(removed)
     }
 
-    /// Sets a weighted confidence for a statement (logged first when
-    /// durable). Values at or above 1.0 restore the default and drop the
-    /// entry; anything non-finite is rejected. The statement need not be
-    /// present — imports record confidences before facts land.
+    /// Sets a weighted confidence for a statement; see
+    /// [`set_confidence_batch`](Self::set_confidence_batch).
     pub fn set_confidence(&mut self, st: &Statement, value: f64) -> Result<(), DurableError> {
-        if !value.is_finite() {
-            return Err(DurableError::Corrupt(format!(
-                "confidence {value} is not finite"
-            )));
-        }
-        let triple = self.inner.base().dict().intern_statement(st);
-        let current = self.confidence.get(&triple).copied();
-        let next = (value < 1.0).then_some(value);
-        if current == next {
-            return Ok(());
-        }
-        if self.durability.is_some() {
-            self.log_records(vec![WalRecord::confidence(triple, value)])?;
-        }
-        let map = Arc::make_mut(&mut self.confidence);
-        match next {
-            Some(v) => {
-                map.insert(triple, v);
-            }
-            None => {
-                map.remove(&triple);
-            }
-        }
-        self.publish_epoch();
-        Ok(())
+        self.set_confidence_batch([(st.clone(), value)]).map(|_| ())
     }
 
-    /// Sets many confidences under one WAL group commit and one epoch
-    /// publish; same per-entry semantics as
-    /// [`set_confidence`](Self::set_confidence). Returns how many entries
-    /// changed.
+    /// Sets confidences under one WAL group commit (when durable) and one
+    /// epoch publish. Values at or above 1.0 restore the default and drop
+    /// the entry; anything non-finite is rejected. A statement need not
+    /// be present — imports record confidences before facts land.
+    /// Returns how many entries changed.
     pub fn set_confidence_batch(
         &mut self,
         items: impl IntoIterator<Item = (Statement, f64)>,
     ) -> Result<usize, DurableError> {
+        let epoch = self.inner.epoch().clone();
         let mut resolved: Vec<(IdTriple, f64, Option<f64>)> = Vec::new();
         for (st, value) in items {
             if !value.is_finite() {
@@ -506,8 +416,8 @@ impl DurableStore {
                     "confidence {value} is not finite"
                 )));
             }
-            let triple = self.inner.base().dict().intern_statement(&st);
-            let current = self.confidence.get(&triple).copied();
+            let triple = epoch.dict().intern_statement(&st);
+            let current = epoch.confidence().get(&triple).copied();
             let next = (value < 1.0).then_some(value);
             if current != next {
                 resolved.push((triple, value, next));
@@ -524,33 +434,31 @@ impl DurableStore {
             self.log_records(ops)?;
         }
         let changed = resolved.len();
-        let map = Arc::make_mut(&mut self.confidence);
+        let mut map = HashMap::clone(epoch.confidence());
         for (triple, _, next) in resolved {
             match next {
-                Some(v) => {
-                    map.insert(triple, v);
-                }
-                None => {
-                    map.remove(&triple);
-                }
-            }
+                Some(v) => map.insert(triple, v),
+                None => map.remove(&triple),
+            };
         }
+        self.inner.set_confidences(Arc::new(map));
         self.publish_epoch();
         Ok(changed)
     }
 
     /// The confidence recorded for a statement, default 1.0.
     pub fn confidence_of(&self, st: &Statement) -> f64 {
-        self.inner
-            .base()
+        let epoch = self.inner.epoch();
+        epoch
+            .dict()
             .lookup_statement(st)
-            .and_then(|t| self.confidence.get(&t).copied())
+            .and_then(|t| epoch.confidence().get(&t).copied())
             .unwrap_or(1.0)
     }
 
     /// The authoritative confidence map (entries below 1.0 only).
     pub fn confidences(&self) -> &Arc<HashMap<IdTriple, f64>> {
-        &self.confidence
+        self.inner.epoch().confidence()
     }
 
     /// Enables RDFS entailment as a standing ruleset.
@@ -558,9 +466,7 @@ impl DurableStore {
         if !self.inner.config().rdfs {
             self.log_records(vec![WalRecord::EnableRdfs])?;
         }
-        let changed = self.inner.enable_rdfs();
-        self.publish_epoch();
-        Ok(changed)
+        Ok(self.inner.enable_rdfs())
     }
 
     /// Enables OWL/Lite entailment (implies RDFS) as a standing ruleset.
@@ -569,28 +475,18 @@ impl DurableStore {
         if !cfg.owl || !cfg.rdfs {
             self.log_records(vec![WalRecord::EnableOwl])?;
         }
-        let changed = self.inner.enable_owl();
-        self.publish_epoch();
-        Ok(changed)
+        Ok(self.inner.enable_owl())
     }
 
     /// Registers predicates as transitive.
     pub fn add_transitive(&mut self, predicates: Vec<Term>) -> Result<bool, DurableError> {
-        let fresh: Vec<Term> = predicates
+        let ops = predicates
             .iter()
             .filter(|p| !self.inner.config().transitive.contains(p))
-            .cloned()
+            .map(|p| WalRecord::AddTransitive(p.clone()))
             .collect();
-        if !fresh.is_empty() {
-            let ops = fresh
-                .iter()
-                .map(|p| WalRecord::AddTransitive(p.clone()))
-                .collect();
-            self.log_records(ops)?;
-        }
-        let changed = self.inner.add_transitive(predicates);
-        self.publish_epoch();
-        Ok(changed)
+        self.log_records(ops)?;
+        Ok(self.inner.add_transitive(predicates))
     }
 
     /// Adds standing user rules.
@@ -603,9 +499,7 @@ impl DurableStore {
         if !fresh.is_empty() {
             self.log_records(vec![WalRecord::AddRules(fresh)])?;
         }
-        let changed = self.inner.add_rules(rules);
-        self.publish_epoch();
-        Ok(changed)
+        Ok(self.inner.add_rules(rules))
     }
 
     /// Brings the derived closure up to date (pure in-memory work; the
@@ -616,10 +510,10 @@ impl DurableStore {
         derived
     }
 
-    /// Replaces all facts with `graph` as the stated base, keeping the
-    /// configuration. A durable store first writes `graph` as its
-    /// snapshot (the old WAL no longer describes the state) and only
-    /// then replaces the contents in memory.
+    /// Replaces all facts with `graph` as the stated ones and drops every
+    /// confidence, keeping the configuration. A durable store first
+    /// writes `graph` as its snapshot (the old WAL no longer describes
+    /// the state) and only then replaces the contents in memory.
     ///
     /// # Errors
     ///
@@ -630,42 +524,31 @@ impl DurableStore {
     /// that point would — new snapshot, stale log — until a `snapshot`
     /// or `reset` succeeds.)
     pub fn reset(&mut self, graph: Graph) -> Result<(), DurableError> {
-        let confidence = Arc::new(HashMap::new());
         if let Some(d) = self.durability.as_mut() {
-            d.snapshot(&graph, self.inner.config(), &confidence)?;
+            let triples: Vec<IdTriple> = graph.iter_ids().collect();
+            d.snapshot(graph.dict(), &triples, self.inner.config(), &HashMap::new())?;
         }
         self.inner.reset(graph);
-        self.confidence = confidence;
         self.publish_epoch();
         Ok(())
     }
 
-    /// Writes a checksummed snapshot of the dictionary, base triples,
+    /// Writes a checksummed snapshot of the dictionary, stated triples,
     /// ruleset config and confidences, then truncates the WAL. Returns
     /// bytes written (0 for in-memory stores, which have nothing to
     /// snapshot).
     pub fn snapshot(&mut self) -> Result<u64, DurableError> {
-        match self.durability.as_mut() {
-            Some(d) => d.snapshot(self.inner.base(), self.inner.config(), &self.confidence),
-            None => Ok(0),
-        }
-    }
-
-    /// The full view (`base ⊎ derived`) as the writer sees it. Readers
-    /// that do not hold the store pin [`epochs`](Self::epochs) instead,
-    /// which every mutating call leaves equal to this.
-    pub fn view(&self) -> Overlay<'_> {
-        self.inner.view()
-    }
-
-    /// The stated base facts.
-    pub fn base(&self) -> &Graph {
-        self.inner.base()
-    }
-
-    /// The derived-only facts.
-    pub fn derived(&self) -> &Graph {
-        self.inner.derived()
+        let Some(d) = self.durability.as_mut() else {
+            return Ok(0);
+        };
+        let epoch = self.inner.epoch();
+        let stated: Vec<IdTriple> = epoch.stated_ids().collect();
+        d.snapshot(
+            epoch.dict(),
+            &stated,
+            self.inner.config(),
+            epoch.confidence(),
+        )
     }
 
     /// Facts in the full view.
@@ -739,13 +622,13 @@ mod tests {
             .unwrap();
         store.insert(st("ex:felix", vocab::TYPE, "ex:cat")).unwrap();
         store.materialize();
-        let expected = store.view().to_graph();
+        let expected = store.epochs().pin().to_graph();
         assert!(expected.contains(&st("ex:felix", vocab::TYPE, "ex:animal")));
         drop(store);
 
         let mut recovered = open(&fs);
         recovered.materialize();
-        assert_eq!(recovered.view().to_graph(), expected);
+        assert_eq!(recovered.epochs().pin().to_graph(), expected);
         assert!(recovered.config().rdfs);
         let stats = recovered.recovery_stats().unwrap();
         assert!(!stats.snapshot_loaded);
@@ -871,7 +754,7 @@ mod tests {
         store.insert(st("ex:a", "ex:p", "ex:b")).unwrap();
         assert!(store.remove(&st("ex:a", "ex:p", "ex:b")).unwrap());
         store.insert(st("ex:c", "ex:p", "ex:d")).unwrap();
-        let expected = store.base().clone();
+        let expected: Vec<IdTriple> = store.epochs().pin().stated_ids().collect();
         // Snapshot's ops: write tmp, fsync tmp, rename, delete segment.
         // Crash on the delete: snapshot installed, stale WAL left behind.
         fs.fail_after_ops(3);
@@ -879,7 +762,8 @@ mod tests {
         fs.crash();
 
         let recovered = open(&fs);
-        assert_eq!(recovered.base(), &expected);
+        let stated: Vec<IdTriple> = recovered.epochs().pin().stated_ids().collect();
+        assert_eq!(stated, expected);
         assert!(
             !recovered.contains(&st("ex:a", "ex:p", "ex:b")),
             "stale-WAL replay onto the snapshot must not resurrect removed facts"
@@ -949,12 +833,12 @@ mod tests {
         store.insert(st("ex:b", "ex:parent", "ex:c")).unwrap();
         store.materialize();
         assert!(store.contains(&st("ex:a", "ex:ancestor", "ex:c")));
-        let expected = store.view().to_graph();
+        let expected = store.epochs().pin().to_graph();
         drop(store);
 
         let mut recovered = open(&fs);
         recovered.materialize();
-        assert_eq!(recovered.view().to_graph(), expected);
+        assert_eq!(recovered.epochs().pin().to_graph(), expected);
         assert_eq!(recovered.config().transitive.len(), 1);
         assert_eq!(recovered.config().rules.len(), 1);
     }

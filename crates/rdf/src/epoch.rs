@@ -1,39 +1,33 @@
-//! Snapshot-isolated epochs over the dictionary-encoded triple indexes.
+//! The triple store: snapshot-isolated epochs of sorted runs.
 //!
-//! The write side of the store (the [`Graph`] triple sets inside the
-//! materializer) stays a plain mutable structure guarded by the owner's
-//! lock. What this module adds is a *read side* that never touches that
-//! lock: after every mutation batch the writer publishes an immutable
-//! [`EpochSnapshot`] into an [`EpochStore`], and readers pin the current
-//! epoch with a single `Arc` refcount bump. A pinned epoch never
-//! changes, so query execution, paging, and federation fan-out proceed
-//! with **no lock held** while ingest keeps publishing new epochs.
+//! Every triple the store holds lives here, once. An [`EpochSnapshot`] is
+//! a frozen base — the triples sorted in SPO order and in the POS/OSP
+//! permutations — under a short stack of delta runs, the net changes of
+//! recent batches, sorted the same three ways. A scan merges the base
+//! range with each run's range, newest run wins, in index sort order
+//! (merge joins depend on it).
 //!
-//! Epochs are built LSM-style so publishing is cheap:
+//! The writer (the materializer, under its owner's lock) reads the latest
+//! epoch plus the changes of the call in progress, and every mutating
+//! call seals those changes into the next epoch: one more run, costing
+//! `O(batch log batch)`. Runs are size-tier merged, and once they hold
+//! more than a fraction of the base the seal merges everything into a
+//! fresh base — one linear k-way merge per index, no sort. Readers pin a
+//! published epoch from an [`EpochStore`] with one `Arc` refcount bump;
+//! it never changes, so queries, paging and federation run with **no
+//! lock held** while ingest keeps publishing.
 //!
-//! * a `FrozenIndex` base — three sorted triple vectors (SPO order
-//!   plus the POS/OSP permutations), binary-searched exactly like the
-//!   write side's BTree indexes;
-//! * a short stack of `DeltaRun`s — the net adds/removes of recent
-//!   batches, each sorted the same three ways.
-//!
-//! A scan merges the base range with each run's range and applies
-//! newest-run-wins deletion, preserving index sort order (merge joins
-//! depend on it). Publishing a batch costs `O(batch log batch)`; runs
-//! are size-tier merged as they accumulate, and once the delta stack
-//! outgrows a fraction of the base the writer re-freezes its stated and
-//! derived graphs (one linear merge per index, no sort) into a fresh
-//! base — so read amplification stays bounded without ever blocking
-//! readers.
-//!
-//! Each epoch also carries the statement-confidence map (shared by
-//! `Arc`, cloned only in batches that touch confidences), so weighted
-//! conflict resolution reads the same isolated state as everything else.
+//! "Derived" is a tag: one sorted SPO list in the base and in each run,
+//! decided like membership (newest run wins). A stated triple is stored
+//! three times, a derived one four; the query path never reads the tag.
+//! Each epoch also carries the statement-confidence map (shared by `Arc`,
+//! cloned only in batches that touch confidences).
 
 use crate::dict::{IdTriple, TermDict, TermId};
-use crate::graph::{classify, Graph, Index, Overlay, QueryView, Scan, TripleView};
-use crate::model::{Statement, Term};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use crate::graph::{classify, Graph, Index, QueryView, Scan, TripleView};
+use crate::model::Statement;
+use crate::reason::Closure;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// How many published epochs the store keeps reachable by number (for
@@ -41,9 +35,18 @@ use std::sync::{Arc, Mutex, RwLock};
 const RETAINED_EPOCHS: usize = 8;
 
 /// Base rebuild threshold: when the run stack holds more events than
-/// `max(REBUILD_MIN_EVENTS, base/4)`, the next publish re-freezes the
-/// write side instead of stacking another run.
+/// `max(REBUILD_MIN_EVENTS, base/4)`, the next seal merges the runs into
+/// a fresh base instead of stacking another run.
 const REBUILD_MIN_EVENTS: usize = 4096;
+
+/// How a present triple came to be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fact {
+    /// Asserted by a caller (logged, snapshotted).
+    Stated,
+    /// Entailed by the standing rules (re-derived on recovery).
+    Derived,
+}
 
 /// The sub-slice of a sorted vector falling in `lo..=hi`.
 fn range_of(sorted: &[IdTriple], lo: IdTriple, hi: IdTriple) -> &[IdTriple] {
@@ -72,19 +75,119 @@ fn start_near(sorted: &[IdTriple], hint: usize, lo: IdTriple) -> usize {
     from + sorted[from..to].partition_point(|&t| t < lo)
 }
 
-/// An immutable, fully-sorted freeze of the write side's three indexes.
-/// The POS/OSP vectors hold *permuted* tuples (as the write-side BTree
-/// indexes do), so every scan is a binary-searched contiguous slice.
-#[derive(Debug, Default)]
-struct FrozenIndex {
-    spo: Vec<IdTriple>,
-    /// Permuted `(p, o, s)` tuples, sorted.
-    pos: Vec<IdTriple>,
-    /// Permuted `(o, s, p)` tuples, sorted.
-    osp: Vec<IdTriple>,
+/// Walks sorted slices of distinct tuples in one ascending pass, calling
+/// `visit` once per distinct tuple with the key of the newest (last)
+/// slice holding it. A stretch that only one slice holds is passed on
+/// without comparing each tuple against every other slice.
+fn merge_newest<K: Copy>(mut sources: Vec<(&[IdTriple], K)>, mut visit: impl FnMut(IdTriple, K)) {
+    sources.retain(|(slice, _)| !slice.is_empty());
+    while !sources.is_empty() {
+        // The smallest head, and the smallest head of the other slices.
+        let (mut first, mut bound) = (0, None);
+        for (i, &(slice, _)) in sources.iter().enumerate().skip(1) {
+            if slice[0] < sources[first].0[0] {
+                bound = Some(sources[first].0[0]);
+                first = i;
+            } else if bound.is_none_or(|b| slice[0] < b) {
+                bound = Some(slice[0]);
+            }
+        }
+        let (slice, key) = sources[first];
+        if bound == Some(slice[0]) {
+            let mut newest = key;
+            for (held, key) in sources.iter_mut().filter(|(s, _)| s[0] == slice[0]) {
+                *held = &held[1..];
+                newest = *key;
+            }
+            visit(slice[0], newest);
+        } else {
+            let end = bound.map_or(slice.len(), |b| slice.partition_point(|&t| t < b));
+            for &t in &slice[..end] {
+                visit(t, key);
+            }
+            sources[first].0 = &slice[end..];
+        }
+        sources.retain(|(slice, _)| !slice.is_empty());
+    }
 }
 
-impl FrozenIndex {
+/// The slices whose newest holder decides each triple's state under
+/// `runs` (oldest first): every run's triples, derived tags and deletes.
+fn state_sources<'a>(runs: impl Iterator<Item = &'a Run>) -> Vec<(&'a [IdTriple], Option<Fact>)> {
+    let slices = |run: &'a Run| {
+        let (stated, derived) = (Some(Fact::Stated), Some(Fact::Derived));
+        [
+            (&run.spo[..], stated),
+            (&run.derived[..], derived),
+            (&run.dels[..], None),
+        ]
+    };
+    runs.flat_map(slices).collect()
+}
+
+/// Sorted triples in the three index orders, the derived ones among
+/// them, and the triples the run deletes. A delta run is the net effect
+/// of one sealed batch; the base is a run that deletes nothing. The
+/// POS/OSP vectors hold *permuted* tuples, so every scan is a
+/// binary-searched contiguous slice.
+///
+/// Net-ness is an invariant of delta runs: relative to the epoch state a
+/// run was sealed against, every delete was present and every other
+/// triple absent or present with the other tag. Run merging and
+/// membership checks rely on it.
+#[derive(Debug)]
+struct Run {
+    /// Present triples, in `(s, p, o)` order.
+    spo: Vec<IdTriple>,
+    /// The same as permuted `(p, o, s)` tuples, sorted.
+    pos: Vec<IdTriple>,
+    /// The same as permuted `(o, s, p)` tuples, sorted.
+    osp: Vec<IdTriple>,
+    /// The derived subset of `spo`.
+    derived: Vec<IdTriple>,
+    /// Deleted triples, sorted.
+    dels: Vec<IdTriple>,
+}
+
+impl Run {
+    /// A run from sorted triples: POS and OSP are sorted once.
+    fn sorted(spo: Vec<IdTriple>, derived: Vec<IdTriple>, dels: Vec<IdTriple>) -> Run {
+        debug_assert!(spo.is_sorted() && derived.is_sorted() && dels.is_sorted());
+        let permuted = |index: Index| {
+            let mut out: Vec<IdTriple> = spo.iter().map(|&t| index.permute(t)).collect();
+            out.sort_unstable();
+            out
+        };
+        Run {
+            pos: permuted(Index::Pos),
+            osp: permuted(Index::Osp),
+            spo,
+            derived,
+            dels,
+        }
+    }
+
+    /// A run from each touched triple's new state (`None`: deleted), in
+    /// ascending SPO order.
+    fn new(changes: impl IntoIterator<Item = (IdTriple, Option<Fact>)>) -> Run {
+        let changes = changes.into_iter();
+        // Sized once: a large batch grown by doubling leaves heap holes.
+        let mut spo = Vec::with_capacity(changes.size_hint().1.unwrap_or(0));
+        let (mut derived, mut dels) = (Vec::new(), Vec::new());
+        for (triple, state) in changes {
+            match state {
+                Some(fact) => {
+                    spo.push(triple);
+                    if fact == Fact::Derived {
+                        derived.push(triple);
+                    }
+                }
+                None => dels.push(triple),
+            }
+        }
+        Run::sorted(spo, derived, dels)
+    }
+
     fn select(&self, index: Index) -> &[IdTriple] {
         match index {
             Index::Spo => &self.spo,
@@ -93,126 +196,97 @@ impl FrozenIndex {
         }
     }
 
-    /// Freezes the write side's `base ⊎ derived`. Both graphs already
-    /// keep each index sorted, so every array is one linear merge of two
-    /// sorted sets.
-    fn freeze(view: Overlay<'_>) -> FrozenIndex {
-        let merged = |index| merge_disjoint(view.base.index(index), view.extra.index(index));
-        FrozenIndex {
-            spo: merged(Index::Spo),
-            pos: merged(Index::Pos),
-            osp: merged(Index::Osp),
-        }
-    }
-}
-
-/// Merges two sorted sets that share no element into one sorted vector.
-fn merge_disjoint(a: &BTreeSet<IdTriple>, b: &BTreeSet<IdTriple>) -> Vec<IdTriple> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut b = b.iter().copied().peekable();
-    for &x in a {
-        while let Some(y) = b.next_if(|&y| y < x) {
-            out.push(y);
-        }
-        debug_assert!(b.peek() != Some(&x), "base and derived share {x:?}");
-        out.push(x);
-    }
-    out.extend(b);
-    out
-}
-
-/// The net effect of one published batch: triples that became present
-/// and triples that became absent, each sorted three ways so scans can
-/// merge them with the base in index order.
-///
-/// Net-ness is an invariant: relative to the epoch state the run was
-/// published against, every add was absent and every delete was present.
-/// Run merging and membership checks rely on it.
-#[derive(Debug, Default)]
-struct DeltaRun {
-    adds_spo: Vec<IdTriple>,
-    /// Adds as permuted `(p, o, s)` tuples, sorted.
-    adds_pos: Vec<IdTriple>,
-    /// Adds as permuted `(o, s, p)` tuples, sorted.
-    adds_osp: Vec<IdTriple>,
-    dels_spo: Vec<IdTriple>,
-}
-
-impl DeltaRun {
-    fn new(mut adds: Vec<IdTriple>, mut dels: Vec<IdTriple>) -> DeltaRun {
-        adds.sort_unstable();
-        dels.sort_unstable();
-        let mut adds_pos: Vec<IdTriple> = adds.iter().map(|&t| Index::Pos.permute(t)).collect();
-        adds_pos.sort_unstable();
-        let mut adds_osp: Vec<IdTriple> = adds.iter().map(|&t| Index::Osp.permute(t)).collect();
-        adds_osp.sort_unstable();
-        DeltaRun {
-            adds_spo: adds,
-            adds_pos,
-            adds_osp,
-            dels_spo: dels,
-        }
-    }
-
-    fn adds(&self, index: Index) -> &[IdTriple] {
-        match index {
-            Index::Spo => &self.adds_spo,
-            Index::Pos => &self.adds_pos,
-            Index::Osp => &self.adds_osp,
-        }
-    }
-
     fn events(&self) -> usize {
-        self.adds_spo.len() + self.dels_spo.len()
+        self.spo.len() + self.dels.len()
     }
 
-    /// `Some(true)` if the run adds the triple, `Some(false)` if it
+    /// `Some(true)` if the run holds the triple, `Some(false)` if it
     /// deletes it, `None` if it says nothing about it.
     fn mentions(&self, triple: IdTriple) -> Option<bool> {
-        if self.adds_spo.binary_search(&triple).is_ok() {
+        if self.spo.binary_search(&triple).is_ok() {
             Some(true)
-        } else if self.dels_spo.binary_search(&triple).is_ok() {
+        } else if self.dels.binary_search(&triple).is_ok() {
             Some(false)
         } else {
             None
         }
     }
+
+    /// The tag of a triple the run holds.
+    fn tag(&self, triple: IdTriple) -> Fact {
+        if self.derived.binary_search(&triple).is_ok() {
+            Fact::Derived
+        } else {
+            Fact::Stated
+        }
+    }
+
+    /// Every triple the run mentions, with the state it gives it.
+    fn changes(&self) -> impl Iterator<Item = (IdTriple, Option<Fact>)> + '_ {
+        let present = self.spo.iter().map(|&t| (t, Some(self.tag(t))));
+        present.chain(self.dels.iter().map(|&t| (t, None)))
+    }
+
+    /// The base `runs` (oldest first) leave on top of `self`: the SPO
+    /// merge decides each triple by the newest slice holding it, and
+    /// POS/OSP merge their slices minus the triples it found deleted.
+    fn merged(&self, runs: &[Arc<Run>]) -> Run {
+        let sources = state_sources(std::iter::once(self).chain(runs.iter().map(|r| &**r)));
+        let most = self.spo.len() + runs.iter().map(|run| run.spo.len()).sum::<usize>();
+        let mut spo = Vec::with_capacity(most);
+        let (mut derived, mut dead) = (Vec::new(), Vec::new());
+        merge_newest(sources, |t, state| match state {
+            Some(Fact::Stated) => spo.push(t),
+            Some(Fact::Derived) => {
+                spo.push(t);
+                derived.push(t);
+            }
+            None => dead.push(t),
+        });
+        let permutation = |index: Index| {
+            let mut sources = vec![(self.select(index), ())];
+            sources.extend(runs.iter().map(|run| (run.select(index), ())));
+            let mut out = Vec::with_capacity(spo.len());
+            merge_newest(sources, |t, ()| {
+                if dead.is_empty() || dead.binary_search(&index.unpermute(t)).is_err() {
+                    out.push(t);
+                }
+            });
+            out
+        };
+        let (pos, osp) = (permutation(Index::Pos), permutation(Index::Osp));
+        Run {
+            spo,
+            pos,
+            osp,
+            derived,
+            dels: Vec::new(),
+        }
+    }
 }
 
-/// Composes two consecutive net runs (`older` then `newer`) into one
-/// net run relative to the state before `older`. Pairs that cancel
-/// (add→delete, delete→re-add) drop out entirely.
-fn merge_runs(older: &DeltaRun, newer: &DeltaRun) -> DeltaRun {
-    let mut events: BTreeMap<IdTriple, bool> = BTreeMap::new();
-    for &t in &older.adds_spo {
-        events.insert(t, true);
-    }
-    for &t in &older.dels_spo {
-        events.insert(t, false);
-    }
-    for &t in &newer.adds_spo {
-        if events.get(&t) == Some(&false) {
-            events.remove(&t); // deleted then re-added: net no-op
-        } else {
-            events.insert(t, true);
+/// The state of `triple` under `base` and `runs` (oldest first): the
+/// newest run mentioning it decides.
+fn state_in(base: &Run, runs: &[Arc<Run>], triple: IdTriple) -> Option<Fact> {
+    let newest_first = runs.iter().rev().map(|r| &**r).chain([base]);
+    newest_first
+        .filter_map(|run| Some(run.mentions(triple)?.then(|| run.tag(triple))))
+        .next()
+        .flatten()
+}
+
+/// Composes two consecutive net runs (`older` then `newer`) into one net
+/// run relative to `beneath`, the state before `older`. A triple both
+/// mention takes `newer`'s state, and drops out when that is its state
+/// beneath (add→delete, delete→re-add).
+fn merge_runs(older: &Run, newer: &Run, beneath: impl Fn(IdTriple) -> Option<Fact>) -> Run {
+    let mut changes: BTreeMap<IdTriple, Option<Fact>> = older.changes().collect();
+    for (triple, state) in newer.changes() {
+        if changes.insert(triple, state).is_some() && beneath(triple) == state {
+            changes.remove(&triple);
         }
     }
-    for &t in &newer.dels_spo {
-        if events.get(&t) == Some(&true) {
-            events.remove(&t); // added then deleted: net no-op
-        } else {
-            events.insert(t, false);
-        }
-    }
-    let adds = events
-        .iter()
-        .filter_map(|(&t, &add)| add.then_some(t))
-        .collect();
-    let dels = events
-        .iter()
-        .filter_map(|(&t, &add)| (!add).then_some(t))
-        .collect();
-    DeltaRun::new(adds, dels)
+    Run::new(changes)
 }
 
 /// One immutable published epoch: a frozen base, a short stack of net
@@ -223,14 +297,32 @@ fn merge_runs(older: &DeltaRun, newer: &DeltaRun) -> DeltaRun {
 pub struct EpochSnapshot {
     epoch: u64,
     dict: TermDict,
-    base: Arc<FrozenIndex>,
+    base: Arc<Run>,
     /// Oldest first; membership is decided newest-run-first.
-    runs: Vec<Arc<DeltaRun>>,
+    runs: Vec<Arc<Run>>,
     len: usize,
     confidence: Arc<HashMap<IdTriple, f64>>,
 }
 
 impl EpochSnapshot {
+    /// Epoch `epoch` holding exactly `stated`, which must be strictly
+    /// ascending (SPO order).
+    pub(crate) fn stated(
+        epoch: u64,
+        dict: TermDict,
+        stated: Vec<IdTriple>,
+        confidence: Arc<HashMap<IdTriple, f64>>,
+    ) -> EpochSnapshot {
+        EpochSnapshot {
+            epoch,
+            dict,
+            len: stated.len(),
+            base: Arc::new(Run::sorted(stated, Vec::new(), Vec::new())),
+            runs: Vec::new(),
+            confidence,
+        }
+    }
+
     /// The epoch number (monotonically increasing per store).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -276,25 +368,36 @@ impl EpochSnapshot {
 
     /// Whether the epoch contains the encoded triple.
     pub fn contains_id(&self, triple: IdTriple) -> bool {
-        for run in self.runs.iter().rev() {
-            if let Some(added) = run.mentions(triple) {
-                return added;
-            }
-        }
-        self.base.spo.binary_search(&triple).is_ok()
+        let newest = self.runs.iter().rev().find_map(|run| run.mentions(triple));
+        newest.unwrap_or_else(|| self.base.spo.binary_search(&triple).is_ok())
     }
 
     /// Whether the epoch contains the statement.
     pub fn contains(&self, st: &Statement) -> bool {
-        match self.dict.lookup_statement(st) {
-            Some(triple) => self.contains_id(triple),
-            None => false,
-        }
+        TripleView::has(self, st)
+    }
+
+    /// Whether the triple is present, and if so, stated or derived.
+    pub(crate) fn state(&self, triple: IdTriple) -> Option<Fact> {
+        state_in(&self.base, &self.runs, triple)
     }
 
     /// All triples in SPO order.
     pub fn iter_ids(&self) -> Vec<IdTriple> {
         QueryView::match_ids(self, None, None, None)
+    }
+
+    /// The stated triples — every triple but the derived ones — in SPO
+    /// order: what a snapshot file holds.
+    pub fn stated_ids(&self) -> impl Iterator<Item = IdTriple> {
+        let runs = std::iter::once(&*self.base).chain(self.runs.iter().map(|r| &**r));
+        let mut stated = Vec::with_capacity(self.len);
+        merge_newest(state_sources(runs), |t, state| {
+            if state == Some(Fact::Stated) {
+                stated.push(t);
+            }
+        });
+        stated.into_iter()
     }
 
     /// Materializes the epoch into a standalone mutable [`Graph`]
@@ -308,84 +411,31 @@ impl EpochSnapshot {
         g
     }
 
-    /// Whether a triple coming out of the merged scan is visible: the
-    /// newest run mentioning it wins; silence means it came from the
-    /// base (or an add run) and stands.
-    fn live(&self, triple: IdTriple) -> bool {
-        for run in self.runs.iter().rev() {
-            if let Some(added) = run.mentions(triple) {
-                return added;
-            }
-        }
-        true
-    }
-
     /// Merges the base slice with each run's add slice in permuted sort
     /// order, deduplicates, drops deleted triples, and maps tuples back
-    /// to `(s, p, o)`.
+    /// to `(s, p, o)`. Only a run newer than the newest one holding a
+    /// triple can delete it.
     fn merged_scan(&self, index: Index, lo: IdTriple, hi: IdTriple) -> Vec<IdTriple> {
-        let mut sources: Vec<&[IdTriple]> = Vec::with_capacity(1 + self.runs.len());
-        sources.push(range_of(self.base.select(index), lo, hi));
-        for run in &self.runs {
-            sources.push(range_of(run.adds(index), lo, hi));
-        }
-        sources.retain(|s| !s.is_empty());
-
+        let runs = std::iter::once(&self.base).chain(&self.runs).enumerate();
+        let sources = runs.map(|(at, run)| (range_of(run.select(index), lo, hi), at));
         let mut out = Vec::new();
-        if sources.is_empty() {
-            return out;
-        }
-
-        let mut cursors = vec![0usize; sources.len()];
-        loop {
-            // Smallest head across sources (permuted order).
-            let mut best: Option<IdTriple> = None;
-            for (i, src) in sources.iter().enumerate() {
-                if let Some(&head) = src.get(cursors[i]) {
-                    best = Some(match best {
-                        Some(b) if b <= head => b,
-                        _ => head,
-                    });
-                }
-            }
-            let Some(next) = best else { break };
-            // Consume every occurrence (the same triple can sit in the
-            // base and in a later re-add run).
-            for (i, src) in sources.iter().enumerate() {
-                while src.get(cursors[i]) == Some(&next) {
-                    cursors[i] += 1;
-                }
-            }
-            let original = index.unpermute(next);
-            if self.live(original) {
+        merge_newest(sources.collect(), |tuple, holder| {
+            let original = index.unpermute(tuple);
+            let newer = &self.runs[holder..];
+            if newer
+                .iter()
+                .all(|run| run.dels.binary_search(&original).is_err())
+            {
                 out.push(original);
             }
-        }
+        });
         out
     }
 }
 
 impl TripleView for EpochSnapshot {
-    fn find(
-        &self,
-        subject: Option<&Term>,
-        predicate: Option<&Term>,
-        object: Option<&Term>,
-    ) -> Vec<Statement> {
-        let encode = |slot: Option<&Term>| match slot {
-            Some(term) => self.dict.lookup(term).map(Some),
-            None => Some(None),
-        };
-        let (Some(s), Some(p), Some(o)) = (encode(subject), encode(predicate), encode(object))
-        else {
-            // A bound term that was never interned cannot match anything.
-            return Vec::new();
-        };
-        self.dict.resolve_all(&QueryView::match_ids(self, s, p, o))
-    }
-
-    fn has(&self, st: &Statement) -> bool {
-        self.contains(st)
+    fn dict(&self) -> &TermDict {
+        &self.dict
     }
 
     fn find_ids(
@@ -403,10 +453,6 @@ impl TripleView for EpochSnapshot {
 }
 
 impl QueryView for EpochSnapshot {
-    fn dict(&self) -> &TermDict {
-        &self.dict
-    }
-
     fn match_ids(
         &self,
         subject: Option<TermId>,
@@ -463,7 +509,7 @@ impl QueryView for EpochSnapshot {
                     if est >= cap {
                         break;
                     }
-                    est += range_of(run.adds(index), lo, hi).len();
+                    est += range_of(run.select(index), lo, hi).len();
                 }
                 est.min(cap)
             }
@@ -475,35 +521,169 @@ impl QueryView for EpochSnapshot {
     }
 }
 
-/// The net mutation record one publish consumes: the latest surviving
-/// event per triple (`true` = present, `false` = absent) since the last
-/// publish, plus a flag forcing a full base rebuild (set when the write
-/// side was wholesale replaced, e.g. by `reset` or recovery).
-#[derive(Debug, Clone, Default)]
-pub struct EpochDelta {
-    pub(crate) changes: HashMap<IdTriple, bool>,
-    pub(crate) rebuilt: bool,
+/// The writer's side of the store: the latest sealed epoch, overridden
+/// by the changes of the call in progress. It reads as
+/// `epoch ∪ adds − deletes`; [`seal`](Self::seal) turns the changes into
+/// the next epoch. Between calls it holds no changes, and reads are the
+/// epoch's.
+#[derive(Debug)]
+pub(crate) struct EpochWriter {
+    epoch: Arc<EpochSnapshot>,
+    /// Every triple the call changed: its state in `epoch`, and now.
+    changes: BTreeMap<IdTriple, (Option<Fact>, Option<Fact>)>,
+    /// The changed triples present now but absent from `epoch`, indexed
+    /// for pattern scans while `indexed` (standing rules scan the view).
+    added: Graph,
+    indexed: bool,
+    /// Changed triples present in `epoch` and absent now.
+    removed: usize,
 }
 
-impl EpochDelta {
-    /// A delta demanding a full base rebuild (wholesale replacement of
-    /// the write side — `reset`, recovery).
-    pub(crate) fn rebuild() -> EpochDelta {
-        EpochDelta {
-            changes: HashMap::new(),
-            rebuilt: true,
+impl EpochWriter {
+    pub(crate) fn new(epoch: EpochSnapshot, indexed: bool) -> EpochWriter {
+        EpochWriter {
+            added: Graph::with_dict(epoch.dict.clone()),
+            epoch: Arc::new(epoch),
+            changes: BTreeMap::new(),
+            indexed,
+            removed: 0,
         }
     }
 
-    /// Records that `triple` ended up present (`added = true`) or absent.
-    /// Later records for the same triple overwrite earlier ones, so the
-    /// map always holds the *final* state change.
-    pub(crate) fn record(&mut self, triple: IdTriple, added: bool) {
-        self.changes.insert(triple, added);
+    /// The latest sealed epoch.
+    pub(crate) fn epoch(&self) -> &Arc<EpochSnapshot> {
+        &self.epoch
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.changes.is_empty() && !self.rebuilt
+    /// Whether later changes are indexed for pattern scans. Set between
+    /// calls only.
+    pub(crate) fn index_adds(&mut self, indexed: bool) {
+        debug_assert!(self.changes.is_empty(), "toggled mid-call");
+        self.indexed = indexed;
+    }
+
+    /// Whether the triple is present now, and if so, stated or derived.
+    pub(crate) fn state(&self, triple: IdTriple) -> Option<Fact> {
+        match self.changes.get(&triple) {
+            Some(&(_, now)) => now,
+            None => self.epoch.state(triple),
+        }
+    }
+
+    /// Sets the triple's state; returns the one it replaced.
+    pub(crate) fn replace(&mut self, triple: IdTriple, now: Option<Fact>) -> Option<Fact> {
+        let (before, was) = match self.changes.get(&triple) {
+            Some(&change) => change,
+            None => {
+                let state = self.epoch.state(triple);
+                (state, state)
+            }
+        };
+        if was == now {
+            return was;
+        }
+        self.changes.insert(triple, (before, now));
+        if before.is_some() {
+            self.removed = self.removed + usize::from(now.is_none()) - usize::from(was.is_none());
+        } else if self.indexed && now.is_some() {
+            self.added.insert_id(triple);
+        } else if self.indexed {
+            self.added.remove_id(triple);
+        }
+        was
+    }
+
+    /// Seals the call's changes — and `confidence`, if given — into the
+    /// next epoch. A call that changed neither seals nothing, so idle
+    /// readers keep hitting the same epoch.
+    pub(crate) fn seal(&mut self, confidence: Option<Arc<HashMap<IdTriple, f64>>>) {
+        let confidence = confidence.unwrap_or_else(|| self.epoch.confidence.clone());
+        if !self.changes.is_empty() || !Arc::ptr_eq(&confidence, &self.epoch.confidence) {
+            self.seal_as(self.epoch.epoch + 1, confidence);
+        }
+    }
+
+    /// Seals the call's changes as epoch number `epoch`: one more run,
+    /// or — once the runs would hold more than
+    /// `max(REBUILD_MIN_EVENTS, base/4)` events, counting every triple the
+    /// call touched — a fresh base merged from the old one and every run.
+    pub(crate) fn seal_as(&mut self, epoch: u64, confidence: Arc<HashMap<IdTriple, f64>>) {
+        let prev = &self.epoch;
+        let pending = prev.runs.iter().map(|r| r.events()).sum::<usize>() + self.changes.len();
+        let mut len = prev.len;
+        let changes = std::mem::take(&mut self.changes).into_iter();
+        let net = changes.filter(|(_, (before, now))| before != now);
+        let run = Run::new(net.map(|(t, (before, now))| {
+            len = len + usize::from(before.is_none()) - usize::from(now.is_none());
+            (t, now)
+        }));
+        let mut runs = prev.runs.clone();
+        if run.events() > 0 {
+            runs.push(Arc::new(run));
+        }
+        let base = if pending > REBUILD_MIN_EVENTS.max(prev.base.spo.len() / 4) {
+            let base = prev.base.merged(&runs);
+            runs.clear();
+            debug_assert_eq!(base.spo.len(), len);
+            Arc::new(base)
+        } else {
+            // Size-tiered merging: fold the newest run into its neighbor
+            // while the neighbor is not decisively bigger, keeping the
+            // stack logarithmic in total events.
+            while runs.len() >= 2 {
+                let n = runs.len();
+                if runs[n - 2].events() > 2 * runs[n - 1].events() {
+                    break;
+                }
+                let newer = runs.pop().expect("run");
+                let older = runs.pop().expect("run");
+                let merged = merge_runs(&older, &newer, |t| state_in(&prev.base, &runs, t));
+                runs.push(Arc::new(merged));
+            }
+            prev.base.clone()
+        };
+        let dict = prev.dict.clone();
+        self.added = Graph::with_dict(dict.clone());
+        self.removed = 0;
+        self.epoch = Arc::new(EpochSnapshot {
+            epoch,
+            dict,
+            base,
+            runs,
+            len,
+            confidence,
+        });
+    }
+}
+
+impl TripleView for EpochWriter {
+    fn dict(&self) -> &TermDict {
+        &self.epoch.dict
+    }
+
+    fn find_ids(
+        &self,
+        subject: Option<TermId>,
+        predicate: Option<TermId>,
+        object: Option<TermId>,
+    ) -> Vec<IdTriple> {
+        debug_assert!(self.indexed || self.changes.is_empty(), "unindexed scan");
+        let mut hits = QueryView::match_ids(&*self.epoch, subject, predicate, object);
+        if self.removed > 0 {
+            hits.retain(|t| self.changes.get(t).is_none_or(|&(_, now)| now.is_some()));
+        }
+        hits.extend(self.added.match_ids(subject, predicate, object));
+        hits
+    }
+
+    fn has_id(&self, triple: IdTriple) -> bool {
+        self.state(triple).is_some()
+    }
+}
+
+impl Closure for EpochWriter {
+    fn derive(&mut self, triple: IdTriple) -> bool {
+        self.state(triple).is_none() && self.replace(triple, Some(Fact::Derived)).is_none()
     }
 }
 
@@ -511,8 +691,8 @@ impl EpochDelta {
 /// plus a short ring of recent epochs reachable by number.
 ///
 /// `pin()` holds the lock only long enough to clone one `Arc`; all
-/// subsequent reads on the snapshot are lock-free. Writers publish
-/// through `publish`, which swaps the current `Arc` — readers already
+/// subsequent reads on the snapshot are lock-free. The writer publishes
+/// each epoch it seals, which swaps the current `Arc` — readers already
 /// holding an older epoch are unaffected.
 #[derive(Debug)]
 pub struct EpochStore {
@@ -521,21 +701,11 @@ pub struct EpochStore {
 }
 
 impl EpochStore {
-    /// Creates a store whose epoch 0 freezes `view` — the write side's
-    /// stated and derived graphs, disjoint and over one dictionary.
-    pub(crate) fn new(view: Overlay<'_>, confidence: Arc<HashMap<IdTriple, f64>>) -> EpochStore {
-        let base = FrozenIndex::freeze(view);
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch: 0,
-            dict: view.base.dict().clone(),
-            len: base.spo.len(),
-            base: Arc::new(base),
-            runs: Vec::new(),
-            confidence,
-        });
+    /// Creates a store whose current epoch is `first`.
+    pub(crate) fn new(first: Arc<EpochSnapshot>) -> EpochStore {
         EpochStore {
-            current: RwLock::new(snapshot.clone()),
-            retained: Mutex::new(VecDeque::from([snapshot])),
+            current: RwLock::new(first.clone()),
+            retained: Mutex::new(VecDeque::from([first])),
         }
     }
 
@@ -555,77 +725,17 @@ impl EpochStore {
             .cloned()
     }
 
-    /// Publishes the write side's net delta as the next epoch. `view`
-    /// is the writer's stated and derived graphs (disjoint, one
-    /// dictionary) as of the delta, consulted for base rebuilds. No-op
-    /// deltas (empty and no confidence change) publish nothing, so idle
-    /// readers keep hitting the same epoch.
-    pub(crate) fn publish(
-        &self,
-        view: Overlay<'_>,
-        delta: EpochDelta,
-        confidence: Arc<HashMap<IdTriple, f64>>,
-    ) {
-        let prev = self.pin();
-        if delta.is_empty() && Arc::ptr_eq(&prev.confidence, &confidence) {
-            return;
-        }
-
-        let pending: usize =
-            prev.runs.iter().map(|r| r.events()).sum::<usize>() + delta.changes.len();
-        let rebuild = delta.rebuilt || pending > REBUILD_MIN_EVENTS.max(prev.base.spo.len() / 4);
-
-        let (base, runs, len) = if rebuild {
-            let base = FrozenIndex::freeze(view);
-            let len = base.spo.len();
-            (Arc::new(base), Vec::new(), len)
-        } else {
-            // Net the delta against the previous epoch so the run
-            // invariant holds (adds were absent, deletes were present)
-            // even if the write side flapped a triple mid-batch.
-            let mut adds = Vec::new();
-            let mut dels = Vec::new();
-            for (&triple, &added) in &delta.changes {
-                if added != prev.contains_id(triple) {
-                    if added {
-                        adds.push(triple);
-                    } else {
-                        dels.push(triple);
-                    }
-                }
-            }
-            let new_len = prev.len + adds.len() - dels.len();
-            let mut runs = prev.runs.clone();
-            if !(adds.is_empty() && dels.is_empty()) {
-                runs.push(Arc::new(DeltaRun::new(adds, dels)));
-                // Size-tiered merging: fold the newest run into its
-                // neighbor while the neighbor is not decisively bigger,
-                // keeping the stack logarithmic in total events.
-                while runs.len() >= 2 {
-                    let n = runs.len();
-                    if runs[n - 2].events() > 2 * runs[n - 1].events() {
-                        break;
-                    }
-                    let newer = runs.pop().expect("run");
-                    let older = runs.pop().expect("run");
-                    runs.push(Arc::new(merge_runs(&older, &newer)));
-                }
-            }
-            (prev.base.clone(), runs, new_len)
-        };
-
-        let next = Arc::new(EpochSnapshot {
-            epoch: prev.epoch + 1,
-            dict: view.base.dict().clone(),
-            base,
-            runs,
-            len,
-            confidence,
-        });
-
+    /// Makes `next` the current epoch, unless it already is.
+    pub(crate) fn publish(&self, next: &Arc<EpochSnapshot>) {
         let mut ring = self.retained.lock().expect("epoch ring lock");
-        *self.current.write().expect("epoch lock") = next.clone();
-        ring.push_back(next);
+        {
+            let mut current = self.current.write().expect("epoch lock");
+            if Arc::ptr_eq(&current, next) {
+                return;
+            }
+            *current = next.clone();
+        }
+        ring.push_back(next.clone());
         while ring.len() > RETAINED_EPOCHS {
             ring.pop_front();
         }
@@ -635,85 +745,102 @@ impl EpochStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{vocab, Term};
+    use crate::IncrementalMaterializer;
+    use cogsdk_sim::rng::Rng;
+    use std::collections::BTreeMap;
 
-    fn triple(graph: &mut Graph, s: &str, p: &str, o: &str) -> IdTriple {
-        graph
-            .dict()
-            .intern_statement(&Statement::new(Term::iri(s), Term::iri(p), Term::iri(o)))
+    /// Array entries `snap`'s base and runs hold: each add or base triple
+    /// once per permutation, each derived tag and delete once.
+    fn stored_entries(snap: &EpochSnapshot) -> usize {
+        std::iter::once(&snap.base)
+            .chain(&snap.runs)
+            .map(|r| r.spo.len() + r.pos.len() + r.osp.len() + r.derived.len() + r.dels.len())
+            .sum()
     }
 
-    /// An empty derived graph over `base`'s dictionary.
-    fn no_derived(base: &Graph) -> Graph {
-        Graph::with_dict(base.dict().clone())
+    /// `spo`'s tuples permuted into `index` order, sorted.
+    fn permuted(spo: &[IdTriple], index: Index) -> Vec<IdTriple> {
+        let mut out: Vec<IdTriple> = spo.iter().map(|&t| index.permute(t)).collect();
+        out.sort_unstable();
+        out
     }
 
-    fn store_over(graph: &Graph) -> EpochStore {
-        EpochStore::new(
-            Overlay::new(graph, &no_derived(graph)),
-            Arc::new(HashMap::new()),
-        )
+    fn triple(dict: &TermDict, s: &str, p: &str, o: &str) -> IdTriple {
+        dict.intern_statement(&Statement::new(Term::iri(s), Term::iri(p), Term::iri(o)))
     }
 
-    fn publish_changes(store: &EpochStore, graph: &Graph, changes: &[(IdTriple, bool)]) {
-        let mut delta = EpochDelta::default();
-        for &(t, added) in changes {
-            delta.record(t, added);
+    /// A writer over an empty epoch 0, indexing its changes.
+    fn writer() -> EpochWriter {
+        let empty = EpochSnapshot::stated(0, TermDict::new(), Vec::new(), Arc::default());
+        EpochWriter::new(empty, true)
+    }
+
+    /// Applies `changes` and seals them as the next epoch.
+    fn publish(w: &mut EpochWriter, changes: &[(IdTriple, Option<Fact>)]) -> Arc<EpochSnapshot> {
+        for &(t, state) in changes {
+            w.replace(t, state);
         }
-        let confidence = store.pin().confidence.clone();
-        store.publish(Overlay::new(graph, &no_derived(graph)), delta, confidence);
+        w.seal(None);
+        w.epoch().clone()
     }
+
+    const STATED: Option<Fact> = Some(Fact::Stated);
+    const DERIVED: Option<Fact> = Some(Fact::Derived);
 
     #[test]
-    fn freeze_equals_collect_permute_sort() {
-        use cogsdk_sim::rng::Rng;
+    fn merged_base_equals_collect_permute_sort() {
         let mut rng = Rng::new(0xF4EE);
-        // (base share of the triples, how many): empty derived, empty
-        // base, and ids interleaved between the two at several sizes.
-        for (round, &(base_share, n)) in [(1.0, 60), (0.0, 60), (0.5, 1), (0.5, 200), (0.9, 200)]
-            .iter()
-            .enumerate()
-        {
-            let base = &mut Graph::new();
-            let derived = &mut no_derived(base);
-            for _ in 0..n {
-                let t = triple(
-                    base,
-                    &format!("ex:s{}", rng.below(15)),
-                    &format!("ex:p{}", rng.below(5)),
-                    &format!("ex:o{}", rng.below(15)),
-                );
-                if !base.contains_id(t) && !derived.contains_id(t) {
-                    let side = if rng.chance(base_share) {
-                        &mut *base
-                    } else {
-                        &mut *derived
+        // (rounds of churn, triples per round): one run, a stack, and
+        // stacks whose runs delete, re-add and retag what lies beneath.
+        for (case, &(rounds, n)) in [(1, 60), (6, 40), (20, 30), (12, 200)].iter().enumerate() {
+            let mut w = writer();
+            let dict = w.dict().clone();
+            let mut model: BTreeMap<IdTriple, Fact> = BTreeMap::new();
+            for _ in 0..rounds {
+                for _ in 0..n {
+                    let t = triple(
+                        &dict,
+                        &format!("ex:s{}", rng.below(15)),
+                        &format!("ex:p{}", rng.below(5)),
+                        &format!("ex:o{}", rng.below(15)),
+                    );
+                    let state = match rng.below(3) {
+                        0 => None,
+                        1 => STATED,
+                        _ => DERIVED,
                     };
-                    side.insert_id(t);
+                    w.replace(t, state);
+                    match state {
+                        Some(fact) => model.insert(t, fact),
+                        None => model.remove(&t),
+                    };
                 }
+                w.seal(None);
             }
-            // The reference: the sort-based freeze this merge replaced.
-            let mut spo: Vec<IdTriple> = base.iter_ids().chain(derived.iter_ids()).collect();
-            spo.sort_unstable();
-            let mut pos: Vec<IdTriple> = spo.iter().map(|&t| Index::Pos.permute(t)).collect();
-            pos.sort_unstable();
-            let mut osp: Vec<IdTriple> = spo.iter().map(|&t| Index::Osp.permute(t)).collect();
-            osp.sort_unstable();
-
-            let frozen = FrozenIndex::freeze(Overlay::new(base, derived));
-            assert_eq!(
-                frozen.spo.len(),
-                base.len() + derived.len(),
-                "round {round}"
-            );
-            assert_eq!(frozen.spo, spo, "round {round}: spo");
-            assert_eq!(frozen.pos, pos, "round {round}: pos");
-            assert_eq!(frozen.osp, osp, "round {round}: osp");
+            let snap = w.epoch();
+            let merged = snap.base.merged(&snap.runs);
+            // The reference: collect the model, permute and sort.
+            let spo: Vec<IdTriple> = model.keys().copied().collect();
+            let derived: Vec<IdTriple> = model
+                .iter()
+                .filter_map(|(&t, &f)| (f == Fact::Derived).then_some(t))
+                .collect();
+            assert_eq!(merged.spo, spo, "case {case}: spo");
+            assert_eq!(merged.pos, permuted(&spo, Index::Pos), "case {case}: pos");
+            assert_eq!(merged.osp, permuted(&spo, Index::Osp), "case {case}: osp");
+            assert_eq!(merged.derived, derived, "case {case}: derived");
+            let stated: Vec<IdTriple> = snap.stated_ids().collect();
+            let want: Vec<IdTriple> = model
+                .iter()
+                .filter_map(|(&t, &f)| (f == Fact::Stated).then_some(t))
+                .collect();
+            assert_eq!(stated, want, "case {case}: stated_ids");
         }
     }
 
     #[test]
     fn start_near_agrees_with_a_binary_search_from_any_hint() {
-        use cogsdk_sim::rng::Rng;
         let mut rng = Rng::new(0x5EA4);
         let mut id = |n: u64| TermId::from_raw(rng.below(n) as u32);
         let mut sorted: Vec<IdTriple> = (0..300).map(|_| (id(40), id(4), id(3))).collect();
@@ -742,40 +869,30 @@ mod tests {
 
     #[test]
     fn pinned_epoch_is_isolated_from_later_publishes() {
-        let mut g = Graph::new();
-        let t1 = triple(&mut g, "ex:a", "ex:p", "ex:x");
-        g.insert_id(t1);
-        let store = store_over(&g);
-        let pinned = store.pin();
-        assert_eq!(pinned.epoch(), 0);
+        let mut w = writer();
+        let t1 = triple(w.dict(), "ex:a", "ex:p", "ex:x");
+        let pinned = publish(&mut w, &[(t1, STATED)]);
+        assert_eq!(pinned.epoch(), 1);
         assert!(pinned.contains_id(t1));
 
-        let t2 = triple(&mut g, "ex:b", "ex:p", "ex:y");
-        g.insert_id(t2);
-        publish_changes(&store, &g, &[(t2, true)]);
+        let t2 = triple(w.dict(), "ex:b", "ex:p", "ex:y");
+        let fresh = publish(&mut w, &[(t2, STATED)]);
 
         // The old pin still sees exactly its epoch.
         assert!(!pinned.contains_id(t2));
         assert_eq!(pinned.len(), 1);
-        let fresh = store.pin();
-        assert_eq!(fresh.epoch(), 1);
+        assert_eq!(fresh.epoch(), 2);
         assert!(fresh.contains_id(t1) && fresh.contains_id(t2));
         assert_eq!(fresh.len(), 2);
     }
 
     #[test]
     fn deletions_in_newer_runs_mask_base_triples() {
-        let mut g = Graph::new();
-        let t1 = triple(&mut g, "ex:a", "ex:p", "ex:x");
-        let t2 = triple(&mut g, "ex:a", "ex:p", "ex:y");
-        g.insert_id(t1);
-        g.insert_id(t2);
-        let store = store_over(&g);
-
-        g.remove_id(t1);
-        publish_changes(&store, &g, &[(t1, false)]);
-
-        let snap = store.pin();
+        let mut w = writer();
+        let t1 = triple(w.dict(), "ex:a", "ex:p", "ex:x");
+        let t2 = triple(w.dict(), "ex:a", "ex:p", "ex:y");
+        publish(&mut w, &[(t1, STATED), (t2, STATED)]);
+        let snap = publish(&mut w, &[(t1, None)]);
         assert!(!snap.contains_id(t1));
         assert!(snap.contains_id(t2));
         assert_eq!(snap.len(), 1);
@@ -785,71 +902,69 @@ mod tests {
 
     #[test]
     fn re_add_after_delete_is_visible_again() {
-        let mut g = Graph::new();
-        let t = triple(&mut g, "ex:a", "ex:p", "ex:x");
-        g.insert_id(t);
-        let store = store_over(&g);
-
-        g.remove_id(t);
-        publish_changes(&store, &g, &[(t, false)]);
-        assert!(!store.pin().contains_id(t));
-
-        g.insert_id(t);
-        publish_changes(&store, &g, &[(t, true)]);
-        let snap = store.pin();
+        let mut w = writer();
+        let t = triple(w.dict(), "ex:a", "ex:p", "ex:x");
+        publish(&mut w, &[(t, STATED)]);
+        assert!(!publish(&mut w, &[(t, None)]).contains_id(t));
+        let snap = publish(&mut w, &[(t, STATED)]);
         assert!(snap.contains_id(t));
         assert_eq!(snap.len(), 1);
         assert_eq!(QueryView::match_ids(&*snap, None, None, None), vec![t]);
     }
 
     #[test]
+    fn retags_are_decided_by_the_newest_run() {
+        let mut w = writer();
+        let t = triple(w.dict(), "ex:a", "ex:p", "ex:x");
+        assert_eq!(publish(&mut w, &[(t, DERIVED)]).state(t), DERIVED);
+        let snap = publish(&mut w, &[(t, STATED)]);
+        assert_eq!(snap.state(t), STATED);
+        assert_eq!(snap.len(), 1, "a retag is not a second triple");
+        assert_eq!(QueryView::match_ids(&*snap, None, None, None), vec![t]);
+        assert_eq!(snap.stated_ids().collect::<Vec<_>>(), vec![t]);
+        let snap = publish(&mut w, &[(t, DERIVED)]);
+        assert_eq!(snap.state(t), DERIVED);
+        assert_eq!(snap.stated_ids().count(), 0);
+    }
+
+    #[test]
     fn scans_agree_with_a_graph_across_many_random_publishes() {
-        use cogsdk_sim::rng::Rng;
         let mut rng = Rng::new(0xE90C);
-        let mut base = Graph::new();
-        let mut derived = no_derived(&base);
-        let store = store_over(&base);
-        // Random insert/remove batches over a disjoint base/derived pair,
-        // each published (rounds 9, 19 and 29 as forced re-freezes);
-        // after every publish the pinned epoch must agree with a graph
-        // holding their union on every pattern shape.
-        for round in 0..30 {
-            let mut delta = if round % 10 == 9 {
-                EpochDelta::rebuild()
-            } else {
-                EpochDelta::default()
-            };
+        let mut w = writer();
+        let dict = w.dict().clone();
+        let mut model: BTreeMap<IdTriple, Fact> = BTreeMap::new();
+        // Random insert/retag/remove batches, each sealed; the writer
+        // mid-batch and every sealed epoch must agree with a graph
+        // holding the model on every pattern shape.
+        for round in 0..60 {
             for _ in 0..(1 + rng.below(40)) {
                 let t = triple(
-                    &mut base,
+                    &dict,
                     &format!("ex:s{}", rng.below(12)),
                     &format!("ex:p{}", rng.below(4)),
                     &format!("ex:o{}", rng.below(8)),
                 );
                 if rng.chance(0.7) {
-                    if !base.contains_id(t) && !derived.contains_id(t) {
-                        let side = if rng.chance(0.5) {
-                            &mut base
-                        } else {
-                            &mut derived
-                        };
-                        side.insert_id(t);
-                        delta.record(t, true);
-                    }
-                } else if base.remove_id(t) || derived.remove_id(t) {
-                    delta.record(t, false);
+                    let fact = if rng.chance(0.5) {
+                        Fact::Stated
+                    } else {
+                        Fact::Derived
+                    };
+                    w.replace(t, Some(fact));
+                    model.insert(t, fact);
+                } else {
+                    w.replace(t, None);
+                    model.remove(&t);
                 }
             }
-            let view = Overlay::new(&base, &derived);
-            store.publish(view, delta, store.pin().confidence.clone());
-            let snap = store.pin();
-            let g = view.to_graph();
-            assert_eq!(snap.len(), g.len(), "round {round}: len");
-
-            let s = g.dict().lookup(&Term::iri("ex:s3"));
-            let p = g.dict().lookup(&Term::iri("ex:p1"));
-            let o = g.dict().lookup(&Term::iri("ex:o2"));
-            for pattern in [
+            let mut g = Graph::with_dict(dict.clone());
+            for &t in model.keys() {
+                g.insert_id(t);
+            }
+            let s = dict.lookup(&Term::iri("ex:s3"));
+            let p = dict.lookup(&Term::iri("ex:p1"));
+            let o = dict.lookup(&Term::iri("ex:o2"));
+            let patterns = [
                 (None, None, None),
                 (s, None, None),
                 (None, p, None),
@@ -858,50 +973,41 @@ mod tests {
                 (s, None, o),
                 (None, p, o),
                 (s, p, o),
-            ] {
-                let got = QueryView::match_ids(&*snap, pattern.0, pattern.1, pattern.2);
-                let want = g.match_ids(pattern.0, pattern.1, pattern.2);
+            ];
+            let sorted = |mut v: Vec<IdTriple>| {
+                v.sort_unstable();
+                v
+            };
+            for pattern in patterns {
+                let (s, p, o) = pattern;
+                let got = sorted(w.find_ids(s, p, o));
+                assert_eq!(got, sorted(g.match_ids(s, p, o)), "round {round}: writer");
+            }
+
+            w.seal(None);
+            let snap = w.epoch();
+            assert_eq!(snap.len(), g.len(), "round {round}: len");
+            for (&t, &fact) in &model {
+                assert_eq!(snap.state(t), Some(fact), "round {round}: tag");
+            }
+            for pattern in patterns {
+                let (s, p, o) = pattern;
+                let got = QueryView::match_ids(&**snap, s, p, o);
+                let want = g.match_ids(s, p, o);
                 assert_eq!(got, want, "round {round}: pattern {pattern:?}");
-                let est =
-                    QueryView::count_ids_capped(&*snap, pattern.0, pattern.1, pattern.2, 4096);
+                let est = QueryView::count_ids_capped(&**snap, s, p, o, 4096);
                 assert!(est >= want.len().min(4096), "estimate must upper-bound");
             }
         }
     }
 
     #[test]
-    fn rebuild_flag_refreezes_the_base() {
-        let mut g = Graph::new();
-        let t1 = triple(&mut g, "ex:a", "ex:p", "ex:x");
-        g.insert_id(t1);
-        let store = store_over(&g);
-        let delta = EpochDelta::rebuild();
-        let mut replacement = no_derived(&g);
-        let t2 = triple(&mut replacement, "ex:b", "ex:p", "ex:y");
-        replacement.insert_id(t2);
-        let mut inferred = no_derived(&g);
-        let t3 = triple(&mut inferred, "ex:a", "ex:q", "ex:y");
-        inferred.insert_id(t3);
-        let view = Overlay::new(&replacement, &inferred);
-        store.publish(view, delta, Arc::new(HashMap::new()));
-        let snap = store.pin();
-        assert!(snap.runs.is_empty(), "rebuild clears the run stack");
-        assert_eq!(
-            snap.iter_ids(),
-            vec![t3, t2],
-            "stated and derived, in SPO order"
-        );
-        assert!(!snap.contains_id(t1));
-    }
-
-    #[test]
     fn retained_ring_serves_recent_epochs_only() {
-        let mut g = Graph::new();
-        let store = store_over(&g);
+        let mut w = writer();
+        let store = EpochStore::new(w.epoch().clone());
         for i in 0..(RETAINED_EPOCHS + 3) {
-            let t = triple(&mut g, &format!("ex:s{i}"), "ex:p", "ex:o");
-            g.insert_id(t);
-            publish_changes(&store, &g, &[(t, true)]);
+            let t = triple(w.dict(), &format!("ex:s{i}"), "ex:p", "ex:o");
+            store.publish(&publish(&mut w, &[(t, STATED)]));
         }
         let newest = store.pin().epoch();
         assert_eq!(newest, (RETAINED_EPOCHS + 3) as u64);
@@ -913,36 +1019,72 @@ mod tests {
     }
 
     #[test]
-    fn noop_publish_keeps_the_epoch() {
-        let mut g = Graph::new();
-        let t = triple(&mut g, "ex:a", "ex:p", "ex:x");
-        g.insert_id(t);
-        let store = store_over(&g);
-        publish_changes(&store, &g, &[]);
-        assert_eq!(store.pin().epoch(), 0, "no-op publishes nothing");
+    fn noop_seal_keeps_the_epoch() {
+        let mut w = writer();
+        let t = triple(w.dict(), "ex:a", "ex:p", "ex:x");
+        let first = publish(&mut w, &[(t, STATED)]);
+        let store = EpochStore::new(first.clone());
+        // Re-stating a stated fact changes nothing: no epoch.
+        let again = publish(&mut w, &[(t, STATED)]);
+        assert!(Arc::ptr_eq(&first, &again), "no-op seals nothing");
+        store.publish(&again);
+        assert_eq!(store.pin().epoch(), 1);
     }
 
     #[test]
     fn confidence_travels_with_the_epoch() {
-        let mut g = Graph::new();
-        let t = triple(&mut g, "ex:a", "ex:p", "ex:x");
-        g.insert_id(t);
-        let store = store_over(&g);
-        let pinned_before = store.pin();
+        let mut w = writer();
+        let t = triple(w.dict(), "ex:a", "ex:p", "ex:x");
+        let pinned_before = publish(&mut w, &[(t, STATED)]);
 
         let mut conf = HashMap::new();
         conf.insert(t, 0.4);
-        let mut delta = EpochDelta::default();
-        delta.record(t, true); // no-op membership-wise, but confidence changed
-        store.publish(Overlay::new(&g, &no_derived(&g)), delta, Arc::new(conf));
+        // No membership change, but the confidence changed.
+        w.seal(Some(Arc::new(conf)));
 
-        assert_eq!(store.pin().confidence_of(t), Some(0.4));
+        assert_eq!(w.epoch().confidence_of(t), Some(0.4));
         assert_eq!(
             pinned_before.confidence_of(t),
             Some(1.0),
             "old pin unaffected"
         );
-        let absent = triple(&mut g, "ex:ghost", "ex:p", "ex:x");
-        assert_eq!(store.pin().confidence_of(absent), None);
+        let absent = triple(w.dict(), "ex:ghost", "ex:p", "ex:x");
+        assert_eq!(w.epoch().confidence_of(absent), None);
+    }
+
+    #[test]
+    fn stored_copies_are_three_per_stated_and_four_per_derived_triple() {
+        // An e2e-shaped store: items with a type, a category and scores,
+        // in one batch big enough that its seal merges a fresh base.
+        let st = |s: String, p: &str, o: Term| Statement::new(Term::iri(s), Term::iri(p), o);
+        let mut batch = Vec::new();
+        for i in 0..2500 {
+            batch.push(st(format!("kb:item{i}"), vocab::TYPE, Term::iri("kb:Item")));
+            batch.push(st(
+                format!("kb:item{i}"),
+                "kb:category",
+                Term::iri(format!("kb:cat{}", i % 20)),
+            ));
+            batch.push(st(format!("kb:item{i}"), "kb:score", Term::integer(i)));
+        }
+        let mut m = IncrementalMaterializer::new();
+        m.insert_batch(batch);
+        let snap = m.epoch().clone();
+        assert!(snap.runs.is_empty(), "the seal merged a fresh base");
+        assert_eq!(stored_entries(&snap), 3 * snap.len());
+
+        // Standing RDFS over a schema that types every item twice more:
+        // 5 000 derived facts, sealed as one more merged base.
+        m.insert_batch([
+            st("kb:Item".into(), vocab::SUB_CLASS_OF, Term::iri("kb:Thing")),
+            st("kb:category".into(), vocab::DOMAIN, Term::iri("kb:Tagged")),
+        ]);
+        m.enable_rdfs();
+        let derived = m.materialize();
+        assert_eq!(derived, 5000);
+        let snap = m.epoch();
+        assert!(snap.runs.is_empty(), "the seal merged a fresh base");
+        assert_eq!(stored_entries(snap), 3 * snap.len() + derived);
+        assert_eq!(snap.stated_ids().count(), snap.len() - derived);
     }
 }

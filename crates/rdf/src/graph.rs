@@ -1,4 +1,8 @@
-//! The indexed triple store.
+//! A mutable indexed triple graph, and the views reasoners join against.
+//!
+//! [`Graph`] serves the batch reasoners, conversion and small-data use.
+//! The knowledge base's own store is not a `Graph`: it is the sorted
+//! runs of [`crate::epoch`].
 
 use crate::dict::{IdTriple, TermDict, TermId};
 use crate::model::{Statement, Term};
@@ -125,9 +129,7 @@ impl Graph {
 
     /// Whether the graph contains the statement.
     pub fn contains(&self, st: &Statement) -> bool {
-        self.dict
-            .lookup_statement(st)
-            .is_some_and(|t| self.spo.contains(&t))
+        TripleView::has(self, st)
     }
 
     /// Whether the graph contains the encoded triple.
@@ -195,28 +197,7 @@ impl Graph {
         predicate: Option<&Term>,
         object: Option<&Term>,
     ) -> Vec<Statement> {
-        let Some(pattern) = self.encode_pattern(subject, predicate, object) else {
-            // A bound term that was never interned cannot match anything.
-            return Vec::new();
-        };
-        let (s, p, o) = pattern;
-        self.dict.resolve_all(&self.match_ids(s, p, o))
-    }
-
-    /// Encodes a term-level pattern; `None` (outer) if a bound term is not
-    /// in the dictionary, meaning the pattern cannot match.
-    #[allow(clippy::type_complexity)]
-    fn encode_pattern(
-        &self,
-        subject: Option<&Term>,
-        predicate: Option<&Term>,
-        object: Option<&Term>,
-    ) -> Option<(Option<TermId>, Option<TermId>, Option<TermId>)> {
-        let encode = |slot: Option<&Term>| match slot {
-            Some(term) => self.dict.lookup(term).map(Some),
-            None => Some(None),
-        };
-        Some((encode(subject)?, encode(predicate)?, encode(object)?))
+        TripleView::find(self, subject, predicate, object)
     }
 
     /// Finds encoded triples matching a pattern; `None` positions are
@@ -263,7 +244,7 @@ impl Graph {
     }
 
     /// The set holding `index`'s permuted tuples, in sorted order.
-    pub(crate) fn index(&self, index: Index) -> &BTreeSet<IdTriple> {
+    fn index(&self, index: Index) -> &BTreeSet<IdTriple> {
         match index {
             Index::Spo => &self.spo,
             Index::Pos => &self.pos,
@@ -314,9 +295,9 @@ pub(crate) enum Scan {
 }
 
 /// The index-routing table: which index turns the bound positions of a
-/// pattern into a prefix range. The write-side [`Graph`] and the frozen
-/// arrays of an [`EpochSnapshot`](crate::EpochSnapshot) both scan what
-/// this names, so they agree on result order (merge joins rely on it).
+/// pattern into a prefix range. A [`Graph`]'s sets and the sorted arrays
+/// of an [`EpochSnapshot`](crate::EpochSnapshot) both scan what this
+/// names, so they agree on result order (merge joins rely on it).
 pub(crate) fn classify(
     subject: Option<TermId>,
     predicate: Option<TermId>,
@@ -334,6 +315,22 @@ pub(crate) fn classify(
         (None, None, Some(o)) => Scan::Range(Index::Osp, (o, min, min), (o, max, max)),
         (None, None, None) => Scan::Range(Index::Spo, (min, min, min), (max, max, max)),
     }
+}
+
+/// Encodes a term-level pattern against `dict`; `None` (outer) if a bound
+/// term was never interned, so the pattern cannot match anything.
+#[allow(clippy::type_complexity)]
+pub(crate) fn encode_pattern(
+    dict: &TermDict,
+    subject: Option<&Term>,
+    predicate: Option<&Term>,
+    object: Option<&Term>,
+) -> Option<(Option<TermId>, Option<TermId>, Option<TermId>)> {
+    let encode = |slot: Option<&Term>| match slot {
+        Some(term) => dict.lookup(term).map(Some),
+        None => Some(None),
+    };
+    Some((encode(subject)?, encode(predicate)?, encode(object)?))
 }
 
 /// Re-interns `id` from `from` into `to`, memoizing per distinct term.
@@ -380,20 +377,34 @@ impl Eq for Graph {}
 
 /// Read-only view over a set of triples.
 ///
-/// Both [`Graph`] and [`Overlay`] implement this, so reasoner joins can run
-/// against either a plain graph or a base-plus-derived pair without cloning
-/// the base into a working copy.
+/// [`Graph`], [`Overlay`], an [`EpochSnapshot`](crate::EpochSnapshot) and
+/// the store's writer implement this, so reasoner joins run against a
+/// plain graph, a base-plus-derived pair, or the store's epoch plus the
+/// changes of the call in progress, without copying any of them.
 pub trait TripleView {
+    /// The dictionary ids in this view are relative to.
+    fn dict(&self) -> &TermDict;
+
     /// Finds statements matching a pattern; `None` positions are wildcards.
     fn find(
         &self,
         subject: Option<&Term>,
         predicate: Option<&Term>,
         object: Option<&Term>,
-    ) -> Vec<Statement>;
+    ) -> Vec<Statement> {
+        let dict = self.dict();
+        match encode_pattern(dict, subject, predicate, object) {
+            Some((s, p, o)) => dict.resolve_all(&self.find_ids(s, p, o)),
+            None => Vec::new(),
+        }
+    }
 
     /// Whether the view contains the statement.
-    fn has(&self, st: &Statement) -> bool;
+    fn has(&self, st: &Statement) -> bool {
+        self.dict()
+            .lookup_statement(st)
+            .is_some_and(|t| self.has_id(t))
+    }
 
     /// Finds encoded triples matching an id pattern; `None` positions are
     /// wildcards. Ids are relative to the view's dictionary.
@@ -409,17 +420,8 @@ pub trait TripleView {
 }
 
 impl TripleView for Graph {
-    fn find(
-        &self,
-        subject: Option<&Term>,
-        predicate: Option<&Term>,
-        object: Option<&Term>,
-    ) -> Vec<Statement> {
-        self.match_pattern(subject, predicate, object)
-    }
-
-    fn has(&self, st: &Statement) -> bool {
-        self.contains(st)
+    fn dict(&self) -> &TermDict {
+        &self.dict
     }
 
     fn find_ids(
@@ -440,14 +442,12 @@ impl TripleView for Graph {
 /// dictionary for constant lookup, index-ordered pattern scans, and
 /// capped cardinality estimates.
 ///
-/// Implemented by [`Graph`] (the mutable write-side store) and by
+/// Implemented by [`Graph`] (a mutable small-data graph) and by
 /// [`EpochSnapshot`](crate::EpochSnapshot) (an immutable published
-/// epoch), so one compiled plan can execute against either — which is
-/// how queries run against a pinned snapshot without holding any lock.
+/// epoch of the store), so one compiled plan can execute against either
+/// — which is how queries run against a pinned snapshot without holding
+/// any lock.
 pub trait QueryView: TripleView {
-    /// The dictionary ids in this view are relative to.
-    fn dict(&self) -> &TermDict;
-
     /// Triples matching a pattern, in the serving index's sort order
     /// (the same order contract as [`Graph::match_ids`]; merge joins
     /// rely on it).
@@ -496,10 +496,6 @@ pub trait QueryView: TripleView {
 }
 
 impl QueryView for Graph {
-    fn dict(&self) -> &TermDict {
-        Graph::dict(self)
-    }
-
     fn match_ids(
         &self,
         subject: Option<TermId>,
@@ -533,8 +529,8 @@ impl QueryView for Graph {
 /// work regardless.
 #[derive(Debug, Clone, Copy)]
 pub struct Overlay<'a> {
-    pub(crate) base: &'a Graph,
-    pub(crate) extra: &'a Graph,
+    base: &'a Graph,
+    extra: &'a Graph,
 }
 
 impl<'a> Overlay<'a> {
@@ -542,31 +538,13 @@ impl<'a> Overlay<'a> {
     pub fn new(base: &'a Graph, extra: &'a Graph) -> Overlay<'a> {
         Overlay { base, extra }
     }
-
-    /// Every encoded triple of the union once: `base`'s in `(s, p, o)`
-    /// order, then those of `extra` that `base` lacks. Requires a shared
-    /// dictionary, like the other id-level methods.
-    pub fn iter_ids(&self) -> impl Iterator<Item = IdTriple> + 'a {
-        debug_assert!(
-            self.base.dict().ptr_eq(self.extra.dict()),
-            "id-level overlay queries require a shared dictionary"
-        );
-        let base = self.base;
-        base.iter_ids()
-            .chain(self.extra.iter_ids().filter(|&t| !base.contains_id(t)))
-    }
-
-    /// Copies the union into a standalone [`Graph`]. O(n) — for tests and
-    /// cold paths that need an owned graph; readers outside the writer's
-    /// lock pin an epoch instead.
-    pub fn to_graph(&self) -> Graph {
-        let mut graph = self.base.clone();
-        graph.extend_from(self.extra);
-        graph
-    }
 }
 
 impl TripleView for Overlay<'_> {
+    fn dict(&self) -> &TermDict {
+        self.base.dict()
+    }
+
     fn find(
         &self,
         subject: Option<&Term>,

@@ -1,37 +1,35 @@
 //! Incremental materialization of the inferred closure.
 //!
-//! [`IncrementalMaterializer`] stores two disjoint graphs — the stated
-//! base and the derived closure — and keeps the second the fixpoint of the
-//! first across mutations. Their union (the "full view") is not stored: the
-//! writer reads it as an [`Overlay`] of the pair, readers as a published
-//! epoch.
+//! [`IncrementalMaterializer`] keeps the derived facts the fixpoint of the
+//! stated ones across mutations. It stores no graph of its own: every
+//! fact lives once in the store's epochs ([`crate::epoch`]), tagged
+//! derived or not. A call reads the latest epoch plus its own changes,
+//! and every public mutator ends by sealing them into the next epoch.
 //!
 //! * **Inserts** propagate forward semi-naively — only joins involving the
-//!   new facts run, so per-batch cost is proportional to the change, not
-//!   the graph.
-//! * **Deletes** use overdeletion/rederivation (DRed): consequences of the
-//!   removed fact are overdeleted against the pre-deletion view, then
-//!   facts with surviving alternative derivations are rederived.
+//!   new facts run, so per-batch cost is proportional to the change.
+//! * **Deletes** use overdeletion/rederivation (DRed), once per batch:
+//!   consequences of the removed facts are overdeleted against the
+//!   pre-deletion view, then facts with surviving alternative derivations
+//!   are rederived.
 //!
 //! Rulesets (RDFS, OWL/Lite, extra transitive predicates, user rules) are
-//! *standing*: once enabled they are maintained on every later mutation.
-//! Enabling a new ruleset marks the closure stale; the next
-//! [`materialize`](IncrementalMaterializer::materialize) call reseeds the
-//! fixpoint over the existing facts.
-//!
-//! Both graphs share one term dictionary, so the DRed cascades and
-//! semi-naive propagation run entirely on id triples — no statement is
-//! materialized during maintenance.
+//! *standing*: once enabled they are maintained on every mutation.
+//! Enabling one marks the closure stale; the next
+//! [`materialize`](IncrementalMaterializer::materialize) call reseeds it.
+//! All maintenance is id-triple work over one term dictionary.
 
 use crate::dict::{IdTriple, TermDict, TermId};
-use crate::epoch::EpochDelta;
-use crate::graph::{Graph, Overlay, TripleView};
+use crate::epoch::{EpochSnapshot, EpochWriter, Fact};
+use crate::graph::{Graph, TripleView};
 use crate::model::{Statement, Term};
 use crate::owl::owl_delta;
 use crate::reason::{
-    compile_rules, propagate, rdfs_delta, rules_delta, transitive_delta, IdRule, Rule, VocabIds,
+    compile_rules, propagate, rdfs_delta, rules_delta, transitive_delta, Closure, IdRule, Rule,
+    VocabIds,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Which entailment rules the materializer maintains.
 #[derive(Debug, Clone, Default)]
@@ -101,7 +99,8 @@ impl CompiledRules {
     }
 }
 
-/// Maintains `base ∪ derived` incrementally under the configured rules.
+/// Maintains the stated facts' closure under the configured rules, in
+/// the store's epochs.
 ///
 /// # Examples
 ///
@@ -116,22 +115,16 @@ impl CompiledRules {
 /// // The closure is maintained as facts arrive — no re-materialization.
 /// assert!(m.contains(&Statement::new(Term::iri("ex:cat"), sub, Term::iri("ex:animal"))));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IncrementalMaterializer {
     config: MaterializerConfig,
-    /// Explicitly stated facts.
-    base: Graph,
-    /// Derived closure, disjoint from `base` (shares its dictionary).
-    /// Every mutation keeps it so: a fact enters `derived` only when
-    /// neither graph has it and leaves when it becomes stated — `len`
-    /// and the epoch freeze rely on that.
-    derived: Graph,
-    /// Whether `derived` is the fixpoint of `config` over `base`. Cleared
-    /// when a ruleset is enabled after facts already arrived.
+    /// Every fact, stated and derived: the latest epoch plus the changes
+    /// of the call in progress.
+    store: EpochWriter,
+    /// Whether the derived facts are the fixpoint of `config` over the
+    /// stated ones. Cleared when a ruleset is enabled after facts
+    /// already arrived.
     clean: bool,
-    /// Net changes to the full view since the last
-    /// [`take_delta`](Self::take_delta) — what an epoch publish consumes.
-    delta: EpochDelta,
 }
 
 impl Default for IncrementalMaterializer {
@@ -143,58 +136,57 @@ impl Default for IncrementalMaterializer {
 impl IncrementalMaterializer {
     /// An empty materializer with no rulesets enabled.
     pub fn new() -> IncrementalMaterializer {
-        let base = Graph::new();
-        let derived = Graph::with_dict(base.dict().clone());
+        let empty = EpochSnapshot::stated(0, TermDict::new(), Vec::new(), Arc::default());
+        IncrementalMaterializer::over(empty, MaterializerConfig::default())
+    }
+
+    fn over(epoch: EpochSnapshot, config: MaterializerConfig) -> IncrementalMaterializer {
         IncrementalMaterializer {
-            config: MaterializerConfig::default(),
-            base,
-            derived,
+            store: EpochWriter::new(epoch, config.is_active()),
+            config,
             clean: true,
-            delta: EpochDelta::default(),
         }
     }
 
-    /// Wraps an existing stated graph. No inference runs until a ruleset
-    /// is enabled and [`materialize`](Self::materialize) is called.
-    pub fn from_graph(graph: Graph) -> IncrementalMaterializer {
-        IncrementalMaterializer {
-            config: MaterializerConfig::default(),
-            derived: Graph::with_dict(graph.dict().clone()),
-            base: graph,
-            clean: true,
-            delta: EpochDelta::rebuild(),
+    /// The recovered store, sealed as epoch 0: `stated` (strictly
+    /// ascending) with `replayed` — each logged triple's last operation,
+    /// `true` for an insert — on top, and the closure of `config`
+    /// re-derived. Returns it with its stated count and how many facts
+    /// were re-derived.
+    pub(crate) fn recover(
+        dict: TermDict,
+        stated: Vec<IdTriple>,
+        replayed: HashMap<IdTriple, bool>,
+        config: MaterializerConfig,
+        confidence: Arc<HashMap<IdTriple, f64>>,
+    ) -> (IncrementalMaterializer, usize, usize) {
+        let epoch = EpochSnapshot::stated(0, dict, stated, confidence.clone());
+        let mut m = IncrementalMaterializer::over(epoch, config);
+        for (triple, present) in replayed {
+            m.store.replace(triple, present.then_some(Fact::Stated));
         }
+        m.clean = false;
+        let rederived = m.catch_up();
+        m.store.seal_as(0, confidence);
+        // Everything derived was derived just now.
+        let stated = m.len() - rederived;
+        (m, stated, rederived)
     }
 
-    /// Drains the net full-view changes accumulated since the last call.
-    /// The epoch publisher consumes this to build the next snapshot.
-    pub(crate) fn take_delta(&mut self) -> EpochDelta {
-        std::mem::take(&mut self.delta)
+    /// The latest epoch: every fact, stated and derived. Every public
+    /// mutator ends by sealing its changes into a new one.
+    pub fn epoch(&self) -> &Arc<EpochSnapshot> {
+        self.store.epoch()
     }
 
-    /// The full view, `base ⊎ derived`, read through both graphs' indexes.
-    pub fn view(&self) -> Overlay<'_> {
-        Overlay::new(&self.base, &self.derived)
-    }
-
-    /// The explicitly stated facts.
-    pub fn base(&self) -> &Graph {
-        &self.base
-    }
-
-    /// The derived (inferred-only) facts.
-    pub fn derived(&self) -> &Graph {
-        &self.derived
-    }
-
-    /// Number of facts in the full view.
+    /// Number of facts in the latest epoch.
     pub fn len(&self) -> usize {
-        self.base.len() + self.derived.len()
+        self.store.epoch().len()
     }
 
     /// Whether the full view is empty.
     pub fn is_empty(&self) -> bool {
-        self.base.is_empty() && self.derived.is_empty()
+        self.len() == 0
     }
 
     /// Whether the full view contains the statement.
@@ -204,61 +196,56 @@ impl IncrementalMaterializer {
 
     /// The id triple of `st`, if the full view holds it.
     pub(crate) fn lookup_present(&self, st: &Statement) -> Option<IdTriple> {
-        let triple = self.base.lookup_statement(st)?;
-        self.view().has_id(triple).then_some(triple)
+        let triple = self.store.dict().lookup_statement(st)?;
+        self.store.has_id(triple).then_some(triple)
+    }
+
+    /// Returns `changed`; if set, the closure goes stale unless there are
+    /// no facts, and the rules will scan each call's changes.
+    fn reconfigured(&mut self, changed: bool) -> bool {
+        if changed {
+            self.clean = self.is_empty();
+            self.store.index_adds(self.config.is_active());
+        }
+        changed
     }
 
     /// Enables the RDFS subset; returns whether this changed the config.
     pub fn enable_rdfs(&mut self) -> bool {
         let changed = !self.config.rdfs;
-        if changed {
-            self.config.rdfs = true;
-            self.clean = self.is_empty();
-        }
-        changed
+        self.config.rdfs = true;
+        self.reconfigured(changed)
     }
 
     /// Enables the OWL/Lite subset (and RDFS, as the batch OWL reasoner
     /// does); returns whether this changed the config.
     pub fn enable_owl(&mut self) -> bool {
         let changed = !self.config.owl || !self.config.rdfs;
-        if changed {
-            self.config.owl = true;
-            self.config.rdfs = true;
-            self.clean = self.is_empty();
-        }
-        changed
+        (self.config.owl, self.config.rdfs) = (true, true);
+        self.reconfigured(changed)
     }
 
     /// Adds predicates to close under transitivity; returns whether any
     /// were new.
     pub fn add_transitive(&mut self, predicates: Vec<Term>) -> bool {
-        let mut changed = false;
+        let before = self.config.transitive.len();
         for p in predicates {
             if !self.config.transitive.contains(&p) {
                 self.config.transitive.push(p);
-                changed = true;
             }
         }
-        if changed {
-            self.clean = self.is_empty();
-        }
-        changed
+        self.reconfigured(self.config.transitive.len() > before)
     }
 
     /// Adds standing user rules; returns whether any were new.
     pub fn add_rules(&mut self, rules: Vec<Rule>) -> bool {
-        let mut changed = false;
+        let before = self.config.rules.len();
         for r in rules {
             if !self.config.rules.contains(&r) {
                 self.config.rules.push(r);
-                changed = true;
             }
         }
-        if changed {
-            self.clean = self.is_empty();
-        }
-        changed
+        self.reconfigured(self.config.rules.len() > before)
     }
 
     /// The active configuration.
@@ -267,15 +254,9 @@ impl IncrementalMaterializer {
     }
 
     /// Runs the rules forward from `seed` (facts already in the view) to
-    /// fixpoint, recording every newly derived fact; returns how many.
+    /// fixpoint; returns how many facts were newly derived.
     fn derive_from(&mut self, compiled: &CompiledRules, seed: Vec<IdTriple>) -> usize {
-        let new_facts = propagate(&self.base, &mut self.derived, seed, &mut |v, d| {
-            compiled.delta(v, d)
-        });
-        for &f in &new_facts {
-            self.delta.record(f, true);
-        }
-        new_facts.len()
+        propagate(&mut self.store, seed, &mut |v, d| compiled.delta(v, d)).len()
     }
 
     /// Inserts a stated fact and propagates its consequences forward.
@@ -289,110 +270,120 @@ impl IncrementalMaterializer {
     pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = Statement>) -> usize {
         let mut seed = Vec::new();
         for st in batch {
-            let t = self.base.intern_statement(&st);
-            if !self.base.insert_id(t) {
-                continue;
+            let t = self.store.dict().intern_statement(&st);
+            // A previously derived fact that is now stated is only
+            // retagged: the view already has it and nothing new follows.
+            if self.store.replace(t, Some(Fact::Stated)).is_none() {
+                seed.push(t);
             }
-            // A previously derived fact that is now stated moves to the
-            // base; the full view already has it and nothing new follows
-            // from it.
-            if self.derived.remove_id(t) {
-                continue;
-            }
-            self.delta.record(t, true);
-            seed.push(t);
         }
         let added = seed.len();
         if !seed.is_empty() && self.config.is_active() && self.clean {
-            let compiled = self.config.compile(self.base.dict());
+            let compiled = self.config.compile(self.store.dict());
             self.derive_from(&compiled, seed);
         }
+        self.store.seal(None);
         added
     }
 
-    /// Removes a fact using DRed: consequences are overdeleted against the
-    /// pre-deletion view, then facts with surviving alternative
-    /// derivations are rederived (including the removed fact itself, if it
-    /// is still entailed by what remains). Returns whether the fact was
-    /// present in the full view.
+    /// Removes a fact; see [`remove_batch`](Self::remove_batch). Returns
+    /// whether the fact was present in the full view.
     pub fn remove(&mut self, st: &Statement) -> bool {
+        self.remove_batch([st]) == 1
+    }
+
+    /// Removes facts using DRed, once for the whole batch: consequences
+    /// are overdeleted against the pre-deletion view, then facts with
+    /// surviving alternative derivations are rederived (including a
+    /// removed fact itself, if it is still entailed by what remains).
+    /// Returns how many distinct facts were present in the full view.
+    pub fn remove_batch<'a>(&mut self, batch: impl IntoIterator<Item = &'a Statement>) -> usize {
         // DRed needs an up-to-date closure to cascade over; catch up first
         // if a ruleset was enabled after facts arrived.
-        self.materialize();
-        let Some(t) = self.lookup_present(st) else {
-            return false;
-        };
-        let compiled = self
-            .config
-            .is_active()
-            .then(|| self.config.compile(self.base.dict()));
+        self.catch_up();
+        let removed: BTreeSet<IdTriple> = batch
+            .into_iter()
+            .filter_map(|st| self.lookup_present(st))
+            .collect();
+        let compiled = (!removed.is_empty() && self.config.is_active())
+            .then(|| self.config.compile(self.store.dict()));
         // Overdeletion cascade against the pre-deletion view: everything
-        // derived (transitively) using the removed fact is suspect.
+        // derived (transitively) using a removed fact is suspect.
         let mut overdeleted: BTreeSet<IdTriple> = BTreeSet::new();
         if let Some(compiled) = &compiled {
-            let mut frontier = vec![t];
+            let mut frontier: Vec<IdTriple> = removed.iter().copied().collect();
             while !frontier.is_empty() {
-                let candidates = compiled.delta(&self.view(), &frontier);
-                let mut fresh = Vec::new();
-                for c in candidates {
-                    if self.derived.contains_id(c) && c != t && overdeleted.insert(c) {
-                        fresh.push(c);
-                    }
-                }
-                frontier = fresh;
+                frontier = compiled
+                    .delta(&self.store, &frontier)
+                    .into_iter()
+                    .filter(|&c| {
+                        self.store.state(c) == Some(Fact::Derived)
+                            && !removed.contains(&c)
+                            && overdeleted.insert(c)
+                    })
+                    .collect();
             }
         }
-        self.base.remove_id(t);
-        self.derived.remove_id(t);
-        self.delta.record(t, false);
-        for &o in &overdeleted {
-            self.derived.remove_id(o);
-            self.delta.record(o, false);
+        for &t in removed.iter().chain(&overdeleted) {
+            self.store.replace(t, None);
         }
         // Rederivation: one naive round over what remains picks up every
         // suspect fact that still has a one-step derivation; semi-naive
         // propagation from those seeds restores the rest of the closure.
         if let Some(compiled) = &compiled {
-            let all: Vec<IdTriple> = self.view().iter_ids().collect();
-            let candidates = compiled.delta(&self.view(), &all);
-            let mut seeds = Vec::new();
-            for c in candidates {
-                let suspect = overdeleted.contains(&c) || c == t;
-                if suspect && !self.base.contains_id(c) && self.derived.insert_id(c) {
-                    self.delta.record(c, true);
-                    seeds.push(c);
-                }
-            }
+            let all = self.store.find_ids(None, None, None);
+            let seeds: Vec<IdTriple> = compiled
+                .delta(&self.store, &all)
+                .into_iter()
+                .filter(|&c| {
+                    (overdeleted.contains(&c) || removed.contains(&c)) && self.store.derive(c)
+                })
+                .collect();
             if !seeds.is_empty() {
                 self.derive_from(compiled, seeds);
             }
         }
-        true
+        self.store.seal(None);
+        removed.len()
     }
 
     /// Brings the derived closure up to date with the configuration. Cheap
     /// when nothing changed; after a config change it reseeds the fixpoint
     /// over all current facts. Returns how many facts were newly derived.
     pub fn materialize(&mut self) -> usize {
+        let added = self.catch_up();
+        self.store.seal(None);
+        added
+    }
+
+    /// [`materialize`](Self::materialize) within the call in progress.
+    fn catch_up(&mut self) -> usize {
         if self.clean || !self.config.is_active() {
             self.clean = true;
             return 0;
         }
-        let compiled = self.config.compile(self.base.dict());
-        let added = self.derive_from(&compiled, self.view().iter_ids().collect());
+        let compiled = self.config.compile(self.store.dict());
+        let added = self.derive_from(&compiled, self.store.find_ids(None, None, None));
         self.clean = true;
         added
     }
 
-    /// Replaces all facts with `graph` as the stated base, keeping the
-    /// configuration. The closure is marked stale; call
-    /// [`materialize`](Self::materialize) to rebuild it. The materializer
-    /// adopts `graph`'s dictionary.
+    /// Replaces all facts with `graph` as the stated ones and drops every
+    /// confidence, keeping the configuration. The closure is marked stale;
+    /// call [`materialize`](Self::materialize) to rebuild it. The
+    /// materializer adopts `graph`'s dictionary.
     pub fn reset(&mut self, graph: Graph) {
-        self.derived = Graph::with_dict(graph.dict().clone());
-        self.base = graph;
-        self.clean = !self.config.is_active() || self.base.is_empty();
-        self.delta = EpochDelta::rebuild();
+        let number = self.epoch().epoch() + 1;
+        let stated = graph.iter_ids().collect();
+        let epoch = EpochSnapshot::stated(number, graph.dict().clone(), stated, Arc::default());
+        *self = IncrementalMaterializer::over(epoch, self.config.clone());
+        self.clean = !self.config.is_active() || graph.is_empty();
+    }
+
+    /// Seals `confidence` as the statement-confidence map of the next
+    /// epoch.
+    pub(crate) fn set_confidences(&mut self, confidence: Arc<HashMap<IdTriple, f64>>) {
+        self.store.seal(Some(confidence));
     }
 }
 
@@ -419,13 +410,34 @@ mod tests {
         assert!(m.contains(&st("cat", vocab::SUB_CLASS_OF, "animal")));
     }
 
+    /// The stated facts of `m`'s latest epoch, as a graph.
+    fn stated(m: &IncrementalMaterializer) -> Graph {
+        let epoch = m.epoch();
+        epoch
+            .stated_ids()
+            .map(|t| epoch.dict().resolve_triple(t))
+            .collect()
+    }
+
     #[test]
-    fn views_share_one_dictionary() {
+    fn stated_and_derived_tags_track_mutations() {
         let mut m = IncrementalMaterializer::new();
         m.enable_rdfs();
         m.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
-        assert!(m.base().dict().ptr_eq(m.derived().dict()));
-        assert!(m.base().dict().ptr_eq(m.view().to_graph().dict()));
+        m.insert(st("tom", vocab::TYPE, "cat"));
+        let derived = st("tom", vocab::TYPE, "mammal");
+        let id = |m: &IncrementalMaterializer| m.epoch().dict().lookup_statement(&derived).unwrap();
+        assert_eq!(m.epoch().state(id(&m)), Some(Fact::Derived));
+        // Stating a derived fact retags it: one more epoch, same facts.
+        let before = m.epoch().epoch();
+        assert!(!m.insert(derived.clone()), "already in the view");
+        assert_eq!(m.epoch().epoch(), before + 1);
+        assert_eq!(m.epoch().state(id(&m)), Some(Fact::Stated));
+        assert_eq!(m.len(), 3);
+        // Un-stating it while it is still entailed retags it back.
+        assert!(m.remove(&derived));
+        assert_eq!(m.epoch().state(id(&m)), Some(Fact::Derived));
+        assert_eq!(stated(&m).len(), 2);
     }
 
     #[test]
@@ -441,10 +453,10 @@ mod tests {
         for f in &facts {
             m.insert(f.clone());
         }
-        let base: Graph = facts.iter().cloned().collect();
-        let mut scratch = base.clone();
-        scratch.extend_from(&RdfsReasoner::new().infer(&base));
-        assert_eq!(m.view().to_graph(), scratch);
+        let stated: Graph = facts.iter().cloned().collect();
+        let mut scratch = stated.clone();
+        scratch.extend_from(&RdfsReasoner::new().infer(&stated));
+        assert_eq!(m.epoch().to_graph(), scratch);
     }
 
     #[test]
@@ -474,10 +486,10 @@ mod tests {
             m.contains(&st("a", "sub", "c")),
             "alternative path survives"
         );
-        let base_now: Graph = m.base().iter().collect();
+        let base_now = stated(&m);
         let mut scratch = base_now.clone();
         scratch.extend_from(&TransitiveReasoner::new(vec![Term::iri("sub")]).infer(&base_now));
-        assert_eq!(m.view().to_graph(), scratch);
+        assert_eq!(m.epoch().to_graph(), scratch);
     }
 
     #[test]
@@ -490,7 +502,10 @@ mod tests {
         assert!(m.remove(&st("a", "sub", "c")));
         // From-scratch semantics: the fact is still entailed by the chain.
         assert!(m.contains(&st("a", "sub", "c")));
-        assert!(!m.base().contains(&st("a", "sub", "c")), "no longer stated");
+        assert!(
+            !stated(&m).contains(&st("a", "sub", "c")),
+            "no longer stated"
+        );
     }
 
     #[test]
@@ -541,10 +556,44 @@ mod tests {
         let mut g = Graph::new();
         g.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
         g.insert(st("tom", vocab::TYPE, "cat"));
+        let before = m.epoch().epoch();
         m.reset(g);
+        assert_eq!(m.epoch().epoch(), before + 1);
+        assert_eq!(m.epoch().delta_runs(), 0, "a fresh base, no runs");
         assert!(!m.contains(&st("x", vocab::TYPE, "C")));
         assert!(!m.contains(&st("tom", vocab::TYPE, "mammal")));
         m.materialize();
         assert!(m.contains(&st("tom", vocab::TYPE, "mammal")));
+    }
+
+    #[test]
+    fn remove_batch_is_one_dred_round_and_one_epoch() {
+        let chain = |m: &mut IncrementalMaterializer| {
+            m.add_transitive(vec![Term::iri("sub")]);
+            for (s, o) in [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d")] {
+                m.insert(st(s, "sub", o));
+            }
+        };
+        let gone = [
+            st("b", "sub", "c"),
+            st("b", "sub", "d"),
+            st("a", "sub", "d"),
+        ];
+        let mut batch = IncrementalMaterializer::new();
+        chain(&mut batch);
+        let before = batch.epoch().epoch();
+        // (a sub d) is derived but present, so it counts; it would be
+        // rederived if still entailed, and it is not.
+        assert_eq!(batch.remove_batch(&gone), 3);
+        assert_eq!(batch.epoch().epoch(), before + 1);
+        let mut one_by_one = IncrementalMaterializer::new();
+        chain(&mut one_by_one);
+        for f in &gone {
+            one_by_one.remove(f);
+        }
+        assert_eq!(batch.epoch().to_graph(), one_by_one.epoch().to_graph());
+        assert!(!batch.contains(&st("a", "sub", "d")));
+        assert!(batch.contains(&st("c", "sub", "d")));
+        assert_eq!(batch.len(), 2);
     }
 }

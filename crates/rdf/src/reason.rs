@@ -28,9 +28,10 @@ use std::collections::{HashMap, HashSet};
 //
 // All reasoners share one fixpoint driver: each round joins the rule bodies
 // against the *delta* (facts derived in the previous round) rather than
-// re-scanning the whole graph, and the working set is a borrowed
-// [`Overlay`] over the stated base plus the derived closure — no
-// `graph.clone()` per run and no full re-derivation per round. Everything
+// re-scanning the whole graph, and the working set is borrowed — an
+// [`Overlay`] over a stated graph plus its derived closure for the batch
+// reasoners, the store's epoch plus the call's changes for the
+// materializer — so no run copies the facts it starts from. Everything
 // in the loop is id-triple work.
 // ---------------------------------------------------------------------------
 
@@ -39,35 +40,60 @@ use std::collections::{HashMap, HashSet};
 /// duplicate existing facts; the driver deduplicates.
 pub(crate) type DeltaRule<'r> = dyn FnMut(&dyn TripleView, &[IdTriple]) -> Vec<IdTriple> + 'r;
 
-/// Runs delta rules to fixpoint starting from `seed`, extending `derived`
-/// in place. `derived` must share `base`'s dictionary, and `seed` facts
-/// must already be visible in `base` or `derived`. Returns the facts that
-/// are newly derived by this call.
+/// A fixpoint's working set: every fact so far, readable as a view, and
+/// extended with each fact the rules derive.
+pub(crate) trait Closure: TripleView {
+    /// Adds a derived fact; `false` if the view already holds it.
+    fn derive(&mut self, triple: IdTriple) -> bool;
+}
+
+/// Runs delta rules to fixpoint starting from `seed` (facts already in
+/// `closure`), extending `closure` in place. Returns the facts that are
+/// newly derived by this call.
 pub(crate) fn propagate(
-    base: &Graph,
-    derived: &mut Graph,
+    closure: &mut impl Closure,
     seed: Vec<IdTriple>,
     rule: &mut DeltaRule<'_>,
 ) -> Vec<IdTriple> {
-    debug_assert!(base.dict().ptr_eq(derived.dict()));
     let mut new_facts = Vec::new();
     let mut delta = seed;
     while !delta.is_empty() {
-        let candidates = {
-            let view = Overlay::new(base, derived);
-            rule(&view, &delta)
-        };
-        let mut fresh = Vec::new();
-        for t in candidates {
-            if !base.contains_id(t) && !derived.contains_id(t) {
-                derived.insert_id(t);
-                fresh.push(t);
-            }
-        }
+        let candidates = rule(&*closure, &delta);
+        let fresh: Vec<IdTriple> = candidates
+            .into_iter()
+            .filter(|&t| closure.derive(t))
+            .collect();
         new_facts.extend(fresh.iter().copied());
         delta = fresh;
     }
     new_facts
+}
+
+/// A batch reasoner's working set: a stated graph plus the closure
+/// derived from it so far, over one dictionary.
+struct Derivation<'a> {
+    base: &'a Graph,
+    derived: Graph,
+}
+
+impl TripleView for Derivation<'_> {
+    fn dict(&self) -> &TermDict {
+        self.base.dict()
+    }
+
+    fn find_ids(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<IdTriple> {
+        Overlay::new(self.base, &self.derived).find_ids(s, p, o)
+    }
+
+    fn has_id(&self, triple: IdTriple) -> bool {
+        self.base.contains_id(triple) || self.derived.contains_id(triple)
+    }
+}
+
+impl Closure for Derivation<'_> {
+    fn derive(&mut self, triple: IdTriple) -> bool {
+        !self.base.contains_id(triple) && self.derived.insert_id(triple)
+    }
 }
 
 /// Full semi-naive fixpoint from scratch: round 0 seeds the delta with the
@@ -75,10 +101,12 @@ pub(crate) fn propagate(
 /// against fresh facts. Returns the derived closure (sharing the base's
 /// dictionary).
 pub(crate) fn semi_naive(base: &Graph, rule: &mut DeltaRule<'_>) -> Graph {
-    let mut derived = Graph::with_dict(base.dict().clone());
-    let seed: Vec<IdTriple> = base.iter_ids().collect();
-    propagate(base, &mut derived, seed, rule);
-    derived
+    let mut closure = Derivation {
+        base,
+        derived: Graph::with_dict(base.dict().clone()),
+    };
+    propagate(&mut closure, base.iter_ids().collect(), rule);
+    closure.derived
 }
 
 /// The RDFS/OWL vocabulary interned against one dictionary, so delta rules

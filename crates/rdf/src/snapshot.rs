@@ -2,7 +2,8 @@
 //!
 //! A snapshot captures everything recovery needs except the derived
 //! closure: the term dictionary (in interning order, so ids reproduce
-//! exactly), the *base* id-triple set, and the standing
+//! exactly), the *stated* id triples in strictly ascending SPO order
+//! (recovery freezes them as they stand), and the standing
 //! [`MaterializerConfig`]. Derived facts are deliberately absent —
 //! recovery re-runs materialization, so inference state is never
 //! trusted from disk.
@@ -35,7 +36,7 @@ const MAGIC_V1: &[u8; 8] = b"CGSNAP1\0";
 const MAGIC: &[u8; 8] = b"CGSNAP2\0";
 
 /// Decoded snapshot contents.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct SnapshotData {
     pub dict: TermDict,
     pub triples: Vec<IdTriple>,
@@ -159,10 +160,17 @@ fn decode(data: &[u8]) -> Result<SnapshotData, DurableError> {
         }
     }
     let triple_count = r.u64()? as usize;
-    let mut triples = Vec::with_capacity(triple_count.min(1 << 20));
+    let mut triples: Vec<IdTriple> = Vec::with_capacity(triple_count.min(1 << 20));
     for _ in 0..triple_count {
         let raw = (r.u32()?, r.u32()?, r.u32()?);
-        triples.push(check_triple(raw, term_count)?);
+        let triple = check_triple(raw, term_count)?;
+        // Recovery freezes these as the SPO array as they stand.
+        if triples.last().is_some_and(|&last| last >= triple) {
+            return Err(DurableError::Corrupt(format!(
+                "snapshot triple {raw:?} is not in strictly ascending SPO order"
+            )));
+        }
+        triples.push(triple);
     }
     let rdfs = r.u8()? != 0;
     let owl = r.u8()? != 0;
@@ -332,6 +340,17 @@ mod tests {
         fs.crash();
         let loaded = load_snapshot(&fs).unwrap().expect("old snapshot intact");
         assert!(!loaded.config.owl, "old config survives");
+    }
+
+    #[test]
+    fn triples_out_of_spo_order_are_rejected() {
+        let (dict, triples, config) = sample();
+        for bad in [vec![triples[1], triples[0]], vec![triples[0], triples[0]]] {
+            let fs = SimFs::new(7);
+            write_snapshot(&fs, &dict, &bad, &config, &[]).unwrap();
+            let err = load_snapshot(&fs).unwrap_err();
+            assert!(matches!(err, DurableError::Corrupt(_)), "got {err}");
+        }
     }
 
     #[test]

@@ -22,9 +22,7 @@
 //! bytes left on the simulated disk at each crash (asserted by running
 //! it twice and comparing digests, which include a hash of every file).
 
-use cogsdk_rdf::{
-    DurableOptions, DurableStore, Graph, IncrementalMaterializer, Rule, Statement, Term,
-};
+use cogsdk_rdf::{DurableOptions, DurableStore, IncrementalMaterializer, Rule, Statement, Term};
 use cogsdk_sim::fs::{SimFs, Vfs};
 use cogsdk_sim::rng::Rng;
 use std::collections::BTreeSet;
@@ -274,7 +272,11 @@ fn run_scenario(seed: u64) -> ScenarioDigest {
     // after some k with ok_ops <= k <= attempted_ops — every durable op
     // present, at most the in-flight one beyond (its group commit may
     // have fully hit the disk before the crash), nothing else.
-    let recovered_base: BTreeSet<Statement> = recovered.base().iter().collect();
+    let epoch = recovered.epochs().pin();
+    let recovered_base: BTreeSet<Statement> = epoch
+        .stated_ids()
+        .map(|t| epoch.dict().resolve_triple(t))
+        .collect();
     let recovered_config = shadow_config_of(&recovered);
     let matched_state = (ok_ops..=attempted_ops)
         .find(|&k| states[k].base == recovered_base && states[k].config == recovered_config)
@@ -290,16 +292,13 @@ fn run_scenario(seed: u64) -> ScenarioDigest {
     // Closure oracle: recovered full view == from-scratch
     // materialization of the recovered base under the recovered config.
     recovered.materialize();
-    let mut scratch_graph = Graph::new();
-    for st in &recovered_base {
-        scratch_graph.insert(st.clone());
-    }
-    let mut scratch = IncrementalMaterializer::from_graph(scratch_graph);
+    let mut scratch = IncrementalMaterializer::new();
+    scratch.reset(recovered_base.iter().cloned().collect());
     configure(&mut scratch, &recovered_config);
     scratch.materialize();
     assert_eq!(
-        recovered.view().to_graph(),
-        scratch.view().to_graph(),
+        recovered.epochs().pin().to_graph(),
+        scratch.epoch().to_graph(),
         "seed {seed}: recovered closure diverges from from-scratch materialization"
     );
 

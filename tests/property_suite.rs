@@ -483,6 +483,94 @@ fn arb_edge_statement() -> impl Strategy<Value = Statement> {
     (node(), node()).prop_map(|(s, o)| Statement::new(s, Term::iri("next"), o))
 }
 
+/// The stated facts of a materializer's latest epoch, as a graph.
+fn stated_of(m: &cogsdk::rdf::IncrementalMaterializer) -> Graph {
+    let epoch = m.epoch();
+    epoch
+        .stated_ids()
+        .map(|t| epoch.dict().resolve_triple(t))
+        .collect()
+}
+
+/// Applies `ops` (statement, insert?) to a materializer from `make`,
+/// checking its stated facts after every step and its closure against
+/// the from-scratch `close` at the end; then removes the `picked` ops'
+/// statements as one batch, which must equal removing them one at a
+/// time and the from-scratch closure of what stays stated.
+fn check_materializer_churn(
+    make: impl Fn() -> cogsdk::rdf::IncrementalMaterializer,
+    close: impl Fn(&Graph) -> Graph,
+    ops: &[(Statement, bool)],
+    picked: &[bool],
+) {
+    let closure = |stated: &Graph| {
+        let mut full = stated.clone();
+        full.extend_from(&close(stated));
+        full
+    };
+    let mut m = make();
+    let mut stated = Graph::new();
+    for op in ops {
+        apply_one(&mut m, &mut stated, op);
+        // One store: the epoch holds every fact once, stated or derived.
+        prop_assert_eq!(m.len(), m.epoch().iter_ids().len());
+        prop_assert_eq!(stated_of(&m), stated.clone(), "stated facts diverged");
+    }
+    // The maintained closure must be indistinguishable from throwing
+    // everything away and re-running the reasoner from scratch.
+    prop_assert_eq!(
+        m.epoch().to_graph(),
+        closure(&stated),
+        "closure diverged from scratch fixpoint"
+    );
+
+    let batch: Vec<Statement> = ops
+        .iter()
+        .zip(picked)
+        .filter(|&(_, &pick)| pick)
+        .map(|((st, _), _)| st.clone())
+        .collect();
+    let mut one_by_one = make();
+    for op in ops {
+        apply_one(&mut one_by_one, &mut Graph::new(), op);
+    }
+    m.remove_batch(&batch);
+    for st in &batch {
+        one_by_one.remove(st);
+        stated.remove(st);
+    }
+    prop_assert_eq!(
+        m.epoch().to_graph(),
+        one_by_one.epoch().to_graph(),
+        "batch != one by one"
+    );
+    prop_assert_eq!(
+        m.epoch().to_graph(),
+        closure(&stated),
+        "batch removal diverged from scratch"
+    );
+    prop_assert_eq!(
+        stated_of(&m),
+        stated,
+        "stated facts diverged after the batch"
+    );
+}
+
+/// Applies one (statement, insert?) op to `m` and to its stated shadow.
+fn apply_one(
+    m: &mut cogsdk::rdf::IncrementalMaterializer,
+    stated: &mut Graph,
+    (st, insert): &(Statement, bool),
+) {
+    if *insert {
+        m.insert(st.clone());
+        stated.insert(st.clone());
+    } else {
+        m.remove(st);
+        stated.remove(st);
+    }
+}
+
 proptest! {
     #[test]
     fn sparql_single_pattern_matches_naive_scan(
@@ -531,60 +619,31 @@ proptest! {
     #[test]
     fn incremental_rdfs_equals_from_scratch_under_churn(
         ops in prop::collection::vec((arb_rdfs_statement(), any::<bool>()), 1..40),
+        picked in prop::collection::vec(any::<bool>(), 40),
     ) {
         use cogsdk::rdf::{IncrementalMaterializer, RdfsReasoner};
-        let mut m = IncrementalMaterializer::new();
-        m.enable_rdfs();
-        let mut stated = Graph::new();
-        for (st, insert) in &ops {
-            if *insert {
-                m.insert(st.clone());
-                stated.insert(st.clone());
-            } else {
-                m.remove(st);
-                stated.remove(st);
-            }
-            // Nothing stores the union any more: `len` and the epoch
-            // freeze rely on the two graphs staying disjoint.
-            prop_assert!(m.derived().iter_ids().all(|t| !m.base().contains_id(t)), "base ∩ derived ≠ ∅");
-            prop_assert_eq!(m.len(), m.base().len() + m.derived().len());
-            prop_assert_eq!(m.len(), m.view().iter_ids().count());
-        }
-        // The maintained closure must be indistinguishable from throwing
-        // everything away and re-running the reasoner from scratch.
-        let mut scratch = stated.clone();
-        scratch.extend_from(&RdfsReasoner::new().infer(&stated));
-        prop_assert_eq!(m.base(), &stated, "stated facts diverged");
-        prop_assert_eq!(m.view().to_graph(), scratch, "closure diverged from scratch fixpoint");
+        let make = || {
+            let mut m = IncrementalMaterializer::new();
+            m.enable_rdfs();
+            m
+        };
+        check_materializer_churn(make, |g| RdfsReasoner::new().infer(g), &ops, &picked);
     }
 
     #[test]
     fn incremental_transitive_equals_from_scratch_under_churn(
         ops in prop::collection::vec((arb_edge_statement(), any::<bool>()), 1..40),
+        picked in prop::collection::vec(any::<bool>(), 40),
     ) {
         use cogsdk::rdf::{IncrementalMaterializer, TransitiveReasoner};
         let next = Term::iri("next");
-        let mut m = IncrementalMaterializer::new();
-        m.add_transitive(vec![next.clone()]);
-        let mut stated = Graph::new();
-        for (st, insert) in &ops {
-            if *insert {
-                m.insert(st.clone());
-                stated.insert(st.clone());
-            } else {
-                m.remove(st);
-                stated.remove(st);
-            }
-            // Nothing stores the union any more: `len` and the epoch
-            // freeze rely on the two graphs staying disjoint.
-            prop_assert!(m.derived().iter_ids().all(|t| !m.base().contains_id(t)), "base ∩ derived ≠ ∅");
-            prop_assert_eq!(m.len(), m.base().len() + m.derived().len());
-            prop_assert_eq!(m.len(), m.view().iter_ids().count());
-        }
-        let mut scratch = stated.clone();
-        scratch.extend_from(&TransitiveReasoner::new(vec![next]).infer(&stated));
-        prop_assert_eq!(m.base(), &stated, "stated facts diverged");
-        prop_assert_eq!(m.view().to_graph(), scratch, "closure diverged from scratch fixpoint");
+        let make = || {
+            let mut m = IncrementalMaterializer::new();
+            m.add_transitive(vec![next.clone()]);
+            m
+        };
+        let close = |g: &Graph| TransitiveReasoner::new(vec![next.clone()]).infer(g);
+        check_materializer_churn(make, close, &ops, &picked);
     }
 
     #[test]
