@@ -23,14 +23,13 @@
 //!   configured [`NluConfig`], not a hardwired perfect profile) and
 //!   build each document's RDF statements.
 //! * **Intern** — completed documents are restored to input order and
-//!   grouped into batches; each batch's terms are interned into the
+//!   grouped into batches; each batch's statements are interned into the
 //!   shared [`TermDict`](cogsdk_rdf::TermDict) *before* the store lock
-//!   is taken, so the commit stage's own interning is a read-only fast
-//!   path.
+//!   is taken, once: the committer receives id triples.
 //! * **Commit** — one thread owns the store: each batch is exactly one
 //!   WAL group commit and one closure-complete epoch publish, so crash
 //!   recovery yields a durable *prefix of acked batches* — never a
-//!   half-applied batch.
+//!   half-applied batch. The commit works on ids throughout.
 //!
 //! Every queue is bounded and a global credit gate caps in-flight
 //! documents at [`IngestConfig::max_in_flight`]: a slow stage throttles
@@ -42,7 +41,7 @@ use crate::kb::PersonalKnowledgeBase;
 use crate::KbError;
 use cogsdk_core::ThreadPool;
 use cogsdk_obs::tenant_labels;
-use cogsdk_rdf::{Statement, Term};
+use cogsdk_rdf::{IdTriple, Statement, Term};
 use cogsdk_text::analysis::{DocumentAnalysis, NluConfig};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
@@ -373,7 +372,7 @@ struct AnalyzeJob {
 
 struct PreparedBatch {
     documents: usize,
-    statements: Vec<Statement>,
+    triples: Vec<IdTriple>,
 }
 
 /// A push-style streaming bulk-ingest session. Build one with
@@ -412,7 +411,7 @@ impl IngestSession {
     ) -> IngestSession {
         let config = config.normalized();
         let nlu = config.nlu.clone().unwrap_or_else(|| kb.nlu_config());
-        let analyzer = Arc::new(kb.clone_analyzer());
+        let analyzer = kb.shared_analyzer();
         let dict = kb.shared_dict();
 
         let analyze_q: Arc<Bounded<AnalyzeJob>> = Bounded::new(config.max_in_flight);
@@ -436,7 +435,7 @@ impl IngestSession {
                 let live = live_workers.clone();
                 pool.submit(move || {
                     while let Some(job) = analyze_q.pop() {
-                        let analysis = analyzer.analyze(&job.text, &nlu);
+                        let analysis = analyzer.entities_and_relations(&job.text, &nlu);
                         counters.analyzed.fetch_add(1, Ordering::Relaxed);
                         done_q.push((job.index, doc_statements(job.doc_id, &analysis)));
                     }
@@ -451,6 +450,7 @@ impl IngestSession {
         // each batch's terms into the shared dictionary *off* the store
         // lock, hand the prepared batch to the committer.
         let batcher = {
+            let dict = dict.clone();
             let done_q = done_q.clone();
             let commit_q = commit_q.clone();
             let counters = counters.clone();
@@ -466,14 +466,13 @@ impl IngestSession {
                         if *pending_docs == 0 {
                             return;
                         }
-                        let statements = std::mem::take(pending);
-                        dict.intern_all(&statements);
+                        let triples = dict.intern_all(&std::mem::take(pending));
                         counters
                             .interned
                             .fetch_add(*pending_docs as u64, Ordering::Relaxed);
                         commit_q.push(PreparedBatch {
                             documents: std::mem::take(pending_docs),
-                            statements,
+                            triples,
                         });
                     };
                     while let Some((index, statements)) = done_q.pop() {
@@ -512,7 +511,7 @@ impl IngestSession {
                 .spawn(move || {
                     while let Some(batch) = commit_q.pop() {
                         if !failed_flag.load(Ordering::Acquire) {
-                            match kb.commit_ingest_batch(batch.statements) {
+                            match kb.commit_ingest_batch(&dict, &batch.triples) {
                                 Ok(added) => {
                                     counters
                                         .committed_docs
@@ -783,5 +782,43 @@ impl PersonalKnowledgeBase {
             session.push(doc)?;
         }
         session.finish()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use cogsdk_text::analysis::Analyzer;
+
+    /// The benchmark's bulk-ingest document templates.
+    pub(crate) const TEMPLATES: [&str; 5] = [
+        "IBM acquired Oracle. The USA praised the excellent deal.",
+        "Google praised Microsoft. Germany welcomed the partnership.",
+        "Oracle criticized IBM. France condemned the terrible move.",
+        "Microsoft acquired Google. The USA welcomed the merger.",
+        "Germany praised France. Oracle welcomed the excellent outcome.",
+    ];
+
+    #[test]
+    fn entities_and_relations_yield_the_statements_of_a_full_analysis() {
+        let analyzer = Analyzer::with_default_lexicons();
+        let (perfect, degraded) = (NluConfig::perfect(), NluConfig::vendor("budget", 0.6, 0.3));
+        let mut missed = 0;
+        for (doc_id, template) in TEMPLATES.iter().enumerate() {
+            let text = format!("{template} Filing {doc_id}.");
+            for nlu in [&perfect, &degraded] {
+                let full = analyzer.analyze(&text, nlu);
+                let half = analyzer.entities_and_relations(&text, nlu);
+                assert_eq!(
+                    doc_statements(doc_id, &half),
+                    doc_statements(doc_id, &full),
+                    "{} on {text:?}",
+                    nlu.vendor
+                );
+            }
+            let kept = |nlu| analyzer.entities_and_relations(&text, nlu).entities.len();
+            missed += kept(&perfect) - kept(&degraded);
+        }
+        assert!(missed > 0, "the degraded profile drops entities");
     }
 }

@@ -9,8 +9,8 @@ use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::reason::TriplePattern;
 use cogsdk_rdf::weighted::{WeightedGraph, WeightedReasoner};
 use cogsdk_rdf::{
-    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, Query,
-    QueryStats, RecoveryStats, Statement, Term, TermId, WalStats,
+    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, IdTriple, Query,
+    QueryStats, RecoveryStats, Statement, Term, TermDict, TermId, WalStats,
 };
 use cogsdk_sim::fs::Vfs;
 use cogsdk_store::crypto::Key;
@@ -88,7 +88,8 @@ pub struct PersonalKnowledgeBase {
     /// store itself.
     epochs: Arc<EpochStore>,
     catalog: RwLock<EntityCatalog>,
-    analyzer: Analyzer,
+    /// Shared with every ingest session's analysis workers.
+    analyzer: Arc<Analyzer>,
     /// NLU quality profile applied by `ingest_text` (and the streaming
     /// pipeline when its config doesn't override it) — degraded/chaos
     /// analysis paths are reachable from ingest by configuring this.
@@ -204,7 +205,7 @@ impl PersonalKnowledgeBase {
             epochs: graph.epochs().clone(),
             graph: RwLock::new(graph),
             catalog: RwLock::new(EntityCatalog::builtin()),
-            analyzer: Analyzer::with_default_lexicons(),
+            analyzer: Arc::new(Analyzer::with_default_lexicons()),
             nlu: RwLock::new(options.nlu.clone().unwrap_or_else(NluConfig::perfect)),
             spell: SpellChecker::with_builtin_dictionary(),
             store: LocalFirstStore::new(Arc::new(MemoryKv::new()), enhanced.clone()),
@@ -487,7 +488,7 @@ impl PersonalKnowledgeBase {
     ///
     /// As for [`ingest_text`](Self::ingest_text).
     pub fn ingest_text_with(&self, text: &str, config: &NluConfig) -> Result<usize, KbError> {
-        let analysis = self.analyzer.analyze(text, config);
+        let analysis = self.analyzer.entities_and_relations(text, config);
         let doc_id = self.doc_counter.fetch_add(1, Ordering::Relaxed);
         let batch = crate::ingest::doc_statements(doc_id, &analysis);
         Ok(self.with_graph_mut(|g| g.insert_batch(batch))?)
@@ -512,9 +513,8 @@ impl PersonalKnowledgeBase {
         self.doc_counter.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// A clone of the analyzer for pipeline workers (the lexicon tables
-    /// inside are `Arc`-shared, so this is cheap).
-    pub(crate) fn clone_analyzer(&self) -> Analyzer {
+    /// The analyzer, for pipeline workers.
+    pub(crate) fn shared_analyzer(&self) -> Arc<Analyzer> {
         self.analyzer.clone()
     }
 
@@ -526,12 +526,24 @@ impl PersonalKnowledgeBase {
         self.epochs.pin().dict().clone()
     }
 
-    /// Commits one prepared ingest batch: a single WAL group commit and
-    /// a single closure-complete epoch publish. The streaming loader's
-    /// whole crash contract rests on this being the only way a batch
-    /// lands.
-    pub(crate) fn commit_ingest_batch(&self, batch: Vec<Statement>) -> Result<usize, KbError> {
-        Ok(self.with_graph_mut(|g| g.insert_batch(batch))?)
+    /// Commits one prepared ingest batch, interned into `dict` already:
+    /// a single WAL group commit and a single closure-complete epoch
+    /// publish. The streaming loader's whole crash contract rests on this
+    /// being the only way a batch lands.
+    pub(crate) fn commit_ingest_batch(
+        &self,
+        dict: &TermDict,
+        batch: &[IdTriple],
+    ) -> Result<usize, KbError> {
+        Ok(self.with_graph_mut(|g| {
+            if g.epochs().pin().dict().ptr_eq(dict) {
+                g.insert_ids(batch)
+            } else {
+                // A `load_graph` swapped the dictionary after the intern
+                // stage ran: the ids mean nothing to the store any more.
+                g.insert_batch(dict.resolve_all(batch))
+            }
+        })?)
     }
 
     /// The metrics registry and tenant attribution for ingest-pipeline
@@ -1884,6 +1896,83 @@ mod tests {
             stats.replayed_records >= 1,
             "only the post-snapshot fact replays: {stats:?}"
         );
+        assert_eq!(kb.statement_count(), 2);
+    }
+
+    #[test]
+    fn pipeline_id_path_writes_the_wal_bytes_of_insert_batch() {
+        use crate::ingest::{doc_statements, tests::TEMPLATES, IngestConfig};
+        let docs: Vec<String> = (0..40)
+            .map(|i| format!("{} Filing {i}.", TEMPLATES[i % TEMPLATES.len()]))
+            .collect();
+        let open = |fs: &Arc<cogsdk_sim::SimFs>| {
+            let remote = Arc::new(MemoryKv::new());
+            let options = KbOptions::default();
+            PersonalKnowledgeBase::open_durable_on(
+                fs.clone(),
+                remote,
+                options,
+                Telemetry::disabled(),
+            )
+            .unwrap()
+        };
+        let wal = |fs: &cogsdk_sim::SimFs| -> Vec<(String, Vec<u8>)> {
+            let names = fs.list().unwrap().into_iter();
+            names
+                .filter(|name| name.starts_with("wal-"))
+                .map(|name| {
+                    let bytes = fs.read(&name).unwrap();
+                    (name, bytes)
+                })
+                .collect()
+        };
+
+        // Statements: every document analyzed in order, one insert_batch.
+        let by_statement = Arc::new(cogsdk_sim::SimFs::new(5));
+        let kb = open(&by_statement);
+        let nlu = kb.nlu_config();
+        let mut batch = Vec::new();
+        for doc in &docs {
+            let analysis = kb.analyzer.entities_and_relations(doc, &nlu);
+            batch.extend(doc_statements(kb.allocate_doc_id(), &analysis));
+        }
+        let added = kb.with_graph_mut(|g| g.insert_batch(batch)).unwrap();
+
+        // Ids: the streaming pipeline, all documents in one batch.
+        let by_id = Arc::new(cogsdk_sim::SimFs::new(5));
+        let config = IngestConfig {
+            batch_size: docs.len(),
+            workers: 2,
+            ..IngestConfig::default()
+        };
+        let pool = cogsdk_core::ThreadPool::new(2);
+        let report = Arc::new(open(&by_id))
+            .ingest_stream(&pool, docs, config)
+            .unwrap();
+        assert_eq!((report.batches, report.statements), (1, added));
+        let logged = wal(&by_statement);
+        assert!(!logged.is_empty());
+        assert_eq!(logged, wal(&by_id), "same WAL segments, byte for byte");
+    }
+
+    #[test]
+    fn an_ingest_batch_interned_before_load_graph_still_commits_its_statements() {
+        let kb = kb();
+        kb.add_fact("IBM", "hq", "New York").unwrap();
+        kb.persist_graph("one-fact").unwrap();
+        let batch = vec![Statement::new(
+            Term::iri("kb:doc_9"),
+            Term::iri("kb:mentions"),
+            Term::iri("kb:oracle"),
+        )];
+        let dict = kb.shared_dict();
+        let ids = dict.intern_all(&batch);
+        // The load swaps in a fresh dictionary, in which `ids` mean
+        // nothing.
+        kb.load_graph("one-fact").unwrap();
+        assert!(!kb.shared_dict().ptr_eq(&dict));
+        assert_eq!(kb.commit_ingest_batch(&dict, &ids).unwrap(), 1);
+        assert!(kb.query_snapshot().contains(&batch[0]));
         assert_eq!(kb.statement_count(), 2);
     }
 

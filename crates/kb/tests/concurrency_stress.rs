@@ -19,7 +19,7 @@ use cogsdk_rdf::{Statement, Term};
 use cogsdk_store::kv::{KeyValueStore, MemoryKv};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
 const MASTER_SEED: u64 = 0xC0_97A1;
@@ -103,14 +103,23 @@ fn pinned_epochs_stay_byte_stable_under_concurrent_ingest_and_maintenance() {
     let thing_query = "SELECT ?x WHERE { ?x <rdf:type> <ex:Thing> . }";
 
     let mut handles = Vec::new();
+    // The writer starts once every reader has pinned its first epoch, and
+    // readers keep reading until the writer is done: each sees the epoch
+    // before the ingest and one after it.
+    let started = Arc::new(Barrier::new(reader_threads() + 1));
+    let written = Arc::new(AtomicBool::new(false));
 
     // Writer: sustained ingest, one epoch per statement.
     {
         let kb = Arc::clone(&kb);
+        let started = Arc::clone(&started);
+        let written = Arc::clone(&written);
         handles.push(thread::spawn(move || {
+            started.wait();
             for i in SEEDED..SEEDED + INGESTED {
                 kb.add_statement(item(i)).unwrap();
             }
+            written.store(true, Ordering::Release);
         }));
     }
 
@@ -132,9 +141,17 @@ fn pinned_epochs_stay_byte_stable_under_concurrent_ingest_and_maintenance() {
     for _ in 0..reader_threads() {
         let kb = Arc::clone(&kb);
         let digests = Arc::clone(&digests);
+        let started = Arc::clone(&started);
+        let written = Arc::clone(&written);
         readers.push(thread::spawn(move || {
-            for _ in 0..READS_PER_THREAD {
+            for read in 0.. {
+                // Read before the pin: once set, this pin is of the
+                // writer's last epoch or later.
+                let last = written.load(Ordering::Acquire);
                 let snap = kb.query_snapshot();
+                if read == 0 {
+                    started.wait();
+                }
                 let (rows, _) = kb.query_on(&snap, item_query).unwrap();
                 let full = canon(&rows);
                 let d = digest_rows(&full);
@@ -178,6 +195,9 @@ fn pinned_epochs_stay_byte_stable_under_concurrent_ingest_and_maintenance() {
                         "epoch {} is half-materialized: {row} has no Thing conclusion",
                         snap.epoch()
                     );
+                }
+                if last && read + 1 >= READS_PER_THREAD {
+                    break;
                 }
             }
         }));

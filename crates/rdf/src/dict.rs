@@ -247,11 +247,10 @@ impl TermDict {
 
     /// Interns every term of every statement, returning one id triple
     /// per statement in order. The bulk loader's intern stage uses this
-    /// to pre-warm the dictionary *before* the store lock is taken:
-    /// terms land in the shared dictionary here, and the commit's own
-    /// interning becomes a read-only shard probe. Safe ahead of the
-    /// commit because the WAL's dictionary watermark logs all terms
-    /// interned since the previous commit, whoever interned them.
+    /// *before* the store lock is taken and commits the ids it returns,
+    /// so the commit interns nothing. Safe ahead of the commit because
+    /// the WAL's dictionary watermark logs all terms interned since the
+    /// previous commit, whoever interned them.
     pub fn intern_all(&self, statements: &[Statement]) -> Vec<IdTriple> {
         statements
             .iter()

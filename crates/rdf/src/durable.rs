@@ -3,7 +3,11 @@
 //! [`DurableStore`] gives the KB's RDF state write-ahead durability:
 //! every mutation is appended to the [WAL](crate::wal) and fsynced
 //! *before* it is applied in memory, so an operation that returned `Ok`
-//! survives any crash, and one that failed was never applied. Periodic
+//! survives any crash, and one that failed was never applied. An insert
+//! is staged in the materializer's private writer first — one membership
+//! probe per triple decides both its WAL record and whether it seeds
+//! derivation — then logged and fsynced, then derived, sealed and
+//! published; a WAL error discards the staged changes. Periodic
 //! snapshots (`crate::snapshot`) bound recovery time and reclaim log
 //! space. In memory the store is the materializer's epochs: every
 //! mutation seals one, and the store publishes it to readers.
@@ -22,7 +26,7 @@
 //! last logged operation wins.
 
 use crate::dict::{IdTriple, TermDict};
-use crate::epoch::{EpochStore, Fact};
+use crate::epoch::EpochStore;
 use crate::graph::Graph;
 use crate::incremental::{IncrementalMaterializer, MaterializerConfig};
 use crate::model::{Statement, Term};
@@ -335,25 +339,49 @@ impl DurableStore {
     }
 
     /// Inserts a batch under a single group commit. Returns how many
-    /// facts were new to the full view.
+    /// facts were new to the full view. Each statement is interned once,
+    /// then the batch takes the [`insert_ids`](Self::insert_ids) path:
+    /// staged in the private writer, logged and fsynced, then published.
+    ///
+    /// # Errors
+    ///
+    /// If the WAL append fails the staged batch is discarded: nothing is
+    /// applied in memory.
     pub fn insert_batch(
         &mut self,
         batch: impl IntoIterator<Item = Statement>,
     ) -> Result<usize, DurableError> {
-        let batch: Vec<Statement> = batch.into_iter().collect();
+        let dict = self.inner.epoch().dict().clone();
+        let ids: Vec<IdTriple> = batch
+            .into_iter()
+            .map(|st| dict.intern_statement(&st))
+            .collect();
+        self.insert_ids(&ids)
+    }
+
+    /// Inserts triples already interned into the store's dictionary (the
+    /// epochs' [`dict`](crate::EpochSnapshot::dict)) under a single group
+    /// commit. The batch is staged in the materializer's private writer,
+    /// where each triple's one membership probe returns its prior state;
+    /// every triple that was not yet stated is logged, in first-occurrence
+    /// order, and fsynced; only then is the closure derived and the epoch
+    /// sealed and published. Returns how many facts were new to the full
+    /// view.
+    ///
+    /// # Errors
+    ///
+    /// If the WAL append fails the staged changes are discarded: memory
+    /// and the published epoch are exactly as before the call.
+    pub fn insert_ids(&mut self, batch: &[IdTriple]) -> Result<usize, DurableError> {
+        let staged = self.inner.stage_stated(batch);
         if self.durability.is_some() {
-            let epoch = self.inner.epoch().clone();
-            let mut seen = BTreeSet::new();
-            let mut ops = Vec::new();
-            for st in &batch {
-                let triple = epoch.dict().intern_statement(st);
-                if epoch.state(triple) != Some(Fact::Stated) && seen.insert(triple) {
-                    ops.push(WalRecord::insert(triple));
-                }
+            let ops = staged.iter().map(|&(t, _)| WalRecord::insert(t)).collect();
+            if let Err(e) = self.log_records(ops) {
+                self.inner.discard();
+                return Err(e);
             }
-            self.log_records(ops)?;
         }
-        let added = self.inner.insert_batch(batch);
+        let added = self.inner.seal_stated(&staged);
         self.publish_epoch();
         Ok(added)
     }
@@ -745,6 +773,111 @@ mod tests {
         assert!(recovered.contains(&a));
         assert!(recovered.contains(&b));
         assert!(recovered.contains(&c));
+    }
+
+    /// What readers see — epoch number, size and resolved contents —
+    /// checked to be the writer's epoch too.
+    fn view(store: &DurableStore) -> (u64, usize, Vec<String>) {
+        let epoch = store.epochs().pin();
+        assert!(
+            Arc::ptr_eq(&epoch, store.inner.epoch()),
+            "writer ahead of readers"
+        );
+        let dict = epoch.dict();
+        let mut lines: Vec<String> = (epoch.iter_ids().into_iter())
+            .map(|t| dict.resolve_triple(t).to_string())
+            .collect();
+        lines.sort_unstable();
+        (epoch.epoch(), epoch.len(), lines)
+    }
+
+    #[test]
+    fn failed_wal_commit_discards_the_staged_batch() {
+        let batch = |tag: &str| -> Vec<Statement> {
+            let fresh = (0..6).map(|i| st(&format!("ex:{tag}{i}"), "ex:p", "ex:o"));
+            fresh.chain([st("ex:a", "ex:p", "ex:b")]).collect()
+        };
+        // No space fails the append before a byte lands, and the store
+        // carries on. A crash armed at the append (op 0) or its fsync
+        // (op 1) takes the process down: the files are remounted and
+        // the store reopened.
+        for fault in [None, Some(0), Some(1)] {
+            for rules in [false, true] {
+                let case = format!("crash at op {fault:?}, rules {rules}");
+                let fs = Arc::new(SimFs::new(31));
+                let mut store = open(&fs);
+                if rules {
+                    let rule = Rule::parse("[(?a ex:p ?b) -> (?b ex:q ?a)]").unwrap();
+                    store.add_rules(vec![rule]).unwrap();
+                }
+                store.insert_batch(batch("old")).unwrap();
+                let before = view(&store);
+
+                match fault {
+                    None => fs.set_space_limit(Some(0)),
+                    Some(op) => fs.fail_after_ops(op),
+                }
+                assert!(store.insert_batch(batch("new")).is_err(), "{case}");
+                assert_eq!(view(&store), before, "{case}: nothing applied");
+
+                let mut store = match fault {
+                    None => {
+                        fs.set_space_limit(None);
+                        store
+                    }
+                    Some(_) => {
+                        drop(store);
+                        fs.crash();
+                        open(&fs)
+                    }
+                };
+                // The next insert commits. On the same store the failed
+                // batch left nothing staged, so all six facts are new.
+                let added = store.insert_batch(batch("new")).unwrap();
+                if fault.is_none() {
+                    assert_eq!(added, 6, "{case}");
+                }
+                assert!(batch("new").iter().all(|s| store.contains(s)), "{case}");
+                assert_eq!(store.contains(&st("ex:o", "ex:q", "ex:new0")), rules);
+                let (_, len, contents) = view(&store);
+                drop(store);
+                fs.crash();
+                let (_, recovered_len, recovered) = view(&open(&fs));
+                assert_eq!((recovered_len, recovered), (len, contents), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn statement_and_id_paths_write_identical_wal_bytes() {
+        let wal = |fs: &SimFs| -> Vec<(String, Vec<u8>)> {
+            let names = fs.list().unwrap().into_iter();
+            let segments = names.filter(|name| name.starts_with("wal-"));
+            segments
+                .map(|name| {
+                    let bytes = fs.read(&name).unwrap();
+                    (name, bytes)
+                })
+                .collect()
+        };
+        let (by_statement, by_id) = (Arc::new(SimFs::new(41)), Arc::new(SimFs::new(41)));
+        let (mut a, mut b) = (open(&by_statement), open(&by_id));
+        for round in 0..3 {
+            // Fresh facts, an intra-batch duplicate and, after round 0,
+            // facts stored already.
+            let mut batch: Vec<Statement> = (0..5)
+                .map(|i| st(&format!("ex:s{}", round + i), "ex:p", &format!("ex:o{i}")))
+                .collect();
+            batch.push(batch[0].clone());
+            let added = a.insert_batch(batch.clone()).unwrap();
+            // The ingest pipeline's path: intern ahead of the commit into
+            // the shared dictionary, then commit the ids.
+            let ids = b.epochs().pin().dict().intern_all(&batch);
+            assert_eq!(b.insert_ids(&ids).unwrap(), added, "round {round}");
+        }
+        let logged = wal(&by_statement);
+        assert!(!logged.is_empty() && logged.iter().all(|(_, bytes)| !bytes.is_empty()));
+        assert_eq!(logged, wal(&by_id));
     }
 
     #[test]

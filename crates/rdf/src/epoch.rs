@@ -10,12 +10,13 @@
 //! The writer (the materializer, under its owner's lock) reads the latest
 //! epoch plus the changes of the call in progress, and every mutating
 //! call seals those changes into the next epoch: one more run, costing
-//! `O(batch log batch)`. Runs are size-tier merged, and once they hold
-//! more than a fraction of the base the seal merges everything into a
-//! fresh base — one linear k-way merge per index, no sort. Readers pin a
-//! published epoch from an [`EpochStore`] with one `Arc` refcount bump;
-//! it never changes, so queries, paging and federation run with **no
-//! lock held** while ingest keeps publishing.
+//! `O(batch log batch)`. Runs are size-tier merged, two neighbours at a
+//! time, and once they hold more than a fraction of the base the seal
+//! merges everything into a fresh base; either is one linear merge per
+//! index, no sort. Readers pin a published epoch from an [`EpochStore`]
+//! with one `Arc` refcount bump; it never changes, so queries, paging
+//! and federation run with **no lock held** while ingest keeps
+//! publishing.
 //!
 //! "Derived" is a tag: one sorted SPO list in the base and in each run,
 //! decided like membership (newest run wins). A stated triple is stored
@@ -221,17 +222,12 @@ impl Run {
         }
     }
 
-    /// Every triple the run mentions, with the state it gives it.
-    fn changes(&self) -> impl Iterator<Item = (IdTriple, Option<Fact>)> + '_ {
-        let present = self.spo.iter().map(|&t| (t, Some(self.tag(t))));
-        present.chain(self.dels.iter().map(|&t| (t, None)))
-    }
-
     /// The base `runs` (oldest first) leave on top of `self`: the SPO
     /// merge decides each triple by the newest slice holding it, and
     /// POS/OSP merge their slices minus the triples it found deleted.
     fn merged(&self, runs: &[Arc<Run>]) -> Run {
-        let sources = state_sources(std::iter::once(self).chain(runs.iter().map(|r| &**r)));
+        let all = || std::iter::once(self).chain(runs.iter().map(|r| &**r));
+        let sources = state_sources(all());
         let most = self.spo.len() + runs.iter().map(|run| run.spo.len()).sum::<usize>();
         let mut spo = Vec::with_capacity(most);
         let (mut derived, mut dead) = (Vec::new(), Vec::new());
@@ -243,17 +239,7 @@ impl Run {
             }
             None => dead.push(t),
         });
-        let permutation = |index: Index| {
-            let mut sources = vec![(self.select(index), ())];
-            sources.extend(runs.iter().map(|run| (run.select(index), ())));
-            let mut out = Vec::with_capacity(spo.len());
-            merge_newest(sources, |t, ()| {
-                if dead.is_empty() || dead.binary_search(&index.unpermute(t)).is_err() {
-                    out.push(t);
-                }
-            });
-            out
-        };
+        let permutation = |index| permuted_union(all(), index, &dead, spo.len());
         let (pos, osp) = (permutation(Index::Pos), permutation(Index::Osp));
         Run {
             spo,
@@ -275,18 +261,75 @@ fn state_in(base: &Run, runs: &[Arc<Run>], triple: IdTriple) -> Option<Fact> {
         .flatten()
 }
 
-/// Composes two consecutive net runs (`older` then `newer`) into one net
-/// run relative to `beneath`, the state before `older`. A triple both
-/// mention takes `newer`'s state, and drops out when that is its state
-/// beneath (add→delete, delete→re-add).
-fn merge_runs(older: &Run, newer: &Run, beneath: impl Fn(IdTriple) -> Option<Fact>) -> Run {
-    let mut changes: BTreeMap<IdTriple, Option<Fact>> = older.changes().collect();
-    for (triple, state) in newer.changes() {
-        if changes.insert(triple, state).is_some() && beneath(triple) == state {
-            changes.remove(&triple);
-        }
+/// The union of `runs`' `index` permutations, in sort order, minus the
+/// triples in `gone` (sorted, SPO order).
+fn permuted_union<'a>(
+    runs: impl Iterator<Item = &'a Run>,
+    index: Index,
+    gone: &[IdTriple],
+    capacity: usize,
+) -> Vec<IdTriple> {
+    let mut out = Vec::with_capacity(capacity);
+    merge_newest(
+        runs.map(|run| (run.select(index), ())).collect(),
+        |t, ()| {
+            if gone.is_empty() || gone.binary_search(&index.unpermute(t)).is_err() {
+                out.push(t);
+            }
+        },
+    );
+    out
+}
+
+/// Moves `sorted` past every triple below `t`; whether `t` heads it then.
+fn advance_to(sorted: &mut &[IdTriple], t: IdTriple) -> bool {
+    while sorted.first().is_some_and(|&held| held < t) {
+        *sorted = &sorted[1..];
     }
-    Run::new(changes)
+    sorted.first() == Some(&t)
+}
+
+/// Composes two consecutive net runs (`older` then `newer`) into one net
+/// run relative to `beneath`, the state before `older`, in one linear
+/// merge per index. A triple both mention takes `newer`'s state, and
+/// drops out when that is its state beneath (add→delete,
+/// delete→re-add); only those triples probe `beneath`. POS/OSP merge
+/// minus the triples that end up deleted or dropped.
+fn merge_runs(older: &Run, newer: &Run, beneath: impl Fn(IdTriple) -> Option<Fact>) -> Run {
+    let mut sources = Vec::with_capacity(6);
+    for (run, from_newer) in [(older, false), (newer, true)] {
+        let slices = state_sources(std::iter::once(run)).into_iter();
+        sources.extend(slices.map(|(slice, state)| (slice, (from_newer, state))));
+    }
+    let mut spo = Vec::with_capacity(older.spo.len() + newer.spo.len());
+    let (mut derived, mut dels, mut gone) = (Vec::new(), Vec::new(), Vec::new());
+    // What of `older` lies at or past the triple being visited.
+    let (mut held, mut deleted) = (&older.spo[..], &older.dels[..]);
+    merge_newest(sources, |t, (from_newer, state)| {
+        let both = from_newer && (advance_to(&mut held, t) || advance_to(&mut deleted, t));
+        match state {
+            _ if both && beneath(t) == state => gone.push(t),
+            Some(fact) => {
+                spo.push(t);
+                if fact == Fact::Derived {
+                    derived.push(t);
+                }
+            }
+            None => {
+                dels.push(t);
+                gone.push(t);
+            }
+        }
+    });
+    let permutation = |index| permuted_union([older, newer].into_iter(), index, &gone, spo.len());
+    let (pos, osp) = (permutation(Index::Pos), permutation(Index::Osp));
+    Run {
+        spo,
+        pos,
+        osp,
+        derived,
+        dels,
+    }
 }
 
 /// One immutable published epoch: a frozen base, a short stack of net
@@ -593,6 +636,14 @@ impl EpochWriter {
         was
     }
 
+    /// Drops the call's changes: the writer reads as the latest epoch
+    /// again, exactly as the last seal left it.
+    pub(crate) fn discard(&mut self) {
+        self.changes.clear();
+        self.added = Graph::with_dict(self.epoch.dict.clone());
+        self.removed = 0;
+    }
+
     /// Seals the call's changes — and `confidence`, if given — into the
     /// next epoch. A call that changed neither seals nothing, so idle
     /// readers keep hitting the same epoch.
@@ -837,6 +888,131 @@ mod tests {
                 .collect();
             assert_eq!(stated, want, "case {case}: stated_ids");
         }
+    }
+
+    /// Every triple `run` mentions, with the state it gives it.
+    fn run_changes(run: &Run) -> impl Iterator<Item = (IdTriple, Option<Fact>)> + '_ {
+        let present = run.spo.iter().map(|&t| (t, Some(run.tag(t))));
+        present.chain(run.dels.iter().map(|&t| (t, None)))
+    }
+
+    /// The oracle for `merge_runs`: both runs' changes collected into a
+    /// map, newer over older, a triple netted out where its new state is
+    /// its state beneath, then sorted into a run.
+    fn merge_runs_by_map(
+        older: &Run,
+        newer: &Run,
+        beneath: impl Fn(IdTriple) -> Option<Fact>,
+    ) -> Run {
+        let mut changes: BTreeMap<IdTriple, Option<Fact>> = run_changes(older).collect();
+        for (triple, state) in run_changes(newer) {
+            if changes.insert(triple, state).is_some() && beneath(triple) == state {
+                changes.remove(&triple);
+            }
+        }
+        Run::new(changes)
+    }
+
+    /// A net run over `model`: up to 23 random triples of `universe`
+    /// (none, at times) each move to a state other than their current
+    /// one, and `model` moves with them.
+    fn random_net_run(
+        rng: &mut Rng,
+        universe: &[IdTriple],
+        model: &mut BTreeMap<IdTriple, Fact>,
+    ) -> Run {
+        let mut changes: BTreeMap<IdTriple, Option<Fact>> = BTreeMap::new();
+        for _ in 0..rng.below(24) {
+            let t = universe[rng.below(universe.len() as u64) as usize];
+            if changes.contains_key(&t) {
+                continue;
+            }
+            let now = model.get(&t).copied();
+            let others: Vec<Option<Fact>> = [None, STATED, DERIVED]
+                .into_iter()
+                .filter(|&state| state != now)
+                .collect();
+            let next = others[rng.below(2) as usize];
+            match next {
+                Some(fact) => model.insert(t, fact),
+                None => model.remove(&t),
+            };
+            changes.insert(t, next);
+        }
+        Run::new(changes)
+    }
+
+    #[test]
+    fn linear_merge_runs_matches_the_btreemap_oracle() {
+        let mut rng = Rng::new(0x3E86);
+        let id = |n: u32| TermId::from_raw(n);
+        let universe: Vec<IdTriple> = (0..4)
+            .flat_map(|s| {
+                (0..3).flat_map(move |p| (0..4).map(move |o| (id(s), id(10 + p), id(20 + o))))
+            })
+            .collect();
+        // Pairs with an empty run, then triples that `older` adds,
+        // deletes, retags, and that `newer` nets back: add→delete,
+        // delete→re-add.
+        let mut seen = [0usize; 6];
+        for pair in 0..1200 {
+            let mut beneath: BTreeMap<IdTriple, Fact> = BTreeMap::new();
+            for &t in &universe {
+                let fact = match rng.below(3) {
+                    0 => continue,
+                    1 => Fact::Stated,
+                    _ => Fact::Derived,
+                };
+                beneath.insert(t, fact);
+            }
+            let mut model = beneath.clone();
+            let older = random_net_run(&mut rng, &universe, &mut model);
+            let middle = model.clone();
+            let newer = random_net_run(&mut rng, &universe, &mut model);
+            let state = |t| beneath.get(&t).copied();
+
+            let got = merge_runs(&older, &newer, state);
+            let want = merge_runs_by_map(&older, &newer, state);
+            assert_eq!(got.spo, want.spo, "pair {pair}: spo");
+            assert_eq!(got.pos, want.pos, "pair {pair}: pos");
+            assert_eq!(got.osp, want.osp, "pair {pair}: osp");
+            assert_eq!(got.derived, want.derived, "pair {pair}: derived");
+            assert_eq!(got.dels, want.dels, "pair {pair}: dels");
+            // The merged run over `beneath` reads as both runs did.
+            for &t in &universe {
+                let read = match got.mentions(t) {
+                    Some(true) => Some(got.tag(t)),
+                    Some(false) => None,
+                    None => state(t),
+                };
+                assert_eq!(read, model.get(&t).copied(), "pair {pair}: {t:?}");
+            }
+
+            seen[0] += usize::from(older.events() == 0 || newer.events() == 0);
+            for &t in &universe {
+                let (under, mid, now) = (state(t), middle.get(&t).copied(), model.get(&t).copied());
+                let kinds = [
+                    under.is_none() && mid.is_some(),
+                    under.is_some() && mid.is_none(),
+                    under.is_some() && mid.is_some() && under != mid,
+                    older.mentions(t).is_some()
+                        && under.is_none()
+                        && mid.is_some()
+                        && now.is_none(),
+                    older.mentions(t).is_some()
+                        && under.is_some()
+                        && mid.is_none()
+                        && now.is_some(),
+                ];
+                for (count, kind) in seen[1..].iter_mut().zip(kinds) {
+                    *count += usize::from(kind);
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "kinds of change seen: {seen:?}"
+        );
     }
 
     #[test]

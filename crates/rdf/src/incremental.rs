@@ -266,17 +266,55 @@ impl IncrementalMaterializer {
     }
 
     /// Inserts a batch and propagates once over the whole batch delta.
-    /// Returns how many facts were new to the full view.
+    /// Returns how many facts were new to the full view. Each statement
+    /// is interned once, then the batch takes the
+    /// [`insert_ids`](Self::insert_ids) path.
     pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = Statement>) -> usize {
-        let mut seed = Vec::new();
-        for st in batch {
-            let t = self.store.dict().intern_statement(&st);
-            // A previously derived fact that is now stated is only
-            // retagged: the view already has it and nothing new follows.
-            if self.store.replace(t, Some(Fact::Stated)).is_none() {
-                seed.push(t);
+        let dict = self.store.dict().clone();
+        let ids: Vec<IdTriple> = batch
+            .into_iter()
+            .map(|st| dict.intern_statement(&st))
+            .collect();
+        self.insert_ids(&ids)
+    }
+
+    /// [`insert_batch`](Self::insert_batch) for triples already interned
+    /// into the epochs' dictionary ([`EpochSnapshot::dict`]).
+    pub fn insert_ids(&mut self, batch: &[IdTriple]) -> usize {
+        let staged = self.stage_stated(batch);
+        self.seal_stated(&staged)
+    }
+
+    /// Marks `batch` stated within the call in progress. Returns each
+    /// triple that changed, with its state before, in first-occurrence
+    /// order: a duplicate or an already stated triple changes nothing.
+    /// The call ends with [`seal_stated`](Self::seal_stated) or
+    /// [`discard`](Self::discard).
+    pub(crate) fn stage_stated(&mut self, batch: &[IdTriple]) -> Vec<(IdTriple, Option<Fact>)> {
+        let dict_len = self.store.dict().len();
+        let mut staged = Vec::with_capacity(batch.len());
+        for &t in batch {
+            assert!(
+                [t.0, t.1, t.2].iter().all(|id| id.seq() < dict_len),
+                "id triple not interned into the store's dictionary"
+            );
+            let before = self.store.replace(t, Some(Fact::Stated));
+            if before != Some(Fact::Stated) {
+                staged.push((t, before));
             }
         }
+        staged
+    }
+
+    /// Propagates from the staged triples that were absent and seals the
+    /// call. A previously derived fact that is now stated is only
+    /// retagged: the view already has it and nothing new follows. Returns
+    /// how many facts were new to the full view.
+    pub(crate) fn seal_stated(&mut self, staged: &[(IdTriple, Option<Fact>)]) -> usize {
+        let seed: Vec<IdTriple> = staged
+            .iter()
+            .filter_map(|&(t, before)| before.is_none().then_some(t))
+            .collect();
         let added = seed.len();
         if !seed.is_empty() && self.config.is_active() && self.clean {
             let compiled = self.config.compile(self.store.dict());
@@ -284,6 +322,11 @@ impl IncrementalMaterializer {
         }
         self.store.seal(None);
         added
+    }
+
+    /// Drops the changes of the call in progress, sealing nothing.
+    pub(crate) fn discard(&mut self) {
+        self.store.discard();
     }
 
     /// Removes a fact; see [`remove_batch`](Self::remove_batch). Returns

@@ -5,6 +5,8 @@
 //! targeted sentiment, keywords, concepts, relations, document sentiment)
 //! and returns a [`DocumentAnalysis`] that serializes to/from the JSON
 //! wire schema spoken by the simulated NLU services.
+//! [`Analyzer::entities_and_relations`] is its first half alone: what a
+//! knowledge base stores of a document.
 //!
 //! [`NluConfig`] models vendor quality differences: a lower-quality vendor
 //! misses entities (recall < 1) and reports noisier sentiment. Degradation
@@ -317,6 +319,27 @@ impl Analyzer {
 
     /// Analyzes one document under a vendor quality profile.
     pub fn analyze(&self, text: &str, config: &NluConfig) -> DocumentAnalysis {
+        let mut analysis = self.entities_and_relations(text, config);
+        analysis.keywords = extract(
+            text,
+            &self.lexicons,
+            &self.frequencies,
+            config.keyword_limit,
+        );
+        analysis.concepts = classify(text, &self.lexicons, config.concept_limit);
+        let mut sentiment = document_sentiment(text, &self.lexicons);
+        if config.sentiment_noise > 0.0 {
+            let noise = (unit_hash(&config.vendor, text) - 0.5) * 2.0 * config.sentiment_noise;
+            sentiment.score = (sentiment.score + noise).clamp(-1.0, 1.0);
+        }
+        analysis.sentiment = sentiment;
+        analysis
+    }
+
+    /// The entities (with targeted sentiment) and relations of
+    /// [`analyze`](Self::analyze), under the same vendor degradation;
+    /// keywords, concepts and document sentiment are left empty.
+    pub fn entities_and_relations(&self, text: &str, config: &NluConfig) -> DocumentAnalysis {
         let tokens = tokenize(text);
         let mentions = recognize_tokens(&tokens, &self.catalog);
 
@@ -370,30 +393,15 @@ impl Analyzer {
                 .then_with(|| a.canonical.cmp(&b.canonical))
         });
 
-        let keywords = extract(
-            text,
-            &self.lexicons,
-            &self.frequencies,
-            config.keyword_limit,
-        );
-        let concepts = classify(text, &self.lexicons, config.concept_limit);
         let relations = if config.relations {
             extract_relations(&tokens, &mentions)
         } else {
             Vec::new()
         };
-        let mut sentiment = document_sentiment(text, &self.lexicons);
-        if config.sentiment_noise > 0.0 {
-            let noise = (unit_hash(&config.vendor, text) - 0.5) * 2.0 * config.sentiment_noise;
-            sentiment.score = (sentiment.score + noise).clamp(-1.0, 1.0);
-        }
-
         DocumentAnalysis {
             entities,
-            keywords,
-            concepts,
             relations,
-            sentiment,
+            ..DocumentAnalysis::default()
         }
     }
 }
