@@ -40,7 +40,7 @@ use crate::invoke::Call;
 use crate::rank::RankOptions;
 use crate::sdk::RichSdk;
 use crate::SdkError;
-use cogsdk_json::{json, Json};
+use cogsdk_json::{json, Json, JsonText};
 use cogsdk_obs::{
     profile_traces, prometheus_text, tenant_labels, trace_jsonl_with_summary, EventKind, SloEngine,
     SloStatus, TenantId, TraceId, TraceVerdict,
@@ -357,9 +357,13 @@ pub type SnapshotHandler = Box<dyn Fn() -> Result<Json, String> + Send + Sync>;
 /// SPARQL-subset conjunctive query against its knowledge base (the
 /// gateway itself has no KB dependency). The handler receives the full
 /// request so it can honor the `X-Tenant` header and body flags such as
-/// `explain`; it returns the JSON body to serve, or an error message
-/// answered as a 400.
-pub type QueryHandler = Box<dyn Fn(&HttpRequest) -> Result<Json, String> + Send + Sync>;
+/// `explain`; it returns the serialised JSON body, which the gateway
+/// serves as is, or an error message answered as a 400. A query answer
+/// can hold thousands of rows, so the handler writes them straight into
+/// that text (as `cogsdk_kb::gateway_query_handler` does) instead of
+/// building a [`Json`] tree to serialise; a small answer can still be
+/// `Ok(json!(…).into())`.
+pub type QueryHandler = Box<dyn Fn(&HttpRequest) -> Result<JsonText, String> + Send + Sync>;
 
 /// Bulk-ingest hook behind `POST /ingest/bulk`: the host wires in a
 /// closure driving its streaming bulk loader (e.g. built with
@@ -740,14 +744,15 @@ impl HttpGateway {
     }
 
     /// `POST /query`: evaluates a conjunctive query through the attached
-    /// handler. Handler errors (parse failures, bad bodies) answer 400.
+    /// handler and serves the text it wrote. Handler errors (parse
+    /// failures, bad bodies) answer 400.
     fn query_response(&self, request: &HttpRequest) -> HttpResponse {
         let handler = match &self.query {
             Some(handler) => handler,
             None => return HttpResponse::error(404, "no query handler attached"),
         };
         match handler(request) {
-            Ok(body) => HttpResponse::ok(body),
+            Ok(body) => HttpResponse::text("application/json", body.into_string()),
             Err(e) => HttpResponse::error(400, e),
         }
     }
@@ -1714,7 +1719,7 @@ mod tests {
         let mut gw = HttpGateway::new(sdk);
         gw.set_query_handler(Box::new(|req| match req.body.as_str() {
             "boom" => panic!("handler bug (expected by this test)"),
-            _ => Ok(json!({"ok": true})),
+            _ => Ok(json!({"ok": true}).into()),
         }));
         let raw = gw.handle_text(&post("/query", "boom"));
         assert!(
@@ -1822,7 +1827,8 @@ mod tests {
             Ok(json!({
                 "echo": (sparql),
                 "tenant": (req.tenant.clone().unwrap_or_default()),
-            }))
+            })
+            .into())
         }));
         let raw = gw.handle_text(&post_as_tenant(
             "/query",

@@ -292,8 +292,8 @@ fn serve() -> (SimEnv, Arc<HttpGateway>) {
         let body = Json::parse(&request.body).map_err(|e| e.to_string())?;
         match body.get("sparql").and_then(Json::as_str) {
             Some("PANIC") => panic!("handler bug (expected by the hostile corpus)"),
-            Some("BIG") => Ok(json!({"rows": ("r".repeat(50_000))})),
-            Some(sparql) => Ok(json!({"bytes": (sparql.len())})),
+            Some("BIG") => Ok(json!({"rows": ("r".repeat(50_000))}).into()),
+            Some(sparql) => Ok(json!({"bytes": (sparql.len())}).into()),
             None => Err("missing sparql".into()),
         }
     }));

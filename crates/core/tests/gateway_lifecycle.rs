@@ -71,7 +71,7 @@ fn request_in_flight_at_join_is_answered(env: &SimEnv) {
             .expect("single caller")
             .recv()
             .expect("test releases");
-        Ok(json!({"rows": ("r".repeat(10_000))}))
+        Ok(json!({"rows": ("r".repeat(10_000))}).into())
     }));
     let gateway = Arc::new(gateway);
     let shutdown = Arc::new(AtomicBool::new(false));

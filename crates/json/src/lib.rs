@@ -4,8 +4,10 @@
 //! HTTP. This crate provides the wire format used throughout the simulated
 //! service fabric: a dynamically typed [`Json`] value, a strict recursive
 //! descent [`parser`](Json::parse), a compact and a pretty
-//! [serializer](Json::to_string_pretty), and a JSON-Pointer-style
-//! [path accessor](Json::pointer).
+//! [serializer](Json::to_string_pretty), a JSON-Pointer-style
+//! [path accessor](Json::pointer), and a writer surface —
+//! [`Json::write_to`], [`write_display`], [`JsonText`] — for bodies
+//! rendered straight into one buffer.
 //!
 //! The implementation is deliberately dependency-free (the workspace policy
 //! allows `serde` but not `serde_json`) and is strict RFC 8259 JSON: no
@@ -29,6 +31,7 @@ mod ser;
 mod value;
 
 pub use parse::{parse, ParseJsonError};
+pub use ser::{write_display, JsonText};
 pub use value::{Json, Number};
 
 /// Builds a [`Json`] value with JSON-like literal syntax.

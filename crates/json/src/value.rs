@@ -252,12 +252,24 @@ impl Json {
 
     /// Serializes to compact JSON text.
     pub fn to_json(&self) -> String {
-        crate::ser::to_string(self, None)
+        let mut out = String::with_capacity(self.size_bytes());
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the compact JSON text of `self` to `out`: the bytes of
+    /// [`to_json`](Self::to_json), without a `String` of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value contains a non-finite float, as `to_json` does.
+    pub fn write_to(&self, out: &mut String) {
+        crate::ser::write_value(out, self, None, 0);
     }
 
     /// Serializes to pretty-printed JSON text with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        crate::ser::to_string(self, Some(2))
+        crate::ser::to_pretty(self, 2)
     }
 
     /// Approximate in-memory/wire size of the value in bytes.

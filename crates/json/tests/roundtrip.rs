@@ -1,7 +1,7 @@
 //! Property-based round-trip tests: parse(serialize(v)) == v for arbitrary
 //! JSON values, in both compact and pretty form.
 
-use cogsdk_json::{Json, Number};
+use cogsdk_json::{write_display, Json, JsonText, Number};
 use proptest::prelude::*;
 
 fn arb_json() -> impl Strategy<Value = Json> {
@@ -35,6 +35,30 @@ proptest! {
         let text = v.to_string_pretty();
         let back = Json::parse(&text).unwrap();
         prop_assert_eq!(back, v);
+    }
+
+    #[test]
+    fn write_to_appends_exactly_to_json(v in arb_json(), prefix in "[a-z\"{,]{1,8}") {
+        let mut out = prefix.clone();
+        v.write_to(&mut out);
+        prop_assert_eq!(&out[..prefix.len()], prefix.as_str());
+        prop_assert_eq!(&out[prefix.len()..], v.to_json());
+    }
+
+    #[test]
+    fn write_display_equals_the_string_value(s in "\\PC{0,24}|[\u{0}-\u{1f}\"\\\\\u{e9}]{0,12}") {
+        let mut out = String::from("x");
+        write_display(&mut out, &s);
+        prop_assert_eq!(&out[1..], Json::from(s.as_str()).to_json());
+    }
+
+    #[test]
+    fn json_text_round_trips(v in arb_json()) {
+        let text = JsonText::from(v.clone());
+        prop_assert_eq!(text.as_str(), v.to_json());
+        prop_assert_eq!(text.to_json(), v.to_json());
+        prop_assert_eq!(Json::parse(text.as_str()).unwrap(), v);
+        prop_assert_eq!(JsonText::from_written(text.clone().into_string()), text);
     }
 
     #[test]

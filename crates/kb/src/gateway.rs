@@ -4,24 +4,25 @@
 //! The HTTP gateway (§2's cross-language surface) carries no KB
 //! dependency; hosts wire query evaluation in as a closure. This module
 //! builds that closure: it parses a `{"sparql": …}` body, runs the query
-//! through the knowledge base's cost-based planner, and serializes rows
-//! plus planner stats (and, on request, the `explain()` plan text) back
-//! as JSON.
+//! through the knowledge base's cost-based planner, and writes the rows
+//! straight into the response text as the executor hands them over —
+//! no `Json` tree per row, no `String` per cell — followed by the
+//! planner stats (and, on request, the `explain()` plan text).
 //!
 //! ```text
 //! POST /query
 //! {"sparql": "SELECT ?c WHERE { ?c <kb:gdp> ?g }", "explain": true}
 //! →
-//! {"rows": [{"c": "<kb:usa>"}], "stats": {…}, "plan": "bgp 1 patterns …"}
+//! {"rows": [{"c": "<kb:usa>"}], "stats": {…}, "epoch": 7, "plan": "bgp 1 patterns …"}
 //! ```
 
 use crate::ingest::{chunk_documents, IngestConfig};
 use crate::kb::PersonalKnowledgeBase;
 use crate::KbError;
-use cogsdk_core::gateway::{IngestHandler, QueryHandler};
+use cogsdk_core::gateway::{HttpRequest, IngestHandler, QueryHandler};
 use cogsdk_core::ThreadPool;
-use cogsdk_json::Json;
-use cogsdk_rdf::Query;
+use cogsdk_json::{write_display, Json, JsonText};
+use cogsdk_rdf::{EpochSnapshot, ExecPlan, Query, QueryStats};
 use std::sync::Arc;
 
 /// Builds a [`QueryHandler`] for
@@ -31,73 +32,148 @@ use std::sync::Arc;
 /// Each call publishes the same `sdk_query_*` metrics as
 /// [`PersonalKnowledgeBase::query_with_stats`] (plan time, result rows,
 /// join strategy counts — tenant-labeled when the base is attributed to
-/// one). Rows are written into the response straight from the executor's
-/// id rows, and `stats` adds the executor's work counters
-/// (`index_probes`, `rows_scanned`, `rows_materialised`). Body fields:
+/// one). Rows are written into the response text straight from the
+/// executor's id rows, each term through its `Display` and an escaping
+/// writer, and `stats` adds the executor's work counters
+/// (`index_probes`, `rows_scanned`, `rows_materialised`). Every error is
+/// found before the first byte is written, so a 400 never carries a
+/// partial body. Body fields:
 ///
 /// * `sparql` (string, required) — the query text.
 /// * `explain` (bool, optional) — include the `explain()` rendering of
-///   the plan that ran as a `plan` field.
-/// * `epoch` (integer, optional) — pin the query to a previously
-///   reported snapshot epoch instead of the current one, so
+///   the plan that ran as a `plan` field. Any other present value is
+///   rejected.
+/// * `epoch` (non-negative integer, optional) — pin the query to a
+///   previously reported snapshot epoch instead of the current one, so
 ///   `OFFSET`/`LIMIT` pages tile one consistent result set while ingest
 ///   continues. The response's `epoch` field reports the epoch actually
 ///   used; send it back on the next page. A request naming an epoch the
-///   store no longer retains fails, telling the pager to restart.
+///   store no longer retains fails, telling the pager to restart; one
+///   whose `epoch` is not a non-negative integer fails too, rather than
+///   silently running on the newest epoch.
 pub fn gateway_query_handler(kb: Arc<PersonalKnowledgeBase>) -> QueryHandler {
     Box::new(move |request| {
+        let planned = PlannedQuery::from_request(&kb, request)?;
+        let mut out = String::with_capacity(1024);
+        let stats = planned.write_rows(&mut out);
+        kb.publish_query_metrics(&stats);
+        planned.write_tail(&mut out, &stats);
+        Ok(JsonText::from_written(out))
+    })
+}
+
+/// One `POST /query` request, validated and planned on the epoch it runs
+/// on.
+struct PlannedQuery {
+    query: Query,
+    plan: ExecPlan,
+    snapshot: Arc<EpochSnapshot>,
+    explain: bool,
+}
+
+impl PlannedQuery {
+    /// Parses and checks the body, pins the snapshot and plans the query:
+    /// every way a request can fail.
+    fn from_request(kb: &PersonalKnowledgeBase, request: &HttpRequest) -> Result<Self, String> {
         let body = Json::parse(&request.body).map_err(|e| format!("invalid JSON body: {e}"))?;
         let sparql = body
             .get("sparql")
             .and_then(Json::as_str)
             .ok_or("body needs a string 'sparql' field")?;
-        let explain = body.get("explain").and_then(Json::as_bool).unwrap_or(false);
-        let snapshot = match body.get("epoch").and_then(Json::as_usize) {
-            Some(epoch) => kb.query_snapshot_at(epoch as u64).ok_or(format!(
-                "epoch {epoch} is no longer retained; restart paging from a fresh snapshot"
-            ))?,
+        let explain = match body.get("explain") {
+            None => false,
+            Some(flag) => flag.as_bool().ok_or("'explain' must be a boolean")?,
+        };
+        let snapshot = match body.get("epoch") {
             None => kb.query_snapshot(),
+            Some(epoch) => {
+                let epoch = epoch
+                    .as_usize()
+                    .ok_or("'epoch' must be a non-negative integer")?;
+                kb.query_snapshot_at(epoch as u64).ok_or(format!(
+                    "epoch {epoch} is no longer retained; restart paging from a fresh snapshot"
+                ))?
+            }
         };
         let query =
             Query::parse(sparql).map_err(|e| format!("query failed: {}", KbError::from(e)))?;
         let plan = query.plan(&*snapshot);
-        // Each row is an object keyed by variable name in sorted order, so
-        // the wire format is deterministic; a repeated SELECT variable is
-        // one key.
-        let mut columns = query.columns(&plan);
+        Ok(PlannedQuery {
+            query,
+            plan,
+            snapshot,
+            explain,
+        })
+    }
+
+    /// The output columns: `(variable, row index)` sorted by variable so
+    /// the wire format is deterministic; a repeated SELECT variable is
+    /// one key.
+    fn columns(&self) -> Vec<(&str, usize)> {
+        let mut columns = self.query.columns(&self.plan);
         columns.sort_unstable();
         columns.dedup();
-        let dict = snapshot.dict();
-        let mut rows = Vec::new();
-        let stats = query.run(&plan, &*snapshot, |row| {
-            let fields = columns.iter().filter_map(|&(var, i)| {
-                Some((
-                    var.to_string(),
-                    Json::from(dict.resolve_ref(row[i]?).to_string()),
-                ))
-            });
-            rows.push(fields.collect::<Json>());
-        });
-        kb.publish_query_metrics(&stats);
-        let mut stats_json = Json::object();
-        stats_json.insert("rows", stats.rows);
-        stats_json.insert("plan_micros", stats.plan_micros as usize);
-        stats_json.insert("merge_joins", stats.merge_joins);
-        stats_json.insert("nested_loop_joins", stats.loop_joins);
-        stats_json.insert("patterns", stats.patterns);
-        stats_json.insert("index_probes", stats.index_probes);
-        stats_json.insert("rows_scanned", stats.rows_scanned);
-        stats_json.insert("rows_materialised", stats.rows_materialised);
-        let mut out = Json::object();
-        out.insert("rows", Json::Array(rows));
-        out.insert("stats", stats_json);
-        out.insert("epoch", snapshot.epoch() as usize);
-        if explain {
+        columns
+    }
+
+    /// Runs the query, writing `{"rows":[` and one object per row, keyed
+    /// by [`columns`](Self::columns) with unbound ones omitted, into
+    /// `out` as the executor emits each id row.
+    fn write_rows(&self, out: &mut String) -> QueryStats {
+        // Each column's `"var":`, escaped once per query.
+        let keys: Vec<(String, usize)> = self
+            .columns()
+            .into_iter()
+            .map(|(var, i)| (format!("{}:", Json::from(var).to_json()), i))
+            .collect();
+        let dict = self.snapshot.dict();
+        out.push_str("{\"rows\":[");
+        let mut row_sep = "";
+        self.query.run(&self.plan, &*self.snapshot, |row| {
+            out.push_str(row_sep);
+            row_sep = ",";
+            out.push('{');
+            let mut field_sep = "";
+            for (key, i) in &keys {
+                if let Some(id) = row[*i] {
+                    out.push_str(field_sep);
+                    field_sep = ",";
+                    out.push_str(key);
+                    write_display(out, dict.resolve_ref(id));
+                }
+            }
+            out.push('}');
+        })
+    }
+
+    /// Closes the rows and appends `stats`, `epoch` and, on request, the
+    /// plan, ending the response object.
+    fn write_tail(&self, out: &mut String, stats: &QueryStats) {
+        out.push_str("],\"stats\":");
+        stats_json(stats).write_to(out);
+        out.push_str(",\"epoch\":");
+        Json::from(self.snapshot.epoch() as usize).write_to(out);
+        if self.explain {
             // The plan that produced the rows, on the epoch they came from.
-            out.insert("plan", plan.explain());
+            out.push_str(",\"plan\":");
+            write_display(out, self.plan.explain());
         }
-        Ok(out)
-    })
+        out.push('}');
+    }
+}
+
+/// The response's `stats` object.
+fn stats_json(stats: &QueryStats) -> Json {
+    let mut out = Json::object();
+    out.insert("rows", stats.rows);
+    out.insert("plan_micros", stats.plan_micros as usize);
+    out.insert("merge_joins", stats.merge_joins);
+    out.insert("nested_loop_joins", stats.loop_joins);
+    out.insert("patterns", stats.patterns);
+    out.insert("index_probes", stats.index_probes);
+    out.insert("rows_scanned", stats.rows_scanned);
+    out.insert("rows_materialised", stats.rows_materialised);
+    out
 }
 
 /// Builds an [`IngestHandler`] for
@@ -168,7 +244,6 @@ pub fn gateway_ingest_handler(
 mod tests {
     use super::*;
     use crate::kb::KbOptions;
-    use cogsdk_core::gateway::HttpRequest;
     use cogsdk_rdf::{Statement, Term};
     use cogsdk_store::kv::{KeyValueStore, MemoryKv};
 
@@ -186,6 +261,14 @@ mod tests {
         Arc::new(kb)
     }
 
+    /// The handler, with each answer parsed once for `pointer` checks.
+    fn parsing(handler: QueryHandler) -> impl Fn(&HttpRequest) -> Result<Json, String> {
+        move |request| {
+            handler(request)
+                .map(|text| Json::parse(text.as_str()).expect("the handler writes JSON"))
+        }
+    }
+
     fn post(body: &str) -> HttpRequest {
         HttpRequest {
             method: "POST".to_string(),
@@ -198,7 +281,7 @@ mod tests {
 
     #[test]
     fn handler_runs_a_query_and_reports_stats() {
-        let handler = gateway_query_handler(sample_kb());
+        let handler = parsing(gateway_query_handler(sample_kb()));
         let out = handler(&post(
             r#"{"sparql": "SELECT ?c WHERE { ?c <kb:gdp> ?g } ORDER BY ?g"}"#,
         ))
@@ -221,7 +304,7 @@ mod tests {
 
     #[test]
     fn handler_attaches_the_plan_on_request() {
-        let handler = gateway_query_handler(sample_kb());
+        let handler = parsing(gateway_query_handler(sample_kb()));
         let out = handler(&post(
             r#"{"sparql": "SELECT ?c WHERE { ?c <kb:gdp> ?g }", "explain": true}"#,
         ))
@@ -233,7 +316,7 @@ mod tests {
     #[test]
     fn paging_pinned_to_an_epoch_ignores_later_ingest() {
         let kb = sample_kb();
-        let handler = gateway_query_handler(kb.clone());
+        let handler = parsing(gateway_query_handler(kb.clone()));
         let first = handler(&post(
             r#"{"sparql": "SELECT ?c WHERE { ?c <kb:gdp> ?g } ORDER BY ?g LIMIT 1"}"#,
         ))
@@ -273,7 +356,7 @@ mod tests {
     #[test]
     fn explain_renders_the_plan_that_ran_on_the_pinned_epoch() {
         let kb = sample_kb();
-        let handler = gateway_query_handler(kb.clone());
+        let handler = parsing(gateway_query_handler(kb.clone()));
         let epoch = kb.query_snapshot().epoch();
         kb.add_statement(Statement::new(
             Term::iri("kb:japan"),
@@ -293,7 +376,7 @@ mod tests {
 
     #[test]
     fn stats_report_the_executor_work_counters() {
-        let handler = gateway_query_handler(sample_kb());
+        let handler = parsing(gateway_query_handler(sample_kb()));
         let out = handler(&post(
             r#"{"sparql": "SELECT ?c ?c WHERE { ?c <kb:gdp> ?g } LIMIT 1"}"#,
         ))
@@ -314,7 +397,7 @@ mod tests {
 
     #[test]
     fn unretained_epochs_are_rejected() {
-        let handler = gateway_query_handler(sample_kb());
+        let handler = parsing(gateway_query_handler(sample_kb()));
         let err = handler(&post(
             r#"{"sparql": "SELECT ?c WHERE { ?c <kb:gdp> ?g }", "epoch": 999}"#,
         ))
@@ -324,7 +407,7 @@ mod tests {
 
     #[test]
     fn handler_rejects_bad_bodies() {
-        let handler = gateway_query_handler(sample_kb());
+        let handler = parsing(gateway_query_handler(sample_kb()));
         assert!(handler(&post("not json"))
             .unwrap_err()
             .starts_with("invalid JSON body"));
@@ -334,6 +417,170 @@ mod tests {
         assert!(handler(&post(r#"{"sparql": "SELECT"}"#))
             .unwrap_err()
             .starts_with("query failed"));
+    }
+
+    /// The handler's error for `{"sparql": …}` plus `flag`.
+    fn flag_error(flag: &str) -> String {
+        let handler = gateway_query_handler(sample_kb());
+        let body = format!(r#"{{"sparql": "SELECT ?c WHERE {{ ?c <kb:gdp> ?g }}", {flag}}}"#);
+        handler(&post(&body)).unwrap_err()
+    }
+
+    #[test]
+    fn query_flags_reject_a_string_epoch() {
+        let err = flag_error(r#""epoch": "7""#);
+        assert_eq!(err, "'epoch' must be a non-negative integer");
+    }
+
+    #[test]
+    fn query_flags_reject_a_negative_epoch() {
+        let err = flag_error(r#""epoch": -1"#);
+        assert_eq!(err, "'epoch' must be a non-negative integer");
+    }
+
+    #[test]
+    fn query_flags_reject_a_fractional_epoch() {
+        let err = flag_error(r#""epoch": 2.5"#);
+        assert_eq!(err, "'epoch' must be a non-negative integer");
+    }
+
+    #[test]
+    fn query_flags_reject_a_null_epoch() {
+        let err = flag_error(r#""epoch": null"#);
+        assert_eq!(err, "'epoch' must be a non-negative integer");
+    }
+
+    #[test]
+    fn query_flags_reject_a_non_boolean_explain() {
+        let err = flag_error(r#""explain": "yes""#);
+        assert_eq!(err, "'explain' must be a boolean");
+    }
+
+    #[test]
+    fn query_flags_reject_a_numeric_explain() {
+        let err = flag_error(r#""explain": 1"#);
+        assert_eq!(err, "'explain' must be a boolean");
+    }
+
+    /// The response as the handler built it before rows were written
+    /// straight into the text: one `Json` object per row, one `String`
+    /// per cell, then the whole tree serialised. Runs the query again and
+    /// renders it with `stats`.
+    fn tree_response(planned: &PlannedQuery, stats: &QueryStats) -> Json {
+        let columns = planned.columns();
+        let dict = planned.snapshot.dict();
+        let mut rows = Vec::new();
+        let rerun = planned.query.run(&planned.plan, &*planned.snapshot, |row| {
+            let fields = columns.iter().filter_map(|&(var, i)| {
+                Some((
+                    var.to_string(),
+                    Json::from(dict.resolve_ref(row[i]?).to_string()),
+                ))
+            });
+            rows.push(fields.collect::<Json>());
+        });
+        assert_eq!(rerun, *stats, "the same plan does the same work");
+        let mut out = Json::object();
+        out.insert("rows", Json::Array(rows));
+        out.insert("stats", stats_json(stats));
+        out.insert("epoch", planned.snapshot.epoch() as usize);
+        if planned.explain {
+            out.insert("plan", planned.plan.explain());
+        }
+        out
+    }
+
+    /// Terms that need every kind of escape, blank nodes, and subjects
+    /// with and without the optional `ex:nick`.
+    fn hostile_kb() -> Arc<PersonalKnowledgeBase> {
+        let remote: Arc<dyn KeyValueStore> = Arc::new(MemoryKv::new());
+        let kb = PersonalKnowledgeBase::new(remote, KbOptions::default());
+        let iri = Term::iri;
+        for (s, p, o) in [
+            (
+                iri("ex:a"),
+                "ex:name",
+                Term::string("q\"b\\t\tn\nr\rc\u{1}\u{8}\u{c}\u{1f}é日本😀\u{7f}"),
+            ),
+            (iri("ex:wé\"ird\\iri\n"), "ex:name", Term::string("plain")),
+            (Term::blank("b1"), "ex:name", Term::string("blank \"node\"")),
+            (iri("ex:a"), "ex:knows", Term::blank("b1")),
+            (iri("ex:a"), "ex:nick", Term::string("nick\\\"")),
+            (iri("ex:a"), "ex:score", Term::integer(-3)),
+            (iri("ex:wé\"ird\\iri\n"), "ex:score", Term::double(2.5)),
+            (Term::blank("b1"), "ex:flag", Term::boolean(true)),
+        ] {
+            kb.add_statement(Statement::new(s, iri(p), o)).unwrap();
+        }
+        Arc::new(kb)
+    }
+
+    /// Blanks out the digits of `"plan_micros":`, the one timing.
+    fn mask_plan_micros(text: &str) -> String {
+        let key = "\"plan_micros\":";
+        let at = text.find(key).expect("stats carry plan_micros") + key.len();
+        let digits = text[at..].bytes().take_while(u8::is_ascii_digit).count();
+        format!("{}#{}", &text[..at], &text[at + digits..])
+    }
+
+    #[test]
+    fn written_rows_match_the_tree_oracle_byte_for_byte() {
+        let kb = hostile_kb();
+        let pinned = kb.query_snapshot().epoch();
+        // A later epoch holds one more named subject than the pinned one.
+        kb.add_statement(Statement::new(
+            Term::iri("ex:late"),
+            Term::iri("ex:name"),
+            Term::string("late"),
+        ))
+        .unwrap();
+        let handler = gateway_query_handler(kb.clone());
+        let queries = [
+            "SELECT ?s ?n WHERE { ?s <ex:name> ?n }",
+            "SELECT ?s ?n ?k WHERE { ?s <ex:name> ?n . OPTIONAL { ?s <ex:nick> ?k } } ORDER BY ?n",
+            "SELECT ?k WHERE { ?s <ex:name> ?n . OPTIONAL { ?s <ex:nick> ?k } }",
+            "SELECT ?n ?s ?n WHERE { ?s <ex:name> ?n } ORDER BY ?s OFFSET 1 LIMIT 2",
+            "SELECT ?x ?y ?n WHERE { ?x <ex:knows> ?y . ?y <ex:name> ?n }",
+            "SELECT ?s ?v WHERE { { ?s <ex:score> ?v } UNION { ?s <ex:flag> ?v } } ORDER BY ?v",
+            "SELECT * WHERE { ?s ?p ?o }",
+            "SELECT ?s WHERE { ?s <ex:name> ?n . FILTER (?n = \"plain\") }",
+            "SELECT ?s WHERE { ?s <ex:never> ?o }",
+            "SELECT ?s WHERE { ?s <ex:name> ?n } LIMIT 0",
+        ];
+        let mut rows_seen = 0;
+        for sparql in queries {
+            for (explain, epoch) in [
+                (None, None),
+                (Some(true), None),
+                (Some(false), Some(pinned)),
+                (Some(true), Some(pinned)),
+            ] {
+                let mut body = Json::object();
+                body.insert("sparql", sparql);
+                if let Some(explain) = explain {
+                    body.insert("explain", explain);
+                }
+                if let Some(epoch) = epoch {
+                    body.insert("epoch", epoch as usize);
+                }
+                let request = post(&body.to_json());
+                let planned = PlannedQuery::from_request(&kb, &request).unwrap();
+                let mut written = String::new();
+                let stats = planned.write_rows(&mut written);
+                planned.write_tail(&mut written, &stats);
+                let oracle = tree_response(&planned, &stats).to_json();
+                assert_eq!(written, oracle, "{body}");
+                rows_seen += stats.rows;
+                // The handler's own answer, but for its plan timing.
+                let served = handler(&request).unwrap();
+                assert_eq!(
+                    mask_plan_micros(served.as_str()),
+                    mask_plan_micros(&oracle),
+                    "{body}"
+                );
+            }
+        }
+        assert!(rows_seen > 40, "the corpus returns rows: {rows_seen}");
     }
 
     fn post_ingest(body: &str) -> HttpRequest {

@@ -40,6 +40,11 @@ fn post(body: &str) -> HttpRequest {
     }
 }
 
+/// Runs one query through the handler and parses its answer once.
+fn ask(handler: &QueryHandler, body: &str) -> Result<Json, String> {
+    handler(&post(body)).map(|text| Json::parse(text.as_str()).expect("the handler writes JSON"))
+}
+
 fn rows_of(out: &Json) -> Vec<String> {
     let mut rows = Vec::new();
     let mut i = 0;
@@ -54,7 +59,10 @@ fn rows_of(out: &Json) -> Vec<String> {
 /// Returns the pinned epoch and every row seen, or the handler error if
 /// the epoch aged out of retention mid-walk.
 fn page_to_exhaustion(handler: &QueryHandler) -> Result<(usize, BTreeSet<String>), String> {
-    let first = handler(&post(&format!(r#"{{"sparql": "{SPARQL} LIMIT {PAGE}"}}"#)))?;
+    let first = ask(
+        handler,
+        &format!(r#"{{"sparql": "{SPARQL} LIMIT {PAGE}"}}"#),
+    )?;
     let epoch = first.get("epoch").and_then(Json::as_usize).unwrap();
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut rows = rows_of(&first);
@@ -68,9 +76,10 @@ fn page_to_exhaustion(handler: &QueryHandler) -> Result<(usize, BTreeSet<String>
             return Ok((epoch, seen));
         }
         offset += PAGE;
-        let out = handler(&post(&format!(
-            r#"{{"sparql": "{SPARQL} OFFSET {offset} LIMIT {PAGE}", "epoch": {epoch}}}"#
-        )))?;
+        let out = ask(
+            handler,
+            &format!(r#"{{"sparql": "{SPARQL} OFFSET {offset} LIMIT {PAGE}", "epoch": {epoch}}}"#),
+        )?;
         assert_eq!(
             out.get("epoch").and_then(Json::as_usize),
             Some(epoch),
@@ -140,7 +149,7 @@ fn gateway_pages_pinned_to_an_epoch_tile_one_result_set_under_ingest() {
     );
 
     // An unpinned query agrees with the tiled total.
-    let fresh = handler(&post(&format!(r#"{{"sparql": "{SPARQL}"}}"#))).unwrap();
+    let fresh = ask(&handler, &format!(r#"{{"sparql": "{SPARQL}"}}"#)).unwrap();
     assert_eq!(
         fresh.pointer("/stats/rows").and_then(Json::as_usize),
         Some(SEEDED + INGESTED)

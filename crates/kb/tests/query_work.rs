@@ -105,7 +105,7 @@ fn query_work_bounds_reach_the_gateway_response() {
         tenant: None,
         body: Json::from_iter([("sparql".to_string(), Json::from(join(" LIMIT 20")))]).to_json(),
     };
-    let out = handler(&request).unwrap();
+    let out = Json::parse(handler(&request).unwrap().as_str()).unwrap();
     let stat = |name: &str| {
         out.pointer(&format!("/stats/{name}"))
             .and_then(Json::as_usize)

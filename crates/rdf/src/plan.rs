@@ -7,10 +7,12 @@
 //! order:
 //!
 //! 1. **Selectivity estimation.** Each pattern's cardinality is read off
-//!    the SPO/POS/OSP indexes with [`Graph::count_ids_capped`](crate::Graph::count_ids_capped): constants
-//!    bound, variables wild, counts saturating at a fixed cap (4096) so
-//!    planning stays cheap on large graphs. No samples, no histograms —
-//!    the indexes *are* the statistics.
+//!    the SPO/POS/OSP sort orders with [`QueryView::count_ids_capped`]:
+//!    constants bound, variables wild, saturating at a fixed cap (4096).
+//!    On the epoch snapshot every query is served from, an estimate is two
+//!    binary searches per sorted run (the base arrays, then each delta
+//!    run until the cap), an upper bound that ignores deletions. No
+//!    samples, no histograms — the sorted arrays *are* the statistics.
 //! 2. **Greedy join ordering.** The most selective pattern runs first;
 //!    every subsequent choice prefers patterns connected to the already
 //!    bound variables (avoiding cartesian products) and, among those, the
@@ -18,7 +20,7 @@
 //! 3. **Join operators.** When the next pattern's index scan is sorted by
 //!    a variable the current rows are already sorted by, the planner emits
 //!    a **merge join** over the two sorted streams (the RDF-3X trick: the
-//!    BTreeSet indexes hand out sorted runs for free). Otherwise it falls
+//!    epoch's sorted arrays hand out sorted ranges for free). Otherwise it falls
 //!    back to an **index nested-loop join**, probing the best index per
 //!    row.
 //!
@@ -64,8 +66,10 @@ use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Cardinality estimates saturate here. Ordering patterns only needs
-/// estimates good enough to rank them, and counting a BTree range is
-/// `O(matches)` — without a cap, *planning* a query over a large graph
+/// estimates good enough to rank them. On an epoch snapshot an estimate
+/// is two binary searches per sorted run, and runs stop being added once
+/// the sum reaches the cap; a [`Graph`](crate::Graph) counts its BTree
+/// range, `O(min(matches, cap))`, where without a cap *planning* a query
 /// would cost as much as scanning it. `explain()` renders the saturated
 /// value, so `est=4096` reads as "at least 4096".
 const ESTIMATE_CAP: usize = 4096;
