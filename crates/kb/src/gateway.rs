@@ -84,16 +84,11 @@ impl PlannedQuery {
             None => false,
             Some(flag) => flag.as_bool().ok_or("'explain' must be a boolean")?,
         };
-        let snapshot = match body.get("epoch") {
+        let snapshot = match usize_field(&body, "epoch")? {
             None => kb.query_snapshot(),
-            Some(epoch) => {
-                let epoch = epoch
-                    .as_usize()
-                    .ok_or("'epoch' must be a non-negative integer")?;
-                kb.query_snapshot_at(epoch as u64).ok_or(format!(
-                    "epoch {epoch} is no longer retained; restart paging from a fresh snapshot"
-                ))?
-            }
+            Some(epoch) => kb.query_snapshot_at(epoch as u64).ok_or(format!(
+                "epoch {epoch} is no longer retained; restart paging from a fresh snapshot"
+            ))?,
         };
         let query =
             Query::parse(sparql).map_err(|e| format!("query failed: {}", KbError::from(e)))?;
@@ -162,6 +157,17 @@ impl PlannedQuery {
     }
 }
 
+/// An optional non-negative integer field of a request body: `None` when
+/// absent, an error naming the field when present but anything else.
+fn usize_field(body: &Json, field: &str) -> Result<Option<usize>, String> {
+    body.get(field)
+        .map(|v| {
+            v.as_usize()
+                .ok_or_else(|| format!("'{field}' must be a non-negative integer"))
+        })
+        .transpose()
+}
+
 /// The response's `stats` object.
 fn stats_json(stats: &QueryStats) -> Json {
     let mut out = Json::object();
@@ -186,8 +192,10 @@ fn stats_json(stats: &QueryStats) -> Json {
 /// * `documents` (array of strings) — one entry per document; **or**
 /// * `text` (string) — a corpus chunked into documents on blank-line
 ///   boundaries.
-/// * `batch_size`, `workers`, `max_in_flight` (integers, optional) —
-///   pipeline tuning; defaults from [`IngestConfig::default`].
+/// * `batch_size`, `workers`, `max_in_flight` (non-negative integers,
+///   optional) — pipeline tuning; defaults from
+///   [`IngestConfig::default`]. A present field of any other shape fails
+///   the request rather than silently meaning the default.
 ///
 /// The response reports the committed work:
 ///
@@ -218,13 +226,13 @@ pub fn gateway_ingest_handler(
             return Err("body needs a 'documents' array or a 'text' string".to_string());
         };
         let mut config = IngestConfig::default();
-        if let Some(n) = body.get("batch_size").and_then(Json::as_usize) {
+        if let Some(n) = usize_field(&body, "batch_size")? {
             config.batch_size = n;
         }
-        if let Some(n) = body.get("workers").and_then(Json::as_usize) {
+        if let Some(n) = usize_field(&body, "workers")? {
             config.workers = n;
         }
-        if let Some(n) = body.get("max_in_flight").and_then(Json::as_usize) {
+        if let Some(n) = usize_field(&body, "max_in_flight")? {
             config.max_in_flight = n;
         }
         let report = kb
@@ -641,5 +649,54 @@ mod tests {
         assert!(handler(&post_ingest(r#"{"documents": [42]}"#))
             .unwrap_err()
             .contains("strings"));
+    }
+    /// The ingest handler's error for a one-document body plus `flag`.
+    fn ingest_flag_error(flag: &str) -> String {
+        let pool = Arc::new(cogsdk_core::ThreadPool::new(1));
+        let kb = sample_kb();
+        let before = kb.statement_count();
+        let handler = gateway_ingest_handler(kb.clone(), pool);
+        let body = format!(r#"{{"documents": ["IBM acquired Oracle."], {flag}}}"#);
+        let err = handler(&post_ingest(&body)).unwrap_err();
+        assert_eq!(
+            kb.statement_count(),
+            before,
+            "a rejected request ingests nothing"
+        );
+        err
+    }
+
+    const INGEST_FLAGS: [&str; 3] = ["batch_size", "workers", "max_in_flight"];
+
+    #[test]
+    fn ingest_flags_reject_strings() {
+        for field in INGEST_FLAGS {
+            let err = ingest_flag_error(&format!(r#""{field}": "2""#));
+            assert_eq!(err, format!("'{field}' must be a non-negative integer"));
+        }
+    }
+
+    #[test]
+    fn ingest_flags_reject_negatives() {
+        for field in INGEST_FLAGS {
+            let err = ingest_flag_error(&format!(r#""{field}": -1"#));
+            assert_eq!(err, format!("'{field}' must be a non-negative integer"));
+        }
+    }
+
+    #[test]
+    fn ingest_flags_reject_fractions() {
+        for field in INGEST_FLAGS {
+            let err = ingest_flag_error(&format!(r#""{field}": 2.5"#));
+            assert_eq!(err, format!("'{field}' must be a non-negative integer"));
+        }
+    }
+
+    #[test]
+    fn ingest_flags_reject_nulls() {
+        for field in INGEST_FLAGS {
+            let err = ingest_flag_error(&format!(r#""{field}": null"#));
+            assert_eq!(err, format!("'{field}' must be a non-negative integer"));
+        }
     }
 }

@@ -16,10 +16,10 @@ use crate::concepts::{classify, Concept};
 use crate::disambig::EntityCatalog;
 use crate::keywords::{extract, DocumentFrequencies, Keyword};
 use crate::lexicon::Lexicons;
-use crate::ner::recognize_tokens;
+use crate::ner::recognize_lowered;
 use crate::relations::{extract as extract_relations, Relation};
 use crate::sentiment::{document as document_sentiment, targeted, Sentiment};
-use crate::tokenize::tokenize;
+use crate::tokenize::{tokenize, Token};
 use cogsdk_json::{json, Json};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -274,6 +274,36 @@ fn unit_hash(vendor: &str, item: &str) -> f64 {
     (h.finish() >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// Vendor degradation of grouped entities: drops entities
+/// deterministically by recall, perturbs sentiment by hash noise, and
+/// sorts by mention count, then id.
+fn vendor_view(
+    grouped: impl Iterator<Item = EntityResult>,
+    config: &NluConfig,
+) -> Vec<EntityResult> {
+    let mut entities: Vec<EntityResult> = grouped
+        .filter(|e| {
+            config.entity_recall >= 1.0
+                || unit_hash(&config.vendor, &e.canonical) < config.entity_recall
+        })
+        .map(|mut e| {
+            if config.sentiment_noise > 0.0 {
+                let noise = (unit_hash(&config.vendor, &format!("s:{}", e.canonical)) - 0.5)
+                    * 2.0
+                    * config.sentiment_noise;
+                e.sentiment.score = (e.sentiment.score + noise).clamp(-1.0, 1.0);
+            }
+            e
+        })
+        .collect();
+    entities.sort_by(|a, b| {
+        b.count
+            .cmp(&a.count)
+            .then_with(|| a.canonical.cmp(&b.canonical))
+    });
+    entities
+}
+
 /// The document analyzer: lexicons + entity catalog + corpus statistics.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
@@ -341,27 +371,26 @@ impl Analyzer {
     /// keywords, concepts and document sentiment are left empty.
     pub fn entities_and_relations(&self, text: &str, config: &NluConfig) -> DocumentAnalysis {
         let tokens = tokenize(text);
-        let mentions = recognize_tokens(&tokens, &self.catalog);
+        let lowered: Vec<String> = tokens.iter().map(Token::lower).collect();
+        let mentions = recognize_lowered(&tokens, &lowered, &self.catalog);
 
         // Group mentions by canonical id, computing targeted sentiment.
-        let mut grouped: BTreeMap<String, EntityResult> = BTreeMap::new();
+        let mut grouped: BTreeMap<&str, EntityResult> = BTreeMap::new();
         for m in &mentions {
-            let s = targeted(&tokens, m, 6, &self.lexicons);
-            let entry = grouped.entry(m.canonical.clone()).or_insert_with(|| {
-                let dbpedia = self
-                    .catalog
-                    .resolve(&m.surface)
-                    .map(|r| r.dbpedia)
-                    .unwrap_or_default();
-                EntityResult {
+            let s = targeted(&tokens, &lowered, m, 6, &self.lexicons);
+            let entry = grouped
+                .entry(m.canonical.as_str())
+                .or_insert_with(|| EntityResult {
                     canonical: m.canonical.clone(),
                     name: m.name.clone(),
                     kind: m.kind.label().to_string(),
                     count: 0,
                     sentiment: Sentiment::default(),
-                    dbpedia,
-                }
-            });
+                    dbpedia: m
+                        .entity
+                        .map(|i| self.catalog.entities()[i].dbpedia_url())
+                        .unwrap_or_default(),
+                });
             // Running mean of targeted sentiment over mentions.
             let n = entry.count as f64;
             entry.sentiment.score = (entry.sentiment.score * n + s.score) / (n + 1.0);
@@ -369,30 +398,7 @@ impl Analyzer {
             entry.count += 1;
         }
 
-        // Vendor degradation: drop entities deterministically by recall,
-        // perturb sentiment by hash noise.
-        let mut entities: Vec<EntityResult> = grouped
-            .into_values()
-            .filter(|e| {
-                config.entity_recall >= 1.0
-                    || unit_hash(&config.vendor, &e.canonical) < config.entity_recall
-            })
-            .map(|mut e| {
-                if config.sentiment_noise > 0.0 {
-                    let noise = (unit_hash(&config.vendor, &format!("s:{}", e.canonical)) - 0.5)
-                        * 2.0
-                        * config.sentiment_noise;
-                    e.sentiment.score = (e.sentiment.score + noise).clamp(-1.0, 1.0);
-                }
-                e
-            })
-            .collect();
-        entities.sort_by(|a, b| {
-            b.count
-                .cmp(&a.count)
-                .then_with(|| a.canonical.cmp(&b.canonical))
-        });
-
+        let entities = vendor_view(grouped.into_values(), config);
         let relations = if config.relations {
             extract_relations(&tokens, &mentions)
         } else {
@@ -415,6 +421,8 @@ impl Default for Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disambig::oracle::MapCatalog;
+    use crate::{ner, sentiment};
 
     const DOC: &str = "IBM reported excellent growth in the United States. \
         Microsoft acquired Oracle in a terrible deal. \
@@ -544,5 +552,181 @@ mod tests {
         a.learn_document_frequencies("quantum leap");
         let r = a.analyze("growth quantum growth quantum", &NluConfig::perfect());
         assert_eq!(r.keywords[0].text, "quantum", "{:?}", r.keywords);
+    }
+    #[test]
+    fn possessive_first_mention_keeps_the_dbpedia_url() {
+        let a = Analyzer::with_default_lexicons();
+        for text in [
+            "IBM's results were excellent. IBM grew.",
+            "IBM grew. IBM's results were excellent.",
+        ] {
+            let r = a.entities_and_relations(text, &NluConfig::perfect());
+            assert_eq!(r.entities.len(), 1, "{text}");
+            assert_eq!(r.entities[0].canonical, "ibm");
+            assert_eq!(
+                r.entities[0].dbpedia, "http://dbpedia.org/resource/IBM",
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn synthetic_custom_ids_have_no_dbpedia_url() {
+        let mut catalog = EntityCatalog::builtin();
+        catalog.add_synonyms([("gerd", "gastro_reflux")]);
+        let a = Analyzer::with_catalog(catalog);
+        for text in ["GERD's symptoms worsened.", "GERD worsened."] {
+            let r = a.entities_and_relations(text, &NluConfig::perfect());
+            assert_eq!(r.entities[0].canonical, "gastro_reflux");
+            assert_eq!(r.entities[0].dbpedia, "", "{text}");
+        }
+    }
+
+    #[test]
+    fn custom_synonym_onto_a_gazetteer_id_has_its_dbpedia_url() {
+        let mut catalog = EntityCatalog::builtin();
+        catalog.add_synonyms([("the big apple", "new_york")]);
+        let a = Analyzer::with_catalog(catalog);
+        for text in ["The Big Apple's parks are good.", "The Big Apple grew."] {
+            let r = a.entities_and_relations(text, &NluConfig::perfect());
+            assert_eq!(r.entities[0].canonical, "new_york");
+            assert_eq!(
+                r.entities[0].dbpedia, "http://dbpedia.org/resource/New_York",
+                "{text}"
+            );
+        }
+    }
+
+    /// The previous `entities_and_relations`: the join matcher over the
+    /// map catalog, the cloning scorer, and `dbpedia` from re-resolving
+    /// the first mention's raw surface.
+    fn old_entities_and_relations(
+        a: &Analyzer,
+        map: &MapCatalog,
+        text: &str,
+        config: &NluConfig,
+    ) -> DocumentAnalysis {
+        let tokens = tokenize(text);
+        let mentions = ner::oracle::recognize_tokens(&tokens, map);
+        let mut grouped: BTreeMap<String, EntityResult> = BTreeMap::new();
+        for m in &mentions {
+            let s = sentiment::oracle::targeted(&tokens, m, 6, &a.lexicons);
+            let entry = grouped.entry(m.canonical.clone()).or_insert_with(|| {
+                let dbpedia = map
+                    .resolve(&m.surface)
+                    .map(|r| r.dbpedia)
+                    .unwrap_or_default();
+                EntityResult {
+                    canonical: m.canonical.clone(),
+                    name: m.name.clone(),
+                    kind: m.kind.label().to_string(),
+                    count: 0,
+                    sentiment: Sentiment::default(),
+                    dbpedia,
+                }
+            });
+            let n = entry.count as f64;
+            entry.sentiment.score = (entry.sentiment.score * n + s.score) / (n + 1.0);
+            entry.sentiment.evidence += s.evidence;
+            entry.count += 1;
+        }
+        let relations = if config.relations {
+            extract_relations(&tokens, &mentions)
+        } else {
+            Vec::new()
+        };
+        DocumentAnalysis {
+            entities: vendor_view(grouped.into_values(), config),
+            relations,
+            ..DocumentAnalysis::default()
+        }
+    }
+
+    /// The previous `analyze`, over [`old_entities_and_relations`] and
+    /// the old document scorer.
+    fn old_analyze(
+        a: &Analyzer,
+        map: &MapCatalog,
+        text: &str,
+        config: &NluConfig,
+    ) -> DocumentAnalysis {
+        let mut analysis = old_entities_and_relations(a, map, text, config);
+        analysis.keywords = extract(text, &a.lexicons, &a.frequencies, config.keyword_limit);
+        analysis.concepts = classify(text, &a.lexicons, config.concept_limit);
+        let mut sentiment = sentiment::oracle::document(text, &a.lexicons);
+        if config.sentiment_noise > 0.0 {
+            let noise = (unit_hash(&config.vendor, text) - 0.5) * 2.0 * config.sentiment_noise;
+            sentiment.score = (sentiment.score + noise).clamp(-1.0, 1.0);
+        }
+        analysis.sentiment = sentiment;
+        analysis
+    }
+
+    /// Asserts `new` equals `old` except where the old code lost an entity's
+    /// `dbpedia` URL to a possessive first mention; returns how many
+    /// entities that fixed.
+    fn agree_but_for_possessive_dbpedia(
+        a: &Analyzer,
+        text: &str,
+        mut new: DocumentAnalysis,
+        mut old: DocumentAnalysis,
+    ) -> usize {
+        let mut fixed = 0;
+        let mentions = ner::recognize(text, a.catalog());
+        for (n, o) in new.entities.iter_mut().zip(&mut old.entities) {
+            let url = a
+                .catalog()
+                .by_id(&n.canonical)
+                .map(|r| r.dbpedia)
+                .unwrap_or_default();
+            assert_eq!(n.dbpedia, url, "{text:?}");
+            if n.dbpedia != o.dbpedia {
+                let first = mentions
+                    .iter()
+                    .find(|m| m.canonical == n.canonical)
+                    .unwrap();
+                assert!(
+                    o.dbpedia.is_empty()
+                        && first
+                            .surface
+                            .split(' ')
+                            .any(|w| w.to_lowercase().ends_with("'s")),
+                    "{text:?}: {n:?} vs {o:?}"
+                );
+                o.dbpedia = n.dbpedia.clone();
+                fixed += 1;
+            }
+        }
+        assert_eq!(new, old, "{text:?}");
+        fixed
+    }
+
+    #[test]
+    fn analysis_matches_the_old_grouping_oracle() {
+        let corpus = ner::oracle::corpus(0x5eed_0039, 1_000);
+        let configs = [
+            NluConfig::perfect(),
+            NluConfig::vendor("degraded", 0.6, 0.3),
+        ];
+        let mut fixed = 0;
+        // The gazetteer alone, and with user synonyms (the recognizer's
+        // oracle also covers a key that normalizes to nothing).
+        for (trie, map) in ner::oracle::catalogs().into_iter().take(2) {
+            let mut a = Analyzer::with_catalog(trie);
+            for text in corpus.iter().step_by(7) {
+                a.learn_document_frequencies(text);
+            }
+            for text in &corpus {
+                for config in &configs {
+                    let new = a.entities_and_relations(text, config);
+                    let old = old_entities_and_relations(&a, &map, text, config);
+                    fixed += agree_but_for_possessive_dbpedia(&a, text, new, old);
+                    let new = a.analyze(text, config);
+                    let old = old_analyze(&a, &map, text, config);
+                    agree_but_for_possessive_dbpedia(&a, text, new, old);
+                }
+            }
+        }
+        assert!(fixed > 100, "{fixed} possessive first mentions");
     }
 }

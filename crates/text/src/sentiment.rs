@@ -46,11 +46,11 @@ const INTENSIFIERS: &[(&str, f64)] = &[
 ];
 
 /// Scores a token window; the core shared by document and entity scoring.
-fn score_tokens(tokens: &[Token], lexicons: &Lexicons) -> Sentiment {
+/// `lowered[i]` is `tokens[i].lower()`.
+fn score_tokens(tokens: &[Token], lowered: &[String], lexicons: &Lexicons) -> Sentiment {
     let mut total = 0.0;
     let mut evidence = 0;
-    for (i, tok) in tokens.iter().enumerate() {
-        let w = tok.lower();
+    for (i, (tok, w)) in tokens.iter().zip(lowered).enumerate() {
         let Some(&weight) = lexicons.sentiment.get(w.as_str()) else {
             continue;
         };
@@ -58,14 +58,14 @@ fn score_tokens(tokens: &[Token], lexicons: &Lexicons) -> Sentiment {
         // Look back up to two tokens for negators/intensifiers, staying in
         // the same sentence.
         for back in 1..=2 {
-            let Some(prev) = i.checked_sub(back).map(|j| &tokens[j]) else {
+            let Some(j) = i.checked_sub(back) else {
                 break;
             };
-            if prev.sentence != tok.sentence {
+            if tokens[j].sentence != tok.sentence {
                 break;
             }
-            let pw = prev.lower();
-            if NEGATORS.contains(&pw.as_str()) || pw.ends_with("n't") {
+            let pw = lowered[j].as_str();
+            if NEGATORS.contains(&pw) || pw.ends_with("n't") {
                 value = -value * 0.8;
             } else if let Some(&(_, factor)) = INTENSIFIERS.iter().find(|(word, _)| *word == pw) {
                 value *= factor;
@@ -99,26 +99,96 @@ fn score_tokens(tokens: &[Token], lexicons: &Lexicons) -> Sentiment {
 /// assert_eq!(neg.label(), "negative");
 /// ```
 pub fn document(text: &str, lexicons: &Lexicons) -> Sentiment {
-    score_tokens(&tokenize(text), lexicons)
+    let tokens = tokenize(text);
+    let lowered: Vec<String> = tokens.iter().map(Token::lower).collect();
+    score_tokens(&tokens, &lowered, lexicons)
 }
 
 /// Targeted sentiment for one entity mention: scores the window of
 /// `window` tokens on each side of the mention, restricted to the
-/// mention's sentence.
+/// mention's sentence. `lowered[i]` is `tokens[i].lower()`.
 pub fn targeted(
     tokens: &[Token],
+    lowered: &[String],
     mention: &Mention,
     window: usize,
     lexicons: &Lexicons,
 ) -> Sentiment {
     let lo = mention.token_index.saturating_sub(window);
     let hi = (mention.token_index + mention.token_len + window).min(tokens.len());
-    let in_sentence: Vec<Token> = tokens[lo..hi]
-        .iter()
-        .filter(|t| t.sentence == mention.sentence)
-        .cloned()
-        .collect();
-    score_tokens(&in_sentence, lexicons)
+    // Sentence indices never decrease, so the window's tokens in the
+    // mention's sentence are one contiguous run.
+    let near = &tokens[lo..hi];
+    let start = lo + near.partition_point(|t| t.sentence < mention.sentence);
+    let end = lo + near.partition_point(|t| t.sentence <= mention.sentence);
+    score_tokens(&tokens[start..end], &lowered[start..end], lexicons)
+}
+
+/// The scorer as it was before callers passed lowered tokens in, kept as
+/// the oracle for the sub-slice window and the shared lowering.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// The window's same-sentence tokens, cloned and scored by a copy of
+    /// the old scorer, which lowers each token (and its look-backs) anew.
+    pub(crate) fn targeted(
+        tokens: &[Token],
+        mention: &Mention,
+        window: usize,
+        lexicons: &Lexicons,
+    ) -> Sentiment {
+        let lo = mention.token_index.saturating_sub(window);
+        let hi = (mention.token_index + mention.token_len + window).min(tokens.len());
+        let in_sentence: Vec<Token> = tokens[lo..hi]
+            .iter()
+            .filter(|t| t.sentence == mention.sentence)
+            .cloned()
+            .collect();
+        score_tokens(&in_sentence, lexicons)
+    }
+
+    /// Document sentiment through the old scorer.
+    pub(crate) fn document(text: &str, lexicons: &Lexicons) -> Sentiment {
+        score_tokens(&tokenize(text), lexicons)
+    }
+
+    fn score_tokens(tokens: &[Token], lexicons: &Lexicons) -> Sentiment {
+        let mut total = 0.0;
+        let mut evidence = 0;
+        for (i, tok) in tokens.iter().enumerate() {
+            let w = tok.lower();
+            let Some(&weight) = lexicons.sentiment.get(w.as_str()) else {
+                continue;
+            };
+            let mut value = weight;
+            for back in 1..=2 {
+                let Some(prev) = i.checked_sub(back).map(|j| &tokens[j]) else {
+                    break;
+                };
+                if prev.sentence != tok.sentence {
+                    break;
+                }
+                let pw = prev.lower();
+                if NEGATORS.contains(&pw.as_str()) || pw.ends_with("n't") {
+                    value = -value * 0.8;
+                } else if let Some(&(_, factor)) = INTENSIFIERS.iter().find(|(word, _)| *word == pw)
+                {
+                    value *= factor;
+                }
+            }
+            total += value;
+            evidence += 1;
+        }
+        if evidence == 0 {
+            return Sentiment::default();
+        }
+        let mean = total / evidence as f64;
+        Sentiment {
+            score: mean.clamp(-1.0, 1.0),
+            evidence,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -179,10 +249,11 @@ mod tests {
         let catalog = EntityCatalog::builtin();
         let text = "IBM reported excellent impressive growth. Microsoft suffered a terrible disappointing loss.";
         let tokens = tokenize(text);
+        let lowered: Vec<String> = tokens.iter().map(Token::lower).collect();
         let mentions = recognize_tokens(&tokens, &catalog);
         assert_eq!(mentions.len(), 2);
-        let ibm = targeted(&tokens, &mentions[0], 6, &lexicons);
-        let msft = targeted(&tokens, &mentions[1], 6, &lexicons);
+        let ibm = targeted(&tokens, &lowered, &mentions[0], 6, &lexicons);
+        let msft = targeted(&tokens, &lowered, &mentions[1], 6, &lexicons);
         assert!(ibm.score > 0.2, "ibm={ibm:?}");
         assert!(msft.score < -0.2, "msft={msft:?}");
     }
@@ -193,8 +264,9 @@ mod tests {
         let catalog = EntityCatalog::builtin();
         let text = "IBM";
         let tokens = tokenize(text);
+        let lowered: Vec<String> = tokens.iter().map(Token::lower).collect();
         let mentions = recognize_tokens(&tokens, &catalog);
-        let s = targeted(&tokens, &mentions[0], 10, &lexicons);
+        let s = targeted(&tokens, &lowered, &mentions[0], 10, &lexicons);
         assert_eq!(s.evidence, 0);
     }
 }
