@@ -6,8 +6,8 @@
 //! interning, a WAL append **with its own fsync**, and a full epoch
 //! publish. The pipelined loader amortizes the commit-side costs — one
 //! group-committed WAL append, one fsync, and one epoch publish per
-//! `batch_size` documents — and overlaps analysis with the commit
-//! stage. This ablation quantifies that on a real filesystem, where the
+//! `batch_size` documents — and analyzes later batches on the pool
+//! while the pusher commits earlier ones. This ablation quantifies that on a real filesystem, where the
 //! per-document fsync dominates the baseline exactly as it does in
 //! deployment:
 //!
@@ -96,7 +96,7 @@ fn sequential(docs: &[String]) -> (f64, u64) {
 /// digest, peak in-flight).
 fn pipelined(docs: &[String], workers: usize) -> (f64, u64, usize) {
     let (kb, dir) = durable_kb(&format!("pipe_w{workers}"));
-    let pool = ThreadPool::new(workers.max(1));
+    let pool = Arc::new(ThreadPool::new(workers.max(1)));
     let start = Instant::now();
     let report = kb
         .ingest_stream(
@@ -147,10 +147,10 @@ fn report() {
     }
 
     // Bounded memory under a stalled materializer: hold the store's
-    // read lock so the committer cannot take its write lock; the
-    // pipeline must park at the in-flight bound.
+    // read lock so the pusher's commit cannot take its write lock; the
+    // pusher must park at the in-flight bound.
     let kb = memory_kb();
-    let pool = ThreadPool::new(4);
+    let pool = Arc::new(ThreadPool::new(4));
     let bound = 96;
     let session = IngestSession::new(
         kb.clone(),
@@ -208,7 +208,7 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("ingest_pipelined_512", |b| {
         let docs = corpus(512);
-        let pool = ThreadPool::new(4);
+        let pool = Arc::new(ThreadPool::new(4));
         b.iter(|| {
             let kb = memory_kb();
             let report = kb

@@ -369,9 +369,45 @@ pub type QueryHandler = Box<dyn Fn(&HttpRequest) -> Result<JsonText, String> + S
 /// closure driving its streaming bulk loader (e.g. built with
 /// `cogsdk_kb::gateway_ingest_handler`). The handler receives the full
 /// request so it can honor tuning fields in the body (batch size, worker
-/// count, queue bounds); it returns the JSON ingest report, or an error
-/// message answered as a 400.
-pub type IngestHandler = Box<dyn Fn(&HttpRequest) -> Result<Json, String> + Send + Sync>;
+/// count, in-flight bound); it returns the JSON ingest report, or an
+/// [`IngestError`] carrying the status to answer.
+pub type IngestHandler = Box<dyn Fn(&HttpRequest) -> Result<Json, IngestError> + Send + Sync>;
+
+/// Why an [`IngestHandler`] refused a request. A message converted from
+/// a `String` or `&str` is the client's fault (400: a malformed body);
+/// [`IngestError::server`] is the server's (500: the store failed).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IngestError {
+    /// The status to answer.
+    pub status: u16,
+    /// The error message served in the body.
+    pub message: String,
+}
+
+impl IngestError {
+    /// A server-side failure, answered as a 500.
+    pub fn server(message: impl Into<String>) -> IngestError {
+        IngestError {
+            status: 500,
+            message: message.into(),
+        }
+    }
+}
+
+impl From<String> for IngestError {
+    fn from(message: String) -> IngestError {
+        IngestError {
+            status: 400,
+            message,
+        }
+    }
+}
+
+impl From<&str> for IngestError {
+    fn from(message: &str) -> IngestError {
+        IngestError::from(message.to_string())
+    }
+}
 
 /// The gateway: routes HTTP requests onto a shared [`RichSdk`].
 pub struct HttpGateway {
@@ -758,8 +794,8 @@ impl HttpGateway {
     }
 
     /// `POST /ingest/bulk`: streams the request's documents through the
-    /// attached bulk loader. Handler errors (bad bodies, failed commits)
-    /// answer 400.
+    /// attached bulk loader. A handler error answers its own status: 400
+    /// for a bad body, 500 for a failed commit.
     fn ingest_response(&self, request: &HttpRequest) -> HttpResponse {
         let handler = match &self.ingest {
             Some(handler) => handler,
@@ -767,7 +803,7 @@ impl HttpGateway {
         };
         match handler(request) {
             Ok(body) => HttpResponse::ok(body),
-            Err(e) => HttpResponse::error(400, e),
+            Err(e) => HttpResponse::error(e.status, e.message),
         }
     }
 

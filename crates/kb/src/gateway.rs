@@ -19,7 +19,7 @@
 use crate::ingest::{chunk_documents, IngestConfig};
 use crate::kb::PersonalKnowledgeBase;
 use crate::KbError;
-use cogsdk_core::gateway::{HttpRequest, IngestHandler, QueryHandler};
+use cogsdk_core::gateway::{HttpRequest, IngestError, IngestHandler, QueryHandler};
 use cogsdk_core::ThreadPool;
 use cogsdk_json::{write_display, Json, JsonText};
 use cogsdk_rdf::{EpochSnapshot, ExecPlan, Query, QueryStats};
@@ -185,7 +185,7 @@ fn stats_json(stats: &QueryStats) -> Json {
 /// Builds an [`IngestHandler`] for
 /// [`HttpGateway::set_ingest_handler`](cogsdk_core::HttpGateway::set_ingest_handler):
 /// `POST /ingest/bulk` streams the request's documents through the
-/// knowledge base's pipelined bulk loader
+/// knowledge base's batched bulk loader
 /// ([`PersonalKnowledgeBase::ingest_stream`]) on the shared thread pool.
 /// Body fields:
 ///
@@ -204,8 +204,10 @@ fn stats_json(stats: &QueryStats) -> Json {
 ///  "docs_per_sec": 8421.3, "peak_in_flight": 512}
 /// ```
 ///
-/// A commit failure answers as an error (the gateway serves it as a
-/// 400); batches acked before the failure remain durable.
+/// A malformed body answers 400. A commit failure answers 500; batches
+/// acked before the failure remain durable. Each batch of a request is
+/// analyzed by at most `workers` pool jobs, and never by more jobs than
+/// it has documents, so the tuning fields cannot flood the pool.
 pub fn gateway_ingest_handler(
     kb: Arc<PersonalKnowledgeBase>,
     pool: Arc<ThreadPool>,
@@ -223,7 +225,7 @@ pub fn gateway_ingest_handler(
         } else if let Some(text) = body.get("text").and_then(Json::as_str) {
             chunk_documents(text).map(str::to_string).collect()
         } else {
-            return Err("body needs a 'documents' array or a 'text' string".to_string());
+            return Err("body needs a 'documents' array or a 'text' string".into());
         };
         let mut config = IngestConfig::default();
         if let Some(n) = usize_field(&body, "batch_size")? {
@@ -237,7 +239,7 @@ pub fn gateway_ingest_handler(
         }
         let report = kb
             .ingest_stream(&pool, docs, config)
-            .map_err(|e| format!("ingest failed: {e}"))?;
+            .map_err(|e| IngestError::server(format!("ingest failed: {e}")))?;
         let mut out = Json::object();
         out.insert("documents", report.documents);
         out.insert("batches", report.batches);
@@ -642,14 +644,82 @@ mod tests {
         let handler = gateway_ingest_handler(sample_kb(), pool);
         assert!(handler(&post_ingest("not json"))
             .unwrap_err()
+            .message
             .starts_with("invalid JSON body"));
         assert!(handler(&post_ingest(r#"{"batch_size": 4}"#))
             .unwrap_err()
+            .message
             .contains("documents"));
         assert!(handler(&post_ingest(r#"{"documents": [42]}"#))
             .unwrap_err()
+            .message
             .contains("strings"));
     }
+
+    #[test]
+    fn ingest_submits_at_most_one_pool_job_per_document() {
+        let telemetry = cogsdk_obs::Telemetry::new();
+        let pool = Arc::new(cogsdk_core::ThreadPool::with_telemetry(
+            2,
+            telemetry.clone(),
+        ));
+        let handler = gateway_ingest_handler(sample_kb(), pool);
+        let out = handler(&post_ingest(
+            r#"{"documents": ["IBM acquired Oracle.", "Google praised Microsoft.",
+                "The USA praised the deal."], "workers": 64}"#,
+        ))
+        .unwrap();
+        assert_eq!(out.get("documents").and_then(Json::as_usize), Some(3));
+        let jobs = telemetry
+            .metrics()
+            .counter_value("pool_jobs_total", &[])
+            .unwrap_or(0);
+        assert!(jobs <= 3, "3 documents took {jobs} pool jobs");
+    }
+
+    /// A gateway answering `/ingest/bulk` into `kb`.
+    fn ingest_gateway(kb: Arc<PersonalKnowledgeBase>) -> cogsdk_core::HttpGateway {
+        let env = cogsdk_sim::SimEnv::with_seed(3);
+        let sdk = Arc::new(cogsdk_core::RichSdk::new(&env));
+        let mut gateway = cogsdk_core::HttpGateway::new(sdk);
+        let pool = Arc::new(cogsdk_core::ThreadPool::new(1));
+        gateway.set_ingest_handler(gateway_ingest_handler(kb, pool));
+        gateway
+    }
+
+    #[test]
+    fn ingest_accepts_tuning_fields_of_any_size() {
+        let kb = sample_kb();
+        let before = kb.statement_count();
+        let huge = 1_000_000_000_000_000usize;
+        let response = ingest_gateway(kb.clone()).handle(&post_ingest(&format!(
+            r#"{{"documents": ["IBM acquired Oracle."], "batch_size": {huge},
+                "workers": {huge}, "max_in_flight": {huge}}}"#
+        )));
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert!(kb.statement_count() > before);
+    }
+
+    #[test]
+    fn a_failed_ingest_commit_answers_500() {
+        let fs = Arc::new(cogsdk_sim::SimFs::new(21));
+        let kb = PersonalKnowledgeBase::open_durable_on(
+            fs.clone(),
+            Arc::new(MemoryKv::new()),
+            KbOptions::default(),
+            cogsdk_obs::Telemetry::disabled(),
+        )
+        .unwrap();
+        let gateway = ingest_gateway(Arc::new(kb));
+        // The batch's WAL append is the next storage operation.
+        fs.fail_after_ops(0);
+        let response = gateway.handle(&post_ingest(r#"{"documents": ["IBM acquired Oracle."]}"#));
+        assert_eq!(response.status, 500, "{}", response.body);
+        assert!(response.body.contains("ingest failed"), "{}", response.body);
+        // A malformed body is still the client's fault.
+        assert_eq!(gateway.handle(&post_ingest("not json")).status, 400);
+    }
+
     /// The ingest handler's error for a one-document body plus `flag`.
     fn ingest_flag_error(flag: &str) -> String {
         let pool = Arc::new(cogsdk_core::ThreadPool::new(1));
@@ -657,7 +727,7 @@ mod tests {
         let before = kb.statement_count();
         let handler = gateway_ingest_handler(kb.clone(), pool);
         let body = format!(r#"{{"documents": ["IBM acquired Oracle."], {flag}}}"#);
-        let err = handler(&post_ingest(&body)).unwrap_err();
+        let err = handler(&post_ingest(&body)).unwrap_err().message;
         assert_eq!(
             kb.statement_count(),
             before,

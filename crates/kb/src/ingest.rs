@@ -1,53 +1,49 @@
-//! Pipelined streaming bulk ingest — the Fig. 5 analytics loop gone wide.
+//! Streaming bulk ingest — the Fig. 5 analytics loop, one batch at a time.
 //!
 //! [`PersonalKnowledgeBase::ingest_text`] runs one document at a time:
 //! NLU analysis, term interning, the WAL group commit, and delta
 //! materialization all serialize on the caller's thread, and every
-//! document pays a full epoch publish. This module turns that loop into
-//! a staged pipeline:
+//! document pays a full epoch publish. This module batches that loop:
 //!
 //! ```text
-//!   parse ──► [analyze queue] ──► NLU workers ──► [reorder] ──► intern ──► [commit queue] ──► commit
-//!   (doc ids,    bounded          (SDK thread      (restore      (batched                    (one WAL group
-//!    chunking)                     pool fan-out)    input order)  TermDict::intern_all)       commit + one
-//!                                                                                             epoch publish
-//!                                                                                             per batch)
+//!   push ──► filling batch ──full──► ≤ workers pool jobs ──► FIFO of batches
+//!   (doc ids,                        (SDK ThreadPool:           │ oldest first, on the
+//!    chunking)                        NLU + statements          ▼ pusher's thread
+//!                                     per contiguous part)   intern (TermDict::intern_all)
+//!                                                            + one WAL group commit
+//!                                                            + one epoch publish
 //! ```
 //!
-//! * **Parse** — the caller's thread ([`IngestSession::push`] or the
-//!   [`PersonalKnowledgeBase::ingest_stream`] driver) chunks the input
-//!   into documents, assigns document ids in input order, and feeds a
-//!   bounded queue.
-//! * **Analyze** — a configurable number of workers on the SDK
-//!   [`ThreadPool`] run the cognitive-service analysis (under the KB's
-//!   configured [`NluConfig`], not a hardwired perfect profile) and
-//!   build each document's RDF statements.
-//! * **Intern** — completed documents are restored to input order and
-//!   grouped into batches; each batch's statements are interned into the
-//!   shared [`TermDict`](cogsdk_rdf::TermDict) *before* the store lock
-//!   is taken, once: the committer receives id triples.
-//! * **Commit** — one thread owns the store: each batch is exactly one
-//!   WAL group commit and one closure-complete epoch publish, so crash
-//!   recovery yields a durable *prefix of acked batches* — never a
-//!   half-applied batch. The commit works on ids throughout.
+//! * **Push** — the caller's thread ([`IngestSession::push`] or the
+//!   [`PersonalKnowledgeBase::ingest_stream`] driver) assigns document
+//!   ids in input order and appends each document to the filling batch.
+//! * **Analyze** — a full batch is split into at most
+//!   [`IngestConfig::workers`] contiguous parts, one job each on the SDK
+//!   [`ThreadPool`]. A job runs the cognitive-service analysis (under
+//!   the KB's configured [`NluConfig`], not a hardwired perfect profile)
+//!   and returns its part's RDF statements. The batch then waits in a
+//!   FIFO while later batches fill behind it.
+//! * **Intern + commit** — the pusher takes batches oldest first,
+//!   interns their parts in order into the shared [`TermDict`], and
+//!   commits the id triples: each batch is exactly one WAL group commit
+//!   and one closure-complete epoch publish, so crash recovery yields a
+//!   durable *prefix of acked batches* — never a half-applied batch.
 //!
-//! Every queue is bounded and a global credit gate caps in-flight
-//! documents at [`IngestConfig::max_in_flight`]: a slow stage throttles
-//! the stages upstream of it instead of ballooning memory. Stage depth,
-//! throughput, and stall time are published as `sdk_ingest_stage_*`
-//! metrics.
+//! At most [`IngestConfig::max_in_flight`] documents are pushed but not
+//! yet committed: at the bound, `push` commits the oldest batch before
+//! taking another document, so a slow store throttles the caller instead
+//! of ballooning memory. Stage depth, throughput, and the pusher's stall
+//! time are published as `sdk_ingest_stage_*` metrics.
 
 use crate::kb::PersonalKnowledgeBase;
 use crate::KbError;
-use cogsdk_core::ThreadPool;
+use cogsdk_core::{ListenableFuture, ThreadPool};
 use cogsdk_obs::tenant_labels;
-use cogsdk_rdf::{IdTriple, Statement, Term};
-use cogsdk_text::analysis::{DocumentAnalysis, NluConfig};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use cogsdk_rdf::{Statement, Term, TermDict};
+use cogsdk_text::analysis::{Analyzer, DocumentAnalysis, NluConfig};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// `rdf:type`, built once and shared across every ingested document
@@ -62,7 +58,7 @@ pub(crate) static KB_DOCUMENT: LazyLock<Term> = LazyLock::new(|| Term::iri("kb:D
 /// node, entity types, mentions with per-document sentiment, and
 /// extracted relations. Shared by the document-at-a-time
 /// [`PersonalKnowledgeBase::ingest_text_with`] and the streaming
-/// pipeline so both produce byte-identical knowledge.
+/// loader so both produce byte-identical knowledge.
 pub(crate) fn doc_statements(doc_id: usize, analysis: &DocumentAnalysis) -> Vec<Statement> {
     let doc = Term::iri(format!("kb:doc_{doc_id}"));
     let mut batch = Vec::with_capacity(1 + analysis.entities.len() * 3 + analysis.relations.len());
@@ -100,7 +96,7 @@ pub(crate) fn doc_statements(doc_id: usize, analysis: &DocumentAnalysis) -> Vec<
 }
 
 /// Splits a bulk text payload into documents on blank-line boundaries —
-/// the parse stage's chunker for corpus-shaped input (e.g. the gateway's
+/// the chunker for corpus-shaped input (e.g. the gateway's
 /// `text` body field).
 pub fn chunk_documents(text: &str) -> impl Iterator<Item = &str> {
     text.split("\n\n")
@@ -114,16 +110,15 @@ pub struct IngestConfig {
     /// Documents per committed batch: one WAL group commit and one epoch
     /// publish each. Clamped to at least 1.
     pub batch_size: usize,
-    /// Analysis workers fanned out on the SDK thread pool. Clamped to at
-    /// least 1. Each worker occupies one pool slot for the session's
-    /// lifetime, so keep `workers` below the pool size when the pool is
-    /// shared.
+    /// Most pool jobs one batch's analysis is split into (never more
+    /// than the batch has documents). Clamped to at least 1. A job holds
+    /// its pool slot only while it analyzes its part of one batch.
     pub workers: usize,
-    /// Hard cap on in-flight documents (parsed but not yet committed or
-    /// abandoned) — the pipeline's memory bound. Clamped to at least
+    /// Hard cap on in-flight documents (pushed but not yet committed or
+    /// abandoned) — the session's memory bound. Clamped to at least
     /// `batch_size` so a batch can always fill.
     pub max_in_flight: usize,
-    /// NLU quality profile for the analyze stage; `None` uses the
+    /// NLU quality profile for the analysis jobs; `None` uses the
     /// knowledge base's configured profile.
     pub nlu: Option<NluConfig>,
 }
@@ -159,7 +154,7 @@ pub struct IngestReport {
     pub batches: usize,
     /// Statements new to the full view across all committed batches.
     pub statements: usize,
-    /// Documents pushed into the pipeline (≥ `documents` on failure).
+    /// Documents pushed into the session (≥ `documents` on failure).
     pub pushed: usize,
     /// Wall-clock session time, push of the first document to finish.
     pub elapsed: Duration,
@@ -168,459 +163,182 @@ pub struct IngestReport {
     /// Peak in-flight documents observed — never exceeds
     /// [`IngestConfig::max_in_flight`].
     pub peak_in_flight: usize,
-    /// Time the parse stage spent blocked on the in-flight credit gate.
+    /// Time `push` spent at the in-flight bound, committing the oldest
+    /// batch before it could take another document.
     pub parse_stall: Duration,
-    /// Time the analyze stage spent blocked pushing into the reorder
-    /// queue.
-    pub analyze_stall: Duration,
-    /// Time the intern stage spent blocked pushing into the commit queue.
-    pub intern_stall: Duration,
 }
 
-/// A bounded MPMC queue: `push` blocks while full (recording the stall),
-/// `pop` blocks while empty until closed. Purpose-built so stage depth
-/// and stall time fall out of the structure itself.
-struct Bounded<T> {
-    inner: Mutex<BoundedInner<T>>,
-    capacity: usize,
-    not_full: Condvar,
-    not_empty: Condvar,
-    depth: AtomicUsize,
-    push_stall_ns: AtomicU64,
-}
-
-struct BoundedInner<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> Bounded<T> {
-    fn new(capacity: usize) -> Arc<Bounded<T>> {
-        Arc::new(Bounded {
-            inner: Mutex::new(BoundedInner {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            capacity: capacity.max(1),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            depth: AtomicUsize::new(0),
-            push_stall_ns: AtomicU64::new(0),
-        })
-    }
-
-    /// Enqueues, blocking while the queue is at capacity — this block is
-    /// the backpressure that throttles the upstream stage.
-    fn push(&self, item: T) {
-        let mut inner = self.inner.lock();
-        if inner.queue.len() >= self.capacity && !inner.closed {
-            let stalled = Instant::now();
-            while inner.queue.len() >= self.capacity && !inner.closed {
-                self.not_full.wait(&mut inner);
-            }
-            self.push_stall_ns
-                .fetch_add(stalled.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        inner.queue.push_back(item);
-        self.depth.store(inner.queue.len(), Ordering::Relaxed);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    /// Dequeues, blocking while empty; `None` once closed *and* drained.
-    fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(item) = inner.queue.pop_front() {
-                self.depth.store(inner.queue.len(), Ordering::Relaxed);
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            self.not_empty.wait(&mut inner);
-        }
-    }
-
-    /// Marks the queue closed; blocked producers and consumers wake.
-    fn close(&self) {
-        self.inner.lock().closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-
-    fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    fn stall(&self) -> Duration {
-        Duration::from_nanos(self.push_stall_ns.load(Ordering::Relaxed))
-    }
-}
-
-/// The global in-flight credit gate: one credit per parsed document,
-/// returned when the document's batch commits (or is abandoned after a
-/// failure). Because *every* stage's buffers hold only credited
-/// documents, peak pipeline memory is bounded by the credit count no
-/// matter which stage stalls.
-struct Credits {
-    available: Mutex<usize>,
-    freed: Condvar,
-    bound: usize,
-    peak_in_flight: AtomicUsize,
-    stall_ns: AtomicU64,
-}
-
-impl Credits {
-    fn new(bound: usize) -> Arc<Credits> {
-        Arc::new(Credits {
-            available: Mutex::new(bound),
-            freed: Condvar::new(),
-            bound,
-            peak_in_flight: AtomicUsize::new(0),
-            stall_ns: AtomicU64::new(0),
-        })
-    }
-
-    /// Takes one credit, blocking while none are free (the parse stage's
-    /// backpressure point).
-    fn acquire(&self) {
-        let mut available = self.available.lock();
-        if *available == 0 {
-            let stalled = Instant::now();
-            while *available == 0 {
-                self.freed.wait(&mut available);
-            }
-            self.stall_ns
-                .fetch_add(stalled.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        *available -= 1;
-        let in_flight = self.bound - *available;
-        drop(available);
-        self.peak_in_flight.fetch_max(in_flight, Ordering::Relaxed);
-    }
-
-    fn release(&self, n: usize) {
-        let mut available = self.available.lock();
-        *available = (*available + n).min(self.bound);
-        drop(available);
-        self.freed.notify_all();
-    }
-
-    fn in_flight(&self) -> usize {
-        self.bound - *self.available.lock()
-    }
-
-    fn peak(&self) -> usize {
-        self.peak_in_flight.load(Ordering::Relaxed)
-    }
-
-    fn stall(&self) -> Duration {
-        Duration::from_nanos(self.stall_ns.load(Ordering::Relaxed))
-    }
-}
-
-/// Cross-stage counters, shared by every stage thread and the watcher.
+/// Progress counters, shared by the session, its pool jobs and the
+/// watcher.
 #[derive(Default)]
 struct StageCounters {
-    parsed: AtomicU64,
-    analyzed: AtomicU64,
-    interned: AtomicU64,
-    committed_docs: AtomicU64,
-    committed_batches: AtomicU64,
-    committed_statements: AtomicU64,
+    parsed: AtomicUsize,
+    analyzed: AtomicUsize,
+    interned: AtomicUsize,
+    committed_docs: AtomicUsize,
+    committed_batches: AtomicUsize,
+    committed_statements: AtomicUsize,
+    in_flight: AtomicUsize,
+    peak_in_flight: AtomicUsize,
 }
 
 /// A clonable, read-only view of a running session's progress — safe to
 /// poll from another thread while the session owner is blocked pushing.
 #[derive(Clone)]
 pub struct IngestWatcher {
-    credits: Arc<Credits>,
     counters: Arc<StageCounters>,
 }
 
 impl IngestWatcher {
-    /// Documents currently in flight (parsed, not yet committed or
+    /// Documents currently in flight (pushed, not yet committed or
     /// abandoned).
     pub fn in_flight(&self) -> usize {
-        self.credits.in_flight()
+        self.counters.in_flight.load(Ordering::Relaxed)
     }
 
     /// Highest in-flight count observed so far.
     pub fn peak_in_flight(&self) -> usize {
-        self.credits.peak()
+        self.counters.peak_in_flight.load(Ordering::Relaxed)
     }
 
     /// Documents whose batch has committed so far.
     pub fn committed_documents(&self) -> usize {
-        self.counters.committed_docs.load(Ordering::Relaxed) as usize
+        self.counters.committed_docs.load(Ordering::Relaxed)
     }
 
     /// Documents analyzed so far.
     pub fn analyzed_documents(&self) -> usize {
-        self.counters.analyzed.load(Ordering::Relaxed) as usize
+        self.counters.analyzed.load(Ordering::Relaxed)
     }
 }
 
-struct AnalyzeJob {
-    index: usize,
-    doc_id: usize,
-    text: String,
-}
-
-struct PreparedBatch {
+/// A dispatched batch: its parts' analysis jobs, in document order.
+struct Batch {
     documents: usize,
-    triples: Vec<IdTriple>,
+    parts: Vec<ListenableFuture<Vec<Statement>>>,
 }
 
 /// A push-style streaming bulk-ingest session. Build one with
 /// [`IngestSession::new`], feed it documents with
-/// [`push`](IngestSession::push) (which blocks when the pipeline's
-/// in-flight bound is reached), and call
+/// [`push`](IngestSession::push) (which commits the oldest batch first
+/// when the in-flight bound is reached), and call
 /// [`finish`](IngestSession::finish) to drain and collect the report.
 ///
-/// Dropping a session without finishing shuts the pipeline down cleanly
-/// (committing whatever had reached the commit stage).
+/// Dropping a session without finishing commits every pushed document,
+/// as `finish` would.
 pub struct IngestSession {
     kb: Arc<PersonalKnowledgeBase>,
-    analyze_q: Arc<Bounded<AnalyzeJob>>,
-    done_q: Arc<Bounded<(usize, Vec<Statement>)>>,
-    commit_q: Arc<Bounded<PreparedBatch>>,
-    credits: Arc<Credits>,
+    pool: Arc<ThreadPool>,
+    analyzer: Arc<Analyzer>,
+    nlu: Arc<NluConfig>,
+    dict: TermDict,
+    config: IngestConfig,
+    /// The batch being filled: `(doc id, text)` in push order.
+    filling: Vec<(usize, String)>,
+    /// Dispatched batches, oldest first.
+    batches: VecDeque<Batch>,
     counters: Arc<StageCounters>,
-    failed: Arc<Mutex<Option<KbError>>>,
-    failed_flag: Arc<AtomicBool>,
-    workers: Vec<cogsdk_core::ListenableFuture<()>>,
-    batcher: Option<JoinHandle<()>>,
-    committer: Option<JoinHandle<()>>,
+    failure: Option<KbError>,
     started: Instant,
     pushed: usize,
+    parse_stall: Duration,
 }
 
 impl IngestSession {
-    /// Spins up the pipeline: `config.workers` analysis jobs on `pool`,
-    /// an intern/batcher thread, and a committer thread. The session
-    /// holds the knowledge base by `Arc` so the stages outlive the
-    /// caller's stack frame.
+    /// Opens a session that analyzes on `pool` and commits into `kb`.
+    /// Nothing runs until the first batch fills.
     pub fn new(
         kb: Arc<PersonalKnowledgeBase>,
-        pool: &ThreadPool,
+        pool: &Arc<ThreadPool>,
         config: IngestConfig,
     ) -> IngestSession {
         let config = config.normalized();
-        let nlu = config.nlu.clone().unwrap_or_else(|| kb.nlu_config());
-        let analyzer = kb.shared_analyzer();
-        let dict = kb.shared_dict();
-
-        let analyze_q: Arc<Bounded<AnalyzeJob>> = Bounded::new(config.max_in_flight);
-        let done_q = Bounded::new(config.max_in_flight);
-        let commit_q = Bounded::new((config.max_in_flight / config.batch_size).max(1));
-        let credits = Credits::new(config.max_in_flight);
-        let counters = Arc::new(StageCounters::default());
-        let failed = Arc::new(Mutex::new(None));
-        let failed_flag = Arc::new(AtomicBool::new(false));
-
-        // Analyze stage: NLU fan-out on the SDK pool. The last worker to
-        // drain the queue closes the reorder queue behind itself.
-        let live_workers = Arc::new(AtomicUsize::new(config.workers));
-        let workers = (0..config.workers)
-            .map(|_| {
-                let analyze_q = analyze_q.clone();
-                let done_q = done_q.clone();
-                let analyzer = analyzer.clone();
-                let nlu = nlu.clone();
-                let counters = counters.clone();
-                let live = live_workers.clone();
-                pool.submit(move || {
-                    while let Some(job) = analyze_q.pop() {
-                        let analysis = analyzer.entities_and_relations(&job.text, &nlu);
-                        counters.analyzed.fetch_add(1, Ordering::Relaxed);
-                        done_q.push((job.index, doc_statements(job.doc_id, &analysis)));
-                    }
-                    if live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        done_q.close();
-                    }
-                })
-            })
-            .collect();
-
-        // Intern stage: restore input order, group into batches, intern
-        // each batch's terms into the shared dictionary *off* the store
-        // lock, hand the prepared batch to the committer.
-        let batcher = {
-            let dict = dict.clone();
-            let done_q = done_q.clone();
-            let commit_q = commit_q.clone();
-            let counters = counters.clone();
-            let batch_size = config.batch_size;
-            std::thread::Builder::new()
-                .name("cogsdk-ingest-intern".into())
-                .spawn(move || {
-                    let mut reorder: BTreeMap<usize, Vec<Statement>> = BTreeMap::new();
-                    let mut next = 0usize;
-                    let mut pending_docs = 0usize;
-                    let mut pending: Vec<Statement> = Vec::new();
-                    let flush = |pending: &mut Vec<Statement>, pending_docs: &mut usize| {
-                        if *pending_docs == 0 {
-                            return;
-                        }
-                        let triples = dict.intern_all(&std::mem::take(pending));
-                        counters
-                            .interned
-                            .fetch_add(*pending_docs as u64, Ordering::Relaxed);
-                        commit_q.push(PreparedBatch {
-                            documents: std::mem::take(pending_docs),
-                            triples,
-                        });
-                    };
-                    while let Some((index, statements)) = done_q.pop() {
-                        reorder.insert(index, statements);
-                        while let Some(statements) = reorder.remove(&next) {
-                            next += 1;
-                            pending.extend(statements);
-                            pending_docs += 1;
-                            if pending_docs == batch_size {
-                                flush(&mut pending, &mut pending_docs);
-                            }
-                        }
-                    }
-                    flush(&mut pending, &mut pending_docs);
-                    commit_q.close();
-                })
-                .expect("spawn ingest intern thread")
-        };
-
-        // Commit stage: the single store owner. One WAL group commit and
-        // one epoch publish per batch; the first failure stops all
-        // further commits (preserving the acked-prefix crash contract)
-        // but keeps draining so upstream stages unwind instead of
-        // deadlocking on credits.
-        let committer = {
-            let kb = kb.clone();
-            let commit_q = commit_q.clone();
-            let credits = credits.clone();
-            let counters = counters.clone();
-            let failed = failed.clone();
-            let failed_flag = failed_flag.clone();
-            let analyze_q = analyze_q.clone();
-            let done_q = done_q.clone();
-            std::thread::Builder::new()
-                .name("cogsdk-ingest-commit".into())
-                .spawn(move || {
-                    while let Some(batch) = commit_q.pop() {
-                        if !failed_flag.load(Ordering::Acquire) {
-                            match kb.commit_ingest_batch(&dict, &batch.triples) {
-                                Ok(added) => {
-                                    counters
-                                        .committed_docs
-                                        .fetch_add(batch.documents as u64, Ordering::Relaxed);
-                                    counters.committed_batches.fetch_add(1, Ordering::Relaxed);
-                                    counters
-                                        .committed_statements
-                                        .fetch_add(added as u64, Ordering::Relaxed);
-                                }
-                                Err(e) => {
-                                    *failed.lock() = Some(e);
-                                    failed_flag.store(true, Ordering::Release);
-                                }
-                            }
-                        }
-                        credits.release(batch.documents);
-                        publish_stage_metrics(
-                            &kb, &counters, &analyze_q, &done_q, &commit_q, &credits,
-                        );
-                    }
-                })
-                .expect("spawn ingest commit thread")
-        };
-
+        let nlu = Arc::new(config.nlu.clone().unwrap_or_else(|| kb.nlu_config()));
         IngestSession {
+            analyzer: kb.shared_analyzer(),
+            dict: kb.shared_dict(),
             kb,
-            analyze_q,
-            done_q,
-            commit_q,
-            credits,
-            counters,
-            failed,
-            failed_flag,
-            workers,
-            batcher: Some(batcher),
-            committer: Some(committer),
+            pool: pool.clone(),
+            nlu,
+            config,
+            filling: Vec::new(),
+            batches: VecDeque::new(),
+            counters: Arc::new(StageCounters::default()),
+            failure: None,
             started: Instant::now(),
             pushed: 0,
+            parse_stall: Duration::ZERO,
         }
     }
 
-    /// Feeds one document into the pipeline, blocking while the
-    /// in-flight bound is reached (backpressure). Fails fast once a
-    /// commit has failed — later documents would never be acked.
+    /// Takes one document. At the in-flight bound it first commits the
+    /// oldest batch (backpressure); a full batch is dispatched to the
+    /// pool. Fails fast once a commit has failed — later documents would
+    /// never be acked.
     ///
     /// # Errors
     ///
-    /// The committer's first error, once one occurred.
+    /// The first commit error, once one occurred.
     pub fn push(&mut self, doc: impl Into<String>) -> Result<(), KbError> {
+        if self.in_flight() >= self.config.max_in_flight {
+            let stalled = Instant::now();
+            while self.in_flight() >= self.config.max_in_flight && !self.batches.is_empty() {
+                self.commit_oldest();
+            }
+            self.parse_stall += stalled.elapsed();
+        }
         if let Some(e) = self.failure() {
             return Err(e);
         }
-        self.credits.acquire();
-        if let Some(e) = self.failure() {
-            self.credits.release(1);
-            return Err(e);
-        }
-        let doc_id = self.kb.allocate_doc_id();
-        self.analyze_q.push(AnalyzeJob {
-            index: self.pushed,
-            doc_id,
-            text: doc.into(),
-        });
+        self.filling.push((self.kb.allocate_doc_id(), doc.into()));
         self.pushed += 1;
         self.counters.parsed.fetch_add(1, Ordering::Relaxed);
+        let in_flight = self.counters.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.counters
+            .peak_in_flight
+            .fetch_max(in_flight, Ordering::Relaxed);
+        if self.filling.len() == self.config.batch_size {
+            self.dispatch();
+        }
         Ok(())
     }
 
-    /// The committer's first error, if any.
+    /// The first commit error, if any.
     pub fn failure(&self) -> Option<KbError> {
-        if !self.failed_flag.load(Ordering::Acquire) {
-            return None;
-        }
-        self.failed.lock().clone()
+        self.failure.clone()
     }
 
     /// A clonable progress handle, safe to poll from other threads.
     pub fn watcher(&self) -> IngestWatcher {
         IngestWatcher {
-            credits: self.credits.clone(),
             counters: self.counters.clone(),
         }
     }
 
     /// Documents currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.credits.in_flight()
+        self.counters.in_flight.load(Ordering::Relaxed)
     }
 
-    /// Drains the pipeline and reports. On a commit failure the report
-    /// still describes the acked prefix; the error rides alongside.
+    /// Commits everything pushed and reports. On a commit failure the
+    /// report still describes the acked prefix; the error rides
+    /// alongside.
     pub fn finish_detailed(mut self) -> (IngestReport, Option<KbError>) {
-        self.shutdown();
-        let error = self.failure();
+        self.drain();
         let elapsed = self.started.elapsed();
-        let documents = self.counters.committed_docs.load(Ordering::Relaxed) as usize;
+        let counters = &self.counters;
+        let documents = counters.committed_docs.load(Ordering::Relaxed);
         let report = IngestReport {
             documents,
-            batches: self.counters.committed_batches.load(Ordering::Relaxed) as usize,
-            statements: self.counters.committed_statements.load(Ordering::Relaxed) as usize,
+            batches: counters.committed_batches.load(Ordering::Relaxed),
+            statements: counters.committed_statements.load(Ordering::Relaxed),
             pushed: self.pushed,
             elapsed,
             docs_per_sec: documents as f64 / elapsed.as_secs_f64().max(1e-9),
-            peak_in_flight: self.credits.peak(),
-            parse_stall: self.credits.stall(),
-            analyze_stall: self.done_q.stall(),
-            intern_stall: self.commit_q.stall(),
+            peak_in_flight: counters.peak_in_flight.load(Ordering::Relaxed),
+            parse_stall: self.parse_stall,
         };
-        (report, error)
+        (report, self.failure())
     }
 
     /// As [`finish_detailed`](Self::finish_detailed), erroring if any
@@ -628,7 +346,7 @@ impl IngestSession {
     ///
     /// # Errors
     ///
-    /// The committer's first error; the acked prefix is still durable.
+    /// The first commit error; the acked prefix is still durable.
     pub fn finish(self) -> Result<IngestReport, KbError> {
         let (report, error) = self.finish_detailed();
         match error {
@@ -637,33 +355,87 @@ impl IngestSession {
         }
     }
 
-    /// Closes the intake and joins every stage. Idempotent; shared by
-    /// `finish_detailed` and `Drop`.
-    fn shutdown(&mut self) {
-        self.analyze_q.close();
-        for worker in self.workers.drain(..) {
-            worker.wait();
+    /// Splits the filling batch into at most `workers` contiguous parts
+    /// and submits one analysis job per part.
+    fn dispatch(&mut self) {
+        let documents = self.filling.len();
+        if documents == 0 {
+            return;
         }
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
+        let per_part = documents.div_ceil(self.config.workers.min(documents));
+        let mut docs = std::mem::take(&mut self.filling).into_iter();
+        let parts = (0..documents.div_ceil(per_part))
+            .map(|_| {
+                let part: Vec<(usize, String)> = docs.by_ref().take(per_part).collect();
+                let analyzer = self.analyzer.clone();
+                let nlu = self.nlu.clone();
+                let counters = self.counters.clone();
+                self.pool.submit(move || {
+                    let mut statements = Vec::new();
+                    for (doc_id, text) in &part {
+                        let analysis = analyzer.entities_and_relations(text, &nlu);
+                        statements.extend(doc_statements(*doc_id, &analysis));
+                        counters.analyzed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    statements
+                })
+            })
+            .collect();
+        self.batches.push_back(Batch { documents, parts });
+    }
+
+    /// Waits for the oldest batch's analysis, interns its parts in
+    /// order and commits it: one WAL group commit and one epoch publish.
+    /// The first failure abandons every later batch (preserving the
+    /// acked-prefix crash contract).
+    fn commit_oldest(&mut self) {
+        let Some(batch) = self.batches.pop_front() else {
+            return;
+        };
+        let mut triples = Vec::new();
+        for part in &batch.parts {
+            triples.extend(self.dict.intern_all(&part.wait()));
         }
-        if let Some(committer) = self.committer.take() {
-            let _ = committer.join();
+        let counters = &self.counters;
+        counters
+            .interned
+            .fetch_add(batch.documents, Ordering::Relaxed);
+        let released = match self.kb.commit_ingest_batch(&self.dict, &triples) {
+            Ok(added) => {
+                counters
+                    .committed_docs
+                    .fetch_add(batch.documents, Ordering::Relaxed);
+                counters.committed_batches.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .committed_statements
+                    .fetch_add(added, Ordering::Relaxed);
+                batch.documents
+            }
+            Err(e) => {
+                self.failure = Some(e);
+                let abandoned: usize = self.batches.drain(..).map(|b| b.documents).sum();
+                let unsent = std::mem::take(&mut self.filling).len();
+                batch.documents + abandoned + unsent
+            }
+        };
+        counters.in_flight.fetch_sub(released, Ordering::Relaxed);
+        publish_stage_metrics(&self.kb, counters, self.parse_stall);
+    }
+
+    /// Dispatches the partial batch and commits every batch. Idempotent;
+    /// shared by `finish_detailed` and `Drop`.
+    fn drain(&mut self) {
+        self.dispatch();
+        while !self.batches.is_empty() {
+            self.commit_oldest();
         }
-        publish_stage_metrics(
-            &self.kb,
-            &self.counters,
-            &self.analyze_q,
-            &self.done_q,
-            &self.commit_q,
-            &self.credits,
-        );
+        publish_stage_metrics(&self.kb, &self.counters, self.parse_stall);
     }
 }
 
 impl Drop for IngestSession {
     fn drop(&mut self) {
-        self.shutdown();
+        self.drain();
     }
 }
 
@@ -676,28 +448,31 @@ impl std::fmt::Debug for IngestSession {
     }
 }
 
-/// Publishes the pipeline's per-stage depth, throughput, and stall-time
-/// gauges as `sdk_ingest_stage_*` metrics, tenant-labeled when the base
-/// is attributed to one. Everything is a `set`-style gauge over the
-/// session's monotone atomics, so republishing per batch overwrites
-/// rather than double counts.
+/// Publishes the session's per-stage depth and throughput, the pusher's
+/// stall time, and the commit totals as `sdk_ingest_*` gauges,
+/// tenant-labeled when the base is attributed to one. A stage's depth
+/// is the documents it has taken but not handed on. Everything is a
+/// `set`-style gauge over the session's monotone counters, so
+/// republishing per batch overwrites rather than double counts.
 fn publish_stage_metrics(
     kb: &PersonalKnowledgeBase,
     counters: &StageCounters,
-    analyze_q: &Bounded<AnalyzeJob>,
-    done_q: &Bounded<(usize, Vec<Statement>)>,
-    commit_q: &Bounded<PreparedBatch>,
-    credits: &Credits,
+    parse_stall: Duration,
 ) {
     let Some((metrics, tenant)) = kb.ingest_metrics_handle() else {
         return;
     };
     let tenant = tenant.unwrap_or("");
     let labeled = |stage: &'static str| [("stage", stage), ("tenant", tenant)];
+    let count = |counter: &AtomicUsize| counter.load(Ordering::Relaxed);
+    let parsed = count(&counters.parsed);
+    let analyzed = count(&counters.analyzed);
+    let interned = count(&counters.interned);
+    let committed = count(&counters.committed_docs);
     for (stage, depth) in [
-        ("analyze", analyze_q.depth()),
-        ("intern", done_q.depth()),
-        ("commit", commit_q.depth()),
+        ("analyze", parsed.saturating_sub(analyzed)),
+        ("intern", analyzed.saturating_sub(interned)),
+        ("commit", interned.saturating_sub(committed)),
     ] {
         metrics.set_gauge(
             "sdk_ingest_stage_depth",
@@ -706,10 +481,10 @@ fn publish_stage_metrics(
         );
     }
     for (stage, docs) in [
-        ("parse", counters.parsed.load(Ordering::Relaxed)),
-        ("analyze", counters.analyzed.load(Ordering::Relaxed)),
-        ("intern", counters.interned.load(Ordering::Relaxed)),
-        ("commit", counters.committed_docs.load(Ordering::Relaxed)),
+        ("parse", parsed),
+        ("analyze", analyzed),
+        ("intern", interned),
+        ("commit", committed),
     ] {
         metrics.set_gauge(
             "sdk_ingest_stage_docs",
@@ -717,42 +492,33 @@ fn publish_stage_metrics(
             docs as f64,
         );
     }
-    for (stage, stall) in [
-        ("parse", credits.stall()),
-        ("analyze", done_q.stall()),
-        ("intern", commit_q.stall()),
-    ] {
-        metrics.set_gauge(
-            "sdk_ingest_stage_stall_ms",
-            tenant_labels(&labeled(stage)),
-            stall.as_secs_f64() * 1e3,
-        );
-    }
+    metrics.set_gauge(
+        "sdk_ingest_stage_stall_ms",
+        tenant_labels(&labeled("parse")),
+        parse_stall.as_secs_f64() * 1e3,
+    );
     let base = [("tenant", tenant)];
-    let base = tenant_labels(&base);
-    metrics.set_gauge("sdk_ingest_in_flight", base, credits.in_flight() as f64);
-    metrics.set_gauge(
-        "sdk_ingest_committed_documents",
-        base,
-        counters.committed_docs.load(Ordering::Relaxed) as f64,
-    );
-    metrics.set_gauge(
-        "sdk_ingest_committed_batches",
-        base,
-        counters.committed_batches.load(Ordering::Relaxed) as f64,
-    );
-    metrics.set_gauge(
-        "sdk_ingest_committed_statements",
-        base,
-        counters.committed_statements.load(Ordering::Relaxed) as f64,
-    );
+    for (name, value) in [
+        ("sdk_ingest_in_flight", count(&counters.in_flight)),
+        ("sdk_ingest_committed_documents", committed),
+        (
+            "sdk_ingest_committed_batches",
+            count(&counters.committed_batches),
+        ),
+        (
+            "sdk_ingest_committed_statements",
+            count(&counters.committed_statements),
+        ),
+    ] {
+        metrics.set_gauge(name, tenant_labels(&base), value as f64);
+    }
 }
 
 impl PersonalKnowledgeBase {
-    /// Streaming bulk ingest: drives `docs` through the staged pipeline
-    /// (chunked parse → parallel NLU on `pool` → batched interning →
-    /// grouped WAL commit + epoch publish per batch) and blocks until
-    /// every document is committed. Equivalent to calling
+    /// Streaming bulk ingest: drives `docs` through an [`IngestSession`]
+    /// (parallel NLU on `pool` per batch → interning → one WAL group
+    /// commit + one epoch publish per batch) and blocks until every
+    /// document is committed. Equivalent to calling
     /// [`ingest_text`](Self::ingest_text) per document — same statements,
     /// same document ids, same final epoch contents — but each committed
     /// batch costs one group commit and one epoch publish instead of one
@@ -769,7 +535,7 @@ impl PersonalKnowledgeBase {
     /// the acked-prefix report alongside the error.
     pub fn ingest_stream<I, S>(
         self: &Arc<Self>,
-        pool: &ThreadPool,
+        pool: &Arc<ThreadPool>,
         docs: I,
         config: IngestConfig,
     ) -> Result<IngestReport, KbError>

@@ -1945,7 +1945,7 @@ mod tests {
             workers: 2,
             ..IngestConfig::default()
         };
-        let pool = cogsdk_core::ThreadPool::new(2);
+        let pool = Arc::new(cogsdk_core::ThreadPool::new(2));
         let report = Arc::new(open(&by_id))
             .ingest_stream(&pool, docs, config)
             .unwrap();

@@ -8,9 +8,11 @@
 //!    failure loses only unacked batches: the reopened base equals a
 //!    from-scratch sequential ingest of exactly the acked documents,
 //!    closure included.
-//! 3. **Bounded memory** — with the materializer stage deliberately
-//!    stalled (the store's write lock held by a reader), in-flight
-//!    documents never exceed the configured bound.
+//! 3. **Bounded memory** — with the materializer deliberately stalled
+//!    (the store's write lock held by a reader), in-flight documents
+//!    never exceed the configured bound.
+//! 4. **Pool use** — a session holds no pool slot between batches, and
+//!    dropping one unfinished commits everything pushed.
 
 use cogsdk_core::ThreadPool;
 use cogsdk_kb::{IngestConfig, IngestSession, KbOptions, PersonalKnowledgeBase};
@@ -52,7 +54,7 @@ fn pipelined_ingest_equals_sequential_ingest() {
     }
 
     let pipelined = memory_kb();
-    let pool = ThreadPool::new(4);
+    let pool = Arc::new(ThreadPool::new(4));
     let report = pipelined
         .ingest_stream(
             &pool,
@@ -91,7 +93,7 @@ fn pipelined_ingest_matches_sequential_under_degraded_nlu() {
     }
 
     let pipelined = memory_kb();
-    let pool = ThreadPool::new(4);
+    let pool = Arc::new(ThreadPool::new(4));
     pipelined
         .ingest_stream(
             &pool,
@@ -146,7 +148,7 @@ fn intra_batch_duplicate_statements_do_not_double_count() {
     sequential.ingest_text(doc).unwrap();
 
     let pipelined = memory_kb();
-    let pool = ThreadPool::new(2);
+    let pool = Arc::new(ThreadPool::new(2));
     let report = pipelined
         .ingest_stream(
             &pool,
@@ -184,7 +186,7 @@ fn seeded_crash_mid_stream_recovers_exact_prefix_of_acked_batches() {
     let fs = Arc::new(SimFs::new(77));
     let kb = Arc::new(open(fs.clone()));
     kb.infer_rdfs().unwrap();
-    let pool = ThreadPool::new(2);
+    let pool = Arc::new(ThreadPool::new(2));
     let config = IngestConfig {
         batch_size,
         workers: 2,
@@ -247,7 +249,7 @@ fn seeded_crash_mid_stream_recovers_exact_prefix_of_acked_batches() {
 #[test]
 fn backpressure_bounds_in_flight_documents_under_a_stalled_materializer() {
     let kb = memory_kb();
-    let pool = ThreadPool::new(4);
+    let pool = Arc::new(ThreadPool::new(4));
     let max_in_flight = 24;
     let total = 300;
     let session = IngestSession::new(
@@ -271,8 +273,8 @@ fn backpressure_bounds_in_flight_documents_under_a_stalled_materializer() {
     });
 
     // Stall the materializer: holding the graph's read lock blocks the
-    // committer's write lock, so nothing can drain. The pipeline must
-    // park at the in-flight bound instead of buffering every document.
+    // commit's write lock, so nothing can drain. The pusher must park at
+    // the in-flight bound instead of buffering every document.
     kb.with_graph(|_| {
         // A commit already past the lock may still be counting; let it
         // settle, then the count must freeze for as long as we hold on.
@@ -306,7 +308,7 @@ fn backpressure_bounds_in_flight_documents_under_a_stalled_materializer() {
         "peak {} exceeded bound {max_in_flight}",
         report.peak_in_flight
     );
-    // The stall was charged to the stages that experienced it.
+    // The stall was charged to the pusher, which experienced it.
     assert!(report.parse_stall > Duration::ZERO);
 }
 
@@ -321,7 +323,7 @@ fn stage_metrics_are_published_per_batch() {
         )
         .for_tenant("acme"),
     );
-    let pool = ThreadPool::new(2);
+    let pool = Arc::new(ThreadPool::new(2));
     let docs = corpus(40);
     let report = kb
         .ingest_stream(
@@ -353,14 +355,12 @@ fn stage_metrics_are_published_per_batch() {
             "stage {stage} depth gauge"
         );
     }
-    for stage in ["parse", "analyze", "intern"] {
-        assert!(
-            metrics
-                .gauge_value("sdk_ingest_stage_stall_ms", &labels(stage))
-                .is_some(),
-            "stage {stage} stall gauge"
-        );
-    }
+    assert!(
+        metrics
+            .gauge_value("sdk_ingest_stage_stall_ms", &labels("parse"))
+            .is_some(),
+        "the pusher's stall gauge"
+    );
     assert_eq!(
         metrics.gauge_value("sdk_ingest_committed_documents", &[("tenant", "acme")]),
         Some(40.0)
@@ -374,4 +374,60 @@ fn stage_metrics_are_published_per_batch() {
         Some(0.0),
         "everything drained at finish"
     );
+}
+
+#[test]
+fn a_pool_job_runs_while_a_session_fills_its_batch() {
+    let kb = memory_kb();
+    let pool = Arc::new(ThreadPool::new(1));
+    let mut session = IngestSession::new(
+        kb,
+        &pool,
+        IngestConfig {
+            batch_size: 16,
+            workers: 1,
+            max_in_flight: 16,
+            nlu: None,
+        },
+    );
+    for d in corpus(5) {
+        session.push(d).unwrap();
+    }
+    // Five of sixteen documents: no batch is full, so the session must
+    // not be holding the pool's only slot.
+    let job = pool.submit(|| 7);
+    assert_eq!(
+        job.wait_timeout(Duration::from_secs(2)).as_deref(),
+        Some(&7),
+        "a pool job starved behind an idle ingest session"
+    );
+    assert_eq!(session.finish().unwrap().documents, 5);
+}
+
+#[test]
+fn dropping_an_unfinished_session_commits_every_pushed_document() {
+    let docs = corpus(45);
+    let config = IngestConfig {
+        batch_size: 8,
+        workers: 2,
+        max_in_flight: 16,
+        nlu: None,
+    };
+    let pool = Arc::new(ThreadPool::new(2));
+
+    let finished = memory_kb();
+    let report = finished
+        .ingest_stream(&pool, docs.clone(), config.clone())
+        .unwrap();
+    assert_eq!(report.documents, docs.len());
+
+    let dropped = memory_kb();
+    let mut session = IngestSession::new(dropped.clone(), &pool, config);
+    for d in docs {
+        session.push(d).unwrap();
+    }
+    assert!(session.in_flight() > 0, "the drop has work left to commit");
+    drop(session);
+    assert_eq!(dropped.statement_count(), finished.statement_count());
+    assert_eq!(dropped.contents_digest(), finished.contents_digest());
 }
