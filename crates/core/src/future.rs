@@ -8,12 +8,55 @@
 //! ([`is_done`](ListenableFuture::is_done)), block
 //! ([`wait`](ListenableFuture::wait)), and
 //! [`add_listener`](ListenableFuture::add_listener).
+//!
+//! A future whose computation panicked completes *poisoned* with a
+//! [`JobPanicked`] marker instead of a value: [`join`](ListenableFuture::join)
+//! returns it as an error, the value accessors re-raise it in the caller,
+//! and nobody waits forever.
 
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-type Listener<T> = Box<dyn FnOnce(&T) + Send>;
+type Listener<T> = Box<dyn FnOnce(Result<&T, &JobPanicked>) + Send>;
+
+/// The marker a future completes with when its computation panicked
+/// (a [`ThreadPool`](crate::ThreadPool) job, or a [`map`](ListenableFuture::map)
+/// over a poisoned future). Carries the panic message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobPanicked {
+    message: String,
+}
+
+impl JobPanicked {
+    /// The marker for a caught panic `payload` (as `catch_unwind` returns
+    /// it): its message when it is a string, a placeholder otherwise.
+    pub(crate) fn from_payload(payload: &(dyn Any + Send)) -> JobPanicked {
+        let message = match payload.downcast_ref::<&str>() {
+            Some(s) => (*s).to_string(),
+            None => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        };
+        JobPanicked { message }
+    }
+
+    /// The panic message.
+    pub fn message(&self) -> &str {
+        &self.message
+    }
+}
+
+impl fmt::Display for JobPanicked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "job panicked: {}", self.message)
+    }
+}
+
+impl std::error::Error for JobPanicked {}
 
 struct Shared<T> {
     state: Mutex<State<T>>,
@@ -21,7 +64,7 @@ struct Shared<T> {
 }
 
 struct State<T> {
-    value: Option<Arc<T>>,
+    outcome: Option<Result<Arc<T>, JobPanicked>>,
     listeners: Vec<Listener<T>>,
 }
 
@@ -64,7 +107,7 @@ impl<T> Clone for ListenableFuture<T> {
 
 impl<T> std::fmt::Debug for ListenableFuture<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let done = self.shared.state.lock().value.is_some();
+        let done = self.shared.state.lock().outcome.is_some();
         f.debug_struct("ListenableFuture")
             .field("done", &done)
             .finish()
@@ -77,13 +120,21 @@ impl<T: Send + Sync + 'static> Default for ListenableFuture<T> {
     }
 }
 
+/// The value of a settled outcome; re-raises a poisoned one's panic.
+fn value_of<T>(outcome: &Result<Arc<T>, JobPanicked>) -> Arc<T> {
+    match outcome {
+        Ok(value) => value.clone(),
+        Err(panicked) => panic!("{panicked}"),
+    }
+}
+
 impl<T: Send + Sync + 'static> ListenableFuture<T> {
     /// Creates an incomplete future.
     pub fn new() -> ListenableFuture<T> {
         ListenableFuture {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
-                    value: None,
+                    outcome: None,
                     listeners: Vec::new(),
                 }),
                 ready: Condvar::new(),
@@ -105,44 +156,83 @@ impl<T: Send + Sync + 'static> ListenableFuture<T> {
     /// Panics if the future is already complete — completing twice is
     /// always a caller bug.
     pub fn complete(&self, value: T) {
+        self.settle(Ok(Arc::new(value)));
+    }
+
+    /// Completes the future poisoned: waiters wake, [`join`](Self::join)
+    /// returns `panicked`, and listeners registered through
+    /// [`add_listener`](Self::add_listener) are dropped unrun.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the future is already complete.
+    pub(crate) fn poison(&self, panicked: JobPanicked) {
+        self.settle(Err(panicked));
+    }
+
+    fn settle(&self, outcome: Result<Arc<T>, JobPanicked>) {
         let listeners;
-        let arc = Arc::new(value);
         {
             let mut state = self.shared.state.lock();
-            assert!(state.value.is_none(), "future completed twice");
-            state.value = Some(arc.clone());
+            assert!(state.outcome.is_none(), "future completed twice");
+            state.outcome = Some(outcome.clone());
             listeners = std::mem::take(&mut state.listeners);
         }
         self.shared.ready.notify_all();
         for listener in listeners {
-            listener(&arc);
+            listener(outcome.as_deref());
         }
     }
 
-    /// Whether the computation has finished.
+    /// Whether the computation has finished (poisoned included).
     pub fn is_done(&self) -> bool {
-        self.shared.state.lock().value.is_some()
+        self.shared.state.lock().outcome.is_some()
     }
 
     /// Retrieves the result if complete (non-blocking).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the computation's panic if the future is poisoned.
     pub fn poll(&self) -> Option<Arc<T>> {
-        self.shared.state.lock().value.clone()
+        self.shared.state.lock().outcome.as_ref().map(value_of)
     }
 
     /// Blocks until the result is available.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the computation's panic if the future is poisoned; use
+    /// [`join`](Self::join) to handle it as a value.
     pub fn wait(&self) -> Arc<T> {
+        value_of(&self.join())
+    }
+
+    /// Blocks until the future completes: the result, or the marker of
+    /// the panic that poisoned it.
+    ///
+    /// # Errors
+    ///
+    /// [`JobPanicked`] if the computation panicked.
+    pub fn join(&self) -> Result<Arc<T>, JobPanicked> {
         let mut state = self.shared.state.lock();
-        while state.value.is_none() {
+        loop {
+            if let Some(outcome) = &state.outcome {
+                return outcome.clone();
+            }
             self.shared.ready.wait(&mut state);
         }
-        state.value.clone().expect("checked above")
     }
 
     /// Blocks up to `timeout`; `None` on timeout.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the computation's panic if the future is poisoned.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Arc<T>> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.shared.state.lock();
-        while state.value.is_none() {
+        while state.outcome.is_none() {
             let now = std::time::Instant::now();
             if now >= deadline {
                 return None;
@@ -156,36 +246,48 @@ impl<T: Send + Sync + 'static> ListenableFuture<T> {
                 break;
             }
         }
-        state.value.clone()
+        state.outcome.as_ref().map(value_of)
     }
 
-    /// Registers a completion callback (Guava's `addListener`). Runs
-    /// immediately if the future is already complete.
-    pub fn add_listener(&self, f: impl FnOnce(&T) + Send + 'static) {
-        let already = {
+    /// Runs `f` on the outcome once the future settles: at once if it
+    /// has, else on the settling thread.
+    fn on_settle(&self, f: impl FnOnce(Result<&T, &JobPanicked>) + Send + 'static) {
+        let settled = {
             let mut state = self.shared.state.lock();
-            match &state.value {
-                Some(v) => Some(v.clone()),
+            match &state.outcome {
+                Some(outcome) => outcome.clone(),
                 None => {
                     state.listeners.push(Box::new(f));
                     return;
                 }
             }
         };
-        if let Some(v) = already {
-            f(&v);
-        }
+        f(settled.as_deref());
+    }
+
+    /// Registers a completion callback (Guava's `addListener`). Runs
+    /// immediately if the future is already complete; never runs if it
+    /// is poisoned.
+    pub fn add_listener(&self, f: impl FnOnce(&T) + Send + 'static) {
+        self.on_settle(move |outcome| {
+            if let Ok(value) = outcome {
+                f(value);
+            }
+        });
     }
 
     /// Transforms the result into a new future (Guava's
-    /// `Futures.transform`).
+    /// `Futures.transform`). A poisoned future maps to a poisoned one.
     pub fn map<U: Send + Sync + 'static>(
         &self,
         f: impl FnOnce(&T) -> U + Send + 'static,
     ) -> ListenableFuture<U> {
         let out = ListenableFuture::new();
         let out2 = out.clone();
-        self.add_listener(move |v| out2.complete(f(v)));
+        self.on_settle(move |outcome| match outcome {
+            Ok(value) => out2.complete(f(value)),
+            Err(panicked) => out2.poison(panicked.clone()),
+        });
         out
     }
 }
@@ -271,6 +373,28 @@ mod tests {
     fn map_on_completed_future() {
         let f = ListenableFuture::completed(10);
         assert_eq!(*f.map(|v| v + 1).wait(), 11);
+    }
+
+    #[test]
+    fn a_poisoned_future_joins_as_an_error_and_maps_to_a_poisoned_one() {
+        let f: ListenableFuture<i32> = ListenableFuture::new();
+        let mapped = f.map(|v| v + 1);
+        let fired = Arc::new(AtomicUsize::new(0));
+        let fired2 = fired.clone();
+        f.add_listener(move |_| {
+            fired2.fetch_add(1, Ordering::SeqCst);
+        });
+        let panicked = JobPanicked::from_payload(&"boom");
+        f.poison(panicked.clone());
+        assert!(f.is_done() && mapped.is_done());
+        assert_eq!(f.join().unwrap_err(), panicked);
+        assert_eq!(mapped.join().unwrap_err().message(), "boom");
+        assert_eq!(fired.load(Ordering::SeqCst), 0, "listeners skip a poison");
+        let raised = std::panic::catch_unwind(|| f.wait()).unwrap_err();
+        assert_eq!(
+            JobPanicked::from_payload(&*raised).message(),
+            "job panicked: boom"
+        );
     }
 
     #[test]

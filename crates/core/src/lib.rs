@@ -49,7 +49,7 @@ pub mod score;
 pub mod sdk;
 
 pub use cache::{CacheConfig, CacheStats, FetchSource, FlightJoin, Lookup, ResponseCache};
-pub use future::ListenableFuture;
+pub use future::{JobPanicked, ListenableFuture};
 pub use gateway::{GatewayLimits, HttpGateway};
 pub use invoke::{Call, InvocationPolicy, RedundantMode};
 pub use monitor::ServiceMonitor;

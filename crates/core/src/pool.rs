@@ -3,10 +3,15 @@
 //! §2.1: "multiple threads can be used to make parallel service calls…
 //! to prevent the number of threads from becoming too large in corner
 //! cases, we use thread pools of limited size."
+//!
+//! A job that panics poisons its own future ([`JobPanicked`]) and the
+//! worker that ran it goes on serving: the pool never shrinks and no
+//! waiter parks forever.
 
-use crate::future::ListenableFuture;
+use crate::future::{JobPanicked, ListenableFuture};
 use cogsdk_obs::{tenant_labels, EventKind, SpanCtx, Telemetry};
 use crossbeam::channel::{unbounded, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -71,7 +76,10 @@ impl ThreadPool {
                     .name(format!("cogsdk-pool-{i}"))
                     .spawn(move || {
                         while let Ok(job) = receiver.recv() {
-                            job();
+                            // A job's own panic is caught where it settles
+                            // its future; this keeps the worker alive
+                            // through a panicking listener too.
+                            let _ = catch_unwind(AssertUnwindSafe(job));
                         }
                     })
                     .expect("failed to spawn pool worker")
@@ -98,12 +106,11 @@ impl ThreadPool {
 
     /// Submits a job; the returned future completes with its result.
     ///
-    /// Jobs that panic poison only their own future (waiters on it would
-    /// deadlock, so panics are caught and re-raised as a poisoned marker
-    /// is impossible without `T: UnwindSafe`; instead the panic is
-    /// propagated to the worker thread which aborts that future silently
-    /// — tests therefore never panic inside jobs; application handlers
-    /// return `Result` values).
+    /// A job that panics poisons only its own future: it completes with
+    /// a [`JobPanicked`] marker, which [`ListenableFuture::join`] returns
+    /// as an error and `wait` re-raises in the waiter. The worker keeps
+    /// serving, and `pool_job_panics_total` counts the panic when the
+    /// pool has telemetry.
     pub fn submit<T: Send + Sync + 'static>(
         &self,
         job: impl FnOnce() -> T + Send + 'static,
@@ -150,13 +157,19 @@ impl ThreadPool {
                 let metrics = telemetry.metrics();
                 metrics.observe("pool_queue_wait_ms", &[], wait_ms);
                 metrics.set_gauge("pool_queue_depth", &[], depth as f64);
-                future2.complete(job());
+                if !settle(&future2, job) {
+                    let tenant = tenant.as_deref().unwrap_or("");
+                    metrics.inc_counter(
+                        "pool_job_panics_total",
+                        tenant_labels(&[("tenant", tenant)]),
+                    );
+                }
             })
         } else {
             let queued = self.queued.clone();
             Box::new(move || {
                 queued.fetch_sub(1, Ordering::Relaxed);
-                future2.complete(job());
+                settle(&future2, job);
             })
         };
         self.sender
@@ -183,6 +196,21 @@ impl ThreadPool {
             })
             .collect();
         futures.iter().map(|fut| (*fut.wait()).clone()).collect()
+    }
+}
+
+/// Runs `job` and completes `future` with its value — or, if it panicked,
+/// poisons `future` with the panic. Returns whether the job returned.
+fn settle<T: Send + Sync + 'static>(future: &ListenableFuture<T>, job: impl FnOnce() -> T) -> bool {
+    match catch_unwind(AssertUnwindSafe(job)) {
+        Ok(value) => {
+            future.complete(value);
+            true
+        }
+        Err(payload) => {
+            future.poison(JobPanicked::from_payload(&*payload));
+            false
+        }
     }
 }
 
@@ -273,6 +301,35 @@ mod tests {
             // Drop happens here.
         }
         assert_eq!(counter.load(Ordering::SeqCst), 10);
+    }
+
+    /// Waits up to 5 s for `f` to settle; whether it did.
+    fn settles<T: Send + Sync + 'static>(f: &ListenableFuture<T>) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !f.is_done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        f.is_done()
+    }
+
+    #[test]
+    fn panicking_jobs_poison_their_futures_and_every_worker_survives() {
+        let t = Telemetry::new();
+        let pool = ThreadPool::with_telemetry(2, t.clone());
+        let panics: Vec<ListenableFuture<()>> = (0..pool.size())
+            .map(|i| pool.submit(move || panic!("job {i} fails")))
+            .collect();
+        for (i, f) in panics.iter().enumerate() {
+            assert!(settles(f), "job {i}: a panicking job's future completes");
+            assert_eq!(f.join().unwrap_err().message(), format!("job {i} fails"));
+        }
+        let normal = pool.submit(|| 7);
+        assert!(settles(&normal), "a job after the panics still runs");
+        assert_eq!(*normal.wait(), 7);
+        let alive = pool.workers.iter().filter(|w| !w.is_finished()).count();
+        assert_eq!(alive, pool.size());
+        let counted = t.metrics().counter_value("pool_job_panics_total", &[]);
+        assert_eq!(counted, Some(pool.size() as u64));
     }
 
     #[test]

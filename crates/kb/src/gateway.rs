@@ -720,6 +720,27 @@ mod tests {
         assert_eq!(gateway.handle(&post_ingest("not json")).status, 400);
     }
 
+    #[test]
+    fn a_panicking_ingest_analysis_answers_500() {
+        let gateway = ingest_gateway(sample_kb());
+        let body = format!(
+            r#"{{"documents": ["IBM acquired Oracle.", "{}"]}}"#,
+            crate::ingest::tests::PANICKING_DOCUMENT
+        );
+        let response = crate::ingest::tests::within(move || {
+            let response = gateway.handle(&post_ingest(&body));
+            // The pool's one worker survived: the next ingest commits.
+            let next = gateway.handle(&post_ingest(r#"{"documents": ["IBM acquired Oracle."]}"#));
+            (response, next.status)
+        });
+        let (response, next) = response.expect("the handler returns");
+        assert_eq!(response.status, 500, "{}", response.body);
+        // The handler's own error, not the gateway's catch of a panic.
+        let body = &response.body;
+        assert!(body.contains("ingest failed: panicked"), "{body}");
+        assert_eq!(next, 200);
+    }
+
     /// The ingest handler's error for a one-document body plus `flag`.
     fn ingest_flag_error(flag: &str) -> String {
         let pool = Arc::new(cogsdk_core::ThreadPool::new(1));

@@ -9,7 +9,8 @@
 //!   push ──► filling batch ──full──► ≤ workers pool jobs ──► FIFO of batches
 //!   (doc ids,                        (SDK ThreadPool:           │ oldest first, on the
 //!    chunking)                        NLU + statements          ▼ pusher's thread
-//!                                     per contiguous part)   intern (TermDict::intern_all)
+//!                                     per contiguous part,   intern each part's distinct
+//!                                     each term once)        terms (TermDict::intern)
 //!                                                            + one WAL group commit
 //!                                                            + one epoch publish
 //! ```
@@ -21,13 +22,17 @@
 //!   [`IngestConfig::workers`] contiguous parts, one job each on the SDK
 //!   [`ThreadPool`]. A job runs the cognitive-service analysis (under
 //!   the KB's configured [`NluConfig`], not a hardwired perfect profile)
-//!   and returns its part's RDF statements. The batch then waits in a
-//!   FIFO while later batches fill behind it.
+//!   and returns its part's RDF statements as a `Part`: each distinct
+//!   term once, in first-occurrence order, and the statements as index
+//!   triples into that list. The batch then waits in a FIFO while later
+//!   batches fill behind it.
 //! * **Intern + commit** — the pusher takes batches oldest first,
-//!   interns their parts in order into the shared [`TermDict`], and
+//!   interns each part's terms in order into the shared [`TermDict`]
+//!   (the ids interning every statement in order would assign), and
 //!   commits the id triples: each batch is exactly one WAL group commit
 //!   and one closure-complete epoch publish, so crash recovery yields a
-//!   durable *prefix of acked batches* — never a half-applied batch.
+//!   durable *prefix of acked batches* — never a half-applied batch. A
+//!   part whose job panicked fails its batch like a failed commit.
 //!
 //! At most [`IngestConfig::max_in_flight`] documents are pushed but not
 //! yet committed: at the bound, `push` commits the oldest batch before
@@ -39,9 +44,9 @@ use crate::kb::PersonalKnowledgeBase;
 use crate::KbError;
 use cogsdk_core::{ListenableFuture, ThreadPool};
 use cogsdk_obs::tenant_labels;
-use cogsdk_rdf::{Statement, Term, TermDict};
+use cogsdk_rdf::{IdTriple, Statement, Term, TermDict, TermId};
 use cogsdk_text::analysis::{Analyzer, DocumentAnalysis, NluConfig};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
@@ -212,10 +217,43 @@ impl IngestWatcher {
     }
 }
 
+/// One analysis job's statements, each distinct term once: `terms` in
+/// first-occurrence order (subject, predicate, object, statement by
+/// statement), and each statement as indices into it.
+#[derive(Default)]
+struct Part {
+    terms: Vec<Term>,
+    triples: Vec<[u32; 3]>,
+}
+
+impl Part {
+    /// Appends `st`; `index` maps each term of `terms` to its position.
+    fn push(&mut self, index: &mut HashMap<Term, u32>, st: Statement) {
+        let mut at = |term: Term| {
+            let next = u32::try_from(self.terms.len()).expect("a part holds < 2^32 terms");
+            *index.entry(term).or_insert_with_key(|term| {
+                self.terms.push(term.clone());
+                next
+            })
+        };
+        let triple = [at(st.subject), at(st.predicate), at(st.object)];
+        self.triples.push(triple);
+    }
+
+    /// Interns the terms in order and appends the statements' id triples
+    /// to `out`: the ids [`TermDict::intern_statement`] over every
+    /// statement in order would assign, one intern per distinct term.
+    fn intern_into(&self, dict: &TermDict, out: &mut Vec<IdTriple>) {
+        let ids: Vec<TermId> = self.terms.iter().map(|term| dict.intern(term)).collect();
+        let id = |at: u32| ids[at as usize];
+        out.extend(self.triples.iter().map(|&[s, p, o]| (id(s), id(p), id(o))));
+    }
+}
+
 /// A dispatched batch: its parts' analysis jobs, in document order.
 struct Batch {
     documents: usize,
-    parts: Vec<ListenableFuture<Vec<Statement>>>,
+    parts: Vec<ListenableFuture<Part>>,
 }
 
 /// A push-style streaming bulk-ingest session. Build one with
@@ -371,13 +409,17 @@ impl IngestSession {
                 let nlu = self.nlu.clone();
                 let counters = self.counters.clone();
                 self.pool.submit(move || {
-                    let mut statements = Vec::new();
+                    let (mut out, mut index) = (Part::default(), HashMap::new());
                     for (doc_id, text) in &part {
+                        #[cfg(test)]
+                        assert_ne!(text, tests::PANICKING_DOCUMENT, "analysis panicked");
                         let analysis = analyzer.entities_and_relations(text, &nlu);
-                        statements.extend(doc_statements(*doc_id, &analysis));
+                        for st in doc_statements(*doc_id, &analysis) {
+                            out.push(&mut index, st);
+                        }
                         counters.analyzed.fetch_add(1, Ordering::Relaxed);
                     }
-                    statements
+                    out
                 })
             })
             .collect();
@@ -386,21 +428,27 @@ impl IngestSession {
 
     /// Waits for the oldest batch's analysis, interns its parts in
     /// order and commits it: one WAL group commit and one epoch publish.
-    /// The first failure abandons every later batch (preserving the
-    /// acked-prefix crash contract).
+    /// The first failure — a panicked part or a failed commit — abandons
+    /// every later batch (preserving the acked-prefix crash contract).
     fn commit_oldest(&mut self) {
         let Some(batch) = self.batches.pop_front() else {
             return;
         };
-        let mut triples = Vec::new();
-        for part in &batch.parts {
-            triples.extend(self.dict.intern_all(&part.wait()));
-        }
         let counters = &self.counters;
-        counters
-            .interned
-            .fetch_add(batch.documents, Ordering::Relaxed);
-        let released = match self.kb.commit_ingest_batch(&self.dict, &triples) {
+        let parts: Result<Vec<_>, _> = batch.parts.iter().map(ListenableFuture::join).collect();
+        let committed = parts
+            .map_err(|panic| KbError::Panicked(panic.message().into()))
+            .and_then(|parts| {
+                let mut triples = Vec::new();
+                for part in &parts {
+                    part.intern_into(&self.dict, &mut triples);
+                }
+                counters
+                    .interned
+                    .fetch_add(batch.documents, Ordering::Relaxed);
+                self.kb.commit_ingest_batch(&self.dict, &triples)
+            });
+        let released = match committed {
             Ok(added) => {
                 counters
                     .committed_docs
@@ -554,7 +602,22 @@ impl PersonalKnowledgeBase {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use cogsdk_store::kv::MemoryKv;
     use cogsdk_text::analysis::Analyzer;
+
+    /// A document whose analysis job panics (a test-only hook).
+    pub(crate) const PANICKING_DOCUMENT: &str = "test hook: this analysis panics";
+
+    /// Runs `f` on a thread of its own: its result, or `None` if it is
+    /// still running after 10 s (a waiter parked on a dead job; that
+    /// thread is left behind).
+    pub(crate) fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || tx.send(f()));
+        let out = rx.recv_timeout(Duration::from_secs(10)).ok()?;
+        runner.join().expect("runner thread").expect("result sent");
+        Some(out)
+    }
 
     /// The benchmark's bulk-ingest document templates.
     pub(crate) const TEMPLATES: [&str; 5] = [
@@ -586,5 +649,40 @@ pub(crate) mod tests {
             missed += kept(&perfect) - kept(&degraded);
         }
         assert!(missed > 0, "the degraded profile drops entities");
+    }
+
+    #[test]
+    fn a_panicking_analysis_fails_the_ingest_and_commits_nothing_after_it() {
+        let new_kb = || {
+            Arc::new(PersonalKnowledgeBase::new(
+                Arc::new(MemoryKv::new()),
+                Default::default(),
+            ))
+        };
+        let docs = |n: usize| (0..n).map(|i| format!("{} Filing {i}.", TEMPLATES[i % 5]));
+        let config = IngestConfig {
+            batch_size: 4,
+            workers: 2,
+            max_in_flight: 4,
+            nlu: None,
+        };
+        // Batch 0 commits; batch 1 holds the panicking document; batch 2
+        // follows it.
+        let mut input: Vec<String> = docs(12).collect();
+        input[6] = PANICKING_DOCUMENT.to_string();
+        let (kb, pool) = (new_kb(), Arc::new(ThreadPool::new(2)));
+        let run = {
+            let (kb, pool, config) = (kb.clone(), pool.clone(), config.clone());
+            within(move || kb.ingest_stream(&pool, input, config))
+        };
+        let err = run.expect("the ingest returns").unwrap_err();
+        assert!(
+            matches!(&err, KbError::Panicked(m) if m.contains("analysis panicked")),
+            "{err}"
+        );
+        let first_batch = new_kb();
+        first_batch.ingest_stream(&pool, docs(4), config).unwrap();
+        assert_eq!(kb.contents_digest(), first_batch.contents_digest());
+        assert_eq!(*pool.submit(|| 7).wait(), 7, "the pool still serves");
     }
 }

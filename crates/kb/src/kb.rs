@@ -852,7 +852,15 @@ impl PersonalKnowledgeBase {
             .collect();
         let mut first_err = None;
         for leg in legs {
-            match leg.wait().as_ref() {
+            let remote = match leg.join() {
+                Ok(remote) => remote,
+                Err(panic) => {
+                    let e = KbError::Panicked(format!("federation leg: {}", panic.message()));
+                    first_err.get_or_insert(e);
+                    continue;
+                }
+            };
+            match remote.as_ref() {
                 Ok(remote) => {
                     for solution in remote {
                         if !local.contains(solution) {
@@ -1815,6 +1823,36 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_federation_leg_is_that_sources_error() {
+        use cogsdk_json::json;
+        use cogsdk_sim::service::SimService;
+
+        let env = cogsdk_sim::SimEnv::with_seed(8);
+        let good = SimService::builder("kb-good", "knowledge")
+            .handler(|_| Ok(json!({"bindings": []})))
+            .build(&env);
+        let crashing = SimService::builder("kb-crashing", "knowledge")
+            .handler(|_| panic!("source crashed"))
+            .build(&env);
+        let pool = cogsdk_core::ThreadPool::new(1);
+        let monitor = Arc::new(cogsdk_core::ServiceMonitor::new());
+        let err = kb()
+            .query_federated_many(
+                &pool,
+                &[crashing, good],
+                &monitor,
+                "SELECT ?c WHERE { ?c <rdf:type> <kb:Entity> . }",
+                cogsdk_core::Deadline::NONE,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, KbError::Panicked(m) if m.contains("source crashed")),
+            "{err:?}"
+        );
+        assert_eq!(*pool.submit(|| 7).wait(), 7, "the worker survived");
+    }
+
+    #[test]
     fn durable_kb_survives_crash_and_recovers() {
         let fs = Arc::new(cogsdk_sim::SimFs::new(11));
         let t = Telemetry::new();
@@ -1960,19 +1998,19 @@ mod tests {
         let kb = kb();
         kb.add_fact("IBM", "hq", "New York").unwrap();
         kb.persist_graph("one-fact").unwrap();
-        let batch = vec![Statement::new(
+        let statement = Statement::new(
             Term::iri("kb:doc_9"),
             Term::iri("kb:mentions"),
             Term::iri("kb:oracle"),
-        )];
+        );
         let dict = kb.shared_dict();
-        let ids = dict.intern_all(&batch);
+        let ids = [dict.intern_statement(&statement)];
         // The load swaps in a fresh dictionary, in which `ids` mean
         // nothing.
         kb.load_graph("one-fact").unwrap();
         assert!(!kb.shared_dict().ptr_eq(&dict));
         assert_eq!(kb.commit_ingest_batch(&dict, &ids).unwrap(), 1);
-        assert!(kb.query_snapshot().contains(&batch[0]));
+        assert!(kb.query_snapshot().contains(&statement));
         assert_eq!(kb.statement_count(), 2);
     }
 

@@ -50,6 +50,8 @@ pub enum KbError {
     Corrupt(String),
     /// The durability layer (WAL or snapshot) failed.
     Durability(String),
+    /// A pool job the operation waited on panicked.
+    Panicked(String),
 }
 
 impl fmt::Display for KbError {
@@ -61,6 +63,7 @@ impl fmt::Display for KbError {
             KbError::UnknownEntity(m) => write!(f, "unknown entity: {m}"),
             KbError::Corrupt(m) => write!(f, "corrupt knowledge data: {m}"),
             KbError::Durability(m) => write!(f, "durability: {m}"),
+            KbError::Panicked(m) => write!(f, "panicked: {m}"),
         }
     }
 }

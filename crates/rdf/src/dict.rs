@@ -245,19 +245,6 @@ impl TermDict {
         id
     }
 
-    /// Interns every term of every statement, returning one id triple
-    /// per statement in order. The bulk loader's intern stage uses this
-    /// *before* the store lock is taken and commits the ids it returns,
-    /// so the commit interns nothing. Safe ahead of the commit because
-    /// the WAL's dictionary watermark logs all terms interned since the
-    /// previous commit, whoever interned them.
-    pub fn intern_all(&self, statements: &[Statement]) -> Vec<IdTriple> {
-        statements
-            .iter()
-            .map(|st| self.intern_statement(st))
-            .collect()
-    }
-
     /// Interns all three components of a statement.
     pub fn intern_statement(&self, st: &Statement) -> IdTriple {
         (

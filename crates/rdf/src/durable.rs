@@ -361,12 +361,13 @@ impl DurableStore {
 
     /// Inserts triples already interned into the store's dictionary (the
     /// epochs' [`dict`](crate::EpochSnapshot::dict)) under a single group
-    /// commit. The batch is staged in the materializer's private writer,
-    /// where each triple's one membership probe returns its prior state;
-    /// every triple that was not yet stated is logged, in first-occurrence
-    /// order, and fsynced; only then is the closure derived and the epoch
-    /// sealed and published. Returns how many facts were new to the full
-    /// view.
+    /// commit. The batch is sorted once and staged in the materializer's
+    /// private writer: each distinct triple once, with at most one
+    /// membership probe for its prior state, and none for a triple naming
+    /// a term minted since the last seal. Every triple that was not yet
+    /// stated is logged, in first-occurrence order, and fsynced; only then
+    /// is the closure derived and the epoch sealed and published. Returns
+    /// how many facts were new to the full view.
     ///
     /// # Errors
     ///
@@ -872,12 +873,41 @@ mod tests {
             let added = a.insert_batch(batch.clone()).unwrap();
             // The ingest pipeline's path: intern ahead of the commit into
             // the shared dictionary, then commit the ids.
-            let ids = b.epochs().pin().dict().intern_all(&batch);
+            let dict = b.epochs().pin().dict().clone();
+            let ids: Vec<IdTriple> = batch.iter().map(|st| dict.intern_statement(st)).collect();
             assert_eq!(b.insert_ids(&ids).unwrap(), added, "round {round}");
         }
         let logged = wal(&by_statement);
         assert!(!logged.is_empty() && logged.iter().all(|(_, bytes)| !bytes.is_empty()));
         assert_eq!(logged, wal(&by_id));
+    }
+
+    #[test]
+    fn a_re_insert_after_reset_or_reopen_is_neither_counted_nor_logged() {
+        let fs = Arc::new(SimFs::new(43));
+        let mut store = open(&fs);
+        store.insert(st("ex:old", "ex:p", "ex:o")).unwrap();
+        // The new contents come with a dictionary of their own, longer
+        // than the old one, so their ids lie past the old epoch's
+        // watermark.
+        let facts: Vec<Statement> = (0..3)
+            .map(|i| st(&format!("ex:s{i}"), "ex:p", &format!("ex:o{i}")))
+            .collect();
+        let mut graph: Graph = (0..20)
+            .map(|i| st(&format!("ex:filler{i}"), "ex:q", "ex:x"))
+            .collect();
+        graph.extend(facts.iter().cloned());
+        store.reset(graph).unwrap();
+        let logged = store.wal_stats();
+        assert_eq!(store.insert_batch(facts.clone()).unwrap(), 0, "after reset");
+        assert_eq!(store.wal_stats(), logged, "nothing re-logged after reset");
+        assert_eq!(store.len(), 23);
+        drop(store);
+
+        let mut reopened = open(&fs);
+        assert_eq!(reopened.insert_batch(facts).unwrap(), 0, "after reopen");
+        assert_eq!(reopened.wal_stats(), WalStats::default(), "nothing logged");
+        assert_eq!(reopened.len(), 23);
     }
 
     #[test]

@@ -40,6 +40,18 @@ const RETAINED_EPOCHS: usize = 8;
 /// a fresh base instead of stacking another run.
 const REBUILD_MIN_EVENTS: usize = 4096;
 
+#[cfg(test)]
+thread_local! {
+    /// Membership probes [`EpochSnapshot::state`] made on this thread.
+    static PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Membership probes [`EpochSnapshot::state`] has made on this thread.
+#[cfg(test)]
+pub(crate) fn probes() -> usize {
+    PROBES.with(std::cell::Cell::get)
+}
+
 /// How a present triple came to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fact {
@@ -344,6 +356,10 @@ pub struct EpochSnapshot {
     /// Oldest first; membership is decided newest-run-first.
     runs: Vec<Arc<Run>>,
     len: usize,
+    /// The dictionary's length when the epoch was sealed. Every id the
+    /// epoch holds was issued before that, so a triple naming an id at or
+    /// above it is absent without a probe.
+    minted: usize,
     confidence: Arc<HashMap<IdTriple, f64>>,
 }
 
@@ -358,6 +374,7 @@ impl EpochSnapshot {
     ) -> EpochSnapshot {
         EpochSnapshot {
             epoch,
+            minted: dict.len(),
             dict,
             len: stated.len(),
             base: Arc::new(Run::sorted(stated, Vec::new(), Vec::new())),
@@ -420,8 +437,21 @@ impl EpochSnapshot {
         TripleView::has(self, st)
     }
 
-    /// Whether the triple is present, and if so, stated or derived.
-    pub(crate) fn state(&self, triple: IdTriple) -> Option<Fact> {
+    /// Whether the triple is present, and if so, stated or derived. A
+    /// triple naming a term minted after the seal is absent by
+    /// construction and costs no probe.
+    pub(crate) fn state(&self, (s, p, o): IdTriple) -> Option<Fact> {
+        if s.seq().max(p.seq()).max(o.seq()) >= self.minted {
+            return None;
+        }
+        #[cfg(test)]
+        PROBES.with(|n| n.set(n.get() + 1));
+        state_in(&self.base, &self.runs, (s, p, o))
+    }
+
+    /// [`state`](Self::state) without the watermark: always probes.
+    #[cfg(test)]
+    pub(crate) fn probed_state(&self, triple: IdTriple) -> Option<Fact> {
         state_in(&self.base, &self.runs, triple)
     }
 
@@ -452,6 +482,16 @@ impl EpochSnapshot {
             g.insert_id(triple);
         }
         g
+    }
+
+    /// Array entries the base and runs hold: each add or base triple
+    /// once per permutation, each derived tag and delete once.
+    #[cfg(test)]
+    pub(crate) fn stored_entries(&self) -> usize {
+        std::iter::once(&self.base)
+            .chain(&self.runs)
+            .map(|r| r.spo.len() + r.pos.len() + r.osp.len() + r.derived.len() + r.dels.len())
+            .sum()
     }
 
     /// Merges the base slice with each run's add slice in permuted sort
@@ -636,6 +676,27 @@ impl EpochWriter {
         was
     }
 
+    /// [`replace`](Self::replace) at the start of a call, for strictly
+    /// ascending triples all set to `now`: the change set is built in one
+    /// pass from the sorted triples. Returns each triple's state before,
+    /// in order.
+    pub(crate) fn replace_sorted(&mut self, sorted: &[IdTriple], now: Fact) -> Vec<Option<Fact>> {
+        debug_assert!(self.changes.is_empty(), "mid-call");
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "not ascending");
+        let before: Vec<Option<Fact>> = sorted.iter().map(|&t| self.epoch.state(t)).collect();
+        let changed = sorted.iter().zip(&before).filter(|&(_, &b)| b != Some(now));
+        self.changes = changed
+            .clone()
+            .map(|(&t, &b)| (t, (b, Some(now))))
+            .collect();
+        if self.indexed {
+            for (&t, _) in changed.filter(|(_, b)| b.is_none()) {
+                self.added.insert_id(t);
+            }
+        }
+        before
+    }
+
     /// Drops the call's changes: the writer reads as the latest epoch
     /// again, exactly as the last seal left it.
     pub(crate) fn discard(&mut self) {
@@ -698,6 +759,7 @@ impl EpochWriter {
         self.removed = 0;
         self.epoch = Arc::new(EpochSnapshot {
             epoch,
+            minted: dict.len(),
             dict,
             base,
             runs,
@@ -800,15 +862,6 @@ mod tests {
     use crate::IncrementalMaterializer;
     use cogsdk_sim::rng::Rng;
     use std::collections::BTreeMap;
-
-    /// Array entries `snap`'s base and runs hold: each add or base triple
-    /// once per permutation, each derived tag and delete once.
-    fn stored_entries(snap: &EpochSnapshot) -> usize {
-        std::iter::once(&snap.base)
-            .chain(&snap.runs)
-            .map(|r| r.spo.len() + r.pos.len() + r.osp.len() + r.derived.len() + r.dels.len())
-            .sum()
-    }
 
     /// `spo`'s tuples permuted into `index` order, sorted.
     fn permuted(spo: &[IdTriple], index: Index) -> Vec<IdTriple> {
@@ -1247,7 +1300,7 @@ mod tests {
         m.insert_batch(batch);
         let snap = m.epoch().clone();
         assert!(snap.runs.is_empty(), "the seal merged a fresh base");
-        assert_eq!(stored_entries(&snap), 3 * snap.len());
+        assert_eq!(snap.stored_entries(), 3 * snap.len());
 
         // Standing RDFS over a schema that types every item twice more:
         // 5 000 derived facts, sealed as one more merged base.
@@ -1260,7 +1313,7 @@ mod tests {
         assert_eq!(derived, 5000);
         let snap = m.epoch();
         assert!(snap.runs.is_empty(), "the seal merged a fresh base");
-        assert_eq!(stored_entries(snap), 3 * snap.len() + derived);
+        assert_eq!(snap.stored_entries(), 3 * snap.len() + derived);
         assert_eq!(snap.stated_ids().count(), snap.len() - derived);
     }
 }

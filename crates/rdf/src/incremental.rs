@@ -288,22 +288,35 @@ impl IncrementalMaterializer {
     /// Marks `batch` stated within the call in progress. Returns each
     /// triple that changed, with its state before, in first-occurrence
     /// order: a duplicate or an already stated triple changes nothing.
-    /// The call ends with [`seal_stated`](Self::seal_stated) or
-    /// [`discard`](Self::discard).
+    /// The batch is sorted once and each distinct triple staged once, so
+    /// a repeat costs no second probe, and a triple naming a term minted
+    /// since the last seal costs none at all. The call ends with
+    /// [`seal_stated`](Self::seal_stated) or [`discard`](Self::discard).
     pub(crate) fn stage_stated(&mut self, batch: &[IdTriple]) -> Vec<(IdTriple, Option<Fact>)> {
         let dict_len = self.store.dict().len();
-        let mut staged = Vec::with_capacity(batch.len());
-        for &t in batch {
-            assert!(
-                [t.0, t.1, t.2].iter().all(|id| id.seq() < dict_len),
-                "id triple not interned into the store's dictionary"
-            );
-            let before = self.store.replace(t, Some(Fact::Stated));
-            if before != Some(Fact::Stated) {
-                staged.push((t, before));
-            }
-        }
+        let mut sorted: Vec<(IdTriple, u32)> = batch.iter().copied().zip(0..).collect();
+        sorted.sort_unstable();
+        sorted.dedup_by_key(|&mut (t, _)| t);
+        let (triples, first_at): (Vec<IdTriple>, Vec<u32>) = sorted.into_iter().unzip();
+        assert!(
+            triples
+                .iter()
+                .all(|t| [t.0, t.1, t.2].iter().all(|id| id.seq() < dict_len)),
+            "id triple not interned into the store's dictionary"
+        );
+        let before = self.store.replace_sorted(&triples, Fact::Stated);
+        let mut staged: Vec<(u32, IdTriple, Option<Fact>)> = first_at
+            .into_iter()
+            .zip(triples)
+            .zip(before)
+            .filter(|&(_, before)| before != Some(Fact::Stated))
+            .map(|((at, t), before)| (at, t, before))
+            .collect();
+        staged.sort_unstable_by_key(|&(at, ..)| at);
         staged
+            .into_iter()
+            .map(|(_, t, before)| (t, before))
+            .collect()
     }
 
     /// Propagates from the staged triples that were absent and seals the
@@ -435,6 +448,7 @@ mod tests {
     use super::*;
     use crate::model::vocab;
     use crate::reason::{GenericRuleReasoner, RdfsReasoner, TransitiveReasoner};
+    use cogsdk_sim::rng::Rng;
 
     fn st(s: &str, p: &str, o: &str) -> Statement {
         Statement::new(Term::iri(s), Term::iri(p), Term::iri(o))
@@ -638,5 +652,142 @@ mod tests {
         assert!(!batch.contains(&st("a", "sub", "d")));
         assert!(batch.contains(&st("c", "sub", "d")));
         assert_eq!(batch.len(), 2);
+    }
+
+    #[test]
+    fn a_batch_probes_each_distinct_triple_once_and_a_minted_one_never() {
+        const N: usize = 42;
+        const K: usize = 6;
+        let mut m = IncrementalMaterializer::new();
+        m.insert(st("ex:known", "ex:p", "ex:o"));
+        let dict = m.epoch().dict().clone();
+        let present = dict.intern_statement(&st("ex:known", "ex:p", "ex:o"));
+        // N triples naming a term minted after the seal, with K copies of
+        // the present triple spread among them.
+        let fresh: Vec<IdTriple> = (0..N)
+            .map(|i| dict.intern_statement(&st(&format!("kb:doc_{i}"), "ex:p", "ex:o")))
+            .collect();
+        let mut batch = Vec::new();
+        for (i, &t) in fresh.iter().enumerate() {
+            if i % (N / K) == 3 {
+                batch.push(present);
+            }
+            batch.push(t);
+        }
+        assert_eq!(batch.len(), N + K);
+        let before = crate::epoch::probes();
+        let staged = m.stage_stated(&batch);
+        assert_eq!(
+            crate::epoch::probes() - before,
+            1,
+            "one probe, for `present`"
+        );
+        let first_occurrence: Vec<(IdTriple, Option<Fact>)> =
+            fresh.iter().map(|&t| (t, None)).collect();
+        assert_eq!(staged, first_occurrence);
+        assert_eq!(m.seal_stated(&staged), N);
+        assert_eq!(m.len(), N + 1);
+    }
+
+    /// The stage as one `replace` per triple occurrence, in batch order:
+    /// the oracle for [`IncrementalMaterializer::stage_stated`].
+    fn stage_by_replace(
+        m: &mut IncrementalMaterializer,
+        batch: &[IdTriple],
+    ) -> Vec<(IdTriple, Option<Fact>)> {
+        let mut staged = Vec::new();
+        for &t in batch {
+            let before = m.store.replace(t, Some(Fact::Stated));
+            if before != Some(Fact::Stated) {
+                staged.push((t, before));
+            }
+        }
+        staged
+    }
+
+    #[test]
+    fn sorted_stage_matches_the_per_triple_replace_loop() {
+        let mut rng = Rng::new(0x57A6);
+        // Triples seen: repeated in their batch, naming a fresh term,
+        // stated already, derived already (a retag).
+        let mut seen = [0usize; 4];
+        let (mut batches, mut fresh) = (0, 0);
+        for case in 0..40 {
+            let mut sorted = IncrementalMaterializer::new();
+            let mut oracle = IncrementalMaterializer::new();
+            // Rules on from the start, off throughout, or on after some
+            // batches (stale until the next `materialize`).
+            let rules_from = [Some(0), None, Some(10)][case % 3];
+            for round in 0..30 {
+                if rules_from == Some(round) {
+                    assert_eq!(sorted.enable_rdfs(), oracle.enable_rdfs());
+                }
+                if rules_from.map(|r| r + 5) == Some(round) {
+                    assert_eq!(sorted.materialize(), oracle.materialize());
+                }
+                let predicates = [vocab::TYPE, vocab::SUB_CLASS_OF, "ex:p"];
+                let mut batch: Vec<Statement> = Vec::new();
+                for _ in 0..1 + rng.below(30) {
+                    let statement = if !batch.is_empty() && rng.chance(0.2) {
+                        batch[rng.below(batch.len() as u64) as usize].clone()
+                    } else {
+                        // A new term, the newest one again (named by the
+                        // last seal: the watermark's edge), or an old one.
+                        let s = match rng.below(20) {
+                            0..=2 => {
+                                fresh += 1;
+                                format!("ex:fresh{fresh}")
+                            }
+                            3 => format!("ex:fresh{fresh}"),
+                            _ => format!("ex:c{}", rng.below(10)),
+                        };
+                        let p = predicates[rng.below(3) as usize];
+                        st(&s, p, &format!("ex:c{}", rng.below(10)))
+                    };
+                    batch.push(statement);
+                }
+                let intern = |m: &IncrementalMaterializer| -> Vec<IdTriple> {
+                    let dict = m.epoch().dict();
+                    batch.iter().map(|st| dict.intern_statement(st)).collect()
+                };
+                let minted = oracle.epoch().dict().len();
+                let ids = intern(&sorted);
+                assert_eq!(ids, intern(&oracle), "same dictionaries");
+                for (i, &t) in ids.iter().enumerate() {
+                    if ids[..i].contains(&t) {
+                        seen[0] += 1;
+                        continue;
+                    }
+                    seen[1] += usize::from(t.0.seq() >= minted);
+                    let state = oracle.epoch().state(t);
+                    assert_eq!(state, oracle.epoch().probed_state(t), "the watermark");
+                    match state {
+                        Some(Fact::Stated) => seen[2] += 1,
+                        Some(Fact::Derived) => seen[3] += 1,
+                        None => {}
+                    }
+                }
+
+                let got = sorted.stage_stated(&ids);
+                let want = stage_by_replace(&mut oracle, &ids);
+                assert_eq!(got, want, "case {case} round {round}: staged");
+                assert_eq!(sorted.seal_stated(&got), oracle.seal_stated(&want));
+                let (a, b) = (sorted.epoch(), oracle.epoch());
+                assert_eq!(a.epoch(), b.epoch(), "case {case} round {round}");
+                assert_eq!(a.len(), b.len(), "case {case} round {round}: len");
+                assert!(
+                    a.stated_ids().eq(b.stated_ids()),
+                    "case {case} round {round}"
+                );
+                assert_eq!(a.iter_ids(), b.iter_ids(), "case {case} round {round}");
+                assert_eq!(a.stored_entries(), b.stored_entries());
+                batches += 1;
+            }
+        }
+        assert!(batches >= 1000, "{batches} batches");
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "kinds of triple seen: {seen:?}"
+        );
     }
 }
