@@ -25,6 +25,11 @@
 //!
 //! [`CacheStats`] aggregates counters across shards, so the external
 //! accounting is unchanged from the single-map design.
+//!
+//! The cache is generic over its value and error, `ResponseCache<V, E>`,
+//! defaulting to the SDK's `Json` responses and [`SdkError`]; the store
+//! crate's enhanced data-store client (§3, ref \[11\]) runs the same
+//! machine over bytes.
 
 use crate::future::ListenableFuture;
 use crate::SdkError;
@@ -34,6 +39,7 @@ use cogsdk_sim::clock::{SimClock, SimTime};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
@@ -144,41 +150,75 @@ fn normalize_shards(requested: usize, capacity: usize) -> usize {
     p
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    value: Json,
+/// What a [`ResponseCache`] can hold: a value cloned out to every reader
+/// and every coalesced waiter. Implemented for every such type.
+pub trait CacheValue: Clone + Send + Sync + 'static {}
+
+impl<T: Clone + Send + Sync + 'static> CacheValue for T {}
+
+/// What a [`ResponseCache`] fetch can fail with: fanned out to every
+/// coalesced waiter, and built from [`FlightAbandoned`] for the waiters of
+/// a leader that never completed. Implemented for every such type.
+pub trait FetchError: CacheValue + From<FlightAbandoned> {}
+
+impl<T: CacheValue + From<FlightAbandoned>> FetchError for T {}
+
+/// The error a flight's waiters receive when its leader dropped its
+/// [`FlightGuard`] without completing it — it panicked or bailed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlightAbandoned {
+    key: String,
+}
+
+impl fmt::Display for FlightAbandoned {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "in-flight fetch for {:?} was abandoned by its leader",
+            self.key
+        )
+    }
+}
+
+impl From<FlightAbandoned> for SdkError {
+    fn from(abandoned: FlightAbandoned) -> SdkError {
+        SdkError::AllFailed(abandoned.to_string())
+    }
+}
+
+#[derive(Debug)]
+struct Entry<V> {
+    value: V,
     stored_at: SimTime,
     ttl: Duration,
     /// LRU stamp: larger = more recently used.
     used_at: u64,
 }
 
-/// The shared slot concurrent missers rendezvous on.
-type FlightResult = Result<Json, SdkError>;
-
-#[derive(Debug, Default)]
-struct ShardState {
-    entries: HashMap<String, Entry>,
-    flights: HashMap<String, ListenableFuture<FlightResult>>,
+#[derive(Debug)]
+struct ShardState<V, E> {
+    entries: HashMap<String, Entry<V>>,
+    /// The shared slots concurrent missers rendezvous on.
+    flights: HashMap<String, ListenableFuture<Result<V, E>>>,
     tick: u64,
     stats: CacheStats,
 }
 
 #[derive(Debug)]
-struct Shard {
+struct Shard<V, E> {
     /// This shard's slice of the total capacity.
     capacity: usize,
-    state: Mutex<ShardState>,
+    state: Mutex<ShardState<V, E>>,
 }
 
 /// What a [`ResponseCache::lookup`] probe found.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Lookup {
+pub enum Lookup<V = Json> {
     /// A live entry within its TTL.
-    Fresh(Json),
+    Fresh(V),
     /// An expired entry still inside the stale-while-revalidate window;
     /// the entry is kept so one refresh can replace it.
-    Stale(Json),
+    Stale(V),
     /// Nothing servable (absent, or expired beyond the stale window and
     /// removed).
     Absent,
@@ -208,12 +248,12 @@ impl FetchSource {
 
 /// Outcome of [`ResponseCache::join_flight`].
 #[derive(Debug)]
-pub enum FlightJoin {
+pub enum FlightJoin<V: CacheValue = Json, E: FetchError = SdkError> {
     /// This caller must perform the upstream fetch and publish the result
     /// through the guard.
-    Leader(FlightGuard),
+    Leader(FlightGuard<V, E>),
     /// Another caller is already fetching; wait on the shared future.
-    Follower(ListenableFuture<FlightResult>),
+    Follower(ListenableFuture<Result<V, E>>),
 }
 
 /// The leader's obligation: exactly one of
@@ -222,21 +262,21 @@ pub enum FlightJoin {
 /// with the fetch outcome. Successful values are stored in the cache
 /// *before* waiters are woken, so no waiter can re-miss and start a second
 /// flight. Dropping the guard without completing (leader panicked or
-/// bailed) fails the flight over to waiters as an error instead of
-/// deadlocking them.
+/// bailed) fails the flight over to waiters with [`FlightAbandoned`]
+/// instead of deadlocking them.
 #[derive(Debug)]
-pub struct FlightGuard {
-    inner: Arc<CacheInner>,
+pub struct FlightGuard<V: CacheValue = Json, E: FetchError = SdkError> {
+    inner: Arc<CacheInner<V, E>>,
     key: String,
     shard: usize,
-    future: ListenableFuture<FlightResult>,
+    future: ListenableFuture<Result<V, E>>,
     done: bool,
 }
 
-impl FlightGuard {
+impl<V: CacheValue, E: FetchError> FlightGuard<V, E> {
     /// Publishes the fetch outcome: `Ok` values are stored under the
     /// default TTL, then all waiters are woken with the result.
-    pub fn complete(self, result: FlightResult) {
+    pub fn complete(self, result: Result<V, E>) {
         let ttl = self.inner.default_ttl;
         self.finish(result, ttl);
     }
@@ -247,7 +287,7 @@ impl FlightGuard {
     /// # Panics
     ///
     /// Panics if `ttl` is zero.
-    pub fn complete_with_ttl(self, value: Json, ttl: Duration) {
+    pub fn complete_with_ttl(self, value: V, ttl: Duration) {
         assert!(!ttl.is_zero(), "TTL must be positive");
         self.finish(Ok(value), ttl);
     }
@@ -255,7 +295,7 @@ impl FlightGuard {
     /// Completes the flight with a value that is *already* stored (the
     /// leader's double-check found it), skipping the re-put so the
     /// entry's TTL clock is not extended by a fetch that never happened.
-    pub(crate) fn complete_cached(mut self, value: Json) {
+    fn complete_cached(mut self, value: V) {
         self.done = true;
         self.inner.shards[self.shard]
             .state
@@ -265,7 +305,7 @@ impl FlightGuard {
         self.future.complete(Ok(value));
     }
 
-    fn finish(mut self, result: FlightResult, ttl: Duration) {
+    fn finish(mut self, result: Result<V, E>, ttl: Duration) {
         self.done = true;
         if let Ok(value) = &result {
             self.inner.put_with_ttl(&self.key, value.clone(), ttl);
@@ -279,7 +319,7 @@ impl FlightGuard {
     }
 }
 
-impl Drop for FlightGuard {
+impl<V: CacheValue, E: FetchError> Drop for FlightGuard<V, E> {
     fn drop(&mut self) {
         if self.done {
             return;
@@ -289,10 +329,8 @@ impl Drop for FlightGuard {
             .lock()
             .flights
             .remove(&self.key);
-        self.future.complete(Err(SdkError::AllFailed(format!(
-            "in-flight fetch for {:?} was abandoned by its leader",
-            self.key
-        ))));
+        let key = std::mem::take(&mut self.key);
+        self.future.complete(Err(E::from(FlightAbandoned { key })));
     }
 }
 
@@ -330,25 +368,25 @@ impl Drop for FlightGuard {
 /// assert_eq!(cache.get("key"), Some(json!(42))); // stored by the flight
 /// ```
 #[derive(Debug, Clone)]
-pub struct ResponseCache {
-    inner: Arc<CacheInner>,
+pub struct ResponseCache<V = Json, E = SdkError> {
+    inner: Arc<CacheInner<V, E>>,
 }
 
 #[derive(Debug)]
-struct CacheInner {
+struct CacheInner<V, E> {
     clock: SimClock,
     capacity: usize,
     default_ttl: Duration,
     stale_while_revalidate: Option<Duration>,
     telemetry: Telemetry,
-    shards: Vec<Shard>,
+    shards: Vec<Shard<V, E>>,
     mask: u64,
 }
 
 /// The `cache` metric label for [`ResponseCache`] series.
 const CACHE_LABEL: (&str, &str) = ("cache", "response");
 
-impl CacheInner {
+impl<V, E> CacheInner<V, E> {
     fn shard_for(&self, key: &str) -> usize {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
@@ -357,7 +395,7 @@ impl CacheInner {
 
     /// Stores a value, refreshing TTL and LRU recency atomically when the
     /// key already exists, and evicting this shard's LRU tail on overflow.
-    fn put_with_ttl(&self, key: &str, value: Json, ttl: Duration) {
+    fn put_with_ttl(&self, key: &str, value: V, ttl: Duration) {
         assert!(!ttl.is_zero(), "TTL must be positive");
         if self.capacity == 0 {
             return;
@@ -496,14 +534,31 @@ impl ResponseCache {
         config: CacheConfig,
         telemetry: Telemetry,
     ) -> ResponseCache {
+        ResponseCache::build(clock, config, telemetry)
+    }
+}
+
+impl<V: CacheValue, E: FetchError> ResponseCache<V, E> {
+    /// As [`with_config`](ResponseCache::with_config), for any value and
+    /// error type: `ResponseCache::<Bytes, StoreError>::build(..)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.default_ttl` is zero.
+    pub fn build(clock: SimClock, config: CacheConfig, telemetry: Telemetry) -> Self {
         assert!(!config.default_ttl.is_zero(), "TTL must be positive");
         let shards = normalize_shards(config.shards, config.capacity);
         let base = config.capacity / shards;
         let rem = config.capacity % shards;
-        let shards: Vec<Shard> = (0..shards)
+        let shards: Vec<Shard<V, E>> = (0..shards)
             .map(|i| Shard {
                 capacity: base + usize::from(i < rem),
-                state: Mutex::new(ShardState::default()),
+                state: Mutex::new(ShardState {
+                    entries: HashMap::new(),
+                    flights: HashMap::new(),
+                    tick: 0,
+                    stats: CacheStats::default(),
+                }),
             })
             .collect();
         ResponseCache {
@@ -564,7 +619,7 @@ impl ResponseCache {
     /// Looks up a fresh entry; expired entries are removed and miss,
     /// regardless of any stale-while-revalidate window (use
     /// [`lookup`](ResponseCache::lookup) for stale serving).
-    pub fn get(&self, key: &str) -> Option<Json> {
+    pub fn get(&self, key: &str) -> Option<V> {
         let ctx = self.inner.telemetry.tracer().new_trace();
         match self.probe(key, &ctx, false) {
             Lookup::Fresh(v) => Some(v),
@@ -578,12 +633,12 @@ impl ResponseCache {
     /// refresh can replace them in place); anything older is removed and
     /// misses. The hit/miss event is emitted under the caller's span, so
     /// cache probes appear inside invocation traces.
-    pub fn lookup(&self, key: &str, ctx: &SpanCtx) -> Lookup {
+    pub fn lookup(&self, key: &str, ctx: &SpanCtx) -> Lookup<V> {
         self.probe(key, ctx, true)
     }
 
     /// Shared probe: `allow_stale` selects the lookup/get semantics.
-    fn probe(&self, key: &str, ctx: &SpanCtx, allow_stale: bool) -> Lookup {
+    fn probe(&self, key: &str, ctx: &SpanCtx, allow_stale: bool) -> Lookup<V> {
         let inner = &self.inner;
         let idx = inner.shard_for(key);
         let now = inner.clock.now();
@@ -651,7 +706,7 @@ impl ResponseCache {
     /// re-check is what makes "exactly one upstream call per key per
     /// refresh window" hold even when a caller is descheduled between
     /// lookup and join.
-    pub fn peek_fresh(&self, key: &str) -> Option<Json> {
+    fn peek_fresh(&self, key: &str) -> Option<V> {
         let inner = &self.inner;
         let idx = inner.shard_for(key);
         let now = inner.clock.now();
@@ -664,7 +719,7 @@ impl ResponseCache {
 
     /// Stores a value under the default TTL. Storing over an existing key
     /// refreshes its TTL clock and LRU recency atomically.
-    pub fn put(&self, key: impl Into<String>, value: Json) {
+    pub fn put(&self, key: impl Into<String>, value: V) {
         self.inner
             .put_with_ttl(&key.into(), value, self.inner.default_ttl);
     }
@@ -674,7 +729,7 @@ impl ResponseCache {
     /// # Panics
     ///
     /// Panics if `ttl` is zero.
-    pub fn put_with_ttl(&self, key: impl Into<String>, value: Json, ttl: Duration) {
+    pub fn put_with_ttl(&self, key: impl Into<String>, value: V, ttl: Duration) {
         self.inner.put_with_ttl(&key.into(), value, ttl);
     }
 
@@ -710,7 +765,7 @@ impl ResponseCache {
     /// the upstream result; every concurrent caller becomes a
     /// [`FlightJoin::Follower`] holding a future that resolves when the
     /// leader publishes; its wait is recorded under the caller's span.
-    pub fn join_flight(&self, key: &str, ctx: &SpanCtx) -> FlightJoin {
+    pub fn join_flight(&self, key: &str, ctx: &SpanCtx) -> FlightJoin<V, E> {
         let inner = &self.inner;
         let idx = inner.shard_for(key);
         let join = {
@@ -761,30 +816,46 @@ impl ResponseCache {
     /// # Errors
     ///
     /// The leader's `fetch` error, shared verbatim with every coalesced
-    /// waiter of that flight. Errors are never cached.
+    /// waiter of that flight (a leader that panics fails them with
+    /// [`FlightAbandoned`]). Errors are never cached.
     pub fn get_or_fetch(
         &self,
         key: &str,
-        fetch: impl FnOnce() -> FlightResult,
-    ) -> Result<(Json, FetchSource), SdkError> {
+        fetch: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, FetchSource), E> {
         let ctx = &self.inner.telemetry.tracer().new_trace();
+        self.read_through(key, ctx, fetch, |guard, fetch, stale| match fetch() {
+            Ok(value) => {
+                guard.complete(Ok(value.clone()));
+                (value, FetchSource::Fetched)
+            }
+            Err(e) => {
+                // The refresh failed; the stale value is still the best
+                // answer. Waiters see the error (they can re-lookup and
+                // be served stale themselves).
+                guard.complete(Err(e));
+                (stale, FetchSource::Stale)
+            }
+        })
+    }
+
+    /// The one read-through state machine: lookup, then join the key's
+    /// flight on a miss; a leader double-checks, fetches and completes,
+    /// a follower waits. A stale entry's flight leader hands the guard,
+    /// the fetch and the stale value to `on_stale`, which decides how the
+    /// refresh runs and what this caller is served; a stale follower is
+    /// served stale at once.
+    pub(crate) fn read_through<F: FnOnce() -> Result<V, E>>(
+        &self,
+        key: &str,
+        ctx: &SpanCtx,
+        fetch: F,
+        on_stale: impl FnOnce(FlightGuard<V, E>, F, V) -> (V, FetchSource),
+    ) -> Result<(V, FetchSource), E> {
         match self.lookup(key, ctx) {
             Lookup::Fresh(value) => Ok((value, FetchSource::Hit)),
             Lookup::Stale(stale) => match self.join_flight(key, ctx) {
-                FlightJoin::Leader(guard) => match fetch() {
-                    Ok(value) => {
-                        guard.complete(Ok(value.clone()));
-                        Ok((value, FetchSource::Fetched))
-                    }
-                    Err(e) => {
-                        // The refresh failed; the stale value is still the
-                        // best answer. Waiters see the error (they can
-                        // re-lookup and be served stale themselves).
-                        guard.complete(Err(e));
-                        Ok((stale, FetchSource::Stale))
-                    }
-                },
-                // A refresh is already in flight: serve stale immediately.
+                FlightJoin::Leader(guard) => Ok(on_stale(guard, fetch, stale)),
                 FlightJoin::Follower(_) => Ok((stale, FetchSource::Stale)),
             },
             Lookup::Absent => match self.join_flight(key, ctx) {
@@ -808,10 +879,9 @@ impl ResponseCache {
                         }
                     }
                 }
-                FlightJoin::Follower(future) => match (*future.wait()).clone() {
-                    Ok(value) => Ok((value, FetchSource::Coalesced)),
-                    Err(e) => Err(e),
-                },
+                FlightJoin::Follower(future) => (*future.wait())
+                    .clone()
+                    .map(|value| (value, FetchSource::Coalesced)),
             },
         }
     }

@@ -10,9 +10,10 @@
 
 use crate::future::{JobPanicked, ListenableFuture};
 use cogsdk_obs::{tenant_labels, EventKind, SpanCtx, Telemetry};
-use crossbeam::channel::{unbounded, Sender};
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -68,19 +69,22 @@ impl ThreadPool {
     /// Panics if `size == 0`.
     pub fn with_telemetry(size: usize, telemetry: Telemetry) -> ThreadPool {
         assert!(size > 0, "thread pool needs at least one worker");
-        let (sender, receiver) = unbounded::<Job>();
+        // One queue every worker drains: a worker holds the receiver's
+        // lock only while it waits for the next job, never while it runs.
+        let (sender, receiver) = channel::<Job>();
+        let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..size)
             .map(|i| {
                 let receiver = receiver.clone();
                 std::thread::Builder::new()
                     .name(format!("cogsdk-pool-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = receiver.recv() {
-                            // A job's own panic is caught where it settles
-                            // its future; this keeps the worker alive
-                            // through a panicking listener too.
-                            let _ = catch_unwind(AssertUnwindSafe(job));
-                        }
+                    .spawn(move || loop {
+                        let next = receiver.lock().recv();
+                        let Ok(job) = next else { break };
+                        // A job's own panic is caught where it settles its
+                        // future; this keeps the worker alive through a
+                        // panicking listener too.
+                        let _ = catch_unwind(AssertUnwindSafe(job));
                     })
                     .expect("failed to spawn pool worker")
             })

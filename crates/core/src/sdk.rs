@@ -1,6 +1,6 @@
 //! The `RichSdk` facade: every Figure-2 feature behind one handle.
 
-use crate::cache::{CacheConfig, FetchSource, FlightGuard, FlightJoin, Lookup, ResponseCache};
+use crate::cache::{CacheConfig, FetchSource, FlightGuard, ResponseCache};
 use crate::future::ListenableFuture;
 use crate::invoke::{
     outcome_kind, response_or_error, Call, FailoverSuccess, InvocationPolicy, RedundantLeg,
@@ -433,34 +433,15 @@ impl RichSdk {
         call: &Call<'_>,
     ) -> Result<(Response, FetchSource), SdkError> {
         let key = format!("{name}::{}", request.cache_key());
-        match self.cache.lookup(&key, &call.span) {
-            Lookup::Fresh(hit) => Ok((Response::new(hit), FetchSource::Hit)),
-            Lookup::Stale(stale) => {
-                // Serve the stale value immediately; at most one refresh
-                // per key runs in the background (followers skip it).
-                if let FlightJoin::Leader(guard) = self.cache.join_flight(&key, &call.span) {
-                    self.spawn_refresh(name, request.clone(), guard, call.span);
-                }
-                Ok((Response::new(stale), FetchSource::Stale))
-            }
-            Lookup::Absent => match self.cache.join_flight(&key, &call.span) {
-                FlightJoin::Leader(guard) => {
-                    // Double-check after winning leadership: a previous
-                    // flight may have published between our miss and now.
-                    if let Some(value) = self.cache.peek_fresh(&key) {
-                        guard.complete_cached(value.clone());
-                        return Ok((Response::new(value), FetchSource::Hit));
-                    }
-                    let result = self.core.invoke(name, request, call);
-                    guard.complete(result.clone().map(|response| response.payload));
-                    result.map(|response| (response, FetchSource::Fetched))
-                }
-                FlightJoin::Follower(future) => match (*future.wait()).clone() {
-                    Ok(value) => Ok((Response::new(value), FetchSource::Coalesced)),
-                    Err(e) => Err(e),
-                },
-            },
-        }
+        let fetch = || self.core.invoke(name, request, call).map(|r| r.payload);
+        self.cache
+            .read_through(&key, &call.span, fetch, |guard, _, stale| {
+                // Serve the stale value at once; its one refresh runs on
+                // the pool.
+                self.spawn_refresh(name, request.clone(), guard, call.span);
+                (stale, FetchSource::Stale)
+            })
+            .map(|(payload, source)| (Response::new(payload), source))
     }
 
     /// Runs one stale-entry refresh on the worker pool, publishing the
@@ -696,6 +677,75 @@ mod tests {
                 .build(&env),
         );
         (env, sdk)
+    }
+
+    #[test]
+    fn a_panicking_stale_refresh_fails_its_waiters_and_frees_the_key() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{mpsc, Mutex};
+        let env = SimEnv::with_seed(23);
+        let config = CacheConfig {
+            capacity: 16,
+            default_ttl: Duration::from_secs(10),
+            shards: 1,
+            stale_while_revalidate: Some(Duration::from_secs(30)),
+        };
+        let sdk = Arc::new(RichSdk::with_cache_config(
+            &env,
+            config,
+            2,
+            Telemetry::disabled(),
+        ));
+        // The second call (the stale refresh) waits for `release`, then
+        // panics on its pool worker.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (release, gate) = mpsc::channel::<()>();
+        let (seen, gate) = (calls.clone(), Mutex::new(gate));
+        sdk.register(
+            SimService::builder("crashy", "nlu")
+                .latency(LatencyModel::constant_ms(5.0))
+                .handler(move |request| {
+                    if seen.fetch_add(1, Ordering::SeqCst) == 1 {
+                        let _ = gate.lock().expect("gate").recv();
+                        panic!("upstream crashed during the refresh");
+                    }
+                    Ok(request.payload.clone())
+                })
+                .build(&env),
+        );
+        let cached = |sdk: &RichSdk| sdk.invoke_cached_with("crashy", &req(), &sdk.call());
+        assert_eq!(cached(&sdk).unwrap().1, FetchSource::Fetched);
+        env.clock().advance(Duration::from_secs(15));
+        assert_eq!(
+            cached(&sdk).unwrap().1,
+            FetchSource::Stale,
+            "refresh starts"
+        );
+        // Past the stale window a reader misses and waits on the refresh.
+        env.clock().advance(Duration::from_secs(30));
+        let (tx, rx) = mpsc::channel();
+        let waiter = sdk.clone();
+        let reader = std::thread::spawn(move || tx.send(cached(&waiter)));
+        let joined = std::time::Instant::now();
+        while sdk.cache().stats().coalesced_waits == 0 {
+            assert!(
+                joined.elapsed() < Duration::from_secs(5),
+                "the reader joins"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.send(()).unwrap();
+        let waited = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the waiter wakes");
+        reader.join().unwrap().unwrap();
+        assert!(
+            matches!(&waited, Err(SdkError::AllFailed(m)) if m.contains("abandoned")),
+            "{waited:?}"
+        );
+        // The key is free: the next read leads a fresh flight.
+        assert_eq!(cached(&sdk).unwrap().1, FetchSource::Fetched);
+        assert_eq!(calls.load(Ordering::SeqCst), 3);
     }
 
     fn req() -> Request {

@@ -1158,7 +1158,11 @@ impl PersonalKnowledgeBase {
             String::from_utf8(bytes.to_vec()).map_err(|e| KbError::Corrupt(e.to_string()))?;
         let graph = text_to_graph(&text)?;
         let n = graph.len();
-        self.with_graph_mut(|g| g.reset(graph))?;
+        self.with_graph_mut(|g| {
+            g.reset(graph)?;
+            self.doc_counter.store(next_doc_id(g), Ordering::Relaxed);
+            Ok::<_, KbError>(())
+        })?;
         Ok(n)
     }
 
@@ -1222,23 +1226,17 @@ fn merge_confidence(graph: &DurableStore, st: &Statement, incoming: f64) -> f64 
 }
 
 /// The first document id [`PersonalKnowledgeBase::ingest_text`] may use:
-/// past the highest `kb:doc_{n}` subject already in the store, so a
-/// durably recovered base never reuses a document id.
+/// past the highest `kb:doc_{n}` term in the store's dictionary, so
+/// neither a recovered nor a loaded base reuses a document id — not even
+/// one whose facts were all retracted, since the dictionary keeps every
+/// term it ever interned.
 fn next_doc_id(graph: &DurableStore) -> usize {
     let epoch = graph.epochs().pin();
-    let dict = epoch.dict();
-    let mut next = 0;
-    for (s, _, _) in epoch.iter_ids() {
-        if let Some(iri) = dict.resolve(s).as_iri() {
-            if let Some(n) = iri
-                .strip_prefix("kb:doc_")
-                .and_then(|n| n.parse::<usize>().ok())
-            {
-                next = next.max(n + 1);
-            }
-        }
-    }
-    next
+    let ids = epoch.dict().terms().filter_map(|term| {
+        let n = term.as_iri()?.strip_prefix("kb:doc_")?;
+        n.parse::<usize>().ok()
+    });
+    ids.max().map_or(0, |n| n + 1)
 }
 
 #[cfg(test)]
@@ -1294,6 +1292,36 @@ mod tests {
         reader.publish_cache_metrics();
         assert_eq!(count("hit"), stats.cache_hits);
         assert_eq!(count("miss"), stats.cache_misses);
+    }
+
+    #[test]
+    fn a_loaded_image_keeps_its_document_ids_and_new_documents_follow_them() {
+        let remote: Arc<dyn KeyValueStore> = Arc::new(MemoryKv::new());
+        let writer = PersonalKnowledgeBase::new(remote.clone(), KbOptions::default());
+        writer.ingest_text("IBM acquired Oracle.").unwrap();
+        writer
+            .ingest_text("The United States praised IBM.")
+            .unwrap();
+        writer.persist_graph("g").unwrap();
+        let mentions = |kb: &PersonalKnowledgeBase, doc: usize| {
+            let sparql = format!("SELECT ?e WHERE {{ <kb:doc_{doc}> <kb:mentions> ?e }}");
+            let mut entities: Vec<Term> = kb
+                .query(&sparql)
+                .unwrap()
+                .into_iter()
+                .map(|mut row| row.remove("e").unwrap())
+                .collect();
+            entities.sort_by_key(|e| e.to_string());
+            entities
+        };
+        let first = mentions(&writer, 0);
+        assert!(!first.is_empty());
+
+        let reader = PersonalKnowledgeBase::new(remote, KbOptions::default());
+        reader.load_graph("g").unwrap();
+        reader.ingest_text("France welcomed the deal.").unwrap();
+        assert_eq!(mentions(&reader, 0), first, "doc 0 gained no mentions");
+        assert_eq!(mentions(&reader, 2), vec![Term::iri("kb:france")]);
     }
 
     #[test]

@@ -328,16 +328,21 @@ impl TermDict {
     /// fresh dictionary reproduces identical ids — which is how the
     /// snapshot writer and the WAL persist the dictionary.
     pub(crate) fn terms_from(&self, start: usize) -> Vec<Term> {
-        let len = self.len();
-        (start..len)
-            .map(|seq| {
-                let (chunk_idx, offset) = locate(seq);
-                self.inner.chunks[chunk_idx].get().expect("chunk")[offset]
-                    .get()
-                    .expect("slot")
-                    .clone()
-            })
+        (start..self.len())
+            .map(|seq| self.term_at(seq).clone())
             .collect()
+    }
+
+    /// Every term interned so far, borrowed, in interning order.
+    pub fn terms(&self) -> impl Iterator<Item = &Term> {
+        (0..self.len()).map(|seq| self.term_at(seq))
+    }
+
+    fn term_at(&self, seq: usize) -> &Term {
+        let (chunk_idx, offset) = locate(seq);
+        self.inner.chunks[chunk_idx].get().expect("chunk")[offset]
+            .get()
+            .expect("slot")
     }
 
     /// Materializes many triples. Lock-free: each term resolves straight

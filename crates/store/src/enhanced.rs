@@ -7,26 +7,23 @@
 //! reduce the latency for accessing remote data stores via caching" (§3).
 //!
 //! [`EnhancedClient`] wraps any [`KeyValueStore`] (typically the remote
-//! one) and layers, in order: client-side LRU cache → compression →
+//! one) and layers, in order: client-side cache → compression →
 //! encryption. It keeps byte counters so experiments can report
-//! bytes-on-the-wire savings.
-
-//! Reads are herd-safe: the client cache is sharded (lock-striped) for
-//! concurrent access, and concurrent `get` misses on the same key
-//! coalesce onto one remote fetch (single-flight), with the result — or
-//! error — fanned out to every waiter.
+//! bytes-on-the-wire savings. The cache is the SDK's
+//! [`ResponseCache`] over plaintext bytes — sharded, LRU, single-flight —
+//! with entries that never expire.
 
 use crate::compress;
 use crate::crypto::{self, Key};
 use crate::kv::KeyValueStore;
 use crate::StoreError;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use cogsdk_core::cache::{CacheConfig, FetchSource, FlightAbandoned, ResponseCache};
+use cogsdk_obs::Telemetry;
+use cogsdk_sim::clock::SimClock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Configuration for an [`EnhancedClient`].
 #[derive(Debug, Clone)]
@@ -85,8 +82,7 @@ pub struct EnhancedStats {
 pub struct EnhancedClient {
     remote: Arc<dyn KeyValueStore>,
     options: EnhancedOptions,
-    cache: ShardedLru,
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
+    cache: ResponseCache<Bytes, StoreError>,
     nonce: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -104,12 +100,28 @@ impl std::fmt::Debug for EnhancedClient {
     }
 }
 
+/// A flight whose leader panicked leaves the remote's state unknown.
+impl From<FlightAbandoned> for StoreError {
+    fn from(abandoned: FlightAbandoned) -> StoreError {
+        StoreError::RemoteUnavailable(abandoned.to_string())
+    }
+}
+
 impl EnhancedClient {
     /// Wraps `remote` with the given options.
     pub fn new(remote: Arc<dyn KeyValueStore>, options: EnhancedOptions) -> EnhancedClient {
+        // A clock nobody advances and the longest TTL: entries leave the
+        // cache by eviction, `delete` or `invalidate_cache` only.
+        let config = CacheConfig {
+            capacity: options.cache_capacity,
+            default_ttl: Duration::MAX,
+            // One shard per 32 entries, up to 8; small caches keep a
+            // single shard and so exact whole-cache LRU order.
+            shards: (options.cache_capacity / 32).clamp(1, 8),
+            stale_while_revalidate: None,
+        };
         EnhancedClient {
-            cache: ShardedLru::new(options.cache_capacity),
-            flights: Mutex::new(HashMap::new()),
+            cache: ResponseCache::build(SimClock::new(), config, Telemetry::disabled()),
             remote,
             options,
             nonce: AtomicU64::new(1),
@@ -134,7 +146,7 @@ impl EnhancedClient {
 
     /// Number of lock-striped cache shards (scales with capacity).
     pub fn cache_shards(&self) -> usize {
-        self.cache.shards.len()
+        self.cache.shard_count()
     }
 
     /// Drops every cached entry (used by consistency experiments).
@@ -166,52 +178,6 @@ impl EnhancedClient {
     }
 }
 
-impl EnhancedClient {
-    /// The miss path: exactly one caller per key fetches remotely at a
-    /// time; everyone else blocks on the in-flight result.
-    fn get_coalesced(&self, key: &str) -> Result<Bytes, StoreError> {
-        let flight = {
-            let mut flights = self.flights.lock();
-            match flights.get(key) {
-                Some(flight) => Some(flight.clone()),
-                None => {
-                    flights.insert(key.to_string(), Arc::new(Flight::default()));
-                    None
-                }
-            }
-        };
-        if let Some(flight) = flight {
-            self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-            return flight.wait();
-        }
-        // Leader. Double-check the cache: a previous flight may have
-        // published between this caller's miss and its flight acquisition.
-        let result = match self.cache.get(key) {
-            Some(hit) => {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(hit)
-            }
-            None => {
-                self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let fetched = self.remote.get(key).and_then(|raw| self.decode(raw));
-                if let Ok(value) = &fetched {
-                    // Cache before unparking waiters so none can re-miss
-                    // and start a second flight for a value we hold.
-                    self.cache.put(key.to_string(), value.clone());
-                }
-                fetched
-            }
-        };
-        let flight = self
-            .flights
-            .lock()
-            .remove(key)
-            .expect("leader owns the flight slot");
-        flight.publish(result.clone());
-        result
-    }
-}
-
 impl KeyValueStore for EnhancedClient {
     fn put(&self, key: &str, value: Bytes) -> Result<(), StoreError> {
         self.bytes_in
@@ -221,159 +187,31 @@ impl KeyValueStore for EnhancedClient {
             .fetch_add(encoded.len() as u64, Ordering::Relaxed);
         self.remote.put(key, encoded)?;
         // Write-through cache of the plaintext.
-        self.cache.put(key.to_string(), value);
+        self.cache.put(key, value);
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Bytes, StoreError> {
-        if let Some(hit) = self.cache.get(key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.get_coalesced(key)
+        let (value, source) = self.cache.get_or_fetch(key, || {
+            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.remote.get(key).and_then(|raw| self.decode(raw))
+        })?;
+        match source {
+            FetchSource::Hit => self.cache_hits.fetch_add(1, Ordering::Relaxed),
+            FetchSource::Coalesced => self.coalesced_waits.fetch_add(1, Ordering::Relaxed),
+            // A miss is counted where the remote is read.
+            FetchSource::Fetched | FetchSource::Stale => 0,
+        };
+        Ok(value)
     }
 
     fn delete(&self, key: &str) -> Result<bool, StoreError> {
-        self.cache.remove(key);
+        self.cache.invalidate(key);
         self.remote.delete(key)
     }
 
     fn keys(&self) -> Result<Vec<String>, StoreError> {
         self.remote.keys()
-    }
-}
-
-/// One in-flight remote fetch; waiters block until the leader publishes.
-#[derive(Debug, Default)]
-struct Flight {
-    slot: Mutex<Option<Result<Bytes, StoreError>>>,
-    ready: Condvar,
-}
-
-impl Flight {
-    fn publish(&self, result: Result<Bytes, StoreError>) {
-        *self.slot.lock() = Some(result);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<Bytes, StoreError> {
-        let mut slot = self.slot.lock();
-        while slot.is_none() {
-            self.ready.wait(&mut slot);
-        }
-        slot.clone().expect("published")
-    }
-}
-
-/// A lock-striped LRU: keys hash to one of N power-of-two shards, each
-/// holding its slice of the capacity under its own lock. Small caches
-/// (under 64 entries) keep a single shard so whole-cache LRU order — and
-/// the tests that rely on it — are preserved exactly.
-#[derive(Debug)]
-struct ShardedLru {
-    shards: Vec<Mutex<LruCache>>,
-    mask: u64,
-}
-
-impl ShardedLru {
-    fn new(capacity: usize) -> ShardedLru {
-        // One shard per 32 entries, up to 8.
-        let requested = (capacity / 32).clamp(1, 8);
-        let mut count = 1;
-        while count * 2 <= requested {
-            count *= 2;
-        }
-        let base = capacity / count;
-        let rem = capacity % count;
-        ShardedLru {
-            shards: (0..count)
-                .map(|i| Mutex::new(LruCache::new(base + usize::from(i < rem))))
-                .collect(),
-            mask: count as u64 - 1,
-        }
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<LruCache> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() & self.mask) as usize]
-    }
-
-    fn get(&self, key: &str) -> Option<Bytes> {
-        self.shard(key).lock().get(key)
-    }
-
-    fn put(&self, key: String, value: Bytes) {
-        self.shard(&key).lock().put(key, value);
-    }
-
-    fn remove(&self, key: &str) {
-        self.shard(key).lock().remove(key);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
-}
-
-/// A small LRU cache over byte values.
-#[derive(Debug)]
-struct LruCache {
-    capacity: usize,
-    map: HashMap<String, Bytes>,
-    order: Vec<String>, // front = least recently used
-}
-
-impl LruCache {
-    fn new(capacity: usize) -> LruCache {
-        LruCache {
-            capacity,
-            map: HashMap::new(),
-            order: Vec::new(),
-        }
-    }
-
-    fn get(&mut self, key: &str) -> Option<Bytes> {
-        let hit = self.map.get(key).cloned();
-        if hit.is_some() {
-            self.touch(key);
-        }
-        hit
-    }
-
-    fn put(&mut self, key: String, value: Bytes) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.insert(key.clone(), value).is_none() {
-            self.order.push(key);
-        } else {
-            self.touch(&key);
-        }
-        while self.map.len() > self.capacity {
-            let evict = self.order.remove(0);
-            self.map.remove(&evict);
-        }
-    }
-
-    fn remove(&mut self, key: &str) {
-        if self.map.remove(key).is_some() {
-            self.order.retain(|k| k != key);
-        }
-    }
-
-    fn touch(&mut self, key: &str) {
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            let k = self.order.remove(pos);
-            self.order.push(k);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
     }
 }
 
@@ -606,6 +444,50 @@ mod tests {
         // Errors are not cached: the next get retries the remote.
         assert!(client.get("missing").is_err());
         assert_eq!(slow.gets.load(Ordering::SeqCst), 2);
+    }
+
+    /// A remote whose first `get` panics; later gets read through.
+    struct PanicOnceKv {
+        inner: Arc<MemoryKv>,
+        panicked: std::sync::atomic::AtomicBool,
+    }
+
+    impl KeyValueStore for PanicOnceKv {
+        fn put(&self, key: &str, value: Bytes) -> Result<(), StoreError> {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &str) -> Result<Bytes, StoreError> {
+            if !self.panicked.swap(true, Ordering::SeqCst) {
+                panic!("remote crashed mid-read");
+            }
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &str) -> Result<bool, StoreError> {
+            self.inner.delete(key)
+        }
+        fn keys(&self) -> Result<Vec<String>, StoreError> {
+            self.inner.keys()
+        }
+    }
+
+    #[test]
+    fn a_panicking_remote_get_does_not_wedge_its_key() {
+        let crashy = Arc::new(PanicOnceKv {
+            inner: remote(),
+            panicked: Default::default(),
+        });
+        crashy.inner.put("k", Bytes::from("v")).unwrap();
+        let client = Arc::new(EnhancedClient::new(crashy, EnhancedOptions::default()));
+        let leader = client.clone();
+        let led = std::thread::spawn(move || leader.get("k")).join();
+        assert!(led.is_err(), "the first remote get panics");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || tx.send(client.get("k")));
+        let next = rx
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("a later get of the key returns");
+        reader.join().unwrap().unwrap();
+        assert_eq!(next, Ok(Bytes::from("v")));
     }
 
     #[test]
