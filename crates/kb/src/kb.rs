@@ -82,10 +82,10 @@ pub struct PersonalKnowledgeBase {
     graph: RwLock<DurableStore>,
     /// The store's immutable epoch snapshots, shared with the
     /// [`DurableStore`] *outside* the `graph` lock: readers pin an epoch
-    /// with one refcount bump and never contend with writers. Weighted
-    /// confidences travel inside each epoch (§5 future work: accuracy
-    /// levels on stored and inferred facts) and are durably owned by the
-    /// store itself.
+    /// with one refcount bump and never contend with writers. A stated
+    /// fact's accuracy level (§5 future work) is run data of the epoch,
+    /// beside its membership: it is logged and snapshotted by the store,
+    /// and goes when the fact goes.
     epochs: Arc<EpochStore>,
     catalog: RwLock<EntityCatalog>,
     /// Shared with every ingest session's analysis workers.
@@ -419,6 +419,19 @@ impl PersonalKnowledgeBase {
         predicate: &str,
         object: &str,
     ) -> Result<Statement, KbError> {
+        let st = self.resolve_fact(subject, predicate, object)?;
+        self.with_graph_mut(|g| g.insert(st.clone()))?;
+        Ok(st)
+    }
+
+    /// The statement [`add_fact`](Self::add_fact) stores for surface
+    /// forms.
+    fn resolve_fact(
+        &self,
+        subject: &str,
+        predicate: &str,
+        object: &str,
+    ) -> Result<Statement, KbError> {
         let catalog = self.catalog.read();
         let subj = catalog
             .resolve(subject)
@@ -427,14 +440,11 @@ impl PersonalKnowledgeBase {
             Some(e) => Term::iri(format!("kb:{}", e.id)),
             None => Term::string(object),
         };
-        drop(catalog);
-        let st = Statement::new(
+        Ok(Statement::new(
             Term::iri(format!("kb:{}", subj.id)),
             Term::iri(format!("kb:{}", sanitize(predicate))),
             object_term,
-        );
-        self.with_graph_mut(|g| g.insert(st.clone()))?;
-        Ok(st)
+        ))
     }
 
     /// Resolves a surface form through the catalog.
@@ -881,9 +891,10 @@ impl PersonalKnowledgeBase {
 
     /// Imports every fact a remote source has about `entity_id`, tagging
     /// each with `source_confidence` (§5: sources "may not be completely
-    /// accurate"). Returns how many statements were added. The fetch runs
-    /// in the caller's context, so its deadline keeps a slow or flapping
-    /// source from stalling a KB refresh indefinitely.
+    /// accurate"); a rated fact keeps the more trusted level, as in
+    /// [`DurableStore::insert_weighted`]. Returns how many statements were
+    /// added. The fetch runs in the caller's context, so its deadline keeps
+    /// a slow or flapping source from stalling a KB refresh indefinitely.
     ///
     /// # Errors
     ///
@@ -905,27 +916,22 @@ impl PersonalKnowledgeBase {
             "confidence must be in [0, 1]"
         );
         let facts = crate::federation::describe_remote(service, entity_id, call)?;
-        // One delta propagation (and one WAL group commit each for the
-        // confidences and the facts) for the imported batch.
-        self.with_graph_mut(|g| {
-            if source_confidence < 1.0 {
-                let merged: Vec<(Statement, f64)> = facts
-                    .statements
-                    .iter()
-                    .map(|st| (st.clone(), merge_confidence(g, st, source_confidence)))
-                    .collect();
-                g.set_confidence_batch(merged)?;
-            }
-            Ok(g.insert_batch(facts.statements)?)
-        })
+        // One delta propagation and one WAL group commit, facts and
+        // confidences together, for the imported batch.
+        let weighted = facts
+            .statements
+            .into_iter()
+            .map(|st| (st, source_confidence));
+        Ok(self.with_graph_mut(|g| g.insert_weighted(weighted))?)
     }
 
     // ------------------------------------------------------------------
     // Accuracy levels (the paper’s §5 future work, implemented)
     // ------------------------------------------------------------------
 
-    /// Adds a fact with an accuracy level in `[0, 1]`. Subject/object are
-    /// disambiguated exactly as in [`add_fact`](Self::add_fact).
+    /// Adds a fact with an accuracy level in `[0, 1]`; a rated fact keeps
+    /// the more trusted level. Subject/object are disambiguated exactly as
+    /// in [`add_fact`](Self::add_fact).
     ///
     /// # Errors
     ///
@@ -945,11 +951,8 @@ impl PersonalKnowledgeBase {
             (0.0..=1.0).contains(&confidence),
             "confidence must be in [0, 1]"
         );
-        let st = self.add_fact(subject, predicate, object)?;
-        self.with_graph_mut(|g| {
-            let merged = merge_confidence(g, &st, confidence);
-            g.set_confidence(&st, merged)
-        })?;
+        let st = self.resolve_fact(subject, predicate, object)?;
+        self.with_graph_mut(|g| g.insert_weighted([(st.clone(), confidence)]))?;
         Ok(st)
     }
 
@@ -958,11 +961,7 @@ impl PersonalKnowledgeBase {
     /// epoch without taking the store lock.
     pub fn fact_confidence(&self, st: &Statement) -> Option<f64> {
         let snap = self.epochs.pin();
-        let triple = snap.dict().lookup_statement(st)?;
-        if !snap.contains_id(triple) {
-            return None;
-        }
-        Some(snap.confidence_of(triple).unwrap_or(1.0))
+        snap.confidence_of(snap.dict().lookup_statement(st)?)
     }
 
     /// Runs user rules with confidence propagation: each inferred fact
@@ -981,19 +980,15 @@ impl PersonalKnowledgeBase {
         let mut wg = {
             let snap = self.epochs.pin();
             let mut wg = WeightedGraph::from_graph(snap.to_graph());
-            for (&triple, &c) in snap.confidence().iter() {
+            for (triple, c) in snap.weighted() {
                 wg.insert_with_confidence(snap.dict().resolve_triple(triple), c);
             }
             wg
         };
         let added = reasoner.infer(&mut wg);
-        // One group commit for every fact the rules produced, one more
-        // for their confidences.
-        self.with_graph_mut(|g| {
-            g.insert_batch(added.iter().map(|(st, _)| st.clone()))?;
-            g.set_confidence_batch(added.clone())?;
-            Ok::<_, KbError>(())
-        })?;
+        // One group commit for every fact the rules produced, each at its
+        // confidence.
+        self.with_graph_mut(|g| g.insert_weighted(added.clone()))?;
         Ok(added)
     }
 
@@ -1051,38 +1046,28 @@ impl PersonalKnowledgeBase {
     /// # Errors
     ///
     /// [`KbError::Durability`] if logging fails. The round's retractions
-    /// are one group commit and one DRed round, all or nothing; if only
-    /// the confidence reset after them fails, they stand.
+    /// are one group commit and one DRed round, all or nothing. A dropped
+    /// statement's accuracy level goes with it.
     pub fn resolve_conflicts_for(&self, predicate: &Term) -> Result<usize, KbError> {
-        let conflicts = self.conflicts();
-        self.with_graph_mut(|graph| {
-            let dropped: Vec<Statement> = conflicts
-                .into_iter()
-                .filter(|((_, p), _)| p == predicate)
-                .flat_map(|((subject, p), candidates)| {
-                    let losers = candidates.into_iter().skip(1);
-                    losers
-                        .map(move |(object, _)| Statement::new(subject.clone(), p.clone(), object))
-                })
-                .filter(|st| graph.contains(st))
-                .collect();
-            let removed = graph.remove_batch(&dropped)?;
-            // Restore the default so the dropped statements' stale
-            // accuracy levels don't outlive them.
-            graph.set_confidence_batch(dropped.into_iter().map(|st| (st, 1.0)))?;
-            Ok(removed)
-        })
+        let dropped: Vec<Statement> = self
+            .conflicts()
+            .into_iter()
+            .filter(|((_, p), _)| p == predicate)
+            .flat_map(|((subject, p), candidates)| {
+                let losers = candidates.into_iter().skip(1);
+                losers.map(move |(object, _)| Statement::new(subject.clone(), p.clone(), object))
+            })
+            .collect();
+        Ok(self.with_graph_mut(|graph| graph.remove_batch(&dropped))?)
     }
 
     /// Facts whose accuracy is below `threshold`, weakest first — the
     /// review queue for uncertain knowledge.
     pub fn weak_facts(&self, threshold: f64) -> Vec<(Statement, f64)> {
         let snap = self.epochs.pin();
-        let mut out: Vec<(Statement, f64)> = snap
-            .confidence()
-            .iter()
-            .filter(|&(&triple, &c)| c < threshold && snap.contains_id(triple))
-            .map(|(&triple, &c)| (snap.dict().resolve_triple(triple), c))
+        let weak = snap.weighted().into_iter().filter(|&(_, c)| c < threshold);
+        let mut out: Vec<(Statement, f64)> = weak
+            .map(|(triple, c)| (snap.dict().resolve_triple(triple), c))
             .collect();
         out.sort_by(|a, b| {
             a.1.total_cmp(&b.1)
@@ -1194,6 +1179,12 @@ impl PersonalKnowledgeBase {
         self.graph.read().wal_stats()
     }
 
+    /// Membership probes the store's writer has made since open; see
+    /// [`DurableStore::membership_probes`].
+    pub fn membership_probes(&self) -> u64 {
+        self.graph.read().membership_probes()
+    }
+
     /// Sets the (client-observed) connectivity state (§3's disconnected
     /// operation).
     pub fn set_connected(&self, connected: bool) {
@@ -1211,18 +1202,6 @@ impl PersonalKnowledgeBase {
     pub fn dirty_keys(&self) -> Vec<String> {
         self.store.dirty_keys()
     }
-}
-
-/// Max-merges a new accuracy level into a statement's stored one: an
-/// unrated statement takes the incoming level; a rated one keeps the
-/// most-trusted rating seen so far.
-fn merge_confidence(graph: &DurableStore, st: &Statement, incoming: f64) -> f64 {
-    let epoch = graph.epochs().pin();
-    epoch
-        .dict()
-        .lookup_statement(st)
-        .and_then(|t| epoch.confidence().get(&t).copied())
-        .map_or(incoming, |current| current.max(incoming))
 }
 
 /// The first document id [`PersonalKnowledgeBase::ingest_text`] may use:
@@ -2163,7 +2142,7 @@ mod tests {
     }
 
     #[test]
-    fn a_conflict_round_is_two_wal_commits() {
+    fn a_conflict_round_is_one_wal_commit() {
         let fs = Arc::new(cogsdk_sim::SimFs::new(15));
         let kb = PersonalKnowledgeBase::open_durable_on(
             fs,
@@ -2195,11 +2174,11 @@ mod tests {
         assert_eq!(kb.resolve_conflicts_for(&capital).unwrap(), 50);
         assert_eq!(
             kb.wal_stats().appends,
-            appends + 2,
-            "one retraction batch, one confidence batch"
+            appends + 1,
+            "one retraction batch; the dropped levels go with their facts"
         );
         assert!(kb.conflicts().is_empty());
-        assert!(kb.weak_facts(0.5).is_empty(), "dropped levels are reset");
+        assert!(kb.weak_facts(0.5).is_empty(), "dropped levels are gone");
         // DRed retracted what the dropped facts entailed.
         let bad = Statement::new(
             Term::iri("kb:bad7"),

@@ -23,10 +23,11 @@
 //! explicit sequence numbers and verified on replay), and re-replaying
 //! records a snapshot already holds — possible after a crash between the
 //! snapshot rename and the WAL truncation — is a no-op: per triple, the
-//! last logged operation wins.
+//! last logged operation wins. A `Confidence` record replays by the rule
+//! it was logged under (see [`DurableStore::set_confidence_batch`]).
 
 use crate::dict::{IdTriple, TermDict};
-use crate::epoch::EpochStore;
+use crate::epoch::{EpochStore, Fact};
 use crate::graph::Graph;
 use crate::incremental::{IncrementalMaterializer, MaterializerConfig};
 use crate::model::{Statement, Term};
@@ -34,7 +35,7 @@ use crate::reason::Rule;
 use crate::snapshot::{check_triple, load_snapshot, write_snapshot, SNAPSHOT_TMP};
 use crate::wal::{self, Wal, WalRecord};
 use cogsdk_sim::fs::{RealFs, Vfs};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,20 +86,17 @@ struct Durability {
 
 impl Durability {
     /// Writes a checksummed snapshot of `dict`, the stated `triples`
-    /// (SPO order), the ruleset config and the confidences via
-    /// write-temp → fsync → rename, then truncates the WAL. Returns
-    /// bytes written.
+    /// (SPO order), the ruleset config and the weighted triples'
+    /// confidences (SPO order) via write-temp → fsync → rename, then
+    /// truncates the WAL. Returns bytes written.
     fn snapshot(
         &mut self,
         dict: &TermDict,
         triples: &[IdTriple],
         config: &MaterializerConfig,
-        confidence: &HashMap<IdTriple, f64>,
+        confidence: &[(IdTriple, f64)],
     ) -> Result<u64, DurableError> {
-        let mut confidence: Vec<(IdTriple, f64)> =
-            confidence.iter().map(|(&t, &v)| (t, v)).collect();
-        confidence.sort_by_key(|&(t, _)| t);
-        let bytes = write_snapshot(self.fs.as_ref(), dict, triples, config, &confidence)?;
+        let bytes = write_snapshot(self.fs.as_ref(), dict, triples, config, confidence)?;
         self.wal.reset()?;
         self.dict_watermark = dict.len();
         Ok(bytes)
@@ -183,12 +181,19 @@ impl DurableStore {
         let snapshot_loaded = snapshot.is_some();
         let snap = snapshot.unwrap_or_default();
         let (dict, mut config) = (snap.dict, snap.config);
-        let mut confidence: HashMap<IdTriple, f64> = snap.confidence.into_iter().collect();
+        // Per triple, the last logged operation wins: one net run of
+        // triples absent (`None`) or stated at a confidence, from the
+        // snapshot's weighted triples (a stale entry for another is
+        // dropped).
+        let mut net: HashMap<IdTriple, Option<f64>> = snap
+            .confidence
+            .into_iter()
+            .filter(|&(t, value)| value < 1.0 && snap.triples.binary_search(&t).is_ok())
+            .map(|(t, value)| (t, Some(value)))
+            .collect();
 
         let replayed = wal::replay(fs.as_ref())?;
         let replayed_records = replayed.records.len() as u64;
-        // Per triple, the last logged operation wins: one net run.
-        let mut net: HashMap<IdTriple, bool> = HashMap::new();
         for record in replayed.records {
             match record {
                 WalRecord::DictEntry { seq, term } => {
@@ -200,11 +205,14 @@ impl DurableStore {
                         )));
                     }
                 }
+                // A triple `net` lacks is absent or stated at 1.0: an
+                // insert states it at 1.0, a reset leaves it.
                 WalRecord::Insert(s, p, o) => {
-                    net.insert(check_triple((s, p, o), dict.len())?, true);
+                    let held = net.entry(check_triple((s, p, o), dict.len())?).or_default();
+                    held.get_or_insert(1.0);
                 }
                 WalRecord::Remove(s, p, o) => {
-                    net.insert(check_triple((s, p, o), dict.len())?, false);
+                    net.insert(check_triple((s, p, o), dict.len())?, None);
                 }
                 WalRecord::EnableRdfs => config.rdfs = true,
                 WalRecord::EnableOwl => {
@@ -231,22 +239,17 @@ impl DurableStore {
                             "confidence record for ({s}, {p}, {o}) is not finite"
                         )));
                     }
-                    if value >= 1.0 {
-                        confidence.remove(&triple);
-                    } else {
-                        confidence.insert(triple, value);
+                    if value < 1.0 {
+                        net.insert(triple, Some(value));
+                    } else if let Some(Some(held)) = net.get_mut(&triple) {
+                        *held = 1.0;
                     }
                 }
             }
         }
 
-        let (inner, base_triples, rederived_facts) = IncrementalMaterializer::recover(
-            dict.clone(),
-            snap.triples,
-            net,
-            config,
-            Arc::new(confidence),
-        );
+        let (inner, base_triples, rederived_facts) =
+            IncrementalMaterializer::recover(dict.clone(), snap.triples, net, config);
         // Discard any half-written snapshot temp from a previous run.
         fs.delete(SNAPSHOT_TMP)?;
         let wal = Wal::open(fs.clone(), options.segment_max_bytes)?;
@@ -395,7 +398,8 @@ impl DurableStore {
 
     /// Removes a batch of stated facts under a single group commit, one
     /// DRed round and a single epoch publish. Returns how many were
-    /// present.
+    /// present. Each distinct statement is resolved once: one membership
+    /// probe decides both its WAL record and its retraction.
     ///
     /// # Errors
     ///
@@ -404,20 +408,12 @@ impl DurableStore {
         &mut self,
         batch: impl IntoIterator<Item = &'a Statement>,
     ) -> Result<usize, DurableError> {
-        let batch: Vec<&Statement> = batch.into_iter().collect();
+        let present = self.inner.resolve_present(batch);
         if self.durability.is_some() {
-            let mut seen = BTreeSet::new();
-            let mut ops = Vec::new();
-            for st in &batch {
-                if let Some(triple) = self.inner.lookup_present(st) {
-                    if seen.insert(triple) {
-                        ops.push(WalRecord::remove(triple));
-                    }
-                }
-            }
+            let ops = present.iter().map(|&(t, _)| WalRecord::remove(t)).collect();
             self.log_records(ops)?;
         }
-        let removed = self.inner.remove_batch(batch);
+        let removed = self.inner.remove_present(&present);
         self.publish_epoch();
         Ok(removed)
     }
@@ -429,65 +425,78 @@ impl DurableStore {
     }
 
     /// Sets confidences under one WAL group commit (when durable) and one
-    /// epoch publish. Values at or above 1.0 restore the default and drop
-    /// the entry; anything non-finite is rejected. A statement need not
-    /// be present — imports record confidences before facts land.
-    /// Returns how many entries changed.
+    /// epoch publish. Below 1.0 a confidence is a weighted assertion: it
+    /// states an absent or derived statement at it (deriving as an insert
+    /// does) or re-weights a stated one. At or above 1.0 it resets a stated
+    /// statement and does nothing to another. A removal drops the
+    /// confidence, so a later plain insert is unweighted. Anything
+    /// non-finite is rejected. Returns how many items changed a statement.
     pub fn set_confidence_batch(
         &mut self,
         items: impl IntoIterator<Item = (Statement, f64)>,
     ) -> Result<usize, DurableError> {
-        let epoch = self.inner.epoch().clone();
-        let mut resolved: Vec<(IdTriple, f64, Option<f64>)> = Vec::new();
+        Ok(self.commit_weighted(items, false)?.0)
+    }
+
+    /// [`set_confidence_batch`](Self::set_confidence_batch), except that a
+    /// weighted statement keeps the higher confidence and 1.0 also inserts
+    /// an absent or derived statement. Returns how many facts were new to
+    /// the full view.
+    pub fn insert_weighted(
+        &mut self,
+        items: impl IntoIterator<Item = (Statement, f64)>,
+    ) -> Result<usize, DurableError> {
+        Ok(self.commit_weighted(items, true)?.1)
+    }
+
+    /// Stages, logs (an `Insert` where a statement becomes stated at 1.0, a
+    /// `Confidence` elsewhere) and seals weighted assertions. Returns how
+    /// many items changed a statement and how many facts were new.
+    fn commit_weighted(
+        &mut self,
+        items: impl IntoIterator<Item = (Statement, f64)>,
+        insert: bool,
+    ) -> Result<(usize, usize), DurableError> {
+        let dict = self.inner.epoch().dict().clone();
+        let mut staged = Vec::new();
         for (st, value) in items {
             if !value.is_finite() {
+                self.inner.discard();
                 return Err(DurableError::Corrupt(format!(
                     "confidence {value} is not finite"
                 )));
             }
-            let triple = epoch.dict().intern_statement(&st);
-            let current = epoch.confidence().get(&triple).copied();
-            let next = (value < 1.0).then_some(value);
-            if current != next {
-                resolved.push((triple, value, next));
+            let triple = dict.intern_statement(&st);
+            if let Some((before, now)) = self.inner.weigh(triple, value, insert) {
+                staged.push((triple, before, now));
             }
         }
-        if resolved.is_empty() {
-            return Ok(0);
+        let record = |&(t, before, value): &(IdTriple, Option<Fact>, f64)| match value {
+            _ if value >= 1.0 && before != Some(Fact::Stated) => WalRecord::insert(t),
+            _ => WalRecord::confidence(t, value),
+        };
+        if let Err(e) = self.log_records(staged.iter().map(record).collect()) {
+            self.inner.discard();
+            return Err(e);
         }
-        if self.durability.is_some() {
-            let ops = resolved
-                .iter()
-                .map(|&(t, v, _)| WalRecord::confidence(t, v))
-                .collect();
-            self.log_records(ops)?;
-        }
-        let changed = resolved.len();
-        let mut map = HashMap::clone(epoch.confidence());
-        for (triple, _, next) in resolved {
-            match next {
-                Some(v) => map.insert(triple, v),
-                None => map.remove(&triple),
-            };
-        }
-        self.inner.set_confidences(Arc::new(map));
+        let seeds: Vec<(IdTriple, Option<Fact>)> = staged.iter().map(|&(t, b, _)| (t, b)).collect();
+        let added = self.inner.seal_stated(&seeds);
         self.publish_epoch();
-        Ok(changed)
+        Ok((staged.len(), added))
     }
 
-    /// The confidence recorded for a statement, default 1.0.
+    /// The confidence of a statement: 1.0 unless it is present, stated
+    /// and weighted.
     pub fn confidence_of(&self, st: &Statement) -> f64 {
         let epoch = self.inner.epoch();
-        epoch
-            .dict()
-            .lookup_statement(st)
-            .and_then(|t| epoch.confidence().get(&t).copied())
-            .unwrap_or(1.0)
+        let triple = epoch.dict().lookup_statement(st);
+        triple.and_then(|t| epoch.confidence_of(t)).unwrap_or(1.0)
     }
 
-    /// The authoritative confidence map (entries below 1.0 only).
-    pub fn confidences(&self) -> &Arc<HashMap<IdTriple, f64>> {
-        self.inner.epoch().confidence()
+    /// Membership probes against sealed epochs since open: one per distinct
+    /// triple an insert finds interned or a retraction names, plus rules'.
+    pub fn membership_probes(&self) -> u64 {
+        self.inner.membership_probes()
     }
 
     /// Enables RDFS entailment as a standing ruleset.
@@ -555,7 +564,7 @@ impl DurableStore {
     pub fn reset(&mut self, graph: Graph) -> Result<(), DurableError> {
         if let Some(d) = self.durability.as_mut() {
             let triples: Vec<IdTriple> = graph.iter_ids().collect();
-            d.snapshot(graph.dict(), &triples, self.inner.config(), &HashMap::new())?;
+            d.snapshot(graph.dict(), &triples, self.inner.config(), &[])?;
         }
         self.inner.reset(graph);
         self.publish_epoch();
@@ -576,7 +585,7 @@ impl DurableStore {
             epoch.dict(),
             &stated,
             self.inner.config(),
-            epoch.confidence(),
+            &epoch.weighted(),
         )
     }
 
@@ -1028,7 +1037,7 @@ mod tests {
         let mut recovered = open(&fs);
         assert_eq!(recovered.confidence_of(&st("ex:a", "ex:p", "ex:b")), 0.6);
         assert_eq!(recovered.confidence_of(&st("ex:c", "ex:p", "ex:d")), 1.0);
-        assert_eq!(recovered.confidences().len(), 1);
+        assert_eq!(recovered.epochs().pin().weighted().len(), 1);
         recovered.snapshot().unwrap();
         drop(recovered);
 
@@ -1036,7 +1045,120 @@ mod tests {
         let recovered = open(&fs);
         assert_eq!(recovered.recovery_stats().unwrap().replayed_records, 0);
         assert_eq!(recovered.confidence_of(&st("ex:a", "ex:p", "ex:b")), 0.6);
-        assert_eq!(recovered.confidences().len(), 1);
+        assert_eq!(recovered.epochs().pin().weighted().len(), 1);
+    }
+
+    #[test]
+    fn a_confidence_goes_with_its_fact() {
+        let fs = Arc::new(SimFs::new(12));
+        let mut store = open(&fs);
+        let x = st("ex:x", "ex:p", "ex:y");
+        store.insert(x.clone()).unwrap();
+        store.set_confidence(&x, 0.4).unwrap();
+        assert_eq!(store.confidence_of(&x), 0.4);
+        assert!(store.remove(&x).unwrap());
+        assert_eq!(store.confidence_of(&x), 1.0, "an absent fact is unweighted");
+        assert!(store.insert(x.clone()).unwrap());
+        assert_eq!(store.confidence_of(&x), 1.0, "a re-insert is unweighted");
+        drop(store);
+        assert_eq!(open(&fs).confidence_of(&x), 1.0, "after replay too");
+
+        // Below 1.0 on an absent fact states it at that confidence; 1.0
+        // on an absent fact does nothing.
+        let mut store = open(&fs);
+        let (y, z) = (st("ex:y", "ex:p", "ex:z"), st("ex:z", "ex:p", "ex:w"));
+        assert_eq!(
+            store
+                .set_confidence_batch([(y.clone(), 0.7), (z.clone(), 1.0)])
+                .unwrap(),
+            1
+        );
+        assert!(store.contains(&y) && !store.contains(&z));
+        assert_eq!(
+            store.insert_batch([y.clone()]).unwrap(),
+            0,
+            "stated already"
+        );
+        assert_eq!(
+            store.confidence_of(&y),
+            0.7,
+            "a plain insert keeps the level"
+        );
+        drop(store);
+        let store = open(&fs);
+        assert!(store.contains(&y) && !store.contains(&z));
+        assert_eq!(store.confidence_of(&y), 0.7);
+        assert_eq!(store.epochs().pin().weighted().len(), 1);
+    }
+
+    #[test]
+    fn a_parent_order_log_recovers_the_same_confidences() {
+        // Logs written when confidences were a side table: an import's
+        // confidences in one group, then its facts; a conflict round's
+        // removal, then a 1.0 reset of what it removed.
+        let fs = Arc::new(SimFs::new(14));
+        let dict = TermDict::new();
+        let (kept, dropped) = (
+            st("ex:de", "ex:capital", "ex:berlin"),
+            st("ex:de", "ex:capital", "ex:bonn"),
+        );
+        let (k, d) = (
+            dict.intern_statement(&kept),
+            dict.intern_statement(&dropped),
+        );
+        let mut wal = Wal::open(fs.clone(), DurableOptions::default().segment_max_bytes).unwrap();
+        let entries = dict.terms_from(0).into_iter().enumerate();
+        let terms: Vec<WalRecord> = entries
+            .map(|(seq, term)| WalRecord::DictEntry {
+                seq: seq as u32,
+                term,
+            })
+            .collect();
+        wal.append_batch(&terms).unwrap();
+        let groups = [
+            vec![WalRecord::confidence(k, 0.9), WalRecord::confidence(d, 0.4)],
+            vec![WalRecord::insert(k), WalRecord::insert(d)],
+            vec![WalRecord::remove(d)],
+            vec![WalRecord::confidence(d, 1.0)],
+        ];
+        for group in &groups {
+            wal.append_batch(group).unwrap();
+        }
+        drop(wal);
+
+        let mut store = open(&fs);
+        assert_eq!(store.confidence_of(&kept), 0.9);
+        assert!(!store.contains(&dropped), "the reset restates nothing");
+        store.insert(dropped.clone()).unwrap();
+        assert_eq!(store.confidence_of(&dropped), 1.0);
+        assert_eq!(store.epochs().pin().weighted(), vec![(k, 0.9)]);
+
+        // A snapshot of that time could list the stale level too: it is
+        // dropped on load, and states nothing.
+        let fs = Arc::new(SimFs::new(15));
+        let config = MaterializerConfig::default();
+        write_snapshot(fs.as_ref(), &dict, &[k], &config, &[(k, 0.9), (d, 0.4)]).unwrap();
+        let store = open(&fs);
+        assert!(!store.contains(&dropped));
+        assert_eq!(store.epochs().pin().weighted(), vec![(k, 0.9)]);
+    }
+
+    #[test]
+    fn a_retraction_probes_each_statement_once() {
+        let fs = Arc::new(SimFs::new(16));
+        let mut store = open(&fs);
+        let facts: Vec<Statement> = (0..40)
+            .map(|i| st(&format!("ex:s{i}"), "ex:p", "ex:o"))
+            .collect();
+        store.insert_batch(facts.clone()).unwrap();
+        let before = store.membership_probes();
+        // A duplicate and a statement the dictionary has never seen cost
+        // nothing more.
+        let absent = st("ex:nowhere", "ex:p", "ex:o");
+        let batch = facts.iter().chain([&facts[0], &absent]);
+        assert_eq!(store.remove_batch(batch).unwrap(), 40);
+        assert_eq!(store.membership_probes() - before, 40, "one probe each");
+        assert!(facts.iter().all(|f| !store.contains(f)));
     }
 
     #[test]

@@ -21,14 +21,16 @@
 //! "Derived" is a tag: one sorted SPO list in the base and in each run,
 //! decided like membership (newest run wins). A stated triple is stored
 //! three times, a derived one four; the query path never reads the tag.
-//! Each epoch also carries the statement-confidence map (shared by `Arc`,
-//! cloned only in batches that touch confidences).
+//! A stated triple's confidence (§5's accuracy level) is run data too: a
+//! sorted column per run of its stated triples below 1.0, decided by the
+//! same newest run, so a delete or a retag drops it.
 
 use crate::dict::{IdTriple, TermDict, TermId};
 use crate::graph::{classify, Graph, Index, QueryView, Scan, TripleView};
 use crate::model::Statement;
 use crate::reason::Closure;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// How many published epochs the store keeps reachable by number (for
@@ -39,18 +41,6 @@ const RETAINED_EPOCHS: usize = 8;
 /// `max(REBUILD_MIN_EVENTS, base/4)`, the next seal merges the runs into
 /// a fresh base instead of stacking another run.
 const REBUILD_MIN_EVENTS: usize = 4096;
-
-#[cfg(test)]
-thread_local! {
-    /// Membership probes [`EpochSnapshot::state`] made on this thread.
-    static PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Membership probes [`EpochSnapshot::state`] has made on this thread.
-#[cfg(test)]
-pub(crate) fn probes() -> usize {
-    PROBES.with(std::cell::Cell::get)
-}
 
 /// How a present triple came to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,15 +129,15 @@ fn state_sources<'a>(runs: impl Iterator<Item = &'a Run>) -> Vec<(&'a [IdTriple]
 }
 
 /// Sorted triples in the three index orders, the derived ones among
-/// them, and the triples the run deletes. A delta run is the net effect
-/// of one sealed batch; the base is a run that deletes nothing. The
-/// POS/OSP vectors hold *permuted* tuples, so every scan is a
-/// binary-searched contiguous slice.
+/// them, the confidences of the weighted stated ones, and the triples the
+/// run deletes. A delta run is the net effect of one sealed batch; the
+/// base is a run that deletes nothing. The POS/OSP vectors hold
+/// *permuted* tuples, so every scan is a binary-searched contiguous slice.
 ///
 /// Net-ness is an invariant of delta runs: relative to the epoch state a
 /// run was sealed against, every delete was present and every other
-/// triple absent or present with the other tag. Run merging and
-/// membership checks rely on it.
+/// triple absent, present with the other tag, or stated at another
+/// confidence. Run merging and membership checks rely on it.
 #[derive(Debug)]
 struct Run {
     /// Present triples, in `(s, p, o)` order.
@@ -158,6 +148,8 @@ struct Run {
     osp: Vec<IdTriple>,
     /// The derived subset of `spo`.
     derived: Vec<IdTriple>,
+    /// The stated triples of `spo` below confidence 1.0, with it, sorted.
+    conf: Vec<(IdTriple, f64)>,
     /// Deleted triples, sorted.
     dels: Vec<IdTriple>,
 }
@@ -176,13 +168,17 @@ impl Run {
             osp: permuted(Index::Osp),
             spo,
             derived,
+            conf: Vec::new(),
             dels,
         }
     }
 
     /// A run from each touched triple's new state (`None`: deleted), in
-    /// ascending SPO order.
-    fn new(changes: impl IntoIterator<Item = (IdTriple, Option<Fact>)>) -> Run {
+    /// ascending SPO order, with the confidences `weights` gives.
+    fn new(
+        changes: impl IntoIterator<Item = (IdTriple, Option<Fact>)>,
+        weights: &BTreeMap<IdTriple, f64>,
+    ) -> Run {
         let changes = changes.into_iter();
         // Sized once: a large batch grown by doubling leaves heap holes.
         let mut spo = Vec::with_capacity(changes.size_hint().1.unwrap_or(0));
@@ -198,7 +194,12 @@ impl Run {
                 None => dels.push(triple),
             }
         }
-        Run::sorted(spo, derived, dels)
+        let conf = weights.iter().filter(|&(_, &c)| c < 1.0);
+        let conf = conf.map(|(&t, &c)| (t, c)).collect();
+        Run {
+            conf,
+            ..Run::sorted(spo, derived, dels)
+        }
     }
 
     fn select(&self, index: Index) -> &[IdTriple] {
@@ -234,6 +235,13 @@ impl Run {
         }
     }
 
+    /// The confidence of a triple the run holds: in a run with no weighted
+    /// triples, the search compares nothing.
+    fn confidence(&self, triple: IdTriple) -> f64 {
+        let at = self.conf.binary_search_by_key(&triple, |&(t, _)| t);
+        at.map_or(1.0, |i| self.conf[i].1)
+    }
+
     /// The base `runs` (oldest first) leave on top of `self`: the SPO
     /// merge decides each triple by the newest slice holding it, and
     /// POS/OSP merge their slices minus the triples it found deleted.
@@ -258,19 +266,36 @@ impl Run {
             pos,
             osp,
             derived,
+            conf: conf_under(self, runs),
             dels: Vec::new(),
         }
     }
 }
 
-/// The state of `triple` under `base` and `runs` (oldest first): the
-/// newest run mentioning it decides.
-fn state_in(base: &Run, runs: &[Arc<Run>], triple: IdTriple) -> Option<Fact> {
+/// The run deciding `triple` under `base` and `runs` (oldest first) —
+/// the newest one mentioning it — if that run holds it.
+fn holder<'a>(base: &'a Run, runs: &'a [Arc<Run>], triple: IdTriple) -> Option<&'a Run> {
     let newest_first = runs.iter().rev().map(|r| &**r).chain([base]);
-    newest_first
-        .filter_map(|run| Some(run.mentions(triple)?.then(|| run.tag(triple))))
-        .next()
-        .flatten()
+    let (holds, run) = newest_first
+        .filter_map(|run| Some((run.mentions(triple)?, run)))
+        .next()?;
+    holds.then_some(run)
+}
+
+/// The confidence column `runs` (oldest first) leave on top of `base`:
+/// each run's entries for the triples no newer run mentions, in SPO order.
+fn conf_under(base: &Run, runs: &[Arc<Run>]) -> Vec<(IdTriple, f64)> {
+    let mut conf = Vec::new();
+    for (at, run) in std::iter::once(base)
+        .chain(runs.iter().map(|r| &**r))
+        .enumerate()
+    {
+        let newer = &runs[at..];
+        let decided = |&&(t, _): &&(IdTriple, f64)| newer.iter().all(|r| r.mentions(t).is_none());
+        conf.extend(run.conf.iter().filter(decided));
+    }
+    conf.sort_unstable_by_key(|&(t, _)| t);
+    conf
 }
 
 /// The union of `runs`' `index` permutations, in sort order, minus the
@@ -302,29 +327,33 @@ fn advance_to(sorted: &mut &[IdTriple], t: IdTriple) -> bool {
 }
 
 /// Composes two consecutive net runs (`older` then `newer`) into one net
-/// run relative to `beneath`, the state before `older`, in one linear
-/// merge per index. A triple both mention takes `newer`'s state, and
-/// drops out when that is its state beneath (add→delete,
+/// run relative to `beneath`, the state (with confidence) before `older`,
+/// in one linear merge per index. A triple both mention takes `newer`'s
+/// state, and drops out when that is its state beneath (add→delete,
 /// delete→re-add); only those triples probe `beneath`. POS/OSP merge
 /// minus the triples that end up deleted or dropped.
-fn merge_runs(older: &Run, newer: &Run, beneath: impl Fn(IdTriple) -> Option<Fact>) -> Run {
+fn merge_runs(older: &Run, newer: &Run, beneath: impl Fn(IdTriple) -> Option<(Fact, f64)>) -> Run {
     let mut sources = Vec::with_capacity(6);
     for (run, from_newer) in [(older, false), (newer, true)] {
         let slices = state_sources(std::iter::once(run)).into_iter();
         sources.extend(slices.map(|(slice, state)| (slice, (from_newer, state))));
     }
     let mut spo = Vec::with_capacity(older.spo.len() + newer.spo.len());
-    let (mut derived, mut dels, mut gone) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut derived, mut conf, mut dels, mut gone) = (vec![], vec![], vec![], vec![]);
     // What of `older` lies at or past the triple being visited.
     let (mut held, mut deleted) = (&older.spo[..], &older.dels[..]);
     merge_newest(sources, |t, (from_newer, state)| {
         let both = from_newer && (advance_to(&mut held, t) || advance_to(&mut deleted, t));
-        match state {
-            _ if both && beneath(t) == state => gone.push(t),
-            Some(fact) => {
+        let run = if from_newer { newer } else { older };
+        match state.map(|fact| (fact, run.confidence(t))) {
+            now if both && beneath(t) == now => gone.push(t),
+            Some((fact, confidence)) => {
                 spo.push(t);
                 if fact == Fact::Derived {
                     derived.push(t);
+                }
+                if confidence < 1.0 {
+                    conf.push((t, confidence));
                 }
             }
             None => {
@@ -340,13 +369,14 @@ fn merge_runs(older: &Run, newer: &Run, beneath: impl Fn(IdTriple) -> Option<Fac
         pos,
         osp,
         derived,
+        conf,
         dels,
     }
 }
 
 /// One immutable published epoch: a frozen base, a short stack of net
-/// delta runs, the shared term dictionary, and the confidence map as of
-/// publish time. Cloning the `Arc` that wraps it *is* the snapshot
+/// delta runs (membership, tags, confidences) and the shared term
+/// dictionary. Cloning the `Arc` that wraps it *is* the snapshot
 /// operation — O(1), no data copied, nothing locked afterwards.
 #[derive(Debug)]
 pub struct EpochSnapshot {
@@ -360,18 +390,12 @@ pub struct EpochSnapshot {
     /// epoch holds was issued before that, so a triple naming an id at or
     /// above it is absent without a probe.
     minted: usize,
-    confidence: Arc<HashMap<IdTriple, f64>>,
 }
 
 impl EpochSnapshot {
-    /// Epoch `epoch` holding exactly `stated`, which must be strictly
-    /// ascending (SPO order).
-    pub(crate) fn stated(
-        epoch: u64,
-        dict: TermDict,
-        stated: Vec<IdTriple>,
-        confidence: Arc<HashMap<IdTriple, f64>>,
-    ) -> EpochSnapshot {
+    /// Epoch `epoch` holding exactly `stated`, unweighted, which must be
+    /// strictly ascending (SPO order).
+    pub(crate) fn stated(epoch: u64, dict: TermDict, stated: Vec<IdTriple>) -> EpochSnapshot {
         EpochSnapshot {
             epoch,
             minted: dict.len(),
@@ -379,7 +403,6 @@ impl EpochSnapshot {
             len: stated.len(),
             base: Arc::new(Run::sorted(stated, Vec::new(), Vec::new())),
             runs: Vec::new(),
-            confidence,
         }
     }
 
@@ -411,48 +434,26 @@ impl EpochSnapshot {
         self.runs.len()
     }
 
-    /// The statement-confidence map as of this epoch (triples absent
-    /// from the map have the default confidence 1.0).
-    pub fn confidence(&self) -> &Arc<HashMap<IdTriple, f64>> {
-        &self.confidence
+    /// Confidence of a triple visible in this epoch — 1.0 unless it is
+    /// stated and weighted; `None` if the triple itself is absent.
+    pub fn confidence_of(&self, triple: IdTriple) -> Option<f64> {
+        holder(&self.base, &self.runs, triple).map(|run| run.confidence(triple))
     }
 
-    /// Confidence of a triple visible in this epoch; `None` if the
-    /// triple itself is absent.
-    pub fn confidence_of(&self, triple: IdTriple) -> Option<f64> {
-        if !self.contains_id(triple) {
-            return None;
-        }
-        Some(self.confidence.get(&triple).copied().unwrap_or(1.0))
+    /// The stated triples below confidence 1.0, with it, in SPO order: a
+    /// scan of the runs' confidence columns.
+    pub fn weighted(&self) -> Vec<(IdTriple, f64)> {
+        conf_under(&self.base, &self.runs)
     }
 
     /// Whether the epoch contains the encoded triple.
     pub fn contains_id(&self, triple: IdTriple) -> bool {
-        let newest = self.runs.iter().rev().find_map(|run| run.mentions(triple));
-        newest.unwrap_or_else(|| self.base.spo.binary_search(&triple).is_ok())
+        holder(&self.base, &self.runs, triple).is_some()
     }
 
     /// Whether the epoch contains the statement.
     pub fn contains(&self, st: &Statement) -> bool {
         TripleView::has(self, st)
-    }
-
-    /// Whether the triple is present, and if so, stated or derived. A
-    /// triple naming a term minted after the seal is absent by
-    /// construction and costs no probe.
-    pub(crate) fn state(&self, (s, p, o): IdTriple) -> Option<Fact> {
-        if s.seq().max(p.seq()).max(o.seq()) >= self.minted {
-            return None;
-        }
-        #[cfg(test)]
-        PROBES.with(|n| n.set(n.get() + 1));
-        state_in(&self.base, &self.runs, (s, p, o))
-    }
-
-    /// [`state`](Self::state) without the watermark: always probes.
-    #[cfg(test)]
-    pub(crate) fn probed_state(&self, triple: IdTriple) -> Option<Fact> {
-        state_in(&self.base, &self.runs, triple)
     }
 
     /// All triples in SPO order.
@@ -482,16 +483,6 @@ impl EpochSnapshot {
             g.insert_id(triple);
         }
         g
-    }
-
-    /// Array entries the base and runs hold: each add or base triple
-    /// once per permutation, each derived tag and delete once.
-    #[cfg(test)]
-    pub(crate) fn stored_entries(&self) -> usize {
-        std::iter::once(&self.base)
-            .chain(&self.runs)
-            .map(|r| r.spo.len() + r.pos.len() + r.osp.len() + r.derived.len() + r.dels.len())
-            .sum()
     }
 
     /// Merges the base slice with each run's add slice in permuted sort
@@ -614,12 +605,18 @@ pub(crate) struct EpochWriter {
     epoch: Arc<EpochSnapshot>,
     /// Every triple the call changed: its state in `epoch`, and now.
     changes: BTreeMap<IdTriple, (Option<Fact>, Option<Fact>)>,
+    /// The confidence of each triple the call [weighed](Self::weigh) (1.0:
+    /// reset). Each is in `changes`, stated.
+    weights: BTreeMap<IdTriple, f64>,
     /// The changed triples present now but absent from `epoch`, indexed
     /// for pattern scans while `indexed` (standing rules scan the view).
     added: Graph,
     indexed: bool,
     /// Changed triples present in `epoch` and absent now.
     removed: usize,
+    /// Membership probes against sealed epochs; atomic (relaxed) because
+    /// `&self` reads, as rule joins make, probe too.
+    probes: AtomicU64,
 }
 
 impl EpochWriter {
@@ -628,9 +625,27 @@ impl EpochWriter {
             added: Graph::with_dict(epoch.dict.clone()),
             epoch: Arc::new(epoch),
             changes: BTreeMap::new(),
+            weights: BTreeMap::new(),
             indexed,
             removed: 0,
+            probes: AtomicU64::new(0),
         }
+    }
+
+    pub(crate) fn probes(&self) -> u64 {
+        self.probes.load(Relaxed)
+    }
+
+    /// The run deciding `triple` in the latest epoch, if it holds it: one
+    /// counted probe, none for a triple naming a term minted since (it is
+    /// absent by construction).
+    fn sealed_holder(&self, triple: IdTriple) -> Option<&Run> {
+        let (s, p, o) = triple;
+        if s.seq().max(p.seq()).max(o.seq()) >= self.epoch.minted {
+            return None;
+        }
+        self.probes.fetch_add(1, Relaxed);
+        holder(&self.epoch.base, &self.epoch.runs, triple)
     }
 
     /// The latest sealed epoch.
@@ -645,25 +660,40 @@ impl EpochWriter {
         self.indexed = indexed;
     }
 
-    /// Whether the triple is present now, and if so, stated or derived.
-    pub(crate) fn state(&self, triple: IdTriple) -> Option<Fact> {
+    /// Whether the triple is present now, and if so, stated or derived,
+    /// with its confidence.
+    pub(crate) fn state(&self, triple: IdTriple) -> Option<(Fact, f64)> {
         match self.changes.get(&triple) {
-            Some(&(_, now)) => now,
-            None => self.epoch.state(triple),
+            Some(&(_, now)) => now.map(|f| (f, *self.weights.get(&triple).unwrap_or(&1.0))),
+            None => self
+                .sealed_holder(triple)
+                .map(|run| (run.tag(triple), run.confidence(triple))),
         }
     }
 
     /// Sets the triple's state; returns the one it replaced.
     pub(crate) fn replace(&mut self, triple: IdTriple, now: Option<Fact>) -> Option<Fact> {
-        let (before, was) = match self.changes.get(&triple) {
-            Some(&change) => change,
-            None => {
-                let state = self.epoch.state(triple);
-                (state, state)
-            }
-        };
+        let was = self.state(triple).map(|(fact, _)| fact);
+        self.replace_known(triple, was, now);
+        was
+    }
+
+    /// [`replace`](Self::replace) from `was`, the state the caller knows
+    /// the triple has now. A delete or a retag to derived drops its
+    /// confidence: the call's, and the epoch's should it be stated again.
+    pub(crate) fn replace_known(&mut self, triple: IdTriple, was: Option<Fact>, now: Option<Fact>) {
         if was == now {
-            return was;
+            return;
+        }
+        let before = self.changes.get(&triple).map_or(was, |&(before, _)| before);
+        if now != Some(Fact::Stated) {
+            self.weights.remove(&triple);
+        } else if before == now
+            && self
+                .sealed_holder(triple)
+                .is_some_and(|r| r.confidence(triple) < 1.0)
+        {
+            self.weights.insert(triple, 1.0);
         }
         self.changes.insert(triple, (before, now));
         if before.is_some() {
@@ -673,7 +703,37 @@ impl EpochWriter {
         } else if self.indexed {
             self.added.remove_id(triple);
         }
-        was
+    }
+
+    /// A weighted assertion: below 1.0 states an absent or derived triple
+    /// at that confidence or re-weights a stated one, 1.0 resets a stated
+    /// one. With `insert`, a weighted triple keeps the higher confidence,
+    /// and 1.0 states any triple. Returns the state before and the
+    /// confidence now, if anything changed.
+    pub(crate) fn weigh(
+        &mut self,
+        triple: IdTriple,
+        incoming: f64,
+        insert: bool,
+    ) -> Option<(Option<Fact>, f64)> {
+        let held = self.state(triple);
+        let was = held.map(|(fact, _)| fact);
+        let confidence = match held {
+            Some((Fact::Stated, current)) if insert && current < 1.0 => current.max(incoming),
+            _ => incoming,
+        }
+        .min(1.0);
+        let unchanged = match held {
+            Some((Fact::Stated, current)) => current == confidence,
+            _ => confidence == 1.0 && !insert,
+        };
+        if unchanged {
+            return None;
+        }
+        self.replace_known(triple, was, Some(Fact::Stated));
+        self.changes.entry(triple).or_insert((was, was));
+        self.weights.insert(triple, confidence);
+        Some((was, confidence))
     }
 
     /// [`replace`](Self::replace) at the start of a call, for strictly
@@ -683,7 +743,8 @@ impl EpochWriter {
     pub(crate) fn replace_sorted(&mut self, sorted: &[IdTriple], now: Fact) -> Vec<Option<Fact>> {
         debug_assert!(self.changes.is_empty(), "mid-call");
         debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "not ascending");
-        let before: Vec<Option<Fact>> = sorted.iter().map(|&t| self.epoch.state(t)).collect();
+        let probe = |&t: &IdTriple| self.sealed_holder(t).map(|run| run.tag(t));
+        let before: Vec<Option<Fact>> = sorted.iter().map(probe).collect();
         let changed = sorted.iter().zip(&before).filter(|&(_, &b)| b != Some(now));
         self.changes = changed
             .clone()
@@ -701,17 +762,22 @@ impl EpochWriter {
     /// again, exactly as the last seal left it.
     pub(crate) fn discard(&mut self) {
         self.changes.clear();
+        self.weights.clear();
         self.added = Graph::with_dict(self.epoch.dict.clone());
         self.removed = 0;
     }
 
-    /// Seals the call's changes — and `confidence`, if given — into the
-    /// next epoch. A call that changed neither seals nothing, so idle
-    /// readers keep hitting the same epoch.
-    pub(crate) fn seal(&mut self, confidence: Option<Arc<HashMap<IdTriple, f64>>>) {
-        let confidence = confidence.unwrap_or_else(|| self.epoch.confidence.clone());
-        if !self.changes.is_empty() || !Arc::ptr_eq(&confidence, &self.epoch.confidence) {
-            self.seal_as(self.epoch.epoch + 1, confidence);
+    /// Makes `epoch` the latest one; the probe count carries on.
+    pub(crate) fn restart(&mut self, epoch: EpochSnapshot) {
+        self.epoch = Arc::new(epoch);
+        self.discard();
+    }
+
+    /// Seals the call's changes into the next epoch. A call that changed
+    /// nothing seals nothing, so idle readers keep hitting the same epoch.
+    pub(crate) fn seal(&mut self) {
+        if !self.changes.is_empty() {
+            self.seal_as(self.epoch.epoch + 1);
         }
     }
 
@@ -719,16 +785,18 @@ impl EpochWriter {
     /// or — once the runs would hold more than
     /// `max(REBUILD_MIN_EVENTS, base/4)` events, counting every triple the
     /// call touched — a fresh base merged from the old one and every run.
-    pub(crate) fn seal_as(&mut self, epoch: u64, confidence: Arc<HashMap<IdTriple, f64>>) {
+    pub(crate) fn seal_as(&mut self, epoch: u64) {
         let prev = &self.epoch;
         let pending = prev.runs.iter().map(|r| r.events()).sum::<usize>() + self.changes.len();
         let mut len = prev.len;
         let changes = std::mem::take(&mut self.changes).into_iter();
-        let net = changes.filter(|(_, (before, now))| before != now);
-        let run = Run::new(net.map(|(t, (before, now))| {
+        let weights = std::mem::take(&mut self.weights);
+        let net = changes.filter(|(t, (before, now))| before != now || weights.contains_key(t));
+        let changed = net.map(|(t, (before, now))| {
             len = len + usize::from(before.is_none()) - usize::from(now.is_none());
             (t, now)
-        }));
+        });
+        let run = Run::new(changed, &weights);
         let mut runs = prev.runs.clone();
         if run.events() > 0 {
             runs.push(Arc::new(run));
@@ -749,7 +817,10 @@ impl EpochWriter {
                 }
                 let newer = runs.pop().expect("run");
                 let older = runs.pop().expect("run");
-                let merged = merge_runs(&older, &newer, |t| state_in(&prev.base, &runs, t));
+                let merged = merge_runs(&older, &newer, |t| {
+                    let run = holder(&prev.base, &runs, t)?;
+                    Some((run.tag(t), run.confidence(t)))
+                });
                 runs.push(Arc::new(merged));
             }
             prev.base.clone()
@@ -764,7 +835,6 @@ impl EpochWriter {
             base,
             runs,
             len,
-            confidence,
         });
     }
 }
@@ -863,6 +933,31 @@ mod tests {
     use cogsdk_sim::rng::Rng;
     use std::collections::BTreeMap;
 
+    impl EpochSnapshot {
+        /// Whether the triple is present, and if so, stated or derived.
+        pub(crate) fn state(&self, (s, p, o): IdTriple) -> Option<Fact> {
+            let minted_since = s.seq().max(p.seq()).max(o.seq()) >= self.minted;
+            (!minted_since).then(|| self.probed_state((s, p, o)))?
+        }
+
+        /// [`state`](Self::state) without the watermark: always probes.
+        pub(crate) fn probed_state(&self, triple: IdTriple) -> Option<Fact> {
+            holder(&self.base, &self.runs, triple).map(|run| run.tag(triple))
+        }
+
+        /// Array entries the base and runs hold: each add or base triple
+        /// once per permutation, each derived tag, confidence and delete
+        /// once.
+        pub(crate) fn stored_entries(&self) -> usize {
+            let runs = std::iter::once(&self.base).chain(&self.runs);
+            let entries = |r: &Arc<Run>| {
+                let conf_and_dels = r.derived.len() + r.conf.len() + r.dels.len();
+                r.spo.len() + r.pos.len() + r.osp.len() + conf_and_dels
+            };
+            runs.map(entries).sum()
+        }
+    }
+
     /// `spo`'s tuples permuted into `index` order, sorted.
     fn permuted(spo: &[IdTriple], index: Index) -> Vec<IdTriple> {
         let mut out: Vec<IdTriple> = spo.iter().map(|&t| index.permute(t)).collect();
@@ -876,7 +971,7 @@ mod tests {
 
     /// A writer over an empty epoch 0, indexing its changes.
     fn writer() -> EpochWriter {
-        let empty = EpochSnapshot::stated(0, TermDict::new(), Vec::new(), Arc::default());
+        let empty = EpochSnapshot::stated(0, TermDict::new(), Vec::new());
         EpochWriter::new(empty, true)
     }
 
@@ -885,7 +980,7 @@ mod tests {
         for &(t, state) in changes {
             w.replace(t, state);
         }
-        w.seal(None);
+        w.seal();
         w.epoch().clone()
     }
 
@@ -896,11 +991,12 @@ mod tests {
     fn merged_base_equals_collect_permute_sort() {
         let mut rng = Rng::new(0xF4EE);
         // (rounds of churn, triples per round): one run, a stack, and
-        // stacks whose runs delete, re-add and retag what lies beneath.
+        // stacks whose runs delete, re-add, retag and re-weight what lies
+        // beneath.
         for (case, &(rounds, n)) in [(1, 60), (6, 40), (20, 30), (12, 200)].iter().enumerate() {
             let mut w = writer();
             let dict = w.dict().clone();
-            let mut model: BTreeMap<IdTriple, Fact> = BTreeMap::new();
+            let mut model: BTreeMap<IdTriple, (Fact, f64)> = BTreeMap::new();
             for _ in 0..rounds {
                 for _ in 0..n {
                     let t = triple(
@@ -909,18 +1005,30 @@ mod tests {
                         &format!("ex:p{}", rng.below(5)),
                         &format!("ex:o{}", rng.below(15)),
                     );
-                    let state = match rng.below(3) {
-                        0 => None,
-                        1 => STATED,
-                        _ => DERIVED,
-                    };
-                    w.replace(t, state);
-                    match state {
-                        Some(fact) => model.insert(t, fact),
-                        None => model.remove(&t),
-                    };
+                    match rng.below(5) {
+                        0 => {
+                            w.replace(t, None);
+                            model.remove(&t);
+                        }
+                        1 => {
+                            w.replace(t, STATED);
+                            let kept = model.get(&t).filter(|(fact, _)| *fact == Fact::Stated);
+                            model.insert(t, (Fact::Stated, kept.map_or(1.0, |&(_, c)| c)));
+                        }
+                        2 => {
+                            w.replace(t, DERIVED);
+                            model.insert(t, (Fact::Derived, 1.0));
+                        }
+                        _ => {
+                            let c = [0.25, 0.5, 1.0][rng.below(3) as usize];
+                            w.weigh(t, c, false);
+                            if c < 1.0 || model.get(&t).is_some_and(|h| h.0 == Fact::Stated) {
+                                model.insert(t, (Fact::Stated, c));
+                            }
+                        }
+                    }
                 }
-                w.seal(None);
+                w.seal();
             }
             let snap = w.epoch();
             let merged = snap.base.merged(&snap.runs);
@@ -928,71 +1036,102 @@ mod tests {
             let spo: Vec<IdTriple> = model.keys().copied().collect();
             let derived: Vec<IdTriple> = model
                 .iter()
-                .filter_map(|(&t, &f)| (f == Fact::Derived).then_some(t))
+                .filter_map(|(&t, &(f, _))| (f == Fact::Derived).then_some(t))
+                .collect();
+            let conf: Vec<(IdTriple, f64)> = model
+                .iter()
+                .filter_map(|(&t, &(_, c))| (c < 1.0).then_some((t, c)))
                 .collect();
             assert_eq!(merged.spo, spo, "case {case}: spo");
             assert_eq!(merged.pos, permuted(&spo, Index::Pos), "case {case}: pos");
             assert_eq!(merged.osp, permuted(&spo, Index::Osp), "case {case}: osp");
             assert_eq!(merged.derived, derived, "case {case}: derived");
+            assert_eq!(merged.conf, conf, "case {case}: conf");
+            assert_eq!(snap.weighted(), conf, "case {case}: weighted");
+            for (&t, &(_, c)) in &model {
+                assert_eq!(snap.confidence_of(t), Some(c), "case {case}: {t:?}");
+            }
             let stated: Vec<IdTriple> = snap.stated_ids().collect();
             let want: Vec<IdTriple> = model
                 .iter()
-                .filter_map(|(&t, &f)| (f == Fact::Stated).then_some(t))
+                .filter_map(|(&t, &(f, _))| (f == Fact::Stated).then_some(t))
                 .collect();
             assert_eq!(stated, want, "case {case}: stated_ids");
         }
     }
 
+    /// What a run or a model says of a present triple: its tag and
+    /// confidence.
+    type Held = Option<(Fact, f64)>;
+
     /// Every triple `run` mentions, with the state it gives it.
-    fn run_changes(run: &Run) -> impl Iterator<Item = (IdTriple, Option<Fact>)> + '_ {
-        let present = run.spo.iter().map(|&t| (t, Some(run.tag(t))));
+    fn run_changes(run: &Run) -> impl Iterator<Item = (IdTriple, Held)> + '_ {
+        let present = run
+            .spo
+            .iter()
+            .map(|&t| (t, Some((run.tag(t), run.confidence(t)))));
         present.chain(run.dels.iter().map(|&t| (t, None)))
     }
 
+    /// A run from each triple's new state and confidence.
+    fn run_of(changes: BTreeMap<IdTriple, Held>) -> Run {
+        let weights = changes
+            .iter()
+            .filter_map(|(&t, &held)| Some((t, held?.1)))
+            .collect();
+        Run::new(
+            changes
+                .into_iter()
+                .map(|(t, held)| (t, held.map(|(f, _)| f))),
+            &weights,
+        )
+    }
+
     /// The oracle for `merge_runs`: both runs' changes collected into a
-    /// map, newer over older, a triple netted out where its new state is
-    /// its state beneath, then sorted into a run.
-    fn merge_runs_by_map(
-        older: &Run,
-        newer: &Run,
-        beneath: impl Fn(IdTriple) -> Option<Fact>,
-    ) -> Run {
-        let mut changes: BTreeMap<IdTriple, Option<Fact>> = run_changes(older).collect();
+    /// map, newer over older, a triple netted out where its new state and
+    /// confidence are those beneath, then sorted into a run.
+    fn merge_runs_by_map(older: &Run, newer: &Run, beneath: impl Fn(IdTriple) -> Held) -> Run {
+        let mut changes: BTreeMap<IdTriple, Held> = run_changes(older).collect();
         for (triple, state) in run_changes(newer) {
             if changes.insert(triple, state).is_some() && beneath(triple) == state {
                 changes.remove(&triple);
             }
         }
-        Run::new(changes)
+        run_of(changes)
     }
 
     /// A net run over `model`: up to 23 random triples of `universe`
     /// (none, at times) each move to a state other than their current
-    /// one, and `model` moves with them.
+    /// one — absent, derived, or stated at one of three confidences — and
+    /// `model` moves with them.
     fn random_net_run(
         rng: &mut Rng,
         universe: &[IdTriple],
-        model: &mut BTreeMap<IdTriple, Fact>,
+        model: &mut BTreeMap<IdTriple, (Fact, f64)>,
     ) -> Run {
-        let mut changes: BTreeMap<IdTriple, Option<Fact>> = BTreeMap::new();
+        let mut changes: BTreeMap<IdTriple, Held> = BTreeMap::new();
         for _ in 0..rng.below(24) {
             let t = universe[rng.below(universe.len() as u64) as usize];
             if changes.contains_key(&t) {
                 continue;
             }
             let now = model.get(&t).copied();
-            let others: Vec<Option<Fact>> = [None, STATED, DERIVED]
-                .into_iter()
-                .filter(|&state| state != now)
-                .collect();
-            let next = others[rng.below(2) as usize];
+            let states = [
+                None,
+                Some((Fact::Derived, 1.0)),
+                Some((Fact::Stated, 1.0)),
+                Some((Fact::Stated, 0.5)),
+                Some((Fact::Stated, 0.25)),
+            ];
+            let others: Vec<Held> = states.into_iter().filter(|&state| state != now).collect();
+            let next = others[rng.below(others.len() as u64) as usize];
             match next {
-                Some(fact) => model.insert(t, fact),
+                Some(held) => model.insert(t, held),
                 None => model.remove(&t),
             };
             changes.insert(t, next);
         }
-        Run::new(changes)
+        run_of(changes)
     }
 
     #[test]
@@ -1005,18 +1144,19 @@ mod tests {
             })
             .collect();
         // Pairs with an empty run, then triples that `older` adds,
-        // deletes, retags, and that `newer` nets back: add→delete,
-        // delete→re-add.
-        let mut seen = [0usize; 6];
+        // deletes, retags, re-weights, and that `newer` nets back:
+        // add→delete, delete→re-add, and a re-weight undone.
+        let mut seen = [0usize; 8];
         for pair in 0..1200 {
-            let mut beneath: BTreeMap<IdTriple, Fact> = BTreeMap::new();
+            let mut beneath: BTreeMap<IdTriple, (Fact, f64)> = BTreeMap::new();
             for &t in &universe {
-                let fact = match rng.below(3) {
+                let held = match rng.below(4) {
                     0 => continue,
-                    1 => Fact::Stated,
-                    _ => Fact::Derived,
+                    1 => (Fact::Stated, 1.0),
+                    2 => (Fact::Stated, 0.5),
+                    _ => (Fact::Derived, 1.0),
                 };
-                beneath.insert(t, fact);
+                beneath.insert(t, held);
             }
             let mut model = beneath.clone();
             let older = random_net_run(&mut rng, &universe, &mut model);
@@ -1030,11 +1170,12 @@ mod tests {
             assert_eq!(got.pos, want.pos, "pair {pair}: pos");
             assert_eq!(got.osp, want.osp, "pair {pair}: osp");
             assert_eq!(got.derived, want.derived, "pair {pair}: derived");
+            assert_eq!(got.conf, want.conf, "pair {pair}: conf");
             assert_eq!(got.dels, want.dels, "pair {pair}: dels");
             // The merged run over `beneath` reads as both runs did.
             for &t in &universe {
                 let read = match got.mentions(t) {
-                    Some(true) => Some(got.tag(t)),
+                    Some(true) => Some((got.tag(t), got.confidence(t))),
                     Some(false) => None,
                     None => state(t),
                 };
@@ -1044,10 +1185,15 @@ mod tests {
             seen[0] += usize::from(older.events() == 0 || newer.events() == 0);
             for &t in &universe {
                 let (under, mid, now) = (state(t), middle.get(&t).copied(), model.get(&t).copied());
+                let tag = |held: Held| held.map(|(fact, _)| fact);
+                let reweighted =
+                    |a: Held, b: Held| tag(a) == Some(Fact::Stated) && tag(b) == tag(a) && a != b;
                 let kinds = [
                     under.is_none() && mid.is_some(),
                     under.is_some() && mid.is_none(),
-                    under.is_some() && mid.is_some() && under != mid,
+                    under.is_some() && mid.is_some() && tag(under) != tag(mid),
+                    reweighted(under, mid),
+                    reweighted(under, mid) && now == under,
                     older.mentions(t).is_some()
                         && under.is_none()
                         && mid.is_some()
@@ -1213,7 +1359,7 @@ mod tests {
                 assert_eq!(got, sorted(g.match_ids(s, p, o)), "round {round}: writer");
             }
 
-            w.seal(None);
+            w.seal();
             let snap = w.epoch();
             assert_eq!(snap.len(), g.len(), "round {round}: len");
             for (&t, &fact) in &model {
@@ -1266,19 +1412,37 @@ mod tests {
         let t = triple(w.dict(), "ex:a", "ex:p", "ex:x");
         let pinned_before = publish(&mut w, &[(t, STATED)]);
 
-        let mut conf = HashMap::new();
-        conf.insert(t, 0.4);
         // No membership change, but the confidence changed.
-        w.seal(Some(Arc::new(conf)));
+        assert_eq!(w.weigh(t, 0.4, false), Some((STATED, 0.4)));
+        w.seal();
 
         assert_eq!(w.epoch().confidence_of(t), Some(0.4));
+        assert_eq!(w.epoch().weighted(), vec![(t, 0.4)]);
         assert_eq!(
             pinned_before.confidence_of(t),
             Some(1.0),
             "old pin unaffected"
         );
+        assert!(pinned_before.weighted().is_empty());
         let absent = triple(w.dict(), "ex:ghost", "ex:p", "ex:x");
         assert_eq!(w.epoch().confidence_of(absent), None);
+        // A reset to 1.0 of an absent triple does nothing; below 1.0 it
+        // states the triple at that confidence.
+        assert_eq!(w.weigh(absent, 1.0, false), None);
+        assert_eq!(w.weigh(absent, 0.3, false), Some((None, 0.3)));
+        w.seal();
+        assert_eq!(w.epoch().confidence_of(absent), Some(0.3));
+        assert_eq!(w.epoch().state(absent), STATED);
+
+        // A delete drops the confidence, so a re-add is unweighted; so
+        // does a retag to derived.
+        let snap = publish(&mut w, &[(t, None), (absent, DERIVED)]);
+        assert_eq!(snap.confidence_of(t), None);
+        assert_eq!(snap.confidence_of(absent), Some(1.0));
+        let snap = publish(&mut w, &[(t, STATED), (absent, STATED)]);
+        assert_eq!(snap.confidence_of(t), Some(1.0));
+        assert_eq!(snap.confidence_of(absent), Some(1.0));
+        assert!(snap.weighted().is_empty());
     }
 
     #[test]

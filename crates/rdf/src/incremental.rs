@@ -136,7 +136,7 @@ impl Default for IncrementalMaterializer {
 impl IncrementalMaterializer {
     /// An empty materializer with no rulesets enabled.
     pub fn new() -> IncrementalMaterializer {
-        let empty = EpochSnapshot::stated(0, TermDict::new(), Vec::new(), Arc::default());
+        let empty = EpochSnapshot::stated(0, TermDict::new(), Vec::new());
         IncrementalMaterializer::over(empty, MaterializerConfig::default())
     }
 
@@ -149,25 +149,28 @@ impl IncrementalMaterializer {
     }
 
     /// The recovered store, sealed as epoch 0: `stated` (strictly
-    /// ascending) with `replayed` — each logged triple's last operation,
-    /// `true` for an insert — on top, and the closure of `config`
+    /// ascending, unweighted) with `replayed` on top — each triple's net
+    /// state, `Some(confidence)` for stated — and the closure of `config`
     /// re-derived. Returns it with its stated count and how many facts
     /// were re-derived.
     pub(crate) fn recover(
         dict: TermDict,
         stated: Vec<IdTriple>,
-        replayed: HashMap<IdTriple, bool>,
+        replayed: HashMap<IdTriple, Option<f64>>,
         config: MaterializerConfig,
-        confidence: Arc<HashMap<IdTriple, f64>>,
     ) -> (IncrementalMaterializer, usize, usize) {
-        let epoch = EpochSnapshot::stated(0, dict, stated, confidence.clone());
+        let epoch = EpochSnapshot::stated(0, dict, stated);
         let mut m = IncrementalMaterializer::over(epoch, config);
-        for (triple, present) in replayed {
-            m.store.replace(triple, present.then_some(Fact::Stated));
+        for (triple, held) in replayed {
+            if let Some(confidence) = held {
+                m.store.weigh(triple, confidence, true);
+            } else {
+                m.store.replace(triple, None);
+            }
         }
         m.clean = false;
         let rederived = m.catch_up();
-        m.store.seal_as(0, confidence);
+        m.store.seal_as(0);
         // Everything derived was derived just now.
         let stated = m.len() - rederived;
         (m, stated, rederived)
@@ -191,13 +194,8 @@ impl IncrementalMaterializer {
 
     /// Whether the full view contains the statement.
     pub fn contains(&self, st: &Statement) -> bool {
-        self.lookup_present(st).is_some()
-    }
-
-    /// The id triple of `st`, if the full view holds it.
-    pub(crate) fn lookup_present(&self, st: &Statement) -> Option<IdTriple> {
-        let triple = self.store.dict().lookup_statement(st)?;
-        self.store.has_id(triple).then_some(triple)
+        let triple = self.store.dict().lookup_statement(st);
+        triple.is_some_and(|t| self.store.has_id(t))
     }
 
     /// Returns `changed`; if set, the closure goes stale unless there are
@@ -333,8 +331,19 @@ impl IncrementalMaterializer {
             let compiled = self.config.compile(self.store.dict());
             self.derive_from(&compiled, seed);
         }
-        self.store.seal(None);
+        self.store.seal();
         added
+    }
+
+    /// [`EpochWriter::weigh`] within the call in progress, which ends with
+    /// [`seal_stated`](Self::seal_stated) or [`discard`](Self::discard).
+    pub(crate) fn weigh(
+        &mut self,
+        triple: IdTriple,
+        c: f64,
+        insert: bool,
+    ) -> Option<(Option<Fact>, f64)> {
+        self.store.weigh(triple, c, insert)
     }
 
     /// Drops the changes of the call in progress, sealing nothing.
@@ -354,13 +363,34 @@ impl IncrementalMaterializer {
     /// removed fact itself, if it is still entailed by what remains).
     /// Returns how many distinct facts were present in the full view.
     pub fn remove_batch<'a>(&mut self, batch: impl IntoIterator<Item = &'a Statement>) -> usize {
-        // DRed needs an up-to-date closure to cascade over; catch up first
-        // if a ruleset was enabled after facts arrived.
-        self.catch_up();
-        let removed: BTreeSet<IdTriple> = batch
+        let present = self.resolve_present(batch);
+        self.remove_present(&present)
+    }
+
+    /// The distinct facts of `batch` the full view holds, with their
+    /// tags, in first-occurrence order: one membership probe each.
+    pub(crate) fn resolve_present<'a>(
+        &self,
+        batch: impl IntoIterator<Item = &'a Statement>,
+    ) -> Vec<(IdTriple, Fact)> {
+        let mut seen = BTreeSet::new();
+        let ids = batch
             .into_iter()
-            .filter_map(|st| self.lookup_present(st))
-            .collect();
+            .filter_map(|st| self.store.dict().lookup_statement(st));
+        let distinct = ids.filter(|&t| seen.insert(t));
+        distinct
+            .filter_map(|t| Some((t, self.store.state(t)?.0)))
+            .collect()
+    }
+
+    /// [`remove_batch`](Self::remove_batch) for facts just
+    /// [resolved](Self::resolve_present). Returns how many there were.
+    pub(crate) fn remove_present(&mut self, present: &[(IdTriple, Fact)]) -> usize {
+        // DRed needs an up-to-date closure to cascade over; catch up first
+        // if a ruleset was enabled after facts arrived. That only derives
+        // absent facts, so every present one keeps its tag.
+        self.catch_up();
+        let removed: BTreeSet<IdTriple> = present.iter().map(|&(t, _)| t).collect();
         let compiled = (!removed.is_empty() && self.config.is_active())
             .then(|| self.config.compile(self.store.dict()));
         // Overdeletion cascade against the pre-deletion view: everything
@@ -373,15 +403,18 @@ impl IncrementalMaterializer {
                     .delta(&self.store, &frontier)
                     .into_iter()
                     .filter(|&c| {
-                        self.store.state(c) == Some(Fact::Derived)
+                        matches!(self.store.state(c), Some((Fact::Derived, _)))
                             && !removed.contains(&c)
                             && overdeleted.insert(c)
                     })
                     .collect();
             }
         }
-        for &t in removed.iter().chain(&overdeleted) {
-            self.store.replace(t, None);
+        for &(t, fact) in present {
+            self.store.replace_known(t, Some(fact), None);
+        }
+        for &t in &overdeleted {
+            self.store.replace_known(t, Some(Fact::Derived), None);
         }
         // Rederivation: one naive round over what remains picks up every
         // suspect fact that still has a one-step derivation; semi-naive
@@ -399,7 +432,7 @@ impl IncrementalMaterializer {
                 self.derive_from(compiled, seeds);
             }
         }
-        self.store.seal(None);
+        self.store.seal();
         removed.len()
     }
 
@@ -408,7 +441,7 @@ impl IncrementalMaterializer {
     /// over all current facts. Returns how many facts were newly derived.
     pub fn materialize(&mut self) -> usize {
         let added = self.catch_up();
-        self.store.seal(None);
+        self.store.seal();
         added
     }
 
@@ -431,15 +464,15 @@ impl IncrementalMaterializer {
     pub fn reset(&mut self, graph: Graph) {
         let number = self.epoch().epoch() + 1;
         let stated = graph.iter_ids().collect();
-        let epoch = EpochSnapshot::stated(number, graph.dict().clone(), stated, Arc::default());
-        *self = IncrementalMaterializer::over(epoch, self.config.clone());
+        let epoch = EpochSnapshot::stated(number, graph.dict().clone(), stated);
+        self.store.restart(epoch);
         self.clean = !self.config.is_active() || graph.is_empty();
     }
 
-    /// Seals `confidence` as the statement-confidence map of the next
-    /// epoch.
-    pub(crate) fn set_confidences(&mut self, confidence: Arc<HashMap<IdTriple, f64>>) {
-        self.store.seal(Some(confidence));
+    /// Membership probes made against sealed epochs; see
+    /// [`DurableStore::membership_probes`](crate::DurableStore::membership_probes).
+    pub(crate) fn membership_probes(&self) -> u64 {
+        self.store.probes()
     }
 }
 
@@ -675,10 +708,10 @@ mod tests {
             batch.push(t);
         }
         assert_eq!(batch.len(), N + K);
-        let before = crate::epoch::probes();
+        let before = m.membership_probes();
         let staged = m.stage_stated(&batch);
         assert_eq!(
-            crate::epoch::probes() - before,
+            m.membership_probes() - before,
             1,
             "one probe, for `present`"
         );

@@ -7,7 +7,10 @@
 //! `/ingest/bulk` on a durable knowledge base over `SimFs` with one analysis
 //! worker, point / `LIMIT 20` join / full-join `/query`s, and cached, cold
 //! and class invokes on the virtual clock. A counting global allocator
-//! reads allocations and allocated bytes around each request.
+//! reads allocations and allocated bytes around each request. A last phase
+//! counts storage work: membership probes per ingested document and per
+//! retracted statement, and the bytes a one-fact confidence batch allocates
+//! on a small and on a large weighted store, which must not grow with it.
 //!
 //! Counts are those of the default test profile; an optimised build may
 //! elide allocations. After an intended change, rewrite the golden with
@@ -20,6 +23,7 @@
 use cogsdk::json::Json;
 use cogsdk::kb::{gateway_ingest_handler, gateway_query_handler, KbOptions, PersonalKnowledgeBase};
 use cogsdk::obs::Telemetry;
+use cogsdk::rdf::{DurableOptions, DurableStore, Statement, Term};
 use cogsdk::sdk::gateway::HttpGateway;
 use cogsdk::sdk::{RichSdk, ThreadPool};
 use cogsdk::sim::latency::LatencyModel;
@@ -75,6 +79,8 @@ const CATEGORIES: usize = 100;
 const INGEST_REQUESTS: usize = 4;
 const DOCS_PER_REQUEST: usize = 64;
 const HOT_KEYS: u64 = 64;
+const RETRACTED: usize = 256;
+const CONFIDENCE_BATCHES: usize = 64;
 
 const TEMPLATES: [&str; 5] = [
     "IBM acquired Oracle. The USA praised the excellent deal.",
@@ -183,12 +189,14 @@ fn ingest_request(rng: &mut Rng, first_doc: usize) -> String {
     post("/ingest/bulk", rng.below(8), &body)
 }
 
-fn ingest_lines(sys: &Deployment, rng: &mut Rng, out: &mut Block) {
+/// Returns the membership probes the measured requests made.
+fn ingest_lines(sys: &Deployment, rng: &mut Rng, out: &mut Block) -> u64 {
     // One unmeasured request first: first uses allocate once.
     let warm_up = ingest_request(rng, 0);
     ok_body(&sys.gateway.handle_text(&warm_up));
     let dict_len = || sys.kb.query_snapshot().dict().len() as u64;
     let (statements, wal, terms) = (sys.kb.statement_count(), sys.kb.wal_stats(), dict_len());
+    let probes = sys.kb.membership_probes();
     let (mut calls, mut bytes) = (0, 0);
     for request in 1..=INGEST_REQUESTS {
         let raw = ingest_request(rng, request * DOCS_PER_REQUEST);
@@ -220,6 +228,7 @@ fn ingest_lines(sys: &Deployment, rng: &mut Rng, out: &mut Block) {
         docs,
     );
     out.line("ingest.terms_minted_per_doc", dict_len() - terms, docs);
+    sys.kb.membership_probes() - probes
 }
 
 fn query_lines(sys: &Deployment, rng: &mut Rng, out: &mut Block) {
@@ -343,14 +352,95 @@ fn invoke_lines(sys: &Deployment, rng: &mut Rng, out: &mut Block) {
     );
 }
 
+fn durable_store() -> DurableStore {
+    DurableStore::open(Arc::new(SimFs::new(SEED)), DurableOptions::default())
+        .expect("a durable store over SimFs")
+}
+
+fn fact(i: usize) -> Statement {
+    Statement::new(
+        Term::iri(format!("ex:item{i}")),
+        Term::iri("ex:rated"),
+        Term::integer(i as i64),
+    )
+}
+
+/// Bytes allocated per one-fact confidence batch, averaged over
+/// [`CONFIDENCE_BATCHES`], on a durable store holding `weighted` facts at
+/// 0.5: each batch re-weights one of them. The log is snapshotted away
+/// first, so both store sizes append to an empty segment.
+fn confidence_batch_bytes(weighted: usize) -> u64 {
+    let mut store = durable_store();
+    let facts: Vec<Statement> = (0..weighted).map(fact).collect();
+    store.insert_batch(facts.clone()).expect("facts commit");
+    let rated = facts.into_iter().map(|st| (st, 0.5));
+    store
+        .set_confidence_batch(rated)
+        .expect("confidences commit");
+    store.snapshot().expect("snapshot");
+    // One unmeasured batch: the empty segment's first append.
+    store
+        .set_confidence(&fact(0), 0.25)
+        .expect("a batch commits");
+    let stride = weighted / CONFIDENCE_BATCHES;
+    let (_, _, bytes) = allocations(|| {
+        for batch in 1..=CONFIDENCE_BATCHES {
+            let st = fact(batch * stride - 1);
+            store.set_confidence(&st, 0.25).expect("a batch commits");
+        }
+    });
+    bytes
+}
+
+/// The storage phase, after every request phase so no line above moves.
+fn storage_lines(ingest_probes: u64, out: &mut Block) {
+    let docs = INGEST_REQUESTS * DOCS_PER_REQUEST;
+    out.line("ingest.membership_probes_per_doc", ingest_probes, docs);
+
+    let mut store = durable_store();
+    let facts: Vec<Statement> = (0..RETRACTED).map(fact).collect();
+    store.insert_batch(facts.clone()).expect("facts commit");
+    let probes = store.membership_probes();
+    assert_eq!(
+        store.remove_batch(&facts).expect("a retraction commits"),
+        RETRACTED
+    );
+    let retract_probes = store.membership_probes() - probes;
+    out.line(
+        "retract.membership_probes_per_stmt",
+        retract_probes,
+        RETRACTED,
+    );
+
+    let small = confidence_batch_bytes(1_000);
+    let large = confidence_batch_bytes(16_000);
+    let per_batch = CONFIDENCE_BATCHES;
+    out.line(
+        "confidence.batch_allocated_bytes.weighted_1000",
+        small,
+        per_batch,
+    );
+    out.line(
+        "confidence.batch_allocated_bytes.weighted_16000",
+        large,
+        per_batch,
+    );
+    assert!(
+        large < 2 * small,
+        "a one-fact confidence batch costs O(store): {small} B per {per_batch} batches \
+         on 1 000 weighted facts, {large} B on 16 000"
+    );
+}
+
 #[test]
 fn a_seeded_history_does_exactly_the_golden_work() {
     let sys = deploy();
     let mut rng = Rng::new(SEED ^ 0xE4AC);
     let mut block = Block(String::new());
-    ingest_lines(&sys, &mut rng, &mut block);
+    let ingest_probes = ingest_lines(&sys, &mut rng, &mut block);
     query_lines(&sys, &mut rng, &mut block);
     invoke_lines(&sys, &mut rng, &mut block);
+    storage_lines(ingest_probes, &mut block);
     let got = block.0;
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/exact_work.golden");
