@@ -840,11 +840,11 @@ impl<V: CacheValue, E: FetchError> ResponseCache<V, E> {
     }
 
     /// The one read-through state machine: lookup, then join the key's
-    /// flight on a miss; a leader double-checks, fetches and completes,
-    /// a follower waits. A stale entry's flight leader hands the guard,
-    /// the fetch and the stale value to `on_stale`, which decides how the
-    /// refresh runs and what this caller is served; a stale follower is
-    /// served stale at once.
+    /// flight on a stale or absent entry; a leader double-checks, then
+    /// fetches and completes, a follower waits. A stale entry's flight
+    /// leader hands the guard, the fetch and the stale value to
+    /// `on_stale`, which decides how the refresh runs and what this
+    /// caller is served; a stale follower is served stale at once.
     pub(crate) fn read_through<F: FnOnce() -> Result<V, E>>(
         &self,
         key: &str,
@@ -852,37 +852,51 @@ impl<V: CacheValue, E: FetchError> ResponseCache<V, E> {
         fetch: F,
         on_stale: impl FnOnce(FlightGuard<V, E>, F, V) -> (V, FetchSource),
     ) -> Result<(V, FetchSource), E> {
-        match self.lookup(key, ctx) {
-            Lookup::Fresh(value) => Ok((value, FetchSource::Hit)),
-            Lookup::Stale(stale) => match self.join_flight(key, ctx) {
-                FlightJoin::Leader(guard) => Ok(on_stale(guard, fetch, stale)),
-                FlightJoin::Follower(_) => Ok((stale, FetchSource::Stale)),
-            },
-            Lookup::Absent => match self.join_flight(key, ctx) {
-                FlightJoin::Leader(guard) => {
-                    // Double-check: a prior flight may have published the
-                    // value between this caller's miss and its flight
-                    // acquisition; fetching again would break the
-                    // one-upstream-call-per-window guarantee.
-                    if let Some(value) = self.peek_fresh(key) {
-                        guard.complete_cached(value.clone());
-                        return Ok((value, FetchSource::Hit));
+        let found = self.lookup(key, ctx);
+        self.read_found(found, key, ctx, fetch, on_stale)
+    }
+
+    /// [`read_through`](Self::read_through) after its lookup found
+    /// `found`.
+    fn read_found<F: FnOnce() -> Result<V, E>>(
+        &self,
+        found: Lookup<V>,
+        key: &str,
+        ctx: &SpanCtx,
+        fetch: F,
+        on_stale: impl FnOnce(FlightGuard<V, E>, F, V) -> (V, FetchSource),
+    ) -> Result<(V, FetchSource), E> {
+        if let Lookup::Fresh(value) = found {
+            return Ok((value, FetchSource::Hit));
+        }
+        match (self.join_flight(key, ctx), found) {
+            (FlightJoin::Leader(guard), found) => {
+                // Double-check: a prior flight may have published the
+                // value between this caller's lookup and its flight
+                // acquisition; fetching again would break the
+                // one-upstream-call-per-window guarantee.
+                if let Some(value) = self.peek_fresh(key) {
+                    guard.complete_cached(value.clone());
+                    return Ok((value, FetchSource::Hit));
+                }
+                if let Lookup::Stale(stale) = found {
+                    return Ok(on_stale(guard, fetch, stale));
+                }
+                match fetch() {
+                    Ok(value) => {
+                        guard.complete(Ok(value.clone()));
+                        Ok((value, FetchSource::Fetched))
                     }
-                    match fetch() {
-                        Ok(value) => {
-                            guard.complete(Ok(value.clone()));
-                            Ok((value, FetchSource::Fetched))
-                        }
-                        Err(e) => {
-                            guard.complete(Err(e.clone()));
-                            Err(e)
-                        }
+                    Err(e) => {
+                        guard.complete(Err(e.clone()));
+                        Err(e)
                     }
                 }
-                FlightJoin::Follower(future) => (*future.wait())
-                    .clone()
-                    .map(|value| (value, FetchSource::Coalesced)),
-            },
+            }
+            (FlightJoin::Follower(_), Lookup::Stale(stale)) => Ok((stale, FetchSource::Stale)),
+            (FlightJoin::Follower(future), _) => (*future.wait())
+                .clone()
+                .map(|value| (value, FetchSource::Coalesced)),
         }
     }
 }
@@ -1231,6 +1245,53 @@ mod tests {
         env.clock().advance(Duration::from_secs(41));
         assert_eq!(c.lookup("k", &ctx()), Lookup::Absent);
         assert_eq!(c.len(), 0);
+    }
+
+    #[test]
+    fn a_stale_reader_whose_refresh_landed_meanwhile_leads_no_second_refresh() {
+        let env = SimEnv::with_seed(6);
+        let c = ResponseCache::with_config(
+            env.clock().clone(),
+            CacheConfig {
+                capacity: 10,
+                default_ttl: Duration::from_secs(10),
+                shards: 1,
+                stale_while_revalidate: Some(Duration::from_secs(30)),
+            },
+            Telemetry::disabled(),
+        );
+        c.put("k", json!("v1"));
+        env.clock().advance(Duration::from_secs(15)); // expired, within SWR
+
+        // The reader's lookup finds the entry stale...
+        let found = c.lookup("k", &ctx());
+        assert_eq!(found, Lookup::Stale(json!("v1")));
+        // ...and, before it joins the flight, the one refresh lands: it
+        // puts the fresh value, then removes its flight.
+        let FlightJoin::Leader(refresh) = c.join_flight("k", &ctx()) else {
+            panic!("the refresh leads");
+        };
+        refresh.complete(Ok(json!("v2")));
+        // The reader now leads the key's flight, but serves the fresh
+        // value instead of starting a second refresh.
+        let refreshes = AtomicUsize::new(0);
+        let served = c
+            .read_found(
+                found,
+                "k",
+                &ctx(),
+                || unreachable!("a stale leader fetches through on_stale"),
+                |guard, _, stale| {
+                    refreshes.fetch_add(1, Ordering::SeqCst);
+                    drop(guard);
+                    (stale, FetchSource::Stale)
+                },
+            )
+            .unwrap();
+        assert_eq!(served, (json!("v2"), FetchSource::Hit));
+        assert_eq!(refreshes.load(Ordering::SeqCst), 0, "one refresh in all");
+        // The reader's flight is closed: the next reader to need one leads.
+        assert!(matches!(c.join_flight("k", &ctx()), FlightJoin::Leader(_)));
     }
 
     #[test]

@@ -19,8 +19,13 @@
 //! | `GET /trace?trace_id=N` | — | one trace (tail-sampler retained copy preferred) |
 //! | `GET /slo` | — | burn-rate status of every configured objective |
 //! | `GET /profile` | — | critical-path profile of retained traces |
-//! | `POST /snapshot` | — | checkpoint the attached durable store (admin) |
-//! | `POST /query` | `{"sparql": …}` | conjunctive query via the host's KB planner |
+//! | `POST /snapshot` | — | host-mounted: checkpoint the host's durable store (admin) |
+//! | `POST /query` | `{"sparql": …}` | host-mounted: conjunctive query via the host's KB planner |
+//! | `POST /ingest/bulk` | `{"documents": […]}` | host-mounted: the host's streaming bulk loader |
+//!
+//! A host-mounted route answers once the host [`mount`](HttpGateway::mount)s
+//! a [`RouteHandler`] there, which returns its JSON body or a [`RouteError`]
+//! carrying the status to answer; until then it answers 404.
 //!
 //! Invocation requests may carry an `X-Tenant` header; the gateway interns
 //! the tenant into the trace context so every downstream RED metric
@@ -343,70 +348,70 @@ impl Bulkhead {
     }
 }
 
-/// First path segment — bounds metric label cardinality.
-fn route_label(path: &str) -> &str {
-    path.split('/').find(|s| !s.is_empty()).unwrap_or("/")
+/// A path's non-empty segments: what routes match on.
+fn path_segments(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|s| !s.is_empty())
 }
 
-/// Admin hook behind `POST /snapshot`: checkpoints whatever durable
-/// store the host wired in (the gateway itself has no KB dependency)
-/// and returns a JSON status body.
-pub type SnapshotHandler = Box<dyn Fn() -> Result<Json, String> + Send + Sync>;
+/// First path segment — bounds metric label cardinality.
+fn route_label(path: &str) -> &str {
+    path_segments(path).next().unwrap_or("/")
+}
 
-/// Query hook behind `POST /query`: the host wires in a closure running a
-/// SPARQL-subset conjunctive query against its knowledge base (the
-/// gateway itself has no KB dependency). The handler receives the full
-/// request so it can honor the `X-Tenant` header and body flags such as
-/// `explain`; it returns the serialised JSON body, which the gateway
-/// serves as is, or an error message answered as a 400. A query answer
-/// can hold thousands of rows, so the handler writes them straight into
-/// that text (as `cogsdk_kb::gateway_query_handler` does) instead of
-/// building a [`Json`] tree to serialise; a small answer can still be
-/// `Ok(json!(…).into())`.
-pub type QueryHandler = Box<dyn Fn(&HttpRequest) -> Result<JsonText, String> + Send + Sync>;
+/// A host route's handler, mounted with [`HttpGateway::mount`]: the host
+/// wires in what the gateway itself has no dependency for, such as a
+/// knowledge base's query planner or bulk loader. The handler receives
+/// the full request, so it can honor the `X-Tenant` header and body
+/// fields, and returns the serialised JSON body, served as a 200, or a
+/// [`RouteError`] carrying the status to answer. A large answer is
+/// written straight into that text (as `cogsdk_kb::gateway_query_handler`
+/// writes its rows) instead of building a [`Json`] tree to serialise; a
+/// small one can still be `Ok(json!(…).into())`.
+pub type RouteHandler = Box<dyn Fn(&HttpRequest) -> Result<JsonText, RouteError> + Send + Sync>;
 
-/// Bulk-ingest hook behind `POST /ingest/bulk`: the host wires in a
-/// closure driving its streaming bulk loader (e.g. built with
-/// `cogsdk_kb::gateway_ingest_handler`). The handler receives the full
-/// request so it can honor tuning fields in the body (batch size, worker
-/// count, in-flight bound); it returns the JSON ingest report, or an
-/// [`IngestError`] carrying the status to answer.
-pub type IngestHandler = Box<dyn Fn(&HttpRequest) -> Result<Json, IngestError> + Send + Sync>;
-
-/// Why an [`IngestHandler`] refused a request. A message converted from
-/// a `String` or `&str` is the client's fault (400: a malformed body);
-/// [`IngestError::server`] is the server's (500: the store failed).
+/// Why a [`RouteHandler`] refused a request, served as
+/// `{"error": message}` with `status`. A message converted from a
+/// `String` or `&str` is the client's fault (400: a malformed body);
+/// [`RouteError::server`] is the server's (500: the store failed).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IngestError {
+pub struct RouteError {
     /// The status to answer.
     pub status: u16,
     /// The error message served in the body.
     pub message: String,
 }
 
-impl IngestError {
+impl RouteError {
     /// A server-side failure, answered as a 500.
-    pub fn server(message: impl Into<String>) -> IngestError {
-        IngestError {
+    pub fn server(message: impl Into<String>) -> RouteError {
+        RouteError {
             status: 500,
             message: message.into(),
         }
     }
 }
 
-impl From<String> for IngestError {
-    fn from(message: String) -> IngestError {
-        IngestError {
+impl From<String> for RouteError {
+    fn from(message: String) -> RouteError {
+        RouteError {
             status: 400,
             message,
         }
     }
 }
 
-impl From<&str> for IngestError {
-    fn from(message: &str) -> IngestError {
-        IngestError::from(message.to_string())
+impl From<&str> for RouteError {
+    fn from(message: &str) -> RouteError {
+        RouteError::from(message.to_string())
     }
+}
+
+/// One entry of the host route table: a method, a path's non-empty
+/// segments and the handler answering them.
+struct MountedRoute {
+    method: String,
+    segments: Vec<String>,
+    handler: RouteHandler,
 }
 
 /// The gateway: routes HTTP requests onto a shared [`RichSdk`].
@@ -414,9 +419,7 @@ pub struct HttpGateway {
     sdk: Arc<RichSdk>,
     gate: Bulkhead,
     slo: Option<Arc<SloEngine>>,
-    snapshot: Option<SnapshotHandler>,
-    query: Option<QueryHandler>,
-    ingest: Option<IngestHandler>,
+    routes: Vec<MountedRoute>,
 }
 
 impl std::fmt::Debug for HttpGateway {
@@ -437,9 +440,7 @@ impl HttpGateway {
             sdk,
             gate: Bulkhead::new(limits),
             slo: None,
-            snapshot: None,
-            query: None,
-            ingest: None,
+            routes: Vec::new(),
         }
     }
 
@@ -453,12 +454,8 @@ impl HttpGateway {
         slo: Arc<SloEngine>,
     ) -> HttpGateway {
         HttpGateway {
-            sdk,
-            gate: Bulkhead::new(limits),
             slo: Some(slo),
-            snapshot: None,
-            query: None,
-            ingest: None,
+            ..HttpGateway::with_limits(sdk, limits)
         }
     }
 
@@ -467,28 +464,36 @@ impl HttpGateway {
         self.slo.as_ref()
     }
 
-    /// Attaches the `POST /snapshot` admin handler. The host passes a
-    /// closure checkpointing its durable store (e.g. a
-    /// `PersonalKnowledgeBase::snapshot` call); the route answers 404
-    /// until one is attached.
-    pub fn set_snapshot_handler(&mut self, handler: SnapshotHandler) {
-        self.snapshot = Some(handler);
+    /// Mounts `handler` at `method` and `path`, replacing any handler
+    /// mounted there before. A request whose path has the same non-empty
+    /// segments (`/ingest/bulk`, `/ingest/bulk/`) reaches it, unless a
+    /// built-in route answers that method and path.
+    pub fn mount(&mut self, method: &str, path: &str, handler: RouteHandler) {
+        let segments: Vec<String> = path_segments(path).map(str::to_string).collect();
+        match self
+            .routes
+            .iter_mut()
+            .find(|route| route.method == method && route.segments == segments)
+        {
+            Some(route) => route.handler = handler,
+            None => self.routes.push(MountedRoute {
+                method: method.to_string(),
+                segments,
+                handler,
+            }),
+        }
     }
 
-    /// Attaches the `POST /query` handler. The host passes a closure
-    /// evaluating conjunctive queries against its knowledge base (e.g.
-    /// built with `cogsdk_kb::gateway_query_handler`); the route answers
-    /// 404 until one is attached.
-    pub fn set_query_handler(&mut self, handler: QueryHandler) {
-        self.query = Some(handler);
+    /// [`mount`](Self::mount)s `handler` at `POST /query`; kept for the
+    /// benchmark harness (`e2e/`), which calls it.
+    pub fn set_query_handler(&mut self, handler: RouteHandler) {
+        self.mount("POST", "/query", handler);
     }
 
-    /// Attaches the `POST /ingest/bulk` handler. The host passes a
-    /// closure driving its streaming bulk loader (e.g. built with
-    /// `cogsdk_kb::gateway_ingest_handler`); the route answers 404 until
-    /// one is attached.
-    pub fn set_ingest_handler(&mut self, handler: IngestHandler) {
-        self.ingest = Some(handler);
+    /// [`mount`](Self::mount)s `handler` at `POST /ingest/bulk`; kept for
+    /// the benchmark harness (`e2e/`), which calls it.
+    pub fn set_ingest_handler(&mut self, handler: RouteHandler) {
+        self.mount("POST", "/ingest/bulk", handler);
     }
 
     /// Routes one parsed request through the bulkhead. No I/O. A handler
@@ -650,7 +655,7 @@ impl HttpGateway {
     }
 
     fn route(&self, request: &HttpRequest) -> HttpResponse {
-        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
+        let segments: Vec<&str> = path_segments(&request.path).collect();
         match (request.method.as_str(), segments.as_slice()) {
             ("GET", ["services"]) => {
                 let names: Vec<Json> = self
@@ -673,9 +678,6 @@ impl HttpGateway {
             }
             ("GET", ["trace"]) => self.trace_response(request),
             ("GET", ["slo"]) => self.slo_response(),
-            ("POST", ["snapshot"]) => self.snapshot_response(),
-            ("POST", ["query"]) => self.query_response(request),
-            ("POST", ["ingest", "bulk"]) => self.ingest_response(request),
             ("GET", ["profile"]) => self.profile_response(request),
             ("GET", ["monitor", service]) => match self.sdk.monitor().history(service) {
                 Some(history) => {
@@ -690,45 +692,60 @@ impl HttpGateway {
                 }
                 None => HttpResponse::error(404, format!("no history for {service}")),
             },
-            ("POST", ["invoke", service]) => match parse_body(&request.body) {
-                Ok(req) => self.observe_invoke("invoke", request, |call| {
-                    match self.sdk.invoke_with(service, &req, call) {
-                        Ok(resp) => HttpResponse::ok(json!({"payload": (resp.payload)})),
-                        Err(e) => self.sdk_error_response(&e),
-                    }
-                }),
-                Err(e) => HttpResponse::error(400, e),
+            ("POST", [route, target]) if GATED_ROUTES.contains(route) => {
+                match parse_body(&request.body) {
+                    Ok(req) => self.observe_invoke(route, request, |call| {
+                        match self.invoke(route, target, &req, call) {
+                            Ok(body) => HttpResponse::ok(body),
+                            Err(e) => self.sdk_error_response(&e),
+                        }
+                    }),
+                    Err(e) => HttpResponse::error(400, e),
+                }
+            }
+            (method, path) => match self
+                .routes
+                .iter()
+                .find(|route| route.method == method && route.segments == path)
+            {
+                Some(route) => match (route.handler)(request) {
+                    Ok(body) => HttpResponse::text("application/json", body.into_string()),
+                    Err(e) => HttpResponse::error(e.status, e.message),
+                },
+                None if matches!(method, "GET" | "POST") => {
+                    HttpResponse::error(404, "no such route")
+                }
+                None => HttpResponse::error(405, "method not allowed"),
             },
-            ("POST", ["invoke-cached", service]) => match parse_body(&request.body) {
-                Ok(req) => self.observe_invoke("invoke-cached", request, |call| {
-                    match self.sdk.invoke_cached_with(service, &req, call) {
-                        Ok((resp, source)) => HttpResponse::ok(json!({
-                            "payload": (resp.payload),
-                            "cache_hit": (source.served_locally()),
-                        })),
-                        Err(e) => self.sdk_error_response(&e),
-                    }
+        }
+    }
+
+    /// Runs one invocation route (one of [`GATED_ROUTES`]) on `target`
+    /// and shapes its answer body.
+    fn invoke(
+        &self,
+        route: &str,
+        target: &str,
+        req: &Request,
+        call: &Call<'_>,
+    ) -> Result<Json, SdkError> {
+        let sdk = &self.sdk;
+        match route {
+            "invoke" => sdk
+                .invoke_with(target, req, call)
+                .map(|resp| json!({"payload": (resp.payload)})),
+            "invoke-cached" => sdk.invoke_cached_with(target, req, call).map(|(resp, source)| {
+                json!({"payload": (resp.payload), "cache_hit": (source.served_locally())})
+            }),
+            _ => sdk
+                .invoke_class_with(target, req, &RankOptions::default(), call)
+                .map(|ok| {
+                    json!({
+                        "payload": (ok.response.payload),
+                        "service": (ok.service.as_str()),
+                        "services_tried": (ok.services_tried),
+                    })
                 }),
-                Err(e) => HttpResponse::error(400, e),
-            },
-            ("POST", ["invoke-class", class]) => match parse_body(&request.body) {
-                Ok(req) => self.observe_invoke("invoke-class", request, |call| {
-                    match self
-                        .sdk
-                        .invoke_class_with(class, &req, &RankOptions::default(), call)
-                    {
-                        Ok(ok) => HttpResponse::ok(json!({
-                            "payload": (ok.response.payload),
-                            "service": (ok.service.as_str()),
-                            "services_tried": (ok.services_tried),
-                        })),
-                        Err(e) => self.sdk_error_response(&e),
-                    }
-                }),
-                Err(e) => HttpResponse::error(400, e),
-            },
-            ("POST", _) | ("GET", _) => HttpResponse::error(404, "no such route"),
-            _ => HttpResponse::error(405, "method not allowed"),
         }
     }
 
@@ -766,47 +783,6 @@ impl HttpGateway {
         )
     }
 
-    /// `POST /snapshot`: checkpoints the host's durable store through
-    /// the attached handler.
-    fn snapshot_response(&self) -> HttpResponse {
-        let handler = match &self.snapshot {
-            Some(handler) => handler,
-            None => return HttpResponse::error(404, "no snapshot handler attached"),
-        };
-        match handler() {
-            Ok(body) => HttpResponse::ok(body),
-            Err(e) => HttpResponse::error(500, format!("snapshot failed: {e}")),
-        }
-    }
-
-    /// `POST /query`: evaluates a conjunctive query through the attached
-    /// handler and serves the text it wrote. Handler errors (parse
-    /// failures, bad bodies) answer 400.
-    fn query_response(&self, request: &HttpRequest) -> HttpResponse {
-        let handler = match &self.query {
-            Some(handler) => handler,
-            None => return HttpResponse::error(404, "no query handler attached"),
-        };
-        match handler(request) {
-            Ok(body) => HttpResponse::text("application/json", body.into_string()),
-            Err(e) => HttpResponse::error(400, e),
-        }
-    }
-
-    /// `POST /ingest/bulk`: streams the request's documents through the
-    /// attached bulk loader. A handler error answers its own status: 400
-    /// for a bad body, 500 for a failed commit.
-    fn ingest_response(&self, request: &HttpRequest) -> HttpResponse {
-        let handler = match &self.ingest {
-            Some(handler) => handler,
-            None => return HttpResponse::error(404, "no ingest handler attached"),
-        };
-        match handler(request) {
-            Ok(body) => HttpResponse::ok(body),
-            Err(e) => HttpResponse::error(e.status, e.message),
-        }
-    }
-
     /// `/slo` status: one entry per objective with window counts, burn
     /// rates, and alert state.
     fn slo_response(&self) -> HttpResponse {
@@ -833,12 +809,19 @@ impl HttpGateway {
             Some(sampler) => sampler,
             None => return HttpResponse::error(404, "tail sampling not enabled"),
         };
+        let top = match request.query_param("top") {
+            Some(raw) => match raw.parse::<usize>() {
+                Ok(top) => Some(top),
+                Err(_) => return HttpResponse::error(400, format!("bad top: {raw}")),
+            },
+            None => None,
+        };
         let profile = profile_traces(&sampler.retained_span_trees());
         if request.query_param("format") == Some("flamegraph") {
             return HttpResponse::text("text/plain; charset=utf-8", profile.flamegraph());
         }
         let mut body = profile.to_json();
-        if let Some(top) = request.query_param("top").and_then(|t| t.parse().ok()) {
+        if let Some(top) = top {
             let mut ops = Json::Array(Vec::new());
             for op in profile.top_k(top) {
                 let mut o = Json::object();
@@ -1623,10 +1606,15 @@ mod tests {
             }
         }
         assert!(body.contains("\"summary\":true"), "{body}");
-        // Nonsense ids are a client error.
+        // Nonsense ids and profile sizes are a client error.
         assert!(gw
             .handle_text("GET /trace?trace_id=xyz HTTP/1.1\r\n\r\n")
             .starts_with("HTTP/1.1 400"));
+        for top in ["abc", "-1", "2.5", ""] {
+            let raw = gw.handle_text(&format!("GET /profile?top={top} HTTP/1.1\r\n\r\n"));
+            assert!(raw.starts_with("HTTP/1.1 400"), "top={top}: {raw}");
+            assert!(raw.contains(&format!("bad top: {top}")), "top={top}: {raw}");
+        }
     }
 
     #[test]
@@ -1810,42 +1798,101 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_route_requires_an_attached_handler() {
+    fn an_unmounted_host_path_answers_404() {
         let (_env, gw) = gateway();
-        let raw = gw.handle_text(&post("/snapshot", ""));
-        assert!(raw.starts_with("HTTP/1.1 404"), "{raw}");
-        assert!(raw.contains("no snapshot handler attached"), "{raw}");
+        for path in ["/snapshot", "/query", "/ingest/bulk"] {
+            let raw = gw.handle_text(&post(path, r#"{"sparql": "SELECT ..."}"#));
+            assert!(raw.starts_with("HTTP/1.1 404"), "{path}: {raw}");
+            assert!(
+                raw.contains(r#"{"error":"no such route"}"#),
+                "{path}: {raw}"
+            );
+        }
     }
 
     #[test]
-    fn snapshot_route_runs_the_attached_handler() {
+    fn snapshot_route_runs_the_mounted_handler() {
         let env = SimEnv::with_seed(81);
         let sdk = Arc::new(RichSdk::new(&env));
         let mut gw = HttpGateway::new(sdk);
         let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let seen = calls.clone();
-        gw.set_snapshot_handler(Box::new(move || {
-            seen.fetch_add(1, Ordering::SeqCst);
-            Ok(json!({"bytes": 123, "ok": true}))
-        }));
+        gw.mount(
+            "POST",
+            "/snapshot",
+            Box::new(move |_| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                Ok(json!({"bytes": 123, "ok": true}).into())
+            }),
+        );
         let raw = gw.handle_text(&post("/snapshot", ""));
         assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
         let body = Json::parse(raw.split("\r\n\r\n").nth(1).unwrap()).unwrap();
         assert_eq!(body.pointer("/bytes").and_then(Json::as_i64), Some(123));
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        // Handler failures surface as 500s.
-        gw.set_snapshot_handler(Box::new(|| Err("disk full".into())));
+        // Mounting the same route again replaces its handler; a store
+        // failure is the handler's own 500.
+        gw.mount(
+            "POST",
+            "/snapshot",
+            Box::new(|_| Err(RouteError::server("snapshot failed: disk full"))),
+        );
         let raw = gw.handle_text(&post("/snapshot", ""));
         assert!(raw.starts_with("HTTP/1.1 500"), "{raw}");
-        assert!(raw.contains("disk full"), "{raw}");
+        assert!(
+            raw.ends_with(r#"{"error":"snapshot failed: disk full"}"#),
+            "{raw}"
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]
-    fn query_route_requires_an_attached_handler() {
-        let (_env, gw) = gateway();
-        let raw = gw.handle_text(&post("/query", r#"{"sparql": "SELECT ..."}"#));
+    fn a_route_error_is_answered_with_its_own_status() {
+        let env = SimEnv::with_seed(84);
+        let sdk = Arc::new(RichSdk::new(&env));
+        let mut gw = HttpGateway::new(sdk);
+        gw.mount(
+            "POST",
+            "/ingest/bulk",
+            Box::new(|req| match req.body.as_str() {
+                "bad" => Err("'documents' entries must be strings".into()),
+                "broken" => Err(RouteError::server("ingest failed: disk full")),
+                "busy" => Err(RouteError {
+                    status: 503,
+                    message: "loader busy".to_string(),
+                }),
+                _ => Ok(json!({"documents": 1}).into()),
+            }),
+        );
+        for (body, status, message) in [
+            (
+                "bad",
+                "400 Bad Request",
+                "'documents' entries must be strings",
+            ),
+            (
+                "broken",
+                "500 Internal Server Error",
+                "ingest failed: disk full",
+            ),
+            ("busy", "503 Service Unavailable", "loader busy"),
+            ("fine", "200 OK", ""),
+        ] {
+            let raw = gw.handle_text(&post("/ingest/bulk", body));
+            assert!(raw.starts_with(&format!("HTTP/1.1 {status}\r\n")), "{raw}");
+            let served = raw.split("\r\n\r\n").nth(1).unwrap();
+            let expected = match message {
+                "" => r#"{"documents":1}"#.to_string(),
+                message => json!({"error": message}).to_json(),
+            };
+            assert_eq!(served, expected);
+        }
+        // Segments, not the raw path, pick the route; other methods on it
+        // stay unmounted.
+        let raw = gw.handle_text(&post("/ingest//bulk/", "fine"));
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        let raw = gw.handle_text("GET /ingest/bulk HTTP/1.1\r\n\r\n");
         assert!(raw.starts_with("HTTP/1.1 404"), "{raw}");
-        assert!(raw.contains("no query handler attached"), "{raw}");
     }
 
     #[test]

@@ -19,15 +19,14 @@
 use crate::ingest::{chunk_documents, IngestConfig};
 use crate::kb::PersonalKnowledgeBase;
 use crate::KbError;
-use cogsdk_core::gateway::{HttpRequest, IngestError, IngestHandler, QueryHandler};
+use cogsdk_core::gateway::{HttpRequest, RouteError, RouteHandler};
 use cogsdk_core::ThreadPool;
 use cogsdk_json::{write_display, Json, JsonText};
 use cogsdk_rdf::{EpochSnapshot, ExecPlan, Query, QueryStats};
 use std::sync::Arc;
 
-/// Builds a [`QueryHandler`] for
-/// [`HttpGateway::set_query_handler`](cogsdk_core::HttpGateway::set_query_handler)
-/// over a shared knowledge base.
+/// Builds the `POST /query` [`RouteHandler`] over a shared knowledge base,
+/// for [`HttpGateway::mount`](cogsdk_core::HttpGateway::mount).
 ///
 /// Each call publishes the same `sdk_query_*` metrics as
 /// [`PersonalKnowledgeBase::query_with_stats`] (plan time, result rows,
@@ -51,7 +50,7 @@ use std::sync::Arc;
 ///   store no longer retains fails, telling the pager to restart; one
 ///   whose `epoch` is not a non-negative integer fails too, rather than
 ///   silently running on the newest epoch.
-pub fn gateway_query_handler(kb: Arc<PersonalKnowledgeBase>) -> QueryHandler {
+pub fn gateway_query_handler(kb: Arc<PersonalKnowledgeBase>) -> RouteHandler {
     Box::new(move |request| {
         let planned = PlannedQuery::from_request(&kb, request)?;
         let mut out = String::with_capacity(1024);
@@ -182,10 +181,9 @@ fn stats_json(stats: &QueryStats) -> Json {
     out
 }
 
-/// Builds an [`IngestHandler`] for
-/// [`HttpGateway::set_ingest_handler`](cogsdk_core::HttpGateway::set_ingest_handler):
-/// `POST /ingest/bulk` streams the request's documents through the
-/// knowledge base's batched bulk loader
+/// Builds the `POST /ingest/bulk` [`RouteHandler`], for
+/// [`HttpGateway::mount`](cogsdk_core::HttpGateway::mount): it streams the
+/// request's documents through the knowledge base's batched bulk loader
 /// ([`PersonalKnowledgeBase::ingest_stream`]) on the shared thread pool.
 /// Body fields:
 ///
@@ -211,15 +209,24 @@ fn stats_json(stats: &QueryStats) -> Json {
 pub fn gateway_ingest_handler(
     kb: Arc<PersonalKnowledgeBase>,
     pool: Arc<ThreadPool>,
-) -> IngestHandler {
+) -> RouteHandler {
     Box::new(move |request| {
-        let body = Json::parse(&request.body).map_err(|e| format!("invalid JSON body: {e}"))?;
-        let docs: Vec<String> = if let Some(list) = body.get("documents").and_then(Json::as_array) {
-            list.iter()
-                .map(|d| {
-                    d.as_str()
-                        .map(str::to_string)
-                        .ok_or("'documents' entries must be strings")
+        let mut body = Json::parse(&request.body).map_err(|e| format!("invalid JSON body: {e}"))?;
+        // The entry `get` would read, taken out of the body so each
+        // document's text moves into the loader instead of being copied.
+        let documents = match &mut body {
+            Json::Object(fields) => fields
+                .iter_mut()
+                .rev()
+                .find(|(k, _)| k == "documents")
+                .map(|(_, v)| std::mem::take(v)),
+            _ => None,
+        };
+        let docs: Vec<String> = if let Some(Json::Array(list)) = documents {
+            list.into_iter()
+                .map(|d| match d {
+                    Json::String(doc) => Ok(doc),
+                    _ => Err("'documents' entries must be strings"),
                 })
                 .collect::<Result<_, _>>()?
         } else if let Some(text) = body.get("text").and_then(Json::as_str) {
@@ -239,14 +246,14 @@ pub fn gateway_ingest_handler(
         }
         let report = kb
             .ingest_stream(&pool, docs, config)
-            .map_err(|e| IngestError::server(format!("ingest failed: {e}")))?;
+            .map_err(|e| RouteError::server(format!("ingest failed: {e}")))?;
         let mut out = Json::object();
         out.insert("documents", report.documents);
         out.insert("batches", report.batches);
         out.insert("statements", report.statements);
         out.insert("docs_per_sec", report.docs_per_sec);
         out.insert("peak_in_flight", report.peak_in_flight);
-        Ok(out)
+        Ok(JsonText::from(out))
     })
 }
 
@@ -272,10 +279,11 @@ mod tests {
     }
 
     /// The handler, with each answer parsed once for `pointer` checks.
-    fn parsing(handler: QueryHandler) -> impl Fn(&HttpRequest) -> Result<Json, String> {
+    fn parsing(handler: RouteHandler) -> impl Fn(&HttpRequest) -> Result<Json, String> {
         move |request| {
             handler(request)
                 .map(|text| Json::parse(text.as_str()).expect("the handler writes JSON"))
+                .map_err(|e| e.message)
         }
     }
 
@@ -433,7 +441,7 @@ mod tests {
     fn flag_error(flag: &str) -> String {
         let handler = gateway_query_handler(sample_kb());
         let body = format!(r#"{{"sparql": "SELECT ?c WHERE {{ ?c <kb:gdp> ?g }}", {flag}}}"#);
-        handler(&post(&body)).unwrap_err()
+        handler(&post(&body)).unwrap_err().message
     }
 
     #[test]
@@ -607,7 +615,7 @@ mod tests {
     fn ingest_handler_streams_a_documents_array() {
         let kb = sample_kb();
         let pool = Arc::new(cogsdk_core::ThreadPool::new(2));
-        let handler = gateway_ingest_handler(kb.clone(), pool);
+        let handler = parsing(gateway_ingest_handler(kb.clone(), pool));
         let out = handler(&post_ingest(
             r#"{"documents": ["IBM acquired Oracle.", "The USA praised the deal."],
                 "batch_size": 2, "workers": 1}"#,
@@ -626,7 +634,7 @@ mod tests {
     fn ingest_handler_chunks_a_text_corpus_on_blank_lines() {
         let kb = sample_kb();
         let pool = Arc::new(cogsdk_core::ThreadPool::new(2));
-        let handler = gateway_ingest_handler(kb.clone(), pool);
+        let handler = parsing(gateway_ingest_handler(kb.clone(), pool));
         let out = handler(&post_ingest(
             r#"{"text": "IBM acquired Oracle.\n\nThe USA praised the deal."}"#,
         ))
@@ -663,7 +671,7 @@ mod tests {
             2,
             telemetry.clone(),
         ));
-        let handler = gateway_ingest_handler(sample_kb(), pool);
+        let handler = parsing(gateway_ingest_handler(sample_kb(), pool));
         let out = handler(&post_ingest(
             r#"{"documents": ["IBM acquired Oracle.", "Google praised Microsoft.",
                 "The USA praised the deal."], "workers": 64}"#,

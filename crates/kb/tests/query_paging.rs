@@ -9,7 +9,7 @@
 //! pinned epoch out of the retention ring the handler rejects the page
 //! with a restartable error instead of silently switching epochs.
 
-use cogsdk_core::gateway::{HttpRequest, QueryHandler};
+use cogsdk_core::gateway::{HttpRequest, RouteHandler};
 use cogsdk_json::Json;
 use cogsdk_kb::gateway::gateway_query_handler;
 use cogsdk_kb::kb::{KbOptions, PersonalKnowledgeBase};
@@ -41,8 +41,10 @@ fn post(body: &str) -> HttpRequest {
 }
 
 /// Runs one query through the handler and parses its answer once.
-fn ask(handler: &QueryHandler, body: &str) -> Result<Json, String> {
-    handler(&post(body)).map(|text| Json::parse(text.as_str()).expect("the handler writes JSON"))
+fn ask(handler: &RouteHandler, body: &str) -> Result<Json, String> {
+    handler(&post(body))
+        .map(|text| Json::parse(text.as_str()).expect("the handler writes JSON"))
+        .map_err(|e| e.message)
 }
 
 fn rows_of(out: &Json) -> Vec<String> {
@@ -58,7 +60,7 @@ fn rows_of(out: &Json) -> Vec<String> {
 /// Pages to exhaustion against whatever epoch the first page pins.
 /// Returns the pinned epoch and every row seen, or the handler error if
 /// the epoch aged out of retention mid-walk.
-fn page_to_exhaustion(handler: &QueryHandler) -> Result<(usize, BTreeSet<String>), String> {
+fn page_to_exhaustion(handler: &RouteHandler) -> Result<(usize, BTreeSet<String>), String> {
     let first = ask(
         handler,
         &format!(r#"{{"sparql": "{SPARQL} LIMIT {PAGE}"}}"#),
