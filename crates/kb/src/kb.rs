@@ -7,10 +7,9 @@ use bytes::Bytes;
 use cogsdk_obs::{tenant_labels, Telemetry};
 use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::reason::TriplePattern;
-use cogsdk_rdf::weighted::{WeightedGraph, WeightedReasoner};
 use cogsdk_rdf::{
     DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, IdTriple, Query,
-    QueryStats, RecoveryStats, Statement, Term, TermDict, TermId, WalStats,
+    QueryStats, RecoveryStats, Statement, Term, TermDict, TripleView, WalStats,
 };
 use cogsdk_sim::fs::Vfs;
 use cogsdk_store::crypto::Key;
@@ -957,39 +956,40 @@ impl PersonalKnowledgeBase {
     }
 
     /// The accuracy level of a stored statement: `None` if absent,
-    /// `Some(1.0)` for plainly asserted facts. Reads from the current
-    /// epoch without taking the store lock.
+    /// `Some(1.0)` for plainly asserted facts and facts derived by plain
+    /// rules; a weighted rule's conclusion has the level its best
+    /// derivation gives it. Reads from the current epoch without taking
+    /// the store lock.
     pub fn fact_confidence(&self, st: &Statement) -> Option<f64> {
         let snap = self.epochs.pin();
         snap.confidence_of(snap.dict().lookup_statement(st)?)
     }
 
-    /// Runs user rules with confidence propagation: each inferred fact
-    /// receives `rule_strength × min(premise confidences)` and is stored
-    /// with that accuracy level. Returns the new facts.
+    /// Adds user rules as *standing weighted rules*: each conclusion is a
+    /// derived fact at `rule_strength × min(premise levels)`, the best of
+    /// its derivations. The rules are logged once and materialized now;
+    /// like every standing ruleset, later ingests extend their
+    /// conclusions, and a conclusion goes when its premises go and comes
+    /// back, at its level, when they return. Returns the facts this call
+    /// derived, with their levels.
     ///
     /// # Errors
     ///
-    /// Rule parse errors.
+    /// Rule parse errors, or [`KbError::Durability`] if logging the
+    /// ruleset fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rule_strength` is outside `(0, 1]`.
     pub fn infer_rules_weighted(
         &self,
         rules_text: &str,
         rule_strength: f64,
     ) -> Result<Vec<(Statement, f64)>, KbError> {
-        let reasoner = WeightedReasoner::from_rules_text(rules_text, rule_strength)?;
-        let mut wg = {
-            let snap = self.epochs.pin();
-            let mut wg = WeightedGraph::from_graph(snap.to_graph());
-            for (triple, c) in snap.weighted() {
-                wg.insert_with_confidence(snap.dict().resolve_triple(triple), c);
-            }
-            wg
-        };
-        let added = reasoner.infer(&mut wg);
-        // One group commit for every fact the rules produced, each at its
-        // confidence.
-        self.with_graph_mut(|g| g.insert_weighted(added.clone()))?;
-        Ok(added)
+        let rules = GenericRuleReasoner::from_rules_text(rules_text)?
+            .rules()
+            .to_vec();
+        Ok(self.with_graph_mut(|g| g.add_weighted_rules(rules, rule_strength))?)
     }
 
     /// Detects conflicts: `(subject, predicate)` pairs holding more than
@@ -1002,39 +1002,14 @@ impl PersonalKnowledgeBase {
         // One pinned epoch gives facts and confidences from the same
         // instant, without holding the store lock while grouping.
         let snap = self.epochs.pin();
-        // Group on dictionary ids; only the conflicting minority of
-        // statements is ever materialized back into terms.
-        let mut by_sp: std::collections::BTreeMap<(TermId, TermId), Vec<TermId>> =
-            std::collections::BTreeMap::new();
-        for (s, p, o) in snap.iter_ids() {
-            by_sp.entry((s, p)).or_default().push(o);
-        }
-        let dict = snap.dict();
-        let mut out: Vec<Conflict> = by_sp
-            .into_iter()
-            .filter(|(_, objects)| objects.len() > 1)
-            .map(|((s, p), objects)| {
-                let subject = dict.resolve(s);
-                let predicate = dict.resolve(p);
-                let mut candidates: Vec<ConflictCandidate> = objects
-                    .into_iter()
-                    .map(|o| {
-                        let object = dict.resolve(o);
-                        let c = snap.confidence_of((s, p, o)).unwrap_or(1.0);
-                        (object, c)
-                    })
-                    .collect();
-                candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                ((subject, predicate), candidates)
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        conflicts_in(&snap, &snap.iter_ids())
     }
 
     /// Resolves conflicts on one *single-valued* predicate by keeping
-    /// only the most-trusted object per subject; returns how many
-    /// statements were dropped. The caller names the predicate because
+    /// only the most-trusted object per subject; returns how many losers
+    /// left the store. Only stated losers are retracted: a derived one, or
+    /// a stated one the rules also entail, stays. Only the predicate's own
+    /// triples are read. The caller names the predicate because
     /// only the application knows which predicates are functional —
     /// multi-valued predicates like `kb:mentions` are legitimate
     /// "conflicts" that must not be pruned.
@@ -1049,20 +1024,36 @@ impl PersonalKnowledgeBase {
     /// are one group commit and one DRed round, all or nothing. A dropped
     /// statement's accuracy level goes with it.
     pub fn resolve_conflicts_for(&self, predicate: &Term) -> Result<usize, KbError> {
-        let dropped: Vec<Statement> = self
-            .conflicts()
-            .into_iter()
-            .filter(|((_, p), _)| p == predicate)
-            .flat_map(|((subject, p), candidates)| {
-                let losers = candidates.into_iter().skip(1);
-                losers.map(move |(object, _)| Statement::new(subject.clone(), p.clone(), object))
-            })
-            .collect();
-        Ok(self.with_graph_mut(|graph| graph.remove_batch(&dropped))?)
+        self.with_graph_mut(|graph| {
+            let snap = graph.epochs().pin();
+            let Some(p) = snap.dict().lookup(predicate) else {
+                return Ok(0);
+            };
+            let mut triples = snap.find_ids(None, Some(p), None);
+            triples.sort_unstable();
+            // A loser that is only derived is still entailed: retracting it
+            // would log a removal that the DRed round undoes.
+            let losers: Vec<Statement> = conflicts_in(&snap, &triples)
+                .into_iter()
+                .flat_map(|((subject, p), candidates)| {
+                    let losers = candidates.into_iter().skip(1);
+                    losers
+                        .map(move |(object, _)| Statement::new(subject.clone(), p.clone(), object))
+                })
+                .filter(|st| {
+                    snap.dict()
+                        .lookup_statement(st)
+                        .is_some_and(|t| snap.is_stated(t))
+                })
+                .collect();
+            graph.remove_batch(&losers)?;
+            Ok(losers.iter().filter(|st| !graph.contains(st)).count())
+        })
     }
 
     /// Facts whose accuracy is below `threshold`, weakest first — the
-    /// review queue for uncertain knowledge.
+    /// review queue for uncertain knowledge: stated facts at their
+    /// asserted level and weighted rules' conclusions at their derived one.
     pub fn weak_facts(&self, threshold: f64) -> Vec<(Statement, f64)> {
         let snap = self.epochs.pin();
         let weak = snap.weighted().into_iter().filter(|&(_, c)| c < threshold);
@@ -1209,6 +1200,28 @@ impl PersonalKnowledgeBase {
 /// neither a recovered nor a loaded base reuses a document id — not even
 /// one whose facts were all retracted, since the dictionary keeps every
 /// term it ever interned.
+/// The conflicts among `triples` (SPO order): each subject/predicate pair
+/// holding more than one object, candidates most trusted first. Only the
+/// conflicting minority is resolved into terms.
+fn conflicts_in(snap: &EpochSnapshot, triples: &[IdTriple]) -> Vec<Conflict> {
+    let dict = snap.dict();
+    let mut out: Vec<Conflict> = triples
+        .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+        .filter(|group| group.len() > 1)
+        .map(|group| {
+            let (s, p, _) = group[0];
+            let mut candidates: Vec<ConflictCandidate> = group
+                .iter()
+                .map(|&t| (dict.resolve(t.2), snap.confidence_of(t).unwrap_or(1.0)))
+                .collect();
+            candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            ((dict.resolve(s), dict.resolve(p)), candidates)
+        })
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
 fn next_doc_id(graph: &DurableStore) -> usize {
     let epoch = graph.epochs().pin();
     let ids = epoch.dict().terms().filter_map(|term| {
@@ -2187,6 +2200,110 @@ mod tests {
         );
         assert!(!kb.query_snapshot().contains(&bad));
         assert_eq!(kb.statement_count(), 100);
+    }
+
+    #[test]
+    fn weighted_rules_stand_and_their_conclusions_follow_their_premises() {
+        let fs = Arc::new(cogsdk_sim::SimFs::new(23));
+        let open = |fs: &Arc<cogsdk_sim::SimFs>| {
+            PersonalKnowledgeBase::open_durable_on(
+                fs.clone(),
+                Arc::new(MemoryKv::new()),
+                KbOptions::default(),
+                Telemetry::disabled(),
+            )
+            .unwrap()
+        };
+        let kb = open(&fs);
+        kb.add_fact_with_confidence("IBM", "supplies", "Microsoft", 0.9)
+            .unwrap();
+        let premise = kb
+            .add_fact_with_confidence("Microsoft", "supplies", "Google", 0.5)
+            .unwrap();
+        let records = kb.wal_stats().records;
+        let added = kb
+            .infer_rules_weighted(
+                "[(?a kb:supplies ?b), (?b kb:supplies ?c) -> (?a kb:indirect_supplier_of ?c)]",
+                0.8,
+            )
+            .unwrap();
+        assert_eq!(kb.wal_stats().records, records + 1, "one ruleset record");
+        let indirect = |c: &str| {
+            Statement::new(
+                Term::iri("kb:ibm"),
+                Term::iri("kb:indirect_supplier_of"),
+                Term::iri(c),
+            )
+        };
+        let google = indirect("kb:google");
+        // 0.8 (rule) × min(0.9, 0.5).
+        assert_eq!(added, vec![(google.clone(), 0.8 * 0.5)]);
+        assert_eq!(kb.fact_confidence(&google), Some(0.8 * 0.5));
+        assert_eq!(kb.weak_facts(0.5), vec![(google.clone(), 0.8 * 0.5)]);
+
+        // The conclusion goes with its premise and comes back with it.
+        kb.with_graph_mut(|g| g.remove(&premise)).unwrap();
+        assert_eq!(kb.fact_confidence(&google), None);
+        kb.add_fact_with_confidence("Microsoft", "supplies", "Google", 0.5)
+            .unwrap();
+        assert_eq!(kb.fact_confidence(&google), Some(0.8 * 0.5));
+        // A premise that rises raises it.
+        kb.add_fact_with_confidence("Microsoft", "supplies", "Google", 1.0)
+            .unwrap();
+        assert_eq!(kb.fact_confidence(&google), Some(0.8 * 0.9));
+        // A later ingest extends it, with no further call.
+        kb.add_fact("Google", "supplies", "Oracle").unwrap();
+        let oracle = indirect("kb:oracle");
+        assert_eq!(kb.fact_confidence(&oracle), None, "IBM is two hops away");
+        kb.add_fact("IBM", "supplies", "Google").unwrap();
+        assert_eq!(kb.fact_confidence(&oracle), Some(0.8));
+        assert_eq!(kb.fact_confidence(&google), Some(0.8 * 0.9));
+
+        // A durable reopen re-derives the same levels; none was logged.
+        let levels =
+            |kb: &PersonalKnowledgeBase| [&google, &oracle].map(|st| kb.fact_confidence(st));
+        let (before, weak) = (levels(&kb), kb.weak_facts(1.0));
+        drop(kb);
+        fs.crash();
+        let kb = open(&fs);
+        assert_eq!(levels(&kb), before);
+        assert_eq!(kb.weak_facts(1.0), weak);
+        assert!(kb.snapshot().unwrap() > 0);
+        drop(kb);
+        let kb = open(&fs);
+        assert_eq!(levels(&kb), before);
+        assert_eq!(kb.statement_count(), 7, "4 stated, 3 derived");
+    }
+
+    #[test]
+    fn a_conflict_round_drops_no_derived_loser() {
+        let fs = Arc::new(cogsdk_sim::SimFs::new(29));
+        let kb = PersonalKnowledgeBase::open_durable_on(
+            fs,
+            Arc::new(MemoryKv::new()),
+            KbOptions::default(),
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        let p = Term::iri("kb:p");
+        let st = |s: &str, o: &str| Statement::new(Term::iri(s), p.clone(), Term::iri(o));
+        kb.add_statement(st("kb:a", "kb:b")).unwrap();
+        kb.add_statement(st("kb:b", "kb:c")).unwrap();
+        kb.infer_transitive(vec![p.clone()]).unwrap();
+        // (a p c) is derived, and it loses to (a p b) on the object's name.
+        assert_eq!(kb.conflicts().len(), 1);
+        let bytes = kb.wal_stats().bytes;
+        assert_eq!(kb.resolve_conflicts_for(&p).unwrap(), 0, "nothing left");
+        assert!(kb.query_snapshot().contains(&st("kb:a", "kb:c")));
+        assert_eq!(kb.wal_stats().bytes, bytes, "nothing logged");
+        // A stated loser the rule also entails is retracted but stays.
+        kb.add_statement(st("kb:a", "kb:c")).unwrap();
+        assert_eq!(kb.resolve_conflicts_for(&p).unwrap(), 0);
+        assert!(kb.query_snapshot().contains(&st("kb:a", "kb:c")));
+        assert!(
+            kb.wal_stats().bytes > bytes,
+            "the stated copy was retracted"
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! already in SPO order, straight into a frozen epoch base; nets the WAL
 //! into one run on top (tolerating a torn tail record, failing hard on
 //! mid-log corruption); and then *re-derives* the closure of the standing
-//! rulesets. Derived facts are never read from disk: they are a function
-//! of (stated facts, config). Replay works at the id level and defers all
+//! rulesets. Derived facts and their levels are never read from disk:
+//! they are a function of (stated facts, their confidences, config). Replay works at the id level and defers all
 //! reasoning to that one materialization, so it is insensitive to when
 //! the reasoners interned their vocabulary (dict entries are logged with
 //! explicit sequence numbers and verified on replay), and re-replaying
@@ -231,6 +231,13 @@ impl DurableStore {
                         }
                     }
                 }
+                WalRecord::AddWeightedRules(rules, strength) => {
+                    for rule in rules {
+                        if !config.has_weighted(&rule, strength) {
+                            config.weighted.push((rule, strength));
+                        }
+                    }
+                }
                 WalRecord::Confidence(s, p, o, bits) => {
                     let triple = check_triple((s, p, o), dict.len())?;
                     let value = f64::from_bits(bits);
@@ -248,6 +255,9 @@ impl DurableStore {
             }
         }
 
+        // Only these terms are on disk: re-deriving may intern the rules'
+        // vocabulary, which the next commit must log.
+        let durable_terms = dict.len();
         let (inner, base_triples, rederived_facts) =
             IncrementalMaterializer::recover(dict.clone(), snap.triples, net, config);
         // Discard any half-written snapshot temp from a previous run.
@@ -256,7 +266,7 @@ impl DurableStore {
         let durability = Durability {
             fs,
             wal,
-            dict_watermark: dict.len(),
+            dict_watermark: durable_terms,
         };
         let mut store = DurableStore::over(inner, Some(durability));
         if replayed_records > 0 || replayed.torn_tails > 0 {
@@ -480,13 +490,13 @@ impl DurableStore {
             return Err(e);
         }
         let seeds: Vec<(IdTriple, Option<Fact>)> = staged.iter().map(|&(t, b, _)| (t, b)).collect();
-        let added = self.inner.seal_stated(&seeds);
+        let added = self.inner.seal_weighed(&seeds);
         self.publish_epoch();
         Ok((staged.len(), added))
     }
 
-    /// The confidence of a statement: 1.0 unless it is present, stated
-    /// and weighted.
+    /// The confidence of a statement: 1.0 unless it is present and was
+    /// stated weighted or derived by a weighted rule.
     pub fn confidence_of(&self, st: &Statement) -> f64 {
         let epoch = self.inner.epoch();
         let triple = epoch.dict().lookup_statement(st);
@@ -540,6 +550,42 @@ impl DurableStore {
         Ok(self.inner.add_rules(rules))
     }
 
+    /// Adds standing weighted rules at `strength` — one WAL record for the
+    /// new ones — and brings the closure up to date. Each conclusion is a
+    /// derived fact at `strength × min(premise levels)`, maintained like
+    /// any other: it goes when its premises go and later ingests extend
+    /// it. Returns the facts this derived, each with its level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `strength` is outside `(0, 1]`.
+    pub fn add_weighted_rules(
+        &mut self,
+        rules: Vec<Rule>,
+        strength: f64,
+    ) -> Result<Vec<(Statement, f64)>, DurableError> {
+        // Checked before logging: replay rejects a strength out of range.
+        assert!(
+            strength > 0.0 && strength <= 1.0,
+            "rule strength must be in (0, 1]"
+        );
+        let fresh: Vec<Rule> = rules
+            .iter()
+            .filter(|r| !self.inner.config().has_weighted(r, strength))
+            .cloned()
+            .collect();
+        if !fresh.is_empty() {
+            self.log_records(vec![WalRecord::AddWeightedRules(fresh, strength)])?;
+        }
+        self.inner.add_weighted_rules(rules, strength);
+        let derived = self.inner.materialize_ids();
+        self.publish_epoch();
+        let epoch = self.inner.epoch();
+        let level = |t| epoch.confidence_of(t).unwrap_or(1.0);
+        let resolve = |t| (epoch.dict().resolve_triple(t), level(t));
+        Ok(derived.into_iter().map(resolve).collect())
+    }
+
     /// Brings the derived closure up to date (pure in-memory work; the
     /// closure is never persisted). Returns newly derived facts.
     pub fn materialize(&mut self) -> usize {
@@ -572,21 +618,18 @@ impl DurableStore {
     }
 
     /// Writes a checksummed snapshot of the dictionary, stated triples,
-    /// ruleset config and confidences, then truncates the WAL. Returns
-    /// bytes written (0 for in-memory stores, which have nothing to
-    /// snapshot).
+    /// ruleset config and the stated triples' confidences, then truncates
+    /// the WAL. Returns bytes written (0 for in-memory stores, which have
+    /// nothing to snapshot).
     pub fn snapshot(&mut self) -> Result<u64, DurableError> {
         let Some(d) = self.durability.as_mut() else {
             return Ok(0);
         };
         let epoch = self.inner.epoch();
         let stated: Vec<IdTriple> = epoch.stated_ids().collect();
-        d.snapshot(
-            epoch.dict(),
-            &stated,
-            self.inner.config(),
-            &epoch.weighted(),
-        )
+        let mut weighted = epoch.weighted();
+        weighted.retain(|(t, _)| stated.binary_search(t).is_ok());
+        d.snapshot(epoch.dict(), &stated, self.inner.config(), &weighted)
     }
 
     /// Facts in the full view.
@@ -648,6 +691,23 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.snapshot().unwrap(), 0);
         assert_eq!(store.wal_stats(), WalStats::default());
+    }
+
+    #[test]
+    fn vocabulary_a_recovery_interns_is_logged_by_the_next_commit() {
+        let fs = Arc::new(SimFs::new(31));
+        let mut store = open(&fs);
+        store.enable_rdfs().unwrap();
+        // On an empty store nothing is derived, so nothing interned the
+        // RDFS vocabulary before this snapshot.
+        store.snapshot().unwrap();
+        drop(store);
+        // Recovery interns it to re-derive; the next commit must log it.
+        let mut store = open(&fs);
+        store.insert(st("ex:a", vocab::TYPE, "ex:C")).unwrap();
+        drop(store);
+        let store = open(&fs);
+        assert!(store.contains(&st("ex:a", vocab::TYPE, "ex:C")));
     }
 
     #[test]

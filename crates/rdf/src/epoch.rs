@@ -21,14 +21,14 @@
 //! "Derived" is a tag: one sorted SPO list in the base and in each run,
 //! decided like membership (newest run wins). A stated triple is stored
 //! three times, a derived one four; the query path never reads the tag.
-//! A stated triple's confidence (§5's accuracy level) is run data too: a
-//! sorted column per run of its stated triples below 1.0, decided by the
-//! same newest run, so a delete or a retag drops it.
+//! A triple's level (§5's accuracy level) is run data too: a sorted column
+//! per run of its present triples below 1.0, decided by the same newest
+//! run, so a delete or a retag drops it. A stated triple's level was
+//! asserted; a derived one's was drawn by a standing weighted rule.
 
 use crate::dict::{IdTriple, TermDict, TermId};
 use crate::graph::{classify, Graph, Index, QueryView, Scan, TripleView};
 use crate::model::Statement;
-use crate::reason::Closure;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, RwLock};
@@ -129,15 +129,15 @@ fn state_sources<'a>(runs: impl Iterator<Item = &'a Run>) -> Vec<(&'a [IdTriple]
 }
 
 /// Sorted triples in the three index orders, the derived ones among
-/// them, the confidences of the weighted stated ones, and the triples the
-/// run deletes. A delta run is the net effect of one sealed batch; the
-/// base is a run that deletes nothing. The POS/OSP vectors hold
-/// *permuted* tuples, so every scan is a binary-searched contiguous slice.
+/// them, the levels of those below 1.0, and the triples the run deletes.
+/// A delta run is the net effect of one sealed batch; the base is a run
+/// that deletes nothing. The POS/OSP vectors hold *permuted* tuples, so
+/// every scan is a binary-searched contiguous slice.
 ///
 /// Net-ness is an invariant of delta runs: relative to the epoch state a
 /// run was sealed against, every delete was present and every other
-/// triple absent, present with the other tag, or stated at another
-/// confidence. Run merging and membership checks rely on it.
+/// triple absent, present with the other tag, or present at another
+/// level. Run merging and membership checks rely on it.
 #[derive(Debug)]
 struct Run {
     /// Present triples, in `(s, p, o)` order.
@@ -148,7 +148,7 @@ struct Run {
     osp: Vec<IdTriple>,
     /// The derived subset of `spo`.
     derived: Vec<IdTriple>,
-    /// The stated triples of `spo` below confidence 1.0, with it, sorted.
+    /// The triples of `spo` below level 1.0, with it, sorted.
     conf: Vec<(IdTriple, f64)>,
     /// Deleted triples, sorted.
     dels: Vec<IdTriple>,
@@ -434,14 +434,20 @@ impl EpochSnapshot {
         self.runs.len()
     }
 
-    /// Confidence of a triple visible in this epoch — 1.0 unless it is
-    /// stated and weighted; `None` if the triple itself is absent.
+    /// Confidence (level) of a triple visible in this epoch — 1.0 unless
+    /// it was stated weighted or a weighted rule derived it; `None` if the
+    /// triple itself is absent.
     pub fn confidence_of(&self, triple: IdTriple) -> Option<f64> {
         holder(&self.base, &self.runs, triple).map(|run| run.confidence(triple))
     }
 
-    /// The stated triples below confidence 1.0, with it, in SPO order: a
-    /// scan of the runs' confidence columns.
+    /// Whether the triple is present and stated rather than derived.
+    pub fn is_stated(&self, triple: IdTriple) -> bool {
+        holder(&self.base, &self.runs, triple).is_some_and(|run| run.tag(triple) == Fact::Stated)
+    }
+
+    /// The triples below confidence 1.0, stated or derived, with it, in SPO
+    /// order: a scan of the runs' confidence columns.
     pub fn weighted(&self) -> Vec<(IdTriple, f64)> {
         conf_under(&self.base, &self.runs)
     }
@@ -605,8 +611,8 @@ pub(crate) struct EpochWriter {
     epoch: Arc<EpochSnapshot>,
     /// Every triple the call changed: its state in `epoch`, and now.
     changes: BTreeMap<IdTriple, (Option<Fact>, Option<Fact>)>,
-    /// The confidence of each triple the call [weighed](Self::weigh) (1.0:
-    /// reset). Each is in `changes`, stated.
+    /// The level of each triple the call [weighed](Self::weigh) or
+    /// derived at a level (1.0: reset). Each is in `changes`, present.
     weights: BTreeMap<IdTriple, f64>,
     /// The changed triples present now but absent from `epoch`, indexed
     /// for pattern scans while `indexed` (standing rules scan the view).
@@ -661,7 +667,7 @@ impl EpochWriter {
     }
 
     /// Whether the triple is present now, and if so, stated or derived,
-    /// with its confidence.
+    /// with its level.
     pub(crate) fn state(&self, triple: IdTriple) -> Option<(Fact, f64)> {
         match self.changes.get(&triple) {
             Some(&(_, now)) => now.map(|f| (f, *self.weights.get(&triple).unwrap_or(&1.0))),
@@ -679,8 +685,8 @@ impl EpochWriter {
     }
 
     /// [`replace`](Self::replace) from `was`, the state the caller knows
-    /// the triple has now. A delete or a retag to derived drops its
-    /// confidence: the call's, and the epoch's should it be stated again.
+    /// the triple has now. A delete or a retag drops its level: the
+    /// call's, and the epoch's should it be stated again.
     pub(crate) fn replace_known(&mut self, triple: IdTriple, was: Option<Fact>, now: Option<Fact>) {
         if was == now {
             return;
@@ -734,6 +740,34 @@ impl EpochWriter {
         self.changes.entry(triple).or_insert((was, was));
         self.weights.insert(triple, confidence);
         Some((was, confidence))
+    }
+
+    /// A rule's conclusion at `level`: an absent triple becomes derived at
+    /// it, a derived one below it rises to it, and a stated one keeps its
+    /// own. Returns `Some(true)` if the triple was absent, `Some(false)` if
+    /// it rose, `None` if nothing changed.
+    pub(crate) fn derive_at(&mut self, triple: IdTriple, level: f64) -> Option<bool> {
+        match self.state(triple) {
+            None => {
+                self.replace_known(triple, None, Some(Fact::Derived));
+                // Deleted earlier in the call: the epoch's level must not
+                // show through the new one.
+                let sealed = self.changes[&triple]
+                    .0
+                    .and_then(|_| self.sealed_holder(triple));
+                if level < 1.0 || sealed.is_some_and(|run| run.confidence(triple) < 1.0) {
+                    self.weights.insert(triple, level);
+                }
+                Some(true)
+            }
+            Some((Fact::Derived, held)) if level > held => {
+                let derived = Some(Fact::Derived);
+                self.changes.entry(triple).or_insert((derived, derived));
+                self.weights.insert(triple, level);
+                Some(false)
+            }
+            Some(_) => None,
+        }
     }
 
     /// [`replace`](Self::replace) at the start of a call, for strictly
@@ -861,12 +895,6 @@ impl TripleView for EpochWriter {
 
     fn has_id(&self, triple: IdTriple) -> bool {
         self.state(triple).is_some()
-    }
-}
-
-impl Closure for EpochWriter {
-    fn derive(&mut self, triple: IdTriple) -> bool {
-        self.state(triple).is_none() && self.replace(triple, Some(Fact::Derived)).is_none()
     }
 }
 

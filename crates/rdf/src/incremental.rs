@@ -13,11 +13,18 @@
 //!   pre-deletion view, then facts with surviving alternative derivations
 //!   are rederived.
 //!
-//! Rulesets (RDFS, OWL/Lite, extra transitive predicates, user rules) are
-//! *standing*: once enabled they are maintained on every mutation.
-//! Enabling one marks the closure stale; the next
+//! Rulesets (RDFS, OWL/Lite, extra transitive predicates, user rules,
+//! weighted rules) are *standing*: once enabled they are maintained on
+//! every mutation. Enabling one marks the closure stale; the next
 //! [`materialize`](IncrementalMaterializer::materialize) call reseeds it.
 //! All maintenance is id-triple work over one term dictionary.
+//!
+//! Every fact has a level (§5's accuracy level) in the (max, ·) semiring
+//! of provenance annotations: a stated fact keeps the level it was stated
+//! at, and a derived one takes the best of its derivations — 1.0 from any
+//! plain ruleset, `strength × min(premise levels)` from a weighted rule. A
+//! level that rises propagates semi-naively like a new fact; one that
+//! falls is re-derived by the batch's DRed round like a retraction.
 
 use crate::dict::{IdTriple, TermDict, TermId};
 use crate::epoch::{EpochSnapshot, EpochWriter, Fact};
@@ -25,7 +32,7 @@ use crate::graph::{Graph, TripleView};
 use crate::model::{Statement, Term};
 use crate::owl::owl_delta;
 use crate::reason::{
-    compile_rules, propagate, rdfs_delta, rules_delta, transitive_delta, Closure, IdRule, Rule,
+    compile_rule, compile_rules, fire, rdfs_delta, rules_delta, transitive_delta, IdRule, Rule,
     VocabIds,
 };
 use std::collections::{BTreeSet, HashMap};
@@ -45,11 +52,22 @@ pub struct MaterializerConfig {
     pub transitive: Vec<Term>,
     /// Standing user-defined rules.
     pub rules: Vec<Rule>,
+    /// Standing weighted rules, each with its strength in `(0, 1]`: a
+    /// conclusion's level is `strength × min(premise levels)`.
+    pub weighted: Vec<(Rule, f64)>,
 }
 
 impl MaterializerConfig {
     fn is_active(&self) -> bool {
-        self.rdfs || self.owl || !self.transitive.is_empty() || !self.rules.is_empty()
+        let plain = self.rdfs || self.owl || !self.transitive.is_empty();
+        plain || !self.rules.is_empty() || !self.weighted.is_empty()
+    }
+
+    /// Whether `rule` already stands at `strength`.
+    pub(crate) fn has_weighted(&self, rule: &Rule, strength: f64) -> bool {
+        self.weighted
+            .iter()
+            .any(|(r, s)| r == rule && *s == strength)
     }
 
     /// Compiles the configuration against a dictionary: vocabulary and
@@ -63,6 +81,9 @@ impl MaterializerConfig {
             vocab: (self.rdfs || self.owl).then(|| VocabIds::new(dict)),
             transitive: self.transitive.iter().map(|t| dict.intern(t)).collect(),
             rules: compile_rules(&self.rules, dict),
+            weighted: (self.weighted.iter())
+                .map(|(rule, strength)| (compile_rule(rule, dict), *strength))
+                .collect(),
         }
     }
 }
@@ -75,6 +96,7 @@ struct CompiledRules {
     vocab: Option<VocabIds>,
     transitive: Vec<TermId>,
     rules: Vec<IdRule>,
+    weighted: Vec<(IdRule, f64)>,
 }
 
 impl CompiledRules {
@@ -94,6 +116,21 @@ impl CompiledRules {
         }
         if !self.rules.is_empty() {
             out.extend(rules_delta(&self.rules, view, delta));
+        }
+        out
+    }
+
+    /// One delta round over every ruleset, each conclusion at its level:
+    /// 1.0 for the plain rulesets, `strength × min(premise levels)` for a
+    /// weighted rule, the levels read off `store`.
+    fn leveled(&self, store: &EpochWriter, delta: &[IdTriple]) -> Vec<(IdTriple, f64)> {
+        let plain = self.delta(store, delta).into_iter().map(|t| (t, 1.0));
+        let mut out: Vec<(IdTriple, f64)> = plain.collect();
+        let level = |t| store.state(t).map_or(1.0, |(_, level)| level);
+        for (rule, strength) in &self.weighted {
+            fire(rule, store, delta, &level, &mut |t, low| {
+                out.push((t, strength * low))
+            });
         }
         out
     }
@@ -169,7 +206,7 @@ impl IncrementalMaterializer {
             }
         }
         m.clean = false;
-        let rederived = m.catch_up();
+        let rederived = m.catch_up().len();
         m.store.seal_as(0);
         // Everything derived was derived just now.
         let stated = m.len() - rederived;
@@ -246,15 +283,57 @@ impl IncrementalMaterializer {
         self.reconfigured(self.config.rules.len() > before)
     }
 
+    /// Adds standing weighted rules at `strength`: each conclusion is
+    /// derived at `strength × min(premise levels)`. Returns whether any
+    /// were new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `strength` is outside `(0, 1]`.
+    pub fn add_weighted_rules(&mut self, rules: Vec<Rule>, strength: f64) -> bool {
+        assert!(
+            strength > 0.0 && strength <= 1.0,
+            "rule strength must be in (0, 1]"
+        );
+        let before = self.config.weighted.len();
+        for rule in rules {
+            if !self.config.has_weighted(&rule, strength) {
+                self.config.weighted.push((rule, strength));
+            }
+        }
+        self.reconfigured(self.config.weighted.len() > before)
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &MaterializerConfig {
         &self.config
     }
 
-    /// Runs the rules forward from `seed` (facts already in the view) to
-    /// fixpoint; returns how many facts were newly derived.
-    fn derive_from(&mut self, compiled: &CompiledRules, seed: Vec<IdTriple>) -> usize {
-        propagate(&mut self.store, seed, &mut |v, d| compiled.delta(v, d)).len()
+    /// Runs the rules forward from `seed` (facts in the view that are new
+    /// or at a higher level) to fixpoint, semi-naively: a fact joins the
+    /// next round when it is derived or its level rises. Returns the facts
+    /// newly derived.
+    fn derive_from(&mut self, compiled: &CompiledRules, seed: Vec<IdTriple>) -> Vec<IdTriple> {
+        let (mut new, mut delta) = (Vec::new(), seed);
+        while !delta.is_empty() {
+            let mut next = Vec::new();
+            for (t, level) in compiled.leveled(&self.store, &delta) {
+                let Some(fresh) = self.store.derive_at(t, level) else {
+                    continue;
+                };
+                if fresh {
+                    new.push(t);
+                }
+                next.push(t);
+            }
+            if !compiled.weighted.is_empty() {
+                // A fact that rose twice in a round joins the next once.
+                next.sort_unstable();
+                next.dedup();
+            }
+            delta = next;
+        }
+        new
     }
 
     /// Inserts a stated fact and propagates its consequences forward.
@@ -319,24 +398,31 @@ impl IncrementalMaterializer {
 
     /// Propagates from the staged triples that were absent and seals the
     /// call. A previously derived fact that is now stated is only
-    /// retagged: the view already has it and nothing new follows. Returns
+    /// retagged: the view already has it, and only under weighted rules,
+    /// where its level may have risen to 1.0, does it propagate. Returns
     /// how many facts were new to the full view.
     pub(crate) fn seal_stated(&mut self, staged: &[(IdTriple, Option<Fact>)]) -> usize {
+        let levels = !self.config.weighted.is_empty();
         let seed: Vec<IdTriple> = staged
             .iter()
-            .filter_map(|&(t, before)| before.is_none().then_some(t))
+            .filter_map(|&(t, before)| (before.is_none() || levels).then_some(t))
             .collect();
-        let added = seed.len();
-        if !seed.is_empty() && self.config.is_active() && self.clean {
-            let compiled = self.config.compile(self.store.dict());
-            self.derive_from(&compiled, seed);
+        self.seal_changes(&[], seed);
+        staged.iter().filter(|(_, before)| before.is_none()).count()
+    }
+
+    /// Maintains a clean closure over the call's stated changes — see
+    /// [`maintain`](Self::maintain) — and seals the call. A stale closure
+    /// waits for the next [`materialize`](Self::materialize).
+    fn seal_changes(&mut self, lowered: &[IdTriple], seed: Vec<IdTriple>) {
+        if self.clean && self.config.is_active() {
+            self.maintain(&[], lowered, seed);
         }
         self.store.seal();
-        added
     }
 
     /// [`EpochWriter::weigh`] within the call in progress, which ends with
-    /// [`seal_stated`](Self::seal_stated) or [`discard`](Self::discard).
+    /// [`seal_weighed`](Self::seal_weighed) or [`discard`](Self::discard).
     pub(crate) fn weigh(
         &mut self,
         triple: IdTriple,
@@ -344,6 +430,28 @@ impl IncrementalMaterializer {
         insert: bool,
     ) -> Option<(Option<Fact>, f64)> {
         self.store.weigh(triple, c, insert)
+    }
+
+    /// Seals the weighted assertions [weighed](Self::weigh) in the call,
+    /// each triple with its state before. New facts propagate; under
+    /// weighted rules, so does a fact whose level rose since the last
+    /// epoch, and one whose level fell re-derives what rests on it in one
+    /// DRed round. Returns how many facts were new to the full view.
+    pub(crate) fn seal_weighed(&mut self, staged: &[(IdTriple, Option<Fact>)]) -> usize {
+        if self.config.weighted.is_empty() {
+            return self.seal_stated(staged);
+        }
+        let (mut seed, mut lowered) = (Vec::new(), Vec::new());
+        for &(t, _) in staged {
+            let now = self.store.state(t).map_or(1.0, |(_, level)| level);
+            match self.store.epoch().confidence_of(t) {
+                Some(was) if was > now => lowered.push(t),
+                Some(was) if was == now => {}
+                _ => seed.push(t),
+            }
+        }
+        self.seal_changes(&lowered, seed);
+        staged.iter().filter(|(_, before)| before.is_none()).count()
     }
 
     /// Drops the changes of the call in progress, sealing nothing.
@@ -390,27 +498,48 @@ impl IncrementalMaterializer {
         // if a ruleset was enabled after facts arrived. That only derives
         // absent facts, so every present one keeps its tag.
         self.catch_up();
-        let removed: BTreeSet<IdTriple> = present.iter().map(|&(t, _)| t).collect();
-        let compiled = (!removed.is_empty() && self.config.is_active())
-            .then(|| self.config.compile(self.store.dict()));
+        self.maintain(present, &[], Vec::new());
+        self.store.seal();
+        present.len()
+    }
+
+    /// Maintains the closure over the call's stated changes, with at most
+    /// one DRed round: the `gone` facts (present, with their tags) leave
+    /// the view, and the `lowered` ones stay at a lower level than their
+    /// consequences were drawn at. Everything derived, transitively, from
+    /// either is overdeleted against the view as it stands; one naive round
+    /// re-derives each suspect fact that still has a derivation, at its
+    /// best level; and semi-naive propagation from those and from `seed`
+    /// (facts new, or at a higher level) restores the rest.
+    fn maintain(
+        &mut self,
+        gone: &[(IdTriple, Fact)],
+        lowered: &[IdTriple],
+        mut seed: Vec<IdTriple>,
+    ) {
+        let removed: BTreeSet<IdTriple> = gone.iter().map(|&(t, _)| t).collect();
+        let changed = !removed.is_empty() || !lowered.is_empty() || !seed.is_empty();
+        let compiled =
+            (changed && self.config.is_active()).then(|| self.config.compile(self.store.dict()));
         // Overdeletion cascade against the pre-deletion view: everything
-        // derived (transitively) using a removed fact is suspect.
+        // derived (transitively) using a removed or lowered fact is suspect.
         let mut overdeleted: BTreeSet<IdTriple> = BTreeSet::new();
         if let Some(compiled) = &compiled {
-            let mut frontier: Vec<IdTriple> = removed.iter().copied().collect();
+            let mut frontier: Vec<IdTriple> = removed.iter().chain(lowered).copied().collect();
             while !frontier.is_empty() {
                 frontier = compiled
-                    .delta(&self.store, &frontier)
+                    .leveled(&self.store, &frontier)
                     .into_iter()
-                    .filter(|&c| {
+                    .filter(|&(c, _)| {
                         matches!(self.store.state(c), Some((Fact::Derived, _)))
                             && !removed.contains(&c)
                             && overdeleted.insert(c)
                     })
+                    .map(|(c, _)| c)
                     .collect();
             }
         }
-        for &(t, fact) in present {
+        for &(t, fact) in gone {
             self.store.replace_known(t, Some(fact), None);
         }
         for &t in &overdeleted {
@@ -420,36 +549,42 @@ impl IncrementalMaterializer {
         // suspect fact that still has a one-step derivation; semi-naive
         // propagation from those seeds restores the rest of the closure.
         if let Some(compiled) = &compiled {
-            let all = self.store.find_ids(None, None, None);
-            let seeds: Vec<IdTriple> = compiled
-                .delta(&self.store, &all)
-                .into_iter()
-                .filter(|&c| {
-                    (overdeleted.contains(&c) || removed.contains(&c)) && self.store.derive(c)
-                })
-                .collect();
-            if !seeds.is_empty() {
-                self.derive_from(compiled, seeds);
+            if !overdeleted.is_empty() || !removed.is_empty() {
+                let all = self.store.find_ids(None, None, None);
+                for (c, level) in compiled.leveled(&self.store, &all) {
+                    let suspect = overdeleted.contains(&c) || removed.contains(&c);
+                    if suspect && self.store.derive_at(c, level).is_some() {
+                        seed.push(c);
+                    }
+                }
+                seed.sort_unstable();
+                seed.dedup();
+            }
+            if !seed.is_empty() {
+                self.derive_from(compiled, seed);
             }
         }
-        self.store.seal();
-        removed.len()
     }
 
     /// Brings the derived closure up to date with the configuration. Cheap
     /// when nothing changed; after a config change it reseeds the fixpoint
     /// over all current facts. Returns how many facts were newly derived.
     pub fn materialize(&mut self) -> usize {
+        self.materialize_ids().len()
+    }
+
+    /// [`materialize`](Self::materialize), returning the facts it derived.
+    pub(crate) fn materialize_ids(&mut self) -> Vec<IdTriple> {
         let added = self.catch_up();
         self.store.seal();
         added
     }
 
     /// [`materialize`](Self::materialize) within the call in progress.
-    fn catch_up(&mut self) -> usize {
+    fn catch_up(&mut self) -> Vec<IdTriple> {
         if self.clean || !self.config.is_active() {
             self.clean = true;
-            return 0;
+            return Vec::new();
         }
         let compiled = self.config.compile(self.store.dict());
         let added = self.derive_from(&compiled, self.store.find_ids(None, None, None));
@@ -596,6 +731,50 @@ mod tests {
             !stated(&m).contains(&st("a", "sub", "c")),
             "no longer stated"
         );
+    }
+
+    /// The level of `st` in `m`'s latest epoch, if present.
+    fn level(m: &IncrementalMaterializer, st: &Statement) -> Option<f64> {
+        let epoch = m.epoch();
+        epoch.confidence_of(epoch.dict().lookup_statement(st)?)
+    }
+
+    #[test]
+    fn weighted_levels_dilute_along_chains_and_take_the_best_derivation() {
+        let mut m = IncrementalMaterializer::new();
+        let rules = GenericRuleReasoner::from_rules_text(
+            "[(?x parent ?y) -> (?x ancestor ?y)]\n\
+             [(?x parent ?y), (?y ancestor ?z) -> (?x ancestor ?z)]\n\
+             [(?x ancestor ?y) -> (?y descendant_of ?x)]\n\
+             [(?y descendant_of ?x) -> (?x ancestor ?y)]",
+        )
+        .unwrap();
+        m.add_weighted_rules(rules.rules().to_vec(), 0.9);
+        for (s, o) in [("a", "b"), ("b", "c"), ("c", "d")] {
+            m.insert(st(s, "parent", o));
+        }
+        // Each hop multiplies by the strength; the cycle through
+        // `descendant_of` never beats the direct derivation, and ends.
+        assert_eq!(level(&m, &st("a", "ancestor", "b")), Some(0.9));
+        assert_eq!(level(&m, &st("a", "ancestor", "c")), Some(0.9 * 0.9));
+        assert_eq!(
+            level(&m, &st("a", "ancestor", "d")),
+            Some(0.9 * (0.9 * 0.9))
+        );
+        assert_eq!(level(&m, &st("b", "descendant_of", "a")), Some(0.9 * 0.9));
+        // A plain rule's derivation is worth 1.0 and wins.
+        m.add_rules(
+            GenericRuleReasoner::from_rules_text("[(?x parent ?y) -> (?x ancestor ?y)]")
+                .unwrap()
+                .rules()
+                .to_vec(),
+        );
+        m.materialize();
+        assert_eq!(level(&m, &st("a", "ancestor", "b")), Some(1.0));
+        assert_eq!(level(&m, &st("a", "ancestor", "c")), Some(0.9));
+        // Stated, a fact takes its stated level over its derivations.
+        m.insert(st("a", "ancestor", "d"));
+        assert_eq!(level(&m, &st("a", "ancestor", "d")), Some(1.0));
     }
 
     #[test]

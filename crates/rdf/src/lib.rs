@@ -16,6 +16,12 @@
 //!   SPO/POS/OSP indexes and pattern matching.
 //! * [`reason`] + [`owl`] — the four reasoners (transitive, RDFS subset,
 //!   generic rules, OWL/Lite subset).
+//! * [`incremental`] — the one inference engine: every ruleset, weighted
+//!   rules included, is a *standing* ruleset whose conclusions are derived
+//!   facts kept up to date on every mutation. A fact's level (the paper's
+//!   §5 accuracy level) is its stated confidence, or for a derived fact the
+//!   best of its derivations — `strength × min(premise levels)` under a
+//!   weighted rule, 1.0 under any other.
 //! * [`plan`] — cost-based BGP planning ([`BgpQuery`] → [`ExecPlan`]):
 //!   selectivity from index cardinalities, greedy join ordering, merge and
 //!   index nested-loop joins, `OPTIONAL`/`UNION`, paging, `explain()`.
@@ -53,7 +59,6 @@ pub mod query;
 pub mod reason;
 mod snapshot;
 pub mod wal;
-pub mod weighted;
 
 pub use dict::{IdTriple, TermDict, TermId};
 pub use durable::{DurableError, DurableOptions, DurableStore, RecoveryStats, WalStats};
@@ -65,7 +70,6 @@ pub use owl::OwlLiteReasoner;
 pub use plan::{BgpQuery, ExecPlan, QueryStats};
 pub use query::{Query, Solution};
 pub use reason::{GenericRuleReasoner, RdfsReasoner, Rule, TransitiveReasoner};
-pub use weighted::{WeightedGraph, WeightedReasoner};
 
 use std::error::Error;
 use std::fmt;

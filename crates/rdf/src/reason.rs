@@ -19,55 +19,26 @@
 
 use crate::dict::{IdTriple, TermDict, TermId};
 use crate::graph::{Graph, Overlay, TripleView};
-use crate::model::{vocab, Statement, Term};
+use crate::model::{vocab, Term};
 use crate::RdfError;
 use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
 // Semi-naive evaluation core
 //
-// All reasoners share one fixpoint driver: each round joins the rule bodies
-// against the *delta* (facts derived in the previous round) rather than
-// re-scanning the whole graph, and the working set is borrowed — an
-// [`Overlay`] over a stated graph plus its derived closure for the batch
-// reasoners, the store's epoch plus the call's changes for the
-// materializer — so no run copies the facts it starts from. Everything
-// in the loop is id-triple work.
+// Every rule family has a delta form: each round joins the rule bodies
+// against the *delta* (facts new since the previous round) rather than
+// re-scanning the whole graph, over a borrowed working set — an [`Overlay`]
+// of a stated graph and its derived closure for the batch reasoners
+// ([`semi_naive`]), the store's epoch plus the call's changes for the
+// materializer — so no run copies the facts it starts from. Everything in
+// the loop is id-triple work.
 // ---------------------------------------------------------------------------
 
 /// A delta rule: given the full current view and the id triples that are
 /// new since the last round, produce candidate conclusions. Candidates may
 /// duplicate existing facts; the driver deduplicates.
 pub(crate) type DeltaRule<'r> = dyn FnMut(&dyn TripleView, &[IdTriple]) -> Vec<IdTriple> + 'r;
-
-/// A fixpoint's working set: every fact so far, readable as a view, and
-/// extended with each fact the rules derive.
-pub(crate) trait Closure: TripleView {
-    /// Adds a derived fact; `false` if the view already holds it.
-    fn derive(&mut self, triple: IdTriple) -> bool;
-}
-
-/// Runs delta rules to fixpoint starting from `seed` (facts already in
-/// `closure`), extending `closure` in place. Returns the facts that are
-/// newly derived by this call.
-pub(crate) fn propagate(
-    closure: &mut impl Closure,
-    seed: Vec<IdTriple>,
-    rule: &mut DeltaRule<'_>,
-) -> Vec<IdTriple> {
-    let mut new_facts = Vec::new();
-    let mut delta = seed;
-    while !delta.is_empty() {
-        let candidates = rule(&*closure, &delta);
-        let fresh: Vec<IdTriple> = candidates
-            .into_iter()
-            .filter(|&t| closure.derive(t))
-            .collect();
-        new_facts.extend(fresh.iter().copied());
-        delta = fresh;
-    }
-    new_facts
-}
 
 /// A batch reasoner's working set: a stated graph plus the closure
 /// derived from it so far, over one dictionary.
@@ -90,12 +61,6 @@ impl TripleView for Derivation<'_> {
     }
 }
 
-impl Closure for Derivation<'_> {
-    fn derive(&mut self, triple: IdTriple) -> bool {
-        !self.base.contains_id(triple) && self.derived.insert_id(triple)
-    }
-}
-
 /// Full semi-naive fixpoint from scratch: round 0 seeds the delta with the
 /// entire base (equivalent to one naive round), later rounds join only
 /// against fresh facts. Returns the derived closure (sharing the base's
@@ -105,7 +70,14 @@ pub(crate) fn semi_naive(base: &Graph, rule: &mut DeltaRule<'_>) -> Graph {
         base,
         derived: Graph::with_dict(base.dict().clone()),
     };
-    propagate(&mut closure, base.iter_ids().collect(), rule);
+    let mut delta: Vec<IdTriple> = base.iter_ids().collect();
+    while !delta.is_empty() {
+        let candidates = rule(&closure, &delta);
+        delta = candidates
+            .into_iter()
+            .filter(|&t| !base.contains_id(t) && closure.derived.insert_id(t))
+            .collect();
+    }
     closure.derived
 }
 
@@ -280,8 +252,7 @@ impl IdPatternTerm {
 impl IdPattern {
     /// Matches this pattern against the view under existing bindings,
     /// returning each extended binding set together with the triple that
-    /// produced it (the weighted reasoner reads per-premise confidences
-    /// off the matched triples).
+    /// produced it (weighted rules read each premise's level off it).
     pub(crate) fn solve(
         &self,
         view: &dyn TripleView,
@@ -408,9 +379,8 @@ pub(crate) fn compile_rules(rules: &[Rule], dict: &TermDict) -> Vec<IdRule> {
     rules.iter().map(|r| compile_rule(r, dict)).collect()
 }
 
-/// Delta form of forward chaining over compiled rules: for each rule and
-/// each premise position, bind that premise from the delta and solve the
-/// remaining premises against the full view.
+/// Delta form of forward chaining over compiled rules: every conclusion
+/// [`fire`] draws for each rule.
 pub(crate) fn rules_delta(
     rules: &[IdRule],
     view: &dyn TripleView,
@@ -418,38 +388,45 @@ pub(crate) fn rules_delta(
 ) -> Vec<IdTriple> {
     let mut out = Vec::new();
     for rule in rules {
-        for i in 0..rule.premises.len() {
-            let seeds: Vec<Vec<Option<TermId>>> = delta
-                .iter()
-                .filter_map(|&t| rule.premises[i].match_triple(rule.nvars, t))
-                .collect();
-            if seeds.is_empty() {
+        fire(rule, view, delta, &|_| 1.0, &mut |t, _| out.push(t));
+    }
+    out
+}
+
+/// Fires `rule` with each premise position in turn bound from `delta` and
+/// the other premises solved against the full view. Each conclusion goes to
+/// `emit` with the lowest `level` among the premise triples that drew it.
+pub(crate) fn fire(
+    rule: &IdRule,
+    view: &dyn TripleView,
+    delta: &[IdTriple],
+    level: &dyn Fn(IdTriple) -> f64,
+    emit: &mut dyn FnMut(IdTriple, f64),
+) {
+    for (i, seed) in rule.premises.iter().enumerate() {
+        let mut bindings: Vec<(Vec<Option<TermId>>, f64)> = delta
+            .iter()
+            .filter_map(|&t| Some((seed.match_triple(rule.nvars, t)?, level(t))))
+            .collect();
+        for (j, premise) in rule.premises.iter().enumerate() {
+            if j == i || bindings.is_empty() {
                 continue;
             }
-            let mut bindings = seeds;
-            for (j, premise) in rule.premises.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let mut next = Vec::new();
-                for b in &bindings {
-                    next.extend(premise.solve(view, b).into_iter().map(|(nb, _)| nb));
-                }
-                bindings = next;
-                if bindings.is_empty() {
-                    break;
-                }
+            let mut next = Vec::new();
+            for (b, low) in &bindings {
+                let solved = premise.solve(view, b).into_iter();
+                next.extend(solved.map(|(nb, t)| (nb, low.min(level(t)))));
             }
-            for b in &bindings {
-                for conclusion in &rule.conclusions {
-                    if let Some(t) = conclusion.instantiate(b) {
-                        out.push(t);
-                    }
+            bindings = next;
+        }
+        for (b, low) in &bindings {
+            for conclusion in &rule.conclusions {
+                if let Some(t) = conclusion.instantiate(b) {
+                    emit(t, *low);
                 }
             }
         }
     }
-    out
 }
 
 /// Computes the transitive closure of chosen predicates.
@@ -477,15 +454,6 @@ impl TransitiveReasoner {
     /// Creates a reasoner closing over the given predicates.
     pub fn new(predicates: Vec<Term>) -> TransitiveReasoner {
         TransitiveReasoner { predicates }
-    }
-
-    /// The standard class/property-lattice reasoner
-    /// (`rdfs:subClassOf` + `rdfs:subPropertyOf`).
-    pub fn for_lattices() -> TransitiveReasoner {
-        TransitiveReasoner::new(vec![
-            Term::iri(vocab::SUB_CLASS_OF),
-            Term::iri(vocab::SUB_PROPERTY_OF),
-        ])
     }
 
     /// Returns the *new* statements entailed by transitivity (excluding
@@ -617,23 +585,6 @@ impl TriplePattern {
         }
     }
 
-    /// Matches this pattern against the graph under existing `bindings`,
-    /// returning the extended binding sets. Public so downstream layers
-    /// (the query engine, the weighted reasoner) can reuse the matcher.
-    pub fn solve_bindings(
-        &self,
-        graph: &Graph,
-        bindings: &HashMap<String, Term>,
-    ) -> Vec<HashMap<String, Term>> {
-        self.solve(graph, bindings)
-    }
-
-    /// Instantiates the pattern under complete bindings, if every slot is
-    /// bound and structurally valid.
-    pub fn instantiate_bindings(&self, bindings: &HashMap<String, Term>) -> Option<Statement> {
-        self.instantiate(bindings)
-    }
-
     /// Matches this pattern against any triple view under existing
     /// `bindings`, returning the extended binding sets.
     fn solve(
@@ -666,16 +617,6 @@ impl TriplePattern {
                 Some(out)
             })
             .collect()
-    }
-
-    fn instantiate(&self, bindings: &HashMap<String, Term>) -> Option<Statement> {
-        let s = self.subject.bind(bindings)?;
-        let p = self.predicate.bind(bindings)?;
-        let o = self.object.bind(bindings)?;
-        if !s.is_resource() || !matches!(p, Term::Iri(_)) {
-            return None;
-        }
-        Some(Statement::new(s, p, o))
     }
 }
 
@@ -1060,6 +1001,7 @@ fn dedup_bindings(mut v: Vec<HashMap<String, Term>>) -> Vec<HashMap<String, Term
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Statement;
 
     fn iri(s: &str) -> Term {
         Term::iri(s)

@@ -3,10 +3,10 @@
 //! A snapshot captures everything recovery needs except the derived
 //! closure: the term dictionary (in interning order, so ids reproduce
 //! exactly), the *stated* id triples in strictly ascending SPO order
-//! (recovery freezes them as they stand), and the standing
-//! [`MaterializerConfig`]. Derived facts are deliberately absent —
-//! recovery re-runs materialization, so inference state is never
-//! trusted from disk.
+//! (recovery freezes them as they stand), the standing
+//! [`MaterializerConfig`] and the stated triples' confidences. Derived
+//! facts and their levels are deliberately absent — recovery re-runs
+//! materialization, so inference state is never trusted from disk.
 //!
 //! The file is written with the classic atomic-replace dance: serialize
 //! to `snapshot.tmp`, fsync the contents, then rename over
@@ -20,7 +20,8 @@
 use crate::dict::{IdTriple, TermDict, TermId};
 use crate::incremental::MaterializerConfig;
 use crate::wal::{
-    crc32, put_rule, put_term, put_u32, put_u64, read_rule, read_term, DurableError, Reader,
+    crc32, put_rule, put_rules, put_term, put_u32, put_u64, read_rule, read_rules, read_strength,
+    read_term, DurableError, Reader,
 };
 use cogsdk_sim::fs::{FsError, Vfs};
 
@@ -31,9 +32,12 @@ pub(crate) const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
 /// Version 1 layout: dict + base triples + config.
 const MAGIC_V1: &[u8; 8] = b"CGSNAP1\0";
-/// Version 2 appends a weighted-confidence section. New snapshots are
-/// always written as v2; v1 files still load (with no confidences).
+/// Version 2 appends a weighted-confidence section. A store with no
+/// weighted rules writes v2; v1 files still load (with no confidences).
 const MAGIC: &[u8; 8] = b"CGSNAP2\0";
+/// Version 3 appends the weighted rules, each with its strength; only a
+/// store that has some writes it.
+const MAGIC_V3: &[u8; 8] = b"CGSNAP3\0";
 
 /// Decoded snapshot contents.
 #[derive(Debug, Default)]
@@ -68,10 +72,7 @@ fn encode(
     for term in &config.transitive {
         put_term(&mut payload, term);
     }
-    put_u32(&mut payload, config.rules.len() as u32);
-    for rule in &config.rules {
-        put_rule(&mut payload, rule);
-    }
+    put_rules(&mut payload, &config.rules);
     put_u32(&mut payload, confidence.len() as u32);
     for &((s, p, o), value) in confidence {
         put_u32(&mut payload, s.raw());
@@ -79,9 +80,19 @@ fn encode(
         put_u32(&mut payload, o.raw());
         put_u64(&mut payload, value.to_bits());
     }
+    let magic = if config.weighted.is_empty() {
+        MAGIC
+    } else {
+        put_u32(&mut payload, config.weighted.len() as u32);
+        for (rule, strength) in &config.weighted {
+            put_rule(&mut payload, rule);
+            put_u64(&mut payload, strength.to_bits());
+        }
+        MAGIC_V3
+    };
 
     let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len());
-    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(magic);
     put_u32(&mut out, crc32(&payload));
     put_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
@@ -127,10 +138,10 @@ fn decode(data: &[u8]) -> Result<SnapshotData, DurableError> {
     if data.len() < MAGIC.len() + 12 {
         return Err(DurableError::Corrupt("snapshot header malformed".into()));
     }
-    let magic = &data[..MAGIC.len()];
-    let has_confidence = match () {
-        _ if magic == MAGIC => true,
-        _ if magic == MAGIC_V1 => false,
+    let version = match &data[..MAGIC.len()] {
+        magic if magic == MAGIC_V1 => 1,
+        magic if magic == MAGIC => 2,
+        magic if magic == MAGIC_V3 => 3,
         _ => return Err(DurableError::Corrupt("snapshot header malformed".into())),
     };
     let mut header = Reader::new(&data[MAGIC.len()..MAGIC.len() + 12]);
@@ -179,13 +190,9 @@ fn decode(data: &[u8]) -> Result<SnapshotData, DurableError> {
     for _ in 0..n {
         transitive.push(read_term(&mut r)?);
     }
-    let n = r.u32()? as usize;
-    let mut rules = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        rules.push(read_rule(&mut r)?);
-    }
+    let rules = read_rules(&mut r)?;
     let mut confidence = Vec::new();
-    if has_confidence {
+    if version >= 2 {
         let n = r.u32()? as usize;
         confidence.reserve(n.min(1 << 20));
         for _ in 0..n {
@@ -198,6 +205,13 @@ fn decode(data: &[u8]) -> Result<SnapshotData, DurableError> {
                 )));
             }
             confidence.push((triple, value));
+        }
+    }
+    let mut weighted = Vec::new();
+    if version >= 3 {
+        for _ in 0..r.u32()? {
+            let rule = read_rule(&mut r)?;
+            weighted.push((rule, read_strength(&mut r)?));
         }
     }
     if !r.is_empty() {
@@ -213,6 +227,7 @@ fn decode(data: &[u8]) -> Result<SnapshotData, DurableError> {
             owl,
             transitive,
             rules,
+            weighted,
         },
         confidence,
     })
@@ -261,6 +276,7 @@ mod tests {
             owl: false,
             transitive: vec![Term::iri("ex:p")],
             rules: vec![Rule::parse("[(?x ex:p ?y) -> (?y ex:q ?x)]").unwrap()],
+            weighted: Vec::new(),
         };
         (dict, vec![(a, p, lit), (b, p, a)], config)
     }
@@ -286,6 +302,24 @@ mod tests {
         assert_eq!(loaded.config.transitive, config.transitive);
         assert_eq!(loaded.config.rules, config.rules);
         assert_eq!(loaded.confidence, confidence);
+    }
+
+    #[test]
+    fn weighted_rules_ride_a_v3_snapshot_and_only_then() {
+        let fs = SimFs::new(8);
+        let (dict, triples, config) = sample();
+        write_snapshot(&fs, &dict, &triples, &config, &[]).unwrap();
+        assert_eq!(&fs.read(SNAPSHOT_FILE).unwrap()[..8], MAGIC);
+        let weighted = MaterializerConfig {
+            weighted: vec![(config.rules[0].clone(), 0.8)],
+            ..config.clone()
+        };
+        write_snapshot(&fs, &dict, &triples, &weighted, &[]).unwrap();
+        assert_eq!(&fs.read(SNAPSHOT_FILE).unwrap()[..8], MAGIC_V3);
+        let loaded = load_snapshot(&fs).unwrap().expect("v3 snapshot loads");
+        assert_eq!(loaded.config.weighted, weighted.weighted);
+        assert_eq!(loaded.config.rules, config.rules);
+        assert_eq!(loaded.triples, triples);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! Record kinds: dictionary entries (new interned terms, in sequence
 //! order so replay reproduces identical ids), id-triple inserts and
-//! removes, and ruleset enables (RDFS / OWL / transitive properties /
-//! user rules — persisted structurally, not as source text). A batch of
+//! removes, confidences, and ruleset enables (RDFS / OWL / transitive
+//! properties / user rules / weighted rules with their strength —
+//! persisted structurally, not as source text). A batch of
 //! records is written with one append and one fsync (group commit), and
 //! the log rotates to a new segment (`wal-<n>.log`) past a size
 //! threshold so snapshots can reclaim space segment-at-a-time.
@@ -279,6 +280,35 @@ pub(crate) fn read_rule(r: &mut Reader<'_>) -> Result<Rule, DurableError> {
     })
 }
 
+/// A count, then each rule.
+pub(crate) fn put_rules(buf: &mut Vec<u8>, rules: &[Rule]) {
+    put_u32(buf, rules.len() as u32);
+    for rule in rules {
+        put_rule(buf, rule);
+    }
+}
+
+pub(crate) fn read_rules(r: &mut Reader<'_>) -> Result<Vec<Rule>, DurableError> {
+    let n = r.u32()? as usize;
+    let mut rules = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        rules.push(read_rule(r)?);
+    }
+    Ok(rules)
+}
+
+/// A weighted rule's strength, which must lie in `(0, 1]`.
+pub(crate) fn read_strength(r: &mut Reader<'_>) -> Result<f64, DurableError> {
+    let strength = f64::from_bits(r.u64()?);
+    if strength > 0.0 && strength <= 1.0 {
+        Ok(strength)
+    } else {
+        Err(DurableError::Corrupt(format!(
+            "rule strength {strength} is not in (0, 1]"
+        )))
+    }
+}
+
 // -------------------------------------------------------------- records
 
 const REC_DICT_ENTRY: u8 = 1;
@@ -289,6 +319,7 @@ const REC_ENABLE_OWL: u8 = 5;
 const REC_ADD_TRANSITIVE: u8 = 6;
 const REC_ADD_RULES: u8 = 7;
 const REC_CONFIDENCE: u8 = 8;
+const REC_ADD_WEIGHTED_RULES: u8 = 9;
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,6 +343,8 @@ pub(crate) enum WalRecord {
     /// Values at or above 1.0 clear the entry (1.0 is the default every
     /// unlisted statement already has). Later records win on replay.
     Confidence(u32, u32, u32, u64),
+    /// Rules added to the standing weighted ruleset, with their strength.
+    AddWeightedRules(Vec<Rule>, f64),
 }
 
 impl WalRecord {
@@ -354,10 +387,12 @@ impl WalRecord {
             }
             WalRecord::AddRules(rules) => {
                 buf.push(REC_ADD_RULES);
-                put_u32(buf, rules.len() as u32);
-                for rule in rules {
-                    put_rule(buf, rule);
-                }
+                put_rules(buf, rules);
+            }
+            WalRecord::AddWeightedRules(rules, strength) => {
+                buf.push(REC_ADD_WEIGHTED_RULES);
+                put_u64(buf, strength.to_bits());
+                put_rules(buf, rules);
             }
             WalRecord::Confidence(s, p, o, bits) => {
                 buf.push(REC_CONFIDENCE);
@@ -381,13 +416,10 @@ impl WalRecord {
             REC_ENABLE_RDFS => WalRecord::EnableRdfs,
             REC_ENABLE_OWL => WalRecord::EnableOwl,
             REC_ADD_TRANSITIVE => WalRecord::AddTransitive(read_term(&mut r)?),
-            REC_ADD_RULES => {
-                let n = r.u32()? as usize;
-                let mut rules = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    rules.push(read_rule(&mut r)?);
-                }
-                WalRecord::AddRules(rules)
+            REC_ADD_RULES => WalRecord::AddRules(read_rules(&mut r)?),
+            REC_ADD_WEIGHTED_RULES => {
+                let strength = read_strength(&mut r)?;
+                WalRecord::AddWeightedRules(read_rules(&mut r)?, strength)
             }
             REC_CONFIDENCE => WalRecord::Confidence(r.u32()?, r.u32()?, r.u32()?, r.u64()?),
             tag => return Err(DurableError::Corrupt(format!("unknown record tag {tag}"))),
@@ -646,6 +678,25 @@ mod tests {
         assert_eq!(wal.stats().records, records.len() as u64);
         assert_eq!(wal.stats().appends, 1);
         assert_eq!(wal.stats().fsyncs, 1);
+    }
+
+    #[test]
+    fn a_weighted_ruleset_round_trips_and_a_bad_strength_is_corrupt() {
+        let rules = vec![Rule::parse("[(?a ex:p ?b) -> (?b ex:q ?a)]").unwrap()];
+        let fs = Arc::new(SimFs::new(9));
+        let mut wal = Wal::open(fs.clone(), 1 << 20).unwrap();
+        let record = WalRecord::AddWeightedRules(rules.clone(), 0.8);
+        wal.append_batch(std::slice::from_ref(&record)).unwrap();
+        assert_eq!(replay(fs.as_ref()).unwrap().records, vec![record]);
+        for strength in [0.0, 1.5, f64::NAN] {
+            let mut payload = Vec::new();
+            WalRecord::AddWeightedRules(rules.clone(), strength).encode(&mut payload);
+            let decoded = WalRecord::decode(&payload);
+            assert!(
+                matches!(decoded, Err(DurableError::Corrupt(_))),
+                "{strength}"
+            );
+        }
     }
 
     #[test]

@@ -74,8 +74,10 @@ fn main() {
         }
     }
 
-    // Accuracy levels: trust a signal only as far as its fit. Weighted
-    // rules dilute low-r² conclusions.
+    // Accuracy levels: trust a signal only as far as its fit. A weighted
+    // rule is a standing rule: each action is derived at 0.85 × its
+    // signal's level, later bullish models gain one, and an action goes
+    // if its signal is retracted.
     let weighted = kb
         .infer_rules_weighted(
             "[(?m kb:signal kb:Bullish) -> (?m kb:action kb:ConsiderBuying)]",

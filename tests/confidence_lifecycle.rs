@@ -11,13 +11,17 @@
 //! some record: the store holds an exact prefix of the logged records.
 //! Each record states a fact together with its level, so no prefix leaves
 //! a level without its fact, or a fact without its level.
+//!
+//! A second history enables a standing weighted rule first: the store must
+//! then hold the naive weighted closure of the model's stated facts, each
+//! derived fact at the level its best derivation gives it.
 
 use cogsdk::datasvc::knowledge::knowledge_service;
 use cogsdk::kb::federation::describe_remote;
 use cogsdk::kb::kb::Conflict;
 use cogsdk::kb::{KbOptions, PersonalKnowledgeBase};
 use cogsdk::obs::Telemetry;
-use cogsdk::rdf::{Statement, Term};
+use cogsdk::rdf::{GenericRuleReasoner, Rule, Statement, Term};
 use cogsdk::sdk::RichSdk;
 use cogsdk::sim::rng::Rng;
 use cogsdk::sim::{SimEnv, SimFs, SimService, Vfs};
@@ -30,8 +34,19 @@ const STEPS: usize = 60;
 const COUNTRIES: [&str; 4] = ["germany", "france", "italy", "japan"];
 const SURFACES: [&str; 4] = ["Germany", "France", "Italy", "Japan"];
 const CAPITALS: [&str; 6] = ["Berlin", "Paris", "Rome", "Tokyo", "Bonn", "Lyon"];
+/// The standing weighted rule of the second history, and its strength.
+const CAPITAL_OF: (&str, f64) = ("[(?c kb:capital ?x) -> (?x kb:capitalOf ?c)]", 0.9);
+
+mod weighted_oracle;
 
 type Model = BTreeMap<Statement, f64>;
+
+/// What the store holds for the stated `model` under `weighted`: every
+/// fact of its closure at its level.
+fn closure(model: &Model, weighted: &[(Rule, f64)]) -> Model {
+    let levels = weighted_oracle::closure(model, false, weighted).into_iter();
+    levels.map(|(st, (level, _))| (st, level)).collect()
+}
 
 fn open(fs: &Arc<SimFs>) -> PersonalKnowledgeBase {
     PersonalKnowledgeBase::open_durable_on(
@@ -134,6 +149,11 @@ fn fact(kb: &PersonalKnowledgeBase, subject: &str, object: &str) -> Statement {
 /// nothing, its whole group, or a torn part of it, and how many conflict
 /// rounds dropped something.
 fn run(seed: u64) -> [usize; 4] {
+    run_with(seed, None)
+}
+
+/// [`run`], with `rule` standing as a weighted rule from the start.
+fn run_with(seed: u64, rule: Option<(&str, f64)>) -> [usize; 4] {
     let mut seen = [0; 4];
     let env = SimEnv::with_seed(seed);
     let sdk = RichSdk::new(&env);
@@ -142,6 +162,12 @@ fn run(seed: u64) -> [usize; 4] {
     let capital = Term::iri("kb:capital");
     let fs = Arc::new(SimFs::new(seed));
     let mut kb = open(&fs);
+    let mut weighted = Vec::new();
+    if let Some((text, strength)) = rule {
+        let rules = GenericRuleReasoner::from_rules_text(text).unwrap();
+        weighted.extend(rules.rules().iter().map(|r| (r.clone(), strength)));
+        kb.infer_rules_weighted(text, strength).unwrap();
+    }
     let mut model = Model::new();
     let mut rng = Rng::new(seed);
     let pick = |rng: &mut Rng, n: usize| rng.below(n as u64) as usize;
@@ -230,7 +256,10 @@ fn run(seed: u64) -> [usize; 4] {
             model = logged.pop().unwrap_or(model);
         } else if !logged.is_empty() {
             let records = logged.len();
-            match logged.iter().rposition(|m| holds(&kb, m)) {
+            match logged
+                .iter()
+                .rposition(|m| holds(&kb, &closure(m, &weighted)))
+            {
                 Some(last) => {
                     seen[1 + usize::from(last + 1 < records)] += 1;
                     model = logged.swap_remove(last);
@@ -238,7 +267,7 @@ fn run(seed: u64) -> [usize; 4] {
                 None => seen[0] += 1,
             }
         }
-        check(&kb, &model, &at);
+        check(&kb, &closure(&model, &weighted), &at);
     }
     seen
 }
@@ -253,6 +282,20 @@ fn confidences_follow_their_facts_through_imports_conflicts_and_crashes() {
     }
     // Failed operations that left nothing, their whole group, a torn part
     // of it; conflict rounds that dropped facts.
+    assert!(seen.iter().all(|&n| n > 0), "kinds seen: {seen:?}");
+}
+
+#[test]
+fn standing_weighted_conclusions_follow_their_premises_through_crashes() {
+    let mut seen = [0; 4];
+    for seed in 0..SEEDS {
+        for (total, n) in seen
+            .iter_mut()
+            .zip(run_with(0xC0F2 + seed, Some(CAPITAL_OF)))
+        {
+            *total += n;
+        }
+    }
     assert!(seen.iter().all(|&n| n > 0), "kinds seen: {seen:?}");
 }
 

@@ -10,7 +10,10 @@
 //! reads allocations and allocated bytes around each request. A last phase
 //! counts storage work: membership probes per ingested document and per
 //! retracted statement, and the bytes a one-fact confidence batch allocates
-//! on a small and on a large weighted store, which must not grow with it.
+//! on a small and on a large weighted store, which must not grow with it;
+//! then the allocations and membership probes of one small ingest under a
+//! standing weighted rule, on a small and on a large store, which must not
+//! grow with it either.
 //!
 //! Counts are those of the default test profile; an optimised build may
 //! elide allocations. After an intended change, rewrite the golden with
@@ -23,7 +26,7 @@
 use cogsdk::json::Json;
 use cogsdk::kb::{gateway_ingest_handler, gateway_query_handler, KbOptions, PersonalKnowledgeBase};
 use cogsdk::obs::Telemetry;
-use cogsdk::rdf::{DurableOptions, DurableStore, Statement, Term};
+use cogsdk::rdf::{DurableOptions, DurableStore, Rule, Statement, Term};
 use cogsdk::sdk::gateway::HttpGateway;
 use cogsdk::sdk::{RichSdk, ThreadPool};
 use cogsdk::sim::latency::LatencyModel;
@@ -81,6 +84,8 @@ const DOCS_PER_REQUEST: usize = 64;
 const HOT_KEYS: u64 = 64;
 const RETRACTED: usize = 256;
 const CONFIDENCE_BATCHES: usize = 64;
+/// Facts in the measured ingest under a standing weighted rule.
+const WEIGHTED_INGEST: usize = 4;
 
 const TEMPLATES: [&str; 5] = [
     "IBM acquired Oracle. The USA praised the excellent deal.",
@@ -392,6 +397,49 @@ fn confidence_batch_bytes(weighted: usize) -> u64 {
     bytes
 }
 
+/// A second rating of item `i`, naming only terms the store holds.
+fn rerated(i: usize) -> Statement {
+    let rating = Term::integer(i as i64 + 1);
+    Statement::new(
+        Term::iri(format!("ex:item{i}")),
+        Term::iri("ex:rated"),
+        rating,
+    )
+}
+
+/// Allocations and membership probes of one ingest of [`WEIGHTED_INGEST`]
+/// new facts about held terms, on a durable store holding `facts` facts
+/// under a standing weighted rule, which derives a conclusion at a level
+/// for each of them. The log is snapshotted away first, so both store
+/// sizes append to an empty segment.
+fn weighted_ingest_work(facts: usize) -> (u64, u64) {
+    let mut store = durable_store();
+    store
+        .insert_batch((0..facts).map(fact))
+        .expect("facts commit");
+    let rule = Rule::parse("[(?x ex:rated ?v) -> (?x ex:scored ?v)]").expect("a rule");
+    let derived = store
+        .add_weighted_rules(vec![rule], 0.9)
+        .expect("the rule stands");
+    assert_eq!(derived.len(), facts);
+    store.snapshot().expect("snapshot");
+    // One unmeasured ingest: the empty segment's first append.
+    let batch =
+        |from: usize| -> Vec<Statement> { (from..from + WEIGHTED_INGEST).map(rerated).collect() };
+    store.insert_batch(batch(0)).expect("an ingest commits");
+    let measured = batch(100);
+    let probes = store.membership_probes();
+    let (added, calls, _) =
+        allocations(|| store.insert_batch(measured).expect("an ingest commits"));
+    assert_eq!(added, WEIGHTED_INGEST);
+    assert_eq!(
+        store.len(),
+        2 * (facts + 2 * WEIGHTED_INGEST),
+        "each fact drew its conclusion"
+    );
+    (calls, store.membership_probes() - probes)
+}
+
 /// The storage phase, after every request phase so no line above moves.
 fn storage_lines(ingest_probes: u64, out: &mut Block) {
     let docs = INGEST_REQUESTS * DOCS_PER_REQUEST;
@@ -429,6 +477,26 @@ fn storage_lines(ingest_probes: u64, out: &mut Block) {
         large < 2 * small,
         "a one-fact confidence batch costs O(store): {small} B per {per_batch} batches \
          on 1 000 weighted facts, {large} B on 16 000"
+    );
+
+    let (small_calls, small_probes) = weighted_ingest_work(1_000);
+    let (large_calls, large_probes) = weighted_ingest_work(16_000);
+    out.line("weighted.ingest_allocations.facts_1000", small_calls, 1);
+    out.line("weighted.ingest_allocations.facts_16000", large_calls, 1);
+    out.line(
+        "weighted.ingest_membership_probes.facts_1000",
+        small_probes,
+        1,
+    );
+    out.line(
+        "weighted.ingest_membership_probes.facts_16000",
+        large_probes,
+        1,
+    );
+    assert!(
+        large_calls < 2 * small_calls && large_probes == small_probes,
+        "an ingest under a weighted rule costs O(store): {small_calls} allocations and \
+         {small_probes} probes on 1 000 facts, {large_calls} and {large_probes} on 16 000"
     );
 }
 

@@ -12,6 +12,8 @@ use cogsdk::store::csv;
 use proptest::prelude::*;
 use std::time::Duration;
 
+mod weighted_oracle;
+
 // ---------------------------------------------------------------------
 // Storage invariants
 // ---------------------------------------------------------------------
@@ -651,29 +653,131 @@ proptest! {
         confs in prop::collection::vec(0.0f64..=1.0, 1..8),
         strength in 0.1f64..=1.0,
     ) {
-        use cogsdk::rdf::weighted::{WeightedGraph, WeightedReasoner};
-        let mut wg = WeightedGraph::new();
+        use cogsdk::kb::{KbOptions, PersonalKnowledgeBase};
+        use cogsdk::store::MemoryKv;
+        let kb = PersonalKnowledgeBase::new(std::sync::Arc::new(MemoryKv::new()), KbOptions::default());
+        kb.add_synonyms((0..=confs.len()).map(|i| (format!("n{i}"), format!("n{i}"))));
         for (i, c) in confs.iter().enumerate() {
-            wg.insert_with_confidence(
-                Statement::new(
-                    Term::iri(format!("n{i}")),
-                    Term::iri("next"),
-                    Term::iri(format!("n{}", i + 1)),
-                ),
-                *c,
-            );
+            kb.add_fact_with_confidence(&format!("n{i}"), "next", &format!("n{}", i + 1), *c)
+                .unwrap();
         }
-        let reasoner = WeightedReasoner::from_rules_text(
-            "[(?a next ?b) -> (?a reach ?b)]\n[(?a next ?b), (?b reach ?c) -> (?a reach ?c)]",
-            strength,
-        )
-        .unwrap();
-        let added = reasoner.infer(&mut wg);
+        let added = kb
+            .infer_rules_weighted(
+                "[(?a kb:next ?b) -> (?a kb:reach ?b)]\n[(?a kb:next ?b), (?b kb:reach ?c) -> (?a kb:reach ?c)]",
+                strength,
+            )
+            .unwrap();
+        prop_assert!(added.len() >= confs.len());
         for (st, conf) in added {
             prop_assert!((0.0..=1.0).contains(&conf), "{st} conf={conf}");
             // An inferred fact can never exceed the weakest ingredient
             // times one application of the rule.
             prop_assert!(conf <= strength + 1e-12);
+            prop_assert_eq!(kb.fact_confidence(&st), Some(conf));
         }
     }
+}
+
+/// Standing weighted rules beside RDFS, under seeded histories of plain
+/// inserts, weighted inserts, re-weights and removals: after every step,
+/// every fact's level and its stated/derived tag equal the naive oracle's
+/// from-scratch fixpoint over the stated facts.
+#[test]
+fn standing_weighted_rules_match_the_naive_oracle_under_churn() {
+    use cogsdk::rdf::model::vocab;
+    use cogsdk::rdf::{DurableStore, GenericRuleReasoner};
+    use cogsdk::sim::rng::Rng;
+    let rules = GenericRuleReasoner::from_rules_text(
+        "[(?a ex:p ?b), (?b ex:p ?c) -> (?a ex:q ?c)]\n[(?a ex:q ?b) -> (?b ex:r ?a)]",
+    )
+    .unwrap()
+    .rules()
+    .to_vec();
+    let weighted: Vec<(cogsdk::rdf::Rule, f64)> = rules.iter().map(|r| (r.clone(), 0.8)).collect();
+    let nodes = ["ex:a", "ex:b", "ex:c", "ex:d", "ex:C", "ex:D"];
+    let predicates = [
+        "ex:p",
+        "ex:p",
+        "ex:q",
+        "ex:r",
+        vocab::TYPE,
+        vocab::SUB_CLASS_OF,
+        vocab::SUB_PROPERTY_OF,
+        vocab::DOMAIN,
+    ];
+    let levels = [0.3, 0.5, 0.6, 0.9, 1.0];
+    let (mut steps, mut derived_below_one, mut lowered) = (0, 0, 0);
+    for history in 0..200u64 {
+        let mut rng = Rng::new(0x5EED_0000 + history);
+        let mut store = DurableStore::in_memory();
+        store.enable_rdfs().unwrap();
+        store.add_weighted_rules(rules.clone(), 0.8).unwrap();
+        let mut stated = weighted_oracle::Levels::new();
+        for step in 0..24 {
+            let mut pick = |n: usize| rng.below(n as u64) as usize;
+            let st = Statement::new(
+                Term::iri(nodes[pick(nodes.len())]),
+                Term::iri(predicates[pick(predicates.len())]),
+                Term::iri(nodes[pick(nodes.len())]),
+            );
+            let c = levels[pick(levels.len())];
+            match pick(4) {
+                0 => {
+                    store.insert(st.clone()).unwrap();
+                    stated.entry(st).or_insert(1.0);
+                }
+                1 => {
+                    store.insert_weighted([(st.clone(), c)]).unwrap();
+                    let merged = match stated.get(&st) {
+                        Some(&rated) if rated < 1.0 => rated.max(c),
+                        _ => c,
+                    };
+                    stated.insert(st, merged);
+                }
+                2 => {
+                    // Re-weight a stated fact, often downwards: below 1.0
+                    // states it, 1.0 resets a stated one.
+                    let st = stated
+                        .keys()
+                        .nth(pick(stated.len().max(1)))
+                        .cloned()
+                        .unwrap_or(st);
+                    store.set_confidence(&st, c).unwrap();
+                    if let Some(held) = stated.get_mut(&st) {
+                        lowered += usize::from(c < *held);
+                        *held = c;
+                    } else if c < 1.0 {
+                        stated.insert(st, c);
+                    }
+                }
+                _ => {
+                    let st = stated
+                        .keys()
+                        .nth(pick(stated.len().max(1)))
+                        .cloned()
+                        .unwrap_or(st);
+                    store.remove(&st).unwrap();
+                    stated.remove(&st);
+                }
+            }
+            let want = weighted_oracle::closure(&stated, true, &weighted);
+            let epoch = store.epochs().pin();
+            let got: std::collections::BTreeMap<Statement, (f64, bool)> = epoch
+                .iter_ids()
+                .into_iter()
+                .map(|t| {
+                    let level = epoch.confidence_of(t).unwrap();
+                    (epoch.dict().resolve_triple(t), (level, !epoch.is_stated(t)))
+                })
+                .collect();
+            assert_eq!(got, want, "history {history} step {step}");
+            derived_below_one += want.values().filter(|&&(l, d)| d && l < 1.0).count();
+            steps += 1;
+        }
+    }
+    assert!(
+        derived_below_one > 0 && lowered > 0,
+        "{derived_below_one} {lowered}"
+    );
+    assert_eq!(steps, 200 * 24);
 }
