@@ -17,7 +17,9 @@
 //! matters operationally is the cost of maintaining the closure per
 //! ingest batch — compared here against full re-materialization.
 
-use cogsdk_rdf::{Graph, IncrementalMaterializer, RdfsReasoner, Statement, Term};
+use cogsdk_rdf::{
+    Graph, IncrementalMaterializer, MaterializerConfig, RdfsReasoner, Statement, Term,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -40,6 +42,14 @@ fn chain_graph(n: usize) -> Graph {
         ));
     }
     g
+}
+
+/// The RDFS ruleset, to enable on a materializer.
+fn rdfs() -> MaterializerConfig {
+    MaterializerConfig {
+        rdfs: true,
+        ..Default::default()
+    }
 }
 
 /// A fresh batch of `size` instance facts, distinct per `tag`.
@@ -161,8 +171,7 @@ fn report_series() {
         // of the grown graph (what every ingest paid before this change).
         let mut m = IncrementalMaterializer::new();
         m.reset(g.clone());
-        m.enable_rdfs();
-        m.materialize();
+        m.configure(rdfs());
         let batch = instance_batch(0, 10);
         let mut grown = g.clone();
         for st in &batch {
@@ -208,8 +217,7 @@ fn bench(c: &mut Criterion) {
     // across iterations, which only biases *against* the incremental arm).
     let mut seeded = IncrementalMaterializer::new();
     seeded.reset(g.clone());
-    seeded.enable_rdfs();
-    seeded.materialize();
+    seeded.configure(rdfs());
     let live = RefCell::new((seeded, 0usize));
     c.bench_function("rdfs_incremental_ingest_10_at_5010", |b| {
         b.iter(|| {

@@ -8,8 +8,9 @@ use cogsdk_obs::{tenant_labels, Telemetry};
 use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::reason::TriplePattern;
 use cogsdk_rdf::{
-    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, IdTriple, Query,
-    QueryStats, RecoveryStats, Statement, Term, TermDict, TripleView, WalStats,
+    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, IdTriple,
+    MaterializerConfig, Query, QueryStats, RecoveryStats, Statement, Term, TermDict, TripleView,
+    WalStats,
 };
 use cogsdk_sim::fs::Vfs;
 use cogsdk_store::crypto::Key;
@@ -721,10 +722,16 @@ impl PersonalKnowledgeBase {
     ///
     /// [`KbError::Durability`] if logging the ruleset change fails.
     pub fn infer_rdfs(&self) -> Result<usize, KbError> {
-        self.with_graph_mut(|graph| {
-            graph.enable_rdfs()?;
-            Ok(graph.materialize())
+        self.configure(MaterializerConfig {
+            rdfs: true,
+            ..Default::default()
         })
+    }
+
+    /// Adds the rulesets of `delta` as standing ones; returns how many
+    /// facts this inferred.
+    fn configure(&self, delta: MaterializerConfig) -> Result<usize, KbError> {
+        Ok(self.with_graph_mut(|graph| graph.configure(delta))?.len())
     }
 
     /// Enables transitive closure over the given predicates as a standing
@@ -733,10 +740,10 @@ impl PersonalKnowledgeBase {
     /// # Errors
     ///
     /// [`KbError::Durability`] if logging the ruleset change fails.
-    pub fn infer_transitive(&self, predicates: Vec<Term>) -> Result<usize, KbError> {
-        self.with_graph_mut(|graph| {
-            graph.add_transitive(predicates)?;
-            Ok(graph.materialize())
+    pub fn infer_transitive(&self, transitive: Vec<Term>) -> Result<usize, KbError> {
+        self.configure(MaterializerConfig {
+            transitive,
+            ..Default::default()
         })
     }
 
@@ -749,9 +756,9 @@ impl PersonalKnowledgeBase {
     ///
     /// [`KbError::Durability`] if logging the ruleset change fails.
     pub fn infer_owl(&self) -> Result<usize, KbError> {
-        self.with_graph_mut(|graph| {
-            graph.enable_owl()?;
-            Ok(graph.materialize())
+        self.configure(MaterializerConfig {
+            owl: true,
+            ..Default::default()
         })
     }
 
@@ -782,10 +789,12 @@ impl PersonalKnowledgeBase {
     ///
     /// Rule parse errors.
     pub fn infer_rules(&self, rules_text: &str) -> Result<usize, KbError> {
-        let reasoner = GenericRuleReasoner::from_rules_text(rules_text)?;
-        self.with_graph_mut(|graph| {
-            graph.add_rules(reasoner.rules().to_vec())?;
-            Ok(graph.materialize())
+        let rules = GenericRuleReasoner::from_rules_text(rules_text)?
+            .rules()
+            .to_vec();
+        self.configure(MaterializerConfig {
+            rules,
+            ..Default::default()
         })
     }
 
@@ -986,10 +995,18 @@ impl PersonalKnowledgeBase {
         rules_text: &str,
         rule_strength: f64,
     ) -> Result<Vec<(Statement, f64)>, KbError> {
-        let rules = GenericRuleReasoner::from_rules_text(rules_text)?
-            .rules()
-            .to_vec();
-        Ok(self.with_graph_mut(|g| g.add_weighted_rules(rules, rule_strength))?)
+        let reasoner = GenericRuleReasoner::from_rules_text(rules_text)?;
+        let weighted = reasoner.rules().iter().map(|r| (r.clone(), rule_strength));
+        let delta = MaterializerConfig {
+            weighted: weighted.collect(),
+            ..Default::default()
+        };
+        // The levels are read off the epoch this call published.
+        let (derived, epoch) =
+            self.with_graph_mut(|g| g.configure(delta).map(|ids| (ids, g.epochs().pin())))?;
+        let level = |t| epoch.confidence_of(t).unwrap_or(1.0);
+        let resolve = |t| (epoch.dict().resolve_triple(t), level(t));
+        Ok(derived.into_iter().map(resolve).collect())
     }
 
     /// Detects conflicts: `(subject, predicate)` pairs holding more than
@@ -1121,7 +1138,8 @@ impl PersonalKnowledgeBase {
     }
 
     /// Loads a previously persisted graph under `key`, *replacing* the
-    /// current graph.
+    /// current graph; the standing rulesets' closure over it is derived
+    /// before it is published, and later ingests extend it.
     ///
     /// # Errors
     ///
@@ -2311,5 +2329,25 @@ mod tests {
         let kb = kb();
         assert!(matches!(kb.query("garbage"), Err(KbError::Rdf(_))));
         assert!(matches!(kb.infer_rules("bad rule"), Err(KbError::Rdf(_))));
+    }
+
+    #[test]
+    fn standing_rules_derive_after_a_load() {
+        use cogsdk_rdf::model::vocab;
+        let st =
+            |s: &str, p: &str, o: &str| Statement::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let kb = kb();
+        kb.infer_rdfs().unwrap();
+        kb.add_statement(st("ex:cat", vocab::SUB_CLASS_OF, "ex:mammal"))
+            .unwrap();
+        kb.add_statement(st("ex:felix", vocab::TYPE, "ex:cat"))
+            .unwrap();
+        kb.persist_graph("g").unwrap();
+        assert_eq!(kb.load_graph("g").unwrap(), 3);
+        kb.add_statement(st("ex:tom", vocab::TYPE, "ex:cat"))
+            .unwrap();
+        let tom = st("ex:tom", vocab::TYPE, "ex:mammal");
+        assert!(kb.query_snapshot().contains(&tom));
+        assert_eq!(kb.fact_confidence(&tom), Some(1.0));
     }
 }

@@ -29,9 +29,8 @@
 use crate::dict::{IdTriple, TermDict};
 use crate::epoch::{EpochStore, Fact};
 use crate::graph::Graph;
-use crate::incremental::{IncrementalMaterializer, MaterializerConfig};
-use crate::model::{Statement, Term};
-use crate::reason::Rule;
+use crate::incremental::{check_strengths, IncrementalMaterializer, MaterializerConfig};
+use crate::model::Statement;
 use crate::snapshot::{check_triple, load_snapshot, write_snapshot, SNAPSHOT_TMP};
 use crate::wal::{self, Wal, WalRecord};
 use cogsdk_sim::fs::{RealFs, Vfs};
@@ -194,6 +193,9 @@ impl DurableStore {
 
         let replayed = wal::replay(fs.as_ref())?;
         let replayed_records = replayed.records.len() as u64;
+        // Ruleset records, in log order: merged in one go, they add what
+        // merging them one by one would.
+        let mut logged = MaterializerConfig::default();
         for record in replayed.records {
             match record {
                 WalRecord::DictEntry { seq, term } => {
@@ -214,30 +216,13 @@ impl DurableStore {
                 WalRecord::Remove(s, p, o) => {
                     net.insert(check_triple((s, p, o), dict.len())?, None);
                 }
-                WalRecord::EnableRdfs => config.rdfs = true,
-                WalRecord::EnableOwl => {
-                    config.owl = true;
-                    config.rdfs = true;
-                }
-                WalRecord::AddTransitive(term) => {
-                    if !config.transitive.contains(&term) {
-                        config.transitive.push(term);
-                    }
-                }
-                WalRecord::AddRules(rules) => {
-                    for rule in rules {
-                        if !config.rules.contains(&rule) {
-                            config.rules.push(rule);
-                        }
-                    }
-                }
-                WalRecord::AddWeightedRules(rules, strength) => {
-                    for rule in rules {
-                        if !config.has_weighted(&rule, strength) {
-                            config.weighted.push((rule, strength));
-                        }
-                    }
-                }
+                WalRecord::EnableRdfs => logged.rdfs = true,
+                WalRecord::EnableOwl => logged.owl = true,
+                WalRecord::AddTransitive(term) => logged.transitive.push(term),
+                WalRecord::AddRules(rules) => logged.rules.extend(rules),
+                WalRecord::AddWeightedRules(rules, strength) => logged
+                    .weighted
+                    .extend(rules.into_iter().map(|r| (r, strength))),
                 WalRecord::Confidence(s, p, o, bits) => {
                     let triple = check_triple((s, p, o), dict.len())?;
                     let value = f64::from_bits(bits);
@@ -255,6 +240,7 @@ impl DurableStore {
             }
         }
 
+        config.merge(logged);
         // Only these terms are on disk: re-deriving may intern the rules'
         // vocabulary, which the next commit must log.
         let durable_terms = dict.len();
@@ -509,95 +495,38 @@ impl DurableStore {
         self.inner.membership_probes()
     }
 
-    /// Enables RDFS entailment as a standing ruleset.
-    pub fn enable_rdfs(&mut self) -> Result<bool, DurableError> {
-        if !self.inner.config().rdfs {
-            self.log_records(vec![WalRecord::EnableRdfs])?;
-        }
-        Ok(self.inner.enable_rdfs())
-    }
-
-    /// Enables OWL/Lite entailment (implies RDFS) as a standing ruleset.
-    pub fn enable_owl(&mut self) -> Result<bool, DurableError> {
-        let cfg = self.inner.config();
-        if !cfg.owl || !cfg.rdfs {
-            self.log_records(vec![WalRecord::EnableOwl])?;
-        }
-        Ok(self.inner.enable_owl())
-    }
-
-    /// Registers predicates as transitive.
-    pub fn add_transitive(&mut self, predicates: Vec<Term>) -> Result<bool, DurableError> {
-        let ops = predicates
-            .iter()
-            .filter(|p| !self.inner.config().transitive.contains(p))
-            .map(|p| WalRecord::AddTransitive(p.clone()))
-            .collect();
-        self.log_records(ops)?;
-        Ok(self.inner.add_transitive(predicates))
-    }
-
-    /// Adds standing user rules.
-    pub fn add_rules(&mut self, rules: Vec<Rule>) -> Result<bool, DurableError> {
-        let fresh: Vec<Rule> = rules
-            .iter()
-            .filter(|r| !self.inner.config().rules.contains(r))
-            .cloned()
-            .collect();
-        if !fresh.is_empty() {
-            self.log_records(vec![WalRecord::AddRules(fresh)])?;
-        }
-        Ok(self.inner.add_rules(rules))
-    }
-
-    /// Adds standing weighted rules at `strength` — one WAL record for the
-    /// new ones — and brings the closure up to date. Each conclusion is a
-    /// derived fact at `strength × min(premise levels)`, maintained like
-    /// any other: it goes when its premises go and later ingests extend
-    /// it. Returns the facts this derived, each with its level.
+    /// Adds the rulesets of `delta` that are new (see
+    /// [`IncrementalMaterializer::configure`]): they are logged as one group
+    /// commit (when durable), then their conclusions over the facts already
+    /// present are derived, sealed and published as at most one epoch.
+    /// Returns the facts this derived; an empty or repeated `delta` logs
+    /// and publishes nothing.
+    ///
+    /// # Errors
+    ///
+    /// If the WAL append fails, the configuration and memory are unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if `strength` is outside `(0, 1]`.
-    pub fn add_weighted_rules(
-        &mut self,
-        rules: Vec<Rule>,
-        strength: f64,
-    ) -> Result<Vec<(Statement, f64)>, DurableError> {
-        // Checked before logging: replay rejects a strength out of range.
-        assert!(
-            strength > 0.0 && strength <= 1.0,
-            "rule strength must be in (0, 1]"
-        );
-        let fresh: Vec<Rule> = rules
-            .iter()
-            .filter(|r| !self.inner.config().has_weighted(r, strength))
-            .cloned()
-            .collect();
-        if !fresh.is_empty() {
-            self.log_records(vec![WalRecord::AddWeightedRules(fresh, strength)])?;
+    /// Panics if a weighted rule's strength is outside `(0, 1]`, before
+    /// anything is logged: replay rejects such a strength.
+    pub fn configure(&mut self, delta: MaterializerConfig) -> Result<Vec<IdTriple>, DurableError> {
+        check_strengths(&delta);
+        let new = self.inner.config().clone().merge(delta);
+        if !new.is_active() {
+            return Ok(Vec::new());
         }
-        self.inner.add_weighted_rules(rules, strength);
-        let derived = self.inner.materialize_ids();
+        self.log_records(WalRecord::ruleset(&new))?;
+        let derived = self.inner.configure(new);
         self.publish_epoch();
-        let epoch = self.inner.epoch();
-        let level = |t| epoch.confidence_of(t).unwrap_or(1.0);
-        let resolve = |t| (epoch.dict().resolve_triple(t), level(t));
-        Ok(derived.into_iter().map(resolve).collect())
-    }
-
-    /// Brings the derived closure up to date (pure in-memory work; the
-    /// closure is never persisted). Returns newly derived facts.
-    pub fn materialize(&mut self) -> usize {
-        let derived = self.inner.materialize();
-        self.publish_epoch();
-        derived
+        Ok(derived)
     }
 
     /// Replaces all facts with `graph` as the stated ones and drops every
-    /// confidence, keeping the configuration. A durable store first
-    /// writes `graph` as its snapshot (the old WAL no longer describes
-    /// the state) and only then replaces the contents in memory.
+    /// confidence, keeping the configuration, whose closure is derived
+    /// before the new epoch is published. A durable store first writes
+    /// `graph` as its snapshot (the old WAL no longer describes the state)
+    /// and only then replaces the contents in memory.
     ///
     /// # Errors
     ///
@@ -672,11 +601,26 @@ impl std::fmt::Debug for DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::vocab;
+    use crate::model::{vocab, Term};
+    use crate::reason::Rule;
     use cogsdk_sim::fs::SimFs;
 
     fn st(s: &str, p: &str, o: &str) -> Statement {
         Statement::new(Term::iri(s), Term::iri(p), Term::iri(o))
+    }
+
+    fn rdfs() -> MaterializerConfig {
+        MaterializerConfig {
+            rdfs: true,
+            ..Default::default()
+        }
+    }
+
+    fn rules(rules: &[&str]) -> MaterializerConfig {
+        MaterializerConfig {
+            rules: rules.iter().map(|r| Rule::parse(r).unwrap()).collect(),
+            ..Default::default()
+        }
     }
 
     fn open(fs: &Arc<SimFs>) -> DurableStore {
@@ -697,7 +641,7 @@ mod tests {
     fn vocabulary_a_recovery_interns_is_logged_by_the_next_commit() {
         let fs = Arc::new(SimFs::new(31));
         let mut store = open(&fs);
-        store.enable_rdfs().unwrap();
+        store.configure(rdfs()).unwrap();
         // On an empty store nothing is derived, so nothing interned the
         // RDFS vocabulary before this snapshot.
         store.snapshot().unwrap();
@@ -714,18 +658,16 @@ mod tests {
     fn reopen_recovers_base_and_rederives_closure() {
         let fs = Arc::new(SimFs::new(1));
         let mut store = open(&fs);
-        store.enable_rdfs().unwrap();
+        store.configure(rdfs()).unwrap();
         store
             .insert(st("ex:cat", vocab::SUB_CLASS_OF, "ex:animal"))
             .unwrap();
         store.insert(st("ex:felix", vocab::TYPE, "ex:cat")).unwrap();
-        store.materialize();
         let expected = store.epochs().pin().to_graph();
         assert!(expected.contains(&st("ex:felix", vocab::TYPE, "ex:animal")));
         drop(store);
 
-        let mut recovered = open(&fs);
-        recovered.materialize();
+        let recovered = open(&fs);
         assert_eq!(recovered.epochs().pin().to_graph(), expected);
         assert!(recovered.config().rdfs);
         let stats = recovered.recovery_stats().unwrap();
@@ -872,13 +814,13 @@ mod tests {
         // (op 1) takes the process down: the files are remounted and
         // the store reopened.
         for fault in [None, Some(0), Some(1)] {
-            for rules in [false, true] {
-                let case = format!("crash at op {fault:?}, rules {rules}");
+            for with_rules in [false, true] {
+                let case = format!("crash at op {fault:?}, rules {with_rules}");
                 let fs = Arc::new(SimFs::new(31));
                 let mut store = open(&fs);
-                if rules {
-                    let rule = Rule::parse("[(?a ex:p ?b) -> (?b ex:q ?a)]").unwrap();
-                    store.add_rules(vec![rule]).unwrap();
+                if with_rules {
+                    let rule = "[(?a ex:p ?b) -> (?b ex:q ?a)]";
+                    store.configure(rules(&[rule])).unwrap();
                 }
                 store.insert_batch(batch("old")).unwrap();
                 let before = view(&store);
@@ -908,7 +850,7 @@ mod tests {
                     assert_eq!(added, 6, "{case}");
                 }
                 assert!(batch("new").iter().all(|s| store.contains(s)), "{case}");
-                assert_eq!(store.contains(&st("ex:o", "ex:q", "ex:new0")), rules);
+                assert_eq!(store.contains(&st("ex:o", "ex:q", "ex:new0")), with_rules);
                 let (_, len, contents) = view(&store);
                 drop(store);
                 fs.crash();
@@ -1053,23 +995,18 @@ mod tests {
         let fs = Arc::new(SimFs::new(6));
         let mut store = open(&fs);
         store
-            .add_transitive(vec![Term::iri("ex:ancestor")])
-            .unwrap();
-        store
-            .add_rules(vec![Rule::parse(
-                "[(?a ex:parent ?b) -> (?a ex:ancestor ?b)]",
-            )
-            .unwrap()])
+            .configure(MaterializerConfig {
+                transitive: vec![Term::iri("ex:ancestor")],
+                ..rules(&["[(?a ex:parent ?b) -> (?a ex:ancestor ?b)]"])
+            })
             .unwrap();
         store.insert(st("ex:a", "ex:parent", "ex:b")).unwrap();
         store.insert(st("ex:b", "ex:parent", "ex:c")).unwrap();
-        store.materialize();
         assert!(store.contains(&st("ex:a", "ex:ancestor", "ex:c")));
         let expected = store.epochs().pin().to_graph();
         drop(store);
 
-        let mut recovered = open(&fs);
-        recovered.materialize();
+        let recovered = open(&fs);
         assert_eq!(recovered.epochs().pin().to_graph(), expected);
         assert_eq!(recovered.config().transitive.len(), 1);
         assert_eq!(recovered.config().rules.len(), 1);
@@ -1226,7 +1163,7 @@ mod tests {
         let fs = Arc::new(SimFs::new(9));
         let mut store = open(&fs);
         let epochs = store.epochs().clone();
-        store.enable_rdfs().unwrap();
+        store.configure(rdfs()).unwrap();
         store
             .insert(st("ex:cat", vocab::SUB_CLASS_OF, "ex:animal"))
             .unwrap();
@@ -1234,7 +1171,7 @@ mod tests {
         let snap = epochs.pin();
         assert!(
             snap.contains(&st("ex:felix", vocab::TYPE, "ex:animal")),
-            "pinned epoch includes the derived closure without an explicit materialize"
+            "pinned epoch includes the derived closure"
         );
         assert_eq!(snap.len(), store.len());
 
@@ -1246,6 +1183,97 @@ mod tests {
             .dict()
             .lookup_statement(&st("ex:felix", vocab::TYPE, "ex:cat"));
         assert_eq!(snap.confidence_of(t.unwrap()), Some(0.8));
+    }
+
+    #[test]
+    fn rules_enabled_on_a_non_empty_store_derive_with_no_further_call() {
+        let fs = Arc::new(SimFs::new(17));
+        for mut store in [DurableStore::in_memory(), open(&fs)] {
+            store
+                .insert(st("ex:cat", vocab::SUB_CLASS_OF, "ex:mammal"))
+                .unwrap();
+            store.insert(st("ex:felix", vocab::TYPE, "ex:cat")).unwrap();
+            store.configure(rdfs()).unwrap();
+            store.insert(st("ex:tom", vocab::TYPE, "ex:cat")).unwrap();
+            for cat in ["ex:felix", "ex:tom"] {
+                let mammal = st(cat, vocab::TYPE, "ex:mammal");
+                assert!(store.epochs().pin().contains(&mammal), "{cat}");
+            }
+
+            store.insert(st("ex:a", "ex:p", "ex:b")).unwrap();
+            store
+                .configure(rules(&["[(?x ex:p ?y) -> (?y ex:q ?x)]"]))
+                .unwrap();
+            store.insert(st("ex:c", "ex:p", "ex:d")).unwrap();
+            let pinned = store.epochs().pin();
+            assert!(pinned.contains(&st("ex:b", "ex:q", "ex:a")), "earlier fact");
+            assert!(pinned.contains(&st("ex:d", "ex:q", "ex:c")), "later insert");
+            if store.is_durable() {
+                drop(store);
+                let recovered = open(&fs);
+                assert_eq!(recovered.epochs().pin().to_graph(), pinned.to_graph());
+            }
+        }
+    }
+
+    #[test]
+    fn a_ruleset_change_is_one_group_and_one_epoch() {
+        let fs = Arc::new(SimFs::new(18));
+        let mut store = open(&fs);
+        store.insert(st("ex:a", "ex:part", "ex:b")).unwrap();
+        store.insert(st("ex:b", "ex:part", "ex:c")).unwrap();
+        store.insert(st("ex:x", vocab::TYPE, "ex:C")).unwrap();
+        let delta = MaterializerConfig {
+            transitive: vec![Term::iri("ex:part")],
+            ..rules(&["[(?x ex:part ?y) -> (?y ex:whole ?x)]"])
+        };
+        let delta = MaterializerConfig {
+            rdfs: true,
+            ..delta
+        };
+        let (wal, epoch) = (store.wal_stats(), store.epochs().pin().epoch());
+        let derived = store.configure(delta.clone()).unwrap();
+        assert_eq!(store.wal_stats().appends, wal.appends + 1);
+        assert_eq!(store.wal_stats().fsyncs, wal.fsyncs + 1);
+        assert_eq!(store.epochs().pin().epoch(), epoch + 1);
+        // (a part c), and a `whole` fact for each of the three `part` facts.
+        assert_eq!(derived.len(), 4);
+        assert!(store.contains(&st("ex:c", "ex:whole", "ex:a")));
+
+        // A repeated or an empty delta logs and publishes nothing.
+        let (wal, epoch) = (store.wal_stats(), store.epochs().pin().epoch());
+        assert!(store.configure(delta).unwrap().is_empty());
+        assert!(store.configure(rdfs()).unwrap().is_empty());
+        assert!(store
+            .configure(MaterializerConfig::default())
+            .unwrap()
+            .is_empty());
+        assert_eq!(store.wal_stats(), wal);
+        assert_eq!(store.epochs().pin().epoch(), epoch);
+
+        let expected = store.epochs().pin().to_graph();
+        drop(store);
+        let recovered = open(&fs);
+        assert_eq!(recovered.epochs().pin().to_graph(), expected);
+        assert!(recovered.config().rdfs && recovered.config().rules.len() == 1);
+    }
+
+    #[test]
+    fn a_failed_ruleset_change_leaves_config_and_memory_unchanged() {
+        let fs = Arc::new(SimFs::new(19));
+        let mut store = open(&fs);
+        store
+            .insert(st("ex:cat", vocab::SUB_CLASS_OF, "ex:mammal"))
+            .unwrap();
+        store.insert(st("ex:tom", vocab::TYPE, "ex:cat")).unwrap();
+        let before = view(&store);
+        fs.set_space_limit(Some(0));
+        assert!(store.configure(rdfs()).is_err());
+        assert!(!store.config().rdfs);
+        assert_eq!(view(&store), before);
+        fs.set_space_limit(None);
+        assert_eq!(store.configure(rdfs()).unwrap().len(), 1);
+        assert!(store.config().rdfs);
     }
 
     #[test]

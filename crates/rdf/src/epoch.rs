@@ -1500,8 +1500,11 @@ mod tests {
             st("kb:Item".into(), vocab::SUB_CLASS_OF, Term::iri("kb:Thing")),
             st("kb:category".into(), vocab::DOMAIN, Term::iri("kb:Tagged")),
         ]);
-        m.enable_rdfs();
-        let derived = m.materialize();
+        let rdfs = crate::MaterializerConfig {
+            rdfs: true,
+            ..Default::default()
+        };
+        let derived = m.configure(rdfs).len();
         assert_eq!(derived, 5000);
         let snap = m.epoch();
         assert!(snap.runs.is_empty(), "the seal merged a fresh base");

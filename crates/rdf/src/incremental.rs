@@ -15,9 +15,11 @@
 //!
 //! Rulesets (RDFS, OWL/Lite, extra transitive predicates, user rules,
 //! weighted rules) are *standing*: once enabled they are maintained on
-//! every mutation. Enabling one marks the closure stale; the next
-//! [`materialize`](IncrementalMaterializer::materialize) call reseeds it.
-//! All maintenance is id-triple work over one term dictionary.
+//! every mutation. Enabling one
+//! ([`configure`](IncrementalMaterializer::configure)) derives its
+//! conclusions over the facts already present within the same call, so
+//! every epoch is the fixpoint of its rules. All maintenance is id-triple
+//! work over one term dictionary.
 //!
 //! Every fact has a level (§5's accuracy level) in the (max, ·) semiring
 //! of provenance annotations: a stated fact keeps the level it was stated
@@ -45,7 +47,7 @@ pub struct MaterializerConfig {
     pub rdfs: bool,
     /// OWL/Lite subset (inverseOf, symmetric/transitive/functional
     /// properties, sameAs smushing). Implies `rdfs` when enabled through
-    /// [`IncrementalMaterializer::enable_owl`], matching
+    /// [`IncrementalMaterializer::configure`], matching
     /// [`crate::OwlLiteReasoner::new`].
     pub owl: bool,
     /// Extra predicates closed under transitivity.
@@ -58,16 +60,27 @@ pub struct MaterializerConfig {
 }
 
 impl MaterializerConfig {
-    fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         let plain = self.rdfs || self.owl || !self.transitive.is_empty();
         plain || !self.rules.is_empty() || !self.weighted.is_empty()
     }
 
-    /// Whether `rule` already stands at `strength`.
-    pub(crate) fn has_weighted(&self, rule: &Rule, strength: f64) -> bool {
-        self.weighted
-            .iter()
-            .any(|(r, s)| r == rule && *s == strength)
+    /// Adds `delta` to this configuration and returns the parts that were
+    /// new, in `delta`'s order: OWL (which implies RDFS), RDFS, each
+    /// transitive predicate and rule not yet present, and each weighted
+    /// rule not yet standing at the same strength. An empty result changed
+    /// nothing.
+    pub(crate) fn merge(&mut self, delta: MaterializerConfig) -> MaterializerConfig {
+        let rdfs = delta.rdfs || delta.owl;
+        let new = MaterializerConfig {
+            rdfs: rdfs && !self.rdfs,
+            owl: delta.owl && !self.owl,
+            transitive: append_new(&mut self.transitive, delta.transitive),
+            rules: append_new(&mut self.rules, delta.rules),
+            weighted: append_new(&mut self.weighted, delta.weighted),
+        };
+        (self.rdfs, self.owl) = (self.rdfs || rdfs, self.owl || delta.owl);
+        new
     }
 
     /// Compiles the configuration against a dictionary: vocabulary and
@@ -86,6 +99,26 @@ impl MaterializerConfig {
                 .collect(),
         }
     }
+}
+
+/// Appends each item of `delta` that `have` lacks; returns those items.
+fn append_new<T: PartialEq + Clone>(have: &mut Vec<T>, delta: Vec<T>) -> Vec<T> {
+    let from = have.len();
+    for item in delta {
+        if !have.contains(&item) {
+            have.push(item);
+        }
+    }
+    have[from..].to_vec()
+}
+
+/// Panics unless every weighted rule of `config` has a strength in
+/// `(0, 1]`; a store checks this before it logs anything.
+pub(crate) fn check_strengths(config: &MaterializerConfig) {
+    assert!(
+        (config.weighted.iter()).all(|&(_, s)| s > 0.0 && s <= 1.0),
+        "rule strength must be in (0, 1]"
+    );
 }
 
 /// A [`MaterializerConfig`] lowered onto one dictionary.
@@ -142,10 +175,10 @@ impl CompiledRules {
 /// # Examples
 ///
 /// ```
-/// use cogsdk_rdf::{IncrementalMaterializer, Statement, Term};
+/// use cogsdk_rdf::{IncrementalMaterializer, MaterializerConfig, Statement, Term};
 ///
 /// let mut m = IncrementalMaterializer::new();
-/// m.enable_rdfs();
+/// m.configure(MaterializerConfig { rdfs: true, ..Default::default() });
 /// let sub = Term::iri("rdfs:subClassOf");
 /// m.insert(Statement::new(Term::iri("ex:cat"), sub.clone(), Term::iri("ex:mammal")));
 /// m.insert(Statement::new(Term::iri("ex:mammal"), sub.clone(), Term::iri("ex:animal")));
@@ -158,10 +191,6 @@ pub struct IncrementalMaterializer {
     /// Every fact, stated and derived: the latest epoch plus the changes
     /// of the call in progress.
     store: EpochWriter,
-    /// Whether the derived facts are the fixpoint of `config` over the
-    /// stated ones. Cleared when a ruleset is enabled after facts
-    /// already arrived.
-    clean: bool,
 }
 
 impl Default for IncrementalMaterializer {
@@ -181,7 +210,6 @@ impl IncrementalMaterializer {
         IncrementalMaterializer {
             store: EpochWriter::new(epoch, config.is_active()),
             config,
-            clean: true,
         }
     }
 
@@ -205,8 +233,7 @@ impl IncrementalMaterializer {
                 m.store.replace(triple, None);
             }
         }
-        m.clean = false;
-        let rederived = m.catch_up().len();
+        let rederived = m.derive_all().len();
         m.store.seal_as(0);
         // Everything derived was derived just now.
         let stated = m.len() - rederived;
@@ -235,73 +262,27 @@ impl IncrementalMaterializer {
         triple.is_some_and(|t| self.store.has_id(t))
     }
 
-    /// Returns `changed`; if set, the closure goes stale unless there are
-    /// no facts, and the rules will scan each call's changes.
-    fn reconfigured(&mut self, changed: bool) -> bool {
-        if changed {
-            self.clean = self.is_empty();
-            self.store.index_adds(self.config.is_active());
-        }
-        changed
-    }
-
-    /// Enables the RDFS subset; returns whether this changed the config.
-    pub fn enable_rdfs(&mut self) -> bool {
-        let changed = !self.config.rdfs;
-        self.config.rdfs = true;
-        self.reconfigured(changed)
-    }
-
-    /// Enables the OWL/Lite subset (and RDFS, as the batch OWL reasoner
-    /// does); returns whether this changed the config.
-    pub fn enable_owl(&mut self) -> bool {
-        let changed = !self.config.owl || !self.config.rdfs;
-        (self.config.owl, self.config.rdfs) = (true, true);
-        self.reconfigured(changed)
-    }
-
-    /// Adds predicates to close under transitivity; returns whether any
-    /// were new.
-    pub fn add_transitive(&mut self, predicates: Vec<Term>) -> bool {
-        let before = self.config.transitive.len();
-        for p in predicates {
-            if !self.config.transitive.contains(&p) {
-                self.config.transitive.push(p);
-            }
-        }
-        self.reconfigured(self.config.transitive.len() > before)
-    }
-
-    /// Adds standing user rules; returns whether any were new.
-    pub fn add_rules(&mut self, rules: Vec<Rule>) -> bool {
-        let before = self.config.rules.len();
-        for r in rules {
-            if !self.config.rules.contains(&r) {
-                self.config.rules.push(r);
-            }
-        }
-        self.reconfigured(self.config.rules.len() > before)
-    }
-
-    /// Adds standing weighted rules at `strength`: each conclusion is
-    /// derived at `strength × min(premise levels)`. Returns whether any
-    /// were new.
+    /// Adds the rulesets of `delta` that are new — OWL (which implies
+    /// RDFS), RDFS, each transitive predicate and rule not yet present, each
+    /// weighted rule not yet standing at its strength — and derives their
+    /// conclusions over the facts already present, in one call and at most
+    /// one epoch. Returns the facts this derived; an empty or repeated `delta`
+    /// changes nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `strength` is outside `(0, 1]`.
-    pub fn add_weighted_rules(&mut self, rules: Vec<Rule>, strength: f64) -> bool {
-        assert!(
-            strength > 0.0 && strength <= 1.0,
-            "rule strength must be in (0, 1]"
-        );
-        let before = self.config.weighted.len();
-        for rule in rules {
-            if !self.config.has_weighted(&rule, strength) {
-                self.config.weighted.push((rule, strength));
-            }
+    /// Panics if a weighted rule's strength is outside `(0, 1]`.
+    pub fn configure(&mut self, delta: MaterializerConfig) -> Vec<IdTriple> {
+        check_strengths(&delta);
+        if !self.config.merge(delta).is_active() {
+            return Vec::new();
         }
-        self.reconfigured(self.config.weighted.len() > before)
+        self.store.index_adds(true);
+        // On an empty store there is nothing to derive from, and the
+        // rules' vocabulary is interned by the first call that needs it.
+        let added = (!self.is_empty()).then(|| self.derive_all());
+        self.store.seal();
+        added.unwrap_or_default()
     }
 
     /// The active configuration.
@@ -411,11 +392,10 @@ impl IncrementalMaterializer {
         staged.iter().filter(|(_, before)| before.is_none()).count()
     }
 
-    /// Maintains a clean closure over the call's stated changes — see
-    /// [`maintain`](Self::maintain) — and seals the call. A stale closure
-    /// waits for the next [`materialize`](Self::materialize).
+    /// Maintains the closure over the call's stated changes — see
+    /// [`maintain`](Self::maintain) — and seals the call.
     fn seal_changes(&mut self, lowered: &[IdTriple], seed: Vec<IdTriple>) {
-        if self.clean && self.config.is_active() {
+        if self.config.is_active() {
             self.maintain(&[], lowered, seed);
         }
         self.store.seal();
@@ -494,10 +474,6 @@ impl IncrementalMaterializer {
     /// [`remove_batch`](Self::remove_batch) for facts just
     /// [resolved](Self::resolve_present). Returns how many there were.
     pub(crate) fn remove_present(&mut self, present: &[(IdTriple, Fact)]) -> usize {
-        // DRed needs an up-to-date closure to cascade over; catch up first
-        // if a ruleset was enabled after facts arrived. That only derives
-        // absent facts, so every present one keeps its tag.
-        self.catch_up();
         self.maintain(present, &[], Vec::new());
         self.store.seal();
         present.len()
@@ -566,42 +542,27 @@ impl IncrementalMaterializer {
         }
     }
 
-    /// Brings the derived closure up to date with the configuration. Cheap
-    /// when nothing changed; after a config change it reseeds the fixpoint
-    /// over all current facts. Returns how many facts were newly derived.
-    pub fn materialize(&mut self) -> usize {
-        self.materialize_ids().len()
-    }
-
-    /// [`materialize`](Self::materialize), returning the facts it derived.
-    pub(crate) fn materialize_ids(&mut self) -> Vec<IdTriple> {
-        let added = self.catch_up();
-        self.store.seal();
-        added
-    }
-
-    /// [`materialize`](Self::materialize) within the call in progress.
-    fn catch_up(&mut self) -> Vec<IdTriple> {
-        if self.clean || !self.config.is_active() {
-            self.clean = true;
+    /// Derives the closure of the configuration over every fact in the
+    /// view, within the call in progress. Returns the facts newly derived.
+    fn derive_all(&mut self) -> Vec<IdTriple> {
+        if !self.config.is_active() {
             return Vec::new();
         }
         let compiled = self.config.compile(self.store.dict());
-        let added = self.derive_from(&compiled, self.store.find_ids(None, None, None));
-        self.clean = true;
-        added
+        self.derive_from(&compiled, self.store.find_ids(None, None, None))
     }
 
     /// Replaces all facts with `graph` as the stated ones and drops every
-    /// confidence, keeping the configuration. The closure is marked stale;
-    /// call [`materialize`](Self::materialize) to rebuild it. The
-    /// materializer adopts `graph`'s dictionary.
+    /// confidence, keeping the configuration, whose closure is derived
+    /// before the next epoch is sealed. The materializer adopts `graph`'s
+    /// dictionary.
     pub fn reset(&mut self, graph: Graph) {
         let number = self.epoch().epoch() + 1;
         let stated = graph.iter_ids().collect();
         let epoch = EpochSnapshot::stated(number, graph.dict().clone(), stated);
         self.store.restart(epoch);
-        self.clean = !self.config.is_active() || graph.is_empty();
+        self.derive_all();
+        self.store.seal_as(number);
     }
 
     /// Membership probes made against sealed epochs; see
@@ -622,10 +583,32 @@ mod tests {
         Statement::new(Term::iri(s), Term::iri(p), Term::iri(o))
     }
 
+    fn rdfs() -> MaterializerConfig {
+        MaterializerConfig {
+            rdfs: true,
+            ..Default::default()
+        }
+    }
+
+    fn transitive(p: &str) -> MaterializerConfig {
+        MaterializerConfig {
+            transitive: vec![Term::iri(p)],
+            ..Default::default()
+        }
+    }
+
+    fn rules(text: &str) -> MaterializerConfig {
+        let rules = GenericRuleReasoner::from_rules_text(text).unwrap();
+        MaterializerConfig {
+            rules: rules.rules().to_vec(),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn inserts_maintain_rdfs_closure() {
         let mut m = IncrementalMaterializer::new();
-        m.enable_rdfs();
+        m.configure(rdfs());
         m.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
         m.insert(st("tom", vocab::TYPE, "cat"));
         assert!(m.contains(&st("tom", vocab::TYPE, "mammal")));
@@ -647,7 +630,7 @@ mod tests {
     #[test]
     fn stated_and_derived_tags_track_mutations() {
         let mut m = IncrementalMaterializer::new();
-        m.enable_rdfs();
+        m.configure(rdfs());
         m.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
         m.insert(st("tom", vocab::TYPE, "cat"));
         let derived = st("tom", vocab::TYPE, "mammal");
@@ -668,7 +651,7 @@ mod tests {
     #[test]
     fn incremental_equals_from_scratch_rdfs() {
         let mut m = IncrementalMaterializer::new();
-        m.enable_rdfs();
+        m.configure(rdfs());
         let facts = [
             st("p", vocab::SUB_PROPERTY_OF, "q"),
             st("q", vocab::DOMAIN, "C"),
@@ -687,7 +670,7 @@ mod tests {
     #[test]
     fn delete_retracts_consequences() {
         let mut m = IncrementalMaterializer::new();
-        m.enable_rdfs();
+        m.configure(rdfs());
         m.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
         m.insert(st("tom", vocab::TYPE, "cat"));
         assert!(m.contains(&st("tom", vocab::TYPE, "mammal")));
@@ -699,7 +682,7 @@ mod tests {
     #[test]
     fn delete_keeps_alternative_derivations() {
         let mut m = IncrementalMaterializer::new();
-        m.add_transitive(vec![Term::iri("sub")]);
+        m.configure(transitive("sub"));
         m.insert(st("a", "sub", "b"));
         m.insert(st("b", "sub", "c"));
         m.insert(st("b", "sub", "d"));
@@ -720,7 +703,7 @@ mod tests {
     #[test]
     fn removed_stated_fact_resurfaces_if_entailed() {
         let mut m = IncrementalMaterializer::new();
-        m.add_transitive(vec![Term::iri("sub")]);
+        m.configure(transitive("sub"));
         m.insert(st("a", "sub", "b"));
         m.insert(st("b", "sub", "c"));
         m.insert(st("a", "sub", "c")); // stated AND entailed
@@ -742,14 +725,16 @@ mod tests {
     #[test]
     fn weighted_levels_dilute_along_chains_and_take_the_best_derivation() {
         let mut m = IncrementalMaterializer::new();
-        let rules = GenericRuleReasoner::from_rules_text(
+        let chain = rules(
             "[(?x parent ?y) -> (?x ancestor ?y)]\n\
              [(?x parent ?y), (?y ancestor ?z) -> (?x ancestor ?z)]\n\
              [(?x ancestor ?y) -> (?y descendant_of ?x)]\n\
              [(?y descendant_of ?x) -> (?x ancestor ?y)]",
-        )
-        .unwrap();
-        m.add_weighted_rules(rules.rules().to_vec(), 0.9);
+        );
+        m.configure(MaterializerConfig {
+            weighted: chain.rules.into_iter().map(|r| (r, 0.9)).collect(),
+            ..Default::default()
+        });
         for (s, o) in [("a", "b"), ("b", "c"), ("c", "d")] {
             m.insert(st(s, "parent", o));
         }
@@ -763,13 +748,7 @@ mod tests {
         );
         assert_eq!(level(&m, &st("b", "descendant_of", "a")), Some(0.9 * 0.9));
         // A plain rule's derivation is worth 1.0 and wins.
-        m.add_rules(
-            GenericRuleReasoner::from_rules_text("[(?x parent ?y) -> (?x ancestor ?y)]")
-                .unwrap()
-                .rules()
-                .to_vec(),
-        );
-        m.materialize();
+        m.configure(rules("[(?x parent ?y) -> (?x ancestor ?y)]"));
         assert_eq!(level(&m, &st("a", "ancestor", "b")), Some(1.0));
         assert_eq!(level(&m, &st("a", "ancestor", "c")), Some(0.9));
         // Stated, a fact takes its stated level over its derivations.
@@ -780,35 +759,79 @@ mod tests {
     #[test]
     fn standing_rules_fire_on_later_ingests() {
         let mut m = IncrementalMaterializer::new();
-        let r = GenericRuleReasoner::from_rules_text(
+        m.configure(rules(
             "[(?a parent ?b), (?b parent ?c) -> (?a grandparent ?c)]",
-        )
-        .unwrap();
-        m.add_rules(r.rules().to_vec());
+        ));
         m.insert(st("alice", "parent", "bob"));
-        m.materialize();
         assert!(!m.contains(&st("alice", "grandparent", "carol")));
         m.insert(st("bob", "parent", "carol"));
         assert!(m.contains(&st("alice", "grandparent", "carol")));
     }
 
     #[test]
-    fn enabling_rules_late_reseeds_on_materialize() {
+    fn enabling_rules_late_derives_within_the_call() {
         let mut m = IncrementalMaterializer::new();
         m.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
         m.insert(st("tom", vocab::TYPE, "cat"));
         assert!(!m.contains(&st("tom", vocab::TYPE, "mammal")));
-        m.enable_rdfs();
-        let added = m.materialize();
-        assert_eq!(added, 1);
+        let before = m.epoch().epoch();
+        assert_eq!(m.configure(rdfs()).len(), 1);
         assert!(m.contains(&st("tom", vocab::TYPE, "mammal")));
-        assert_eq!(m.materialize(), 0, "second call is a no-op");
+        assert_eq!(m.epoch().epoch(), before + 1, "one epoch");
+        // A repeated or empty delta changes nothing.
+        assert!(m.configure(rdfs()).is_empty());
+        assert!(m.configure(MaterializerConfig::default()).is_empty());
+        assert_eq!(m.epoch().epoch(), before + 1);
+        // Later facts extend the closure.
+        m.insert(st("felix", vocab::TYPE, "cat"));
+        assert!(m.contains(&st("felix", vocab::TYPE, "mammal")));
+    }
+
+    #[test]
+    fn merge_returns_only_the_new_parts() {
+        let rule = |text: &str| rules(text).rules.remove(0);
+        let (r, q) = (
+            rule("[(?x p ?y) -> (?y q ?x)]"),
+            rule("[(?x q ?y) -> (?x r ?y)]"),
+        );
+        let mut config = MaterializerConfig {
+            transitive: vec![Term::iri("sub")],
+            rules: vec![r.clone()],
+            weighted: vec![(q.clone(), 0.5)],
+            ..rdfs()
+        };
+        let new = config.merge(MaterializerConfig {
+            owl: true,
+            transitive: vec![Term::iri("sub"), Term::iri("part"), Term::iri("part")],
+            rules: vec![r.clone(), q.clone()],
+            weighted: vec![(q.clone(), 0.5), (q.clone(), 0.7), (r.clone(), 0.7)],
+            ..rdfs()
+        });
+        assert!(new.owl && !new.rdfs, "OWL is new, RDFS stood already");
+        assert_eq!(new.transitive, vec![Term::iri("part")]);
+        assert_eq!(new.rules, vec![q.clone()]);
+        assert_eq!(new.weighted, vec![(q.clone(), 0.7), (r.clone(), 0.7)]);
+        assert!(config.owl && config.rdfs);
+        assert_eq!(config.transitive.len(), 2);
+        assert_eq!(config.weighted.len(), 3);
+        // OWL implies RDFS; merging the same delta again adds nothing.
+        let mut fresh = MaterializerConfig::default();
+        let owl = MaterializerConfig {
+            owl: true,
+            ..Default::default()
+        };
+        let new = fresh.merge(owl.clone());
+        assert!(new.owl && new.rdfs && fresh.rdfs);
+        assert!(!fresh.merge(owl).is_active());
     }
 
     #[test]
     fn owl_closure_maintained_incrementally() {
         let mut m = IncrementalMaterializer::new();
-        m.enable_owl();
+        m.configure(MaterializerConfig {
+            owl: true,
+            ..Default::default()
+        });
         m.insert(st("hasParent", vocab::INVERSE_OF, "hasChild"));
         m.insert(st("alice", "hasParent", "bob"));
         assert!(m.contains(&st("bob", "hasChild", "alice")));
@@ -818,27 +841,31 @@ mod tests {
     }
 
     #[test]
-    fn reset_replaces_contents_and_goes_stale() {
+    fn reset_replaces_contents_and_derives_their_closure() {
         let mut m = IncrementalMaterializer::new();
-        m.enable_rdfs();
+        m.configure(rdfs());
         m.insert(st("x", vocab::TYPE, "C"));
         let mut g = Graph::new();
         g.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
         g.insert(st("tom", vocab::TYPE, "cat"));
         let before = m.epoch().epoch();
         m.reset(g);
-        assert_eq!(m.epoch().epoch(), before + 1);
-        assert_eq!(m.epoch().delta_runs(), 0, "a fresh base, no runs");
+        assert_eq!(m.epoch().epoch(), before + 1, "one epoch");
+        assert_eq!(
+            m.epoch().delta_runs(),
+            1,
+            "a fresh base and what it derived"
+        );
         assert!(!m.contains(&st("x", vocab::TYPE, "C")));
-        assert!(!m.contains(&st("tom", vocab::TYPE, "mammal")));
-        m.materialize();
         assert!(m.contains(&st("tom", vocab::TYPE, "mammal")));
+        m.insert(st("felix", vocab::TYPE, "cat"));
+        assert!(m.contains(&st("felix", vocab::TYPE, "mammal")));
     }
 
     #[test]
     fn remove_batch_is_one_dred_round_and_one_epoch() {
         let chain = |m: &mut IncrementalMaterializer| {
-            m.add_transitive(vec![Term::iri("sub")]);
+            m.configure(transitive("sub"));
             for (s, o) in [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d")] {
                 m.insert(st(s, "sub", o));
             }
@@ -928,14 +955,11 @@ mod tests {
             let mut sorted = IncrementalMaterializer::new();
             let mut oracle = IncrementalMaterializer::new();
             // Rules on from the start, off throughout, or on after some
-            // batches (stale until the next `materialize`).
+            // batches.
             let rules_from = [Some(0), None, Some(10)][case % 3];
             for round in 0..30 {
                 if rules_from == Some(round) {
-                    assert_eq!(sorted.enable_rdfs(), oracle.enable_rdfs());
-                }
-                if rules_from.map(|r| r + 5) == Some(round) {
-                    assert_eq!(sorted.materialize(), oracle.materialize());
+                    assert_eq!(sorted.configure(rdfs()), oracle.configure(rdfs()));
                 }
                 let predicates = [vocab::TYPE, vocab::SUB_CLASS_OF, "ex:p"];
                 let mut batch: Vec<Statement> = Vec::new();

@@ -26,6 +26,7 @@
 //! means durable data was damaged rather than an append interrupted.
 
 use crate::dict::TermId;
+use crate::incremental::MaterializerConfig;
 use crate::model::{Literal, Term};
 use crate::reason::{PatternTerm, Rule, TriplePattern};
 use cogsdk_sim::fs::{FsError, Vfs};
@@ -358,6 +359,28 @@ impl WalRecord {
 
     pub(crate) fn confidence(t: (TermId, TermId, TermId), value: f64) -> WalRecord {
         WalRecord::Confidence(t.0.raw(), t.1.raw(), t.2.raw(), value.to_bits())
+    }
+
+    /// The records for a merge's new rulesets ([`MaterializerConfig::merge`]):
+    /// OWL (which replays as OWL and RDFS) or else RDFS, each transitive
+    /// predicate, the user rules, and one record per run of weighted rules
+    /// at one strength.
+    pub(crate) fn ruleset(new: &MaterializerConfig) -> Vec<WalRecord> {
+        let mut records = Vec::new();
+        if new.owl {
+            records.push(WalRecord::EnableOwl);
+        } else if new.rdfs {
+            records.push(WalRecord::EnableRdfs);
+        }
+        records.extend(new.transitive.iter().cloned().map(WalRecord::AddTransitive));
+        if !new.rules.is_empty() {
+            records.push(WalRecord::AddRules(new.rules.clone()));
+        }
+        for run in new.weighted.chunk_by(|a, b| a.1 == b.1) {
+            let rules = run.iter().map(|(rule, _)| rule.clone()).collect();
+            records.push(WalRecord::AddWeightedRules(rules, run[0].1));
+        }
+        records
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {

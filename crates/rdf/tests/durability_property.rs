@@ -16,13 +16,19 @@
 //!   facts);
 //! * the recovered closure equals a from-scratch materialization of the
 //!   recovered base under the recovered ruleset config — derived state
-//!   is re-derived, never read from disk.
+//!   is re-derived, never read from disk, and recovery alone derives it;
+//! * without faults, the closure after *every* op equals the from-scratch
+//!   closure of the model, so a ruleset enabled on a non-empty store
+//!   derives within its own call.
 //!
 //! The whole suite is deterministic from one master seed, down to the
 //! bytes left on the simulated disk at each crash (asserted by running
 //! it twice and comparing digests, which include a hash of every file).
 
-use cogsdk_rdf::{DurableOptions, DurableStore, IncrementalMaterializer, Rule, Statement, Term};
+use cogsdk_rdf::{
+    DurableOptions, DurableStore, Graph, IncrementalMaterializer, MaterializerConfig, Rule,
+    Statement, Term,
+};
 use cogsdk_sim::fs::{SimFs, Vfs};
 use cogsdk_sim::rng::Rng;
 use std::collections::BTreeSet;
@@ -134,26 +140,39 @@ fn apply_shadow(shadow: &mut Shadow, op: &Op) {
 
 /// Applies one op to the live store; `Ok` means it is durable.
 fn apply_store(store: &mut DurableStore, op: &Op) -> Result<(), cogsdk_rdf::DurableError> {
-    match op {
-        Op::Insert(st) => store.insert(st.clone()).map(|_| ()),
-        Op::Remove(st) => store.remove(st).map(|_| ()),
-        Op::EnableRdfs => store.enable_rdfs().map(|_| ()),
-        Op::AddTransitive => store.add_transitive(vec![anc()]).map(|_| ()),
-        Op::AddRules => store.add_rules(vec![rule()]).map(|_| ()),
-        Op::Snapshot => store.snapshot().map(|_| ()),
+    let enable = |rdfs, transitive, rules| ShadowConfig {
+        rdfs,
+        transitive,
+        rules,
+    };
+    let ruleset = match op {
+        Op::Insert(st) => return store.insert(st.clone()).map(|_| ()),
+        Op::Remove(st) => return store.remove(st).map(|_| ()),
+        Op::Snapshot => return store.snapshot().map(|_| ()),
+        Op::EnableRdfs => enable(true, false, false),
+        Op::AddTransitive => enable(false, true, false),
+        Op::AddRules => enable(false, false, true),
+    };
+    store.configure(delta(&ruleset)).map(|_| ())
+}
+
+/// The rulesets `config` names.
+fn delta(config: &ShadowConfig) -> MaterializerConfig {
+    MaterializerConfig {
+        rdfs: config.rdfs,
+        transitive: [anc()].into_iter().filter(|_| config.transitive).collect(),
+        rules: [rule()].into_iter().filter(|_| config.rules).collect(),
+        ..Default::default()
     }
 }
 
-fn configure(m: &mut IncrementalMaterializer, config: &ShadowConfig) {
-    if config.rdfs {
-        m.enable_rdfs();
-    }
-    if config.transitive {
-        m.add_transitive(vec![anc()]);
-    }
-    if config.rules {
-        m.add_rules(vec![rule()]);
-    }
+/// The from-scratch closure of `shadow`: its base loaded first, then its
+/// rulesets enabled.
+fn closure(shadow: &Shadow) -> Graph {
+    let mut scratch = IncrementalMaterializer::new();
+    scratch.reset(shadow.base.iter().cloned().collect());
+    scratch.configure(delta(&shadow.config));
+    scratch.epoch().to_graph()
 }
 
 fn shadow_config_of(store: &DurableStore) -> ShadowConfig {
@@ -217,13 +236,19 @@ fn run_scenario(seed: u64) -> ScenarioDigest {
         states.push(next);
     }
 
-    // Dry run without faults to learn the total fs-op budget.
+    // Dry run without faults to learn the total fs-op budget. After every
+    // op the full view is the from-scratch closure of the model.
     let total_fs_ops = {
         let fs = Arc::new(SimFs::new(seed));
         let mut store =
             DurableStore::open(fs.clone() as Arc<dyn Vfs>, options()).expect("dry open");
-        for op in &ops {
+        for (i, op) in ops.iter().enumerate() {
             apply_store(&mut store, op).expect("dry run has no faults");
+            assert_eq!(
+                store.epochs().pin().to_graph(),
+                closure(&states[i + 1]),
+                "seed {seed}: closure after op {i} ({op:?}) diverges from from-scratch"
+            );
         }
         fs.op_count()
     };
@@ -264,7 +289,7 @@ fn run_scenario(seed: u64) -> ScenarioDigest {
     fs.crash();
     let disk = disk_digest(&fs);
 
-    let mut recovered =
+    let recovered =
         DurableStore::open(fs.clone() as Arc<dyn Vfs>, options()).expect("recovery must succeed");
     let stats = recovered.recovery_stats().expect("durable store");
 
@@ -291,14 +316,9 @@ fn run_scenario(seed: u64) -> ScenarioDigest {
 
     // Closure oracle: recovered full view == from-scratch
     // materialization of the recovered base under the recovered config.
-    recovered.materialize();
-    let mut scratch = IncrementalMaterializer::new();
-    scratch.reset(recovered_base.iter().cloned().collect());
-    configure(&mut scratch, &recovered_config);
-    scratch.materialize();
     assert_eq!(
         recovered.epochs().pin().to_graph(),
-        scratch.epoch().to_graph(),
+        closure(&states[matched_state]),
         "seed {seed}: recovered closure diverges from from-scratch materialization"
     );
 

@@ -26,7 +26,7 @@
 use cogsdk::json::Json;
 use cogsdk::kb::{gateway_ingest_handler, gateway_query_handler, KbOptions, PersonalKnowledgeBase};
 use cogsdk::obs::Telemetry;
-use cogsdk::rdf::{DurableOptions, DurableStore, Rule, Statement, Term};
+use cogsdk::rdf::{DurableOptions, DurableStore, MaterializerConfig, Rule, Statement, Term};
 use cogsdk::sdk::gateway::HttpGateway;
 use cogsdk::sdk::{RichSdk, ThreadPool};
 use cogsdk::sim::latency::LatencyModel;
@@ -419,7 +419,10 @@ fn weighted_ingest_work(facts: usize) -> (u64, u64) {
         .expect("facts commit");
     let rule = Rule::parse("[(?x ex:rated ?v) -> (?x ex:scored ?v)]").expect("a rule");
     let derived = store
-        .add_weighted_rules(vec![rule], 0.9)
+        .configure(MaterializerConfig {
+            weighted: vec![(rule, 0.9)],
+            ..Default::default()
+        })
         .expect("the rule stands");
     assert_eq!(derived.len(), facts);
     store.snapshot().expect("snapshot");

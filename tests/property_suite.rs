@@ -2,7 +2,7 @@
 //! arbitrary inputs, spanning the storage, RDF, SDK and text layers.
 
 use cogsdk::json::{json, Json};
-use cogsdk::rdf::{Graph, Statement, Term};
+use cogsdk::rdf::{Graph, IncrementalMaterializer, MaterializerConfig, Statement, Term};
 use cogsdk::sdk::score::{ClassMaxima, ScoreInputs, ScoringFormula};
 use cogsdk::sdk::ResponseCache;
 use cogsdk::sim::SimEnv;
@@ -486,7 +486,7 @@ fn arb_edge_statement() -> impl Strategy<Value = Statement> {
 }
 
 /// The stated facts of a materializer's latest epoch, as a graph.
-fn stated_of(m: &cogsdk::rdf::IncrementalMaterializer) -> Graph {
+fn stated_of(m: &IncrementalMaterializer) -> Graph {
     let epoch = m.epoch();
     epoch
         .stated_ids()
@@ -494,37 +494,52 @@ fn stated_of(m: &cogsdk::rdf::IncrementalMaterializer) -> Graph {
         .collect()
 }
 
-/// Applies `ops` (statement, insert?) to a materializer from `make`,
-/// checking its stated facts after every step and its closure against
-/// the from-scratch `close` at the end; then removes the `picked` ops'
-/// statements as one batch, which must equal removing them one at a
-/// time and the from-scratch closure of what stays stated.
+/// Applies `ops` (statement, insert?) to a fresh materializer, enabling
+/// `rules` before op `enable_at` (after the last op if past the end), and
+/// checks its stated facts and its closure against the from-scratch
+/// `close` after every step; then removes the `picked` ops' statements as
+/// one batch, which must equal removing them one at a time and the
+/// from-scratch closure of what stays stated.
 fn check_materializer_churn(
-    make: impl Fn() -> cogsdk::rdf::IncrementalMaterializer,
+    rules: MaterializerConfig,
     close: impl Fn(&Graph) -> Graph,
     ops: &[(Statement, bool)],
     picked: &[bool],
+    enable_at: usize,
 ) {
     let closure = |stated: &Graph| {
         let mut full = stated.clone();
         full.extend_from(&close(stated));
         full
     };
-    let mut m = make();
+    let enable_at = enable_at.min(ops.len());
+    let mut m = IncrementalMaterializer::new();
     let mut stated = Graph::new();
-    for op in ops {
-        apply_one(&mut m, &mut stated, op);
+    for step in 0..=ops.len() {
+        if step == enable_at {
+            m.configure(rules.clone());
+        }
+        if let Some(op) = ops.get(step) {
+            apply_one(&mut m, &mut stated, op);
+        }
         // One store: the epoch holds every fact once, stated or derived.
         prop_assert_eq!(m.len(), m.epoch().iter_ids().len());
         prop_assert_eq!(stated_of(&m), stated.clone(), "stated facts diverged");
+        // The maintained closure must be indistinguishable from throwing
+        // everything away and re-running the reasoner from scratch.
+        let want = if step < enable_at {
+            stated.clone()
+        } else {
+            closure(&stated)
+        };
+        prop_assert_eq!(
+            m.epoch().to_graph(),
+            want,
+            "closure after step {} (rules from {}) diverged from scratch fixpoint",
+            step,
+            enable_at
+        );
     }
-    // The maintained closure must be indistinguishable from throwing
-    // everything away and re-running the reasoner from scratch.
-    prop_assert_eq!(
-        m.epoch().to_graph(),
-        closure(&stated),
-        "closure diverged from scratch fixpoint"
-    );
 
     let batch: Vec<Statement> = ops
         .iter()
@@ -532,7 +547,8 @@ fn check_materializer_churn(
         .filter(|&(_, &pick)| pick)
         .map(|((st, _), _)| st.clone())
         .collect();
-    let mut one_by_one = make();
+    let mut one_by_one = IncrementalMaterializer::new();
+    one_by_one.configure(rules);
     for op in ops {
         apply_one(&mut one_by_one, &mut Graph::new(), op);
     }
@@ -560,7 +576,7 @@ fn check_materializer_churn(
 
 /// Applies one (statement, insert?) op to `m` and to its stated shadow.
 fn apply_one(
-    m: &mut cogsdk::rdf::IncrementalMaterializer,
+    m: &mut IncrementalMaterializer,
     stated: &mut Graph,
     (st, insert): &(Statement, bool),
 ) {
@@ -622,30 +638,25 @@ proptest! {
     fn incremental_rdfs_equals_from_scratch_under_churn(
         ops in prop::collection::vec((arb_rdfs_statement(), any::<bool>()), 1..40),
         picked in prop::collection::vec(any::<bool>(), 40),
+        enable_at in 0usize..40,
     ) {
-        use cogsdk::rdf::{IncrementalMaterializer, RdfsReasoner};
-        let make = || {
-            let mut m = IncrementalMaterializer::new();
-            m.enable_rdfs();
-            m
-        };
-        check_materializer_churn(make, |g| RdfsReasoner::new().infer(g), &ops, &picked);
+        use cogsdk::rdf::RdfsReasoner;
+        let rdfs = MaterializerConfig { rdfs: true, ..Default::default() };
+        let close = |g: &Graph| RdfsReasoner::new().infer(g);
+        check_materializer_churn(rdfs, close, &ops, &picked, enable_at);
     }
 
     #[test]
     fn incremental_transitive_equals_from_scratch_under_churn(
         ops in prop::collection::vec((arb_edge_statement(), any::<bool>()), 1..40),
         picked in prop::collection::vec(any::<bool>(), 40),
+        enable_at in 0usize..40,
     ) {
-        use cogsdk::rdf::{IncrementalMaterializer, TransitiveReasoner};
+        use cogsdk::rdf::TransitiveReasoner;
         let next = Term::iri("next");
-        let make = || {
-            let mut m = IncrementalMaterializer::new();
-            m.add_transitive(vec![next.clone()]);
-            m
-        };
+        let transitive = MaterializerConfig { transitive: vec![next.clone()], ..Default::default() };
         let close = |g: &Graph| TransitiveReasoner::new(vec![next.clone()]).infer(g);
-        check_materializer_churn(make, close, &ops, &picked);
+        check_materializer_churn(transitive, close, &ops, &picked, enable_at);
     }
 
     #[test]
@@ -710,8 +721,13 @@ fn standing_weighted_rules_match_the_naive_oracle_under_churn() {
     for history in 0..200u64 {
         let mut rng = Rng::new(0x5EED_0000 + history);
         let mut store = DurableStore::in_memory();
-        store.enable_rdfs().unwrap();
-        store.add_weighted_rules(rules.clone(), 0.8).unwrap();
+        store
+            .configure(MaterializerConfig {
+                rdfs: true,
+                weighted: weighted.clone(),
+                ..Default::default()
+            })
+            .unwrap();
         let mut stated = weighted_oracle::Levels::new();
         for step in 0..24 {
             let mut pick = |n: usize| rng.below(n as u64) as usize;
